@@ -1,31 +1,21 @@
-// Command nmapbench records the performance baseline the CI tracks: the
-// DES engine microbenchmarks (ns/op and allocs/op for the steady-state
+// Command nmapbench is an ad-hoc performance probe: the DES engine
+// microbenchmarks (ns/op and allocs/op for the steady-state
 // schedule/fire and cancel paths, plus the histogram percentile query),
 // an end-to-end throughput probe (simulated seconds per wall-clock
 // second and allocations per request on a warmed server), and the
 // wall-clock of the Fig 12/13 quick-quality matrix run serially and
 // with the parallel harness. Results are written as JSON (default
-// BENCH_sim.json) so successive PRs can diff them.
+// BENCH_sim.json, untracked) so two local runs can be diffed. The repo's
+// benchmark is the same-host A/B suite under benchmark/.
 //
 // Usage:
 //
 //	nmapbench [-o FILE] [-parallel N] [-best-of N] [-bench-time SIMSECONDS]
 //	          [-micro-time SECONDS] [-cpuprofile FILE] [-memprofile FILE]
-//	nmapbench -compare FILE
-//	nmapbench -delta FILE
 //
 // Every fast metric is sampled -best-of times; the recorded ns/op is the
 // MEDIAN across samples (the fastest is kept alongside), so a noisy host
-// shows up as a wide spread instead of silently skewing the baseline or
-// flaking the gate. With -compare, instead of recording a new baseline
-// the fast benchmarks (engine micro + end-to-end probe) are re-run and
-// checked against the committed FILE: any median ns/op regression beyond
-// 20%, any allocs/op increase at all, or an end-to-end throughput drop
-// beyond 30%, exits non-zero, printing the observed sample spread next
-// to every verdict. -delta prints the same table but always exits 0 —
-// the advisory mode `make pgo-bench` uses to report pgo-on/off deltas.
-// The slow Fig 12 matrix timing is skipped in both modes, as are
-// parallel Fig12 metrics a single-worker baseline never measured.
+// shows up as a wide spread instead of silently skewing the numbers.
 package main
 
 import (
@@ -302,137 +292,6 @@ func timeFig12(workers int) time.Duration {
 	return time.Since(start)
 }
 
-// compareBaselines checks fresh fast-bench numbers against a committed
-// baseline. Returns a list of human-readable regressions (empty = pass).
-func compareBaselines(old, cur baseline) []string {
-	const nsTolerance = 1.20 // >20% slower is a regression
-	var bad []string
-	for name, prev := range old.Engine {
-		now, ok := cur.Engine[name]
-		if !ok {
-			bad = append(bad, fmt.Sprintf("%s: missing from current run", name))
-			continue
-		}
-		if prev.NsPerOp > 0 && now.NsPerOp > prev.NsPerOp*nsTolerance {
-			bad = append(bad, fmt.Sprintf("%s: median %.1f ns/op vs baseline %.1f (+%.0f%%, limit +20%%, observed spread ±%.1f%%)",
-				name, now.NsPerOp, prev.NsPerOp, (now.NsPerOp/prev.NsPerOp-1)*100, now.SpreadPct))
-		}
-		if now.AllocsPerOp > prev.AllocsPerOp {
-			bad = append(bad, fmt.Sprintf("%s: %d allocs/op vs baseline %d (any increase fails)",
-				name, now.AllocsPerOp, prev.AllocsPerOp))
-		}
-	}
-	if old.EndToEnd.Requests > 0 {
-		if cur.EndToEnd.AllocsPerRequest > old.EndToEnd.AllocsPerRequest+0.01 {
-			bad = append(bad, fmt.Sprintf("end_to_end: %.4f allocs/request vs baseline %.4f (any increase fails)",
-				cur.EndToEnd.AllocsPerRequest, old.EndToEnd.AllocsPerRequest))
-		}
-		if old.EndToEnd.SimPerWallSecond > 0 &&
-			cur.EndToEnd.SimPerWallSecond < old.EndToEnd.SimPerWallSecond*0.70 {
-			bad = append(bad, fmt.Sprintf("end_to_end: %.1f sim-s/wall-s vs baseline %.1f (-%.0f%%, limit -30%%, observed spread ±%.1f%%)",
-				cur.EndToEnd.SimPerWallSecond, old.EndToEnd.SimPerWallSecond,
-				(1-cur.EndToEnd.SimPerWallSecond/old.EndToEnd.SimPerWallSecond)*100,
-				cur.EndToEnd.SpreadPct))
-		}
-	}
-	return bad
-}
-
-// fig12Comparable reports whether the baseline's parallel Fig12 metrics
-// are real measurements. A baseline recorded on a single-CPU host (or
-// with -parallel 1) carries parallel_ms: 0 / speedup: 0 — absent data,
-// not "infinitely fast" — so -compare must skip it explicitly instead of
-// treating the zeros as numbers.
-func fig12Comparable(f fig12Times) bool {
-	return f.Workers > 1 && f.ParallelMs > 0 && f.Speedup > 0
-}
-
-// runCompare re-runs the fast benchmarks and diffs them against a
-// committed baseline. With gate set, regressions exit non-zero (the CI
-// -compare mode); without it the table is advisory (-delta, used to
-// report pgo-on/off codegen deltas).
-func runCompare(file string, bestOfN int, span sim.Duration, gate bool) {
-	raw, err := os.ReadFile(file)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "nmapbench: %v\n", err)
-		os.Exit(1)
-	}
-	var old baseline
-	if err := json.Unmarshal(raw, &old); err != nil {
-		fmt.Fprintf(os.Stderr, "nmapbench: parsing %s: %v\n", file, err)
-		os.Exit(1)
-	}
-	cur := baseline{
-		PGO:      pgoSetting(),
-		Engine:   engineBenches(bestOfN),
-		EndToEnd: endToEndBestOf(bestOfN, span),
-	}
-	if old.PGO != cur.PGO {
-		fmt.Printf("pgo: baseline %q vs current %q\n", old.PGO, cur.PGO)
-	}
-	fmt.Printf("%-32s %12s %12s %9s %9s\n", "metric", "baseline", "current", "delta", "spread")
-	names := make([]string, 0, len(cur.Engine))
-	for name := range cur.Engine {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		now, prev := cur.Engine[name], old.Engine[name]
-		printDelta(name+" ns/op", prev.NsPerOp, now.NsPerOp, now.SpreadPct)
-		printDelta(name+" allocs/op", float64(prev.AllocsPerOp), float64(now.AllocsPerOp), -1)
-	}
-	printDelta("end_to_end allocs/request", old.EndToEnd.AllocsPerRequest, cur.EndToEnd.AllocsPerRequest, -1)
-	printDelta("end_to_end sim-s/wall-s", old.EndToEnd.SimPerWallSecond, cur.EndToEnd.SimPerWallSecond, cur.EndToEnd.SpreadPct)
-	if !fig12Comparable(old.Fig12Quick) {
-		fmt.Printf("fig12 parallel metrics: skipped (baseline has none: %s)\n",
-			orElse(old.Fig12Quick.Note, "recorded single-worker"))
-	}
-	if bad := compareBaselines(old, cur); len(bad) > 0 {
-		if !gate {
-			fmt.Printf("%d delta(s) beyond the -compare limits (advisory, not gated):\n", len(bad))
-			for _, b := range bad {
-				fmt.Printf("  NOTE %s\n", b)
-			}
-			return
-		}
-		fmt.Fprintf(os.Stderr, "nmapbench: %d regression(s) vs %s:\n", len(bad), file)
-		for _, b := range bad {
-			fmt.Fprintf(os.Stderr, "  FAIL %s\n", b)
-		}
-		os.Exit(1)
-	}
-	fmt.Printf("PASS: no regressions vs %s\n", file)
-}
-
-// printDelta emits one baseline/current/percent-change row of the
-// -compare table, with the current run's observed sample spread in the
-// last column (negative spread = not sampled, e.g. deterministic alloc
-// counts). A zero baseline has no meaningful percentage, so the absolute
-// change is shown instead.
-func printDelta(name string, prev, now, spreadPct float64) {
-	delta := "n/a"
-	if prev != 0 {
-		delta = fmt.Sprintf("%+.1f%%", (now/prev-1)*100)
-	} else if now != 0 {
-		delta = fmt.Sprintf("%+.4g", now-prev)
-	} else {
-		delta = "+0.0%"
-	}
-	spread := ""
-	if spreadPct >= 0 {
-		spread = fmt.Sprintf("±%.1f%%", spreadPct)
-	}
-	fmt.Printf("%-32s %12.4g %12.4g %9s %9s\n", name, prev, now, delta, spread)
-}
-
-// orElse returns s, or fallback when s is empty.
-func orElse(s, fallback string) string {
-	if s == "" {
-		return fallback
-	}
-	return s
-}
-
 // benchFlags holds the numeric knobs validated before any sampling.
 type benchFlags struct {
 	parallel, bestOf     int
@@ -462,10 +321,6 @@ func main() {
 	out := flag.String("o", "BENCH_sim.json", "output file")
 	parallel := flag.Int("parallel", 0,
 		"worker count for the parallel Fig12 timing (0 = one per CPU)")
-	compare := flag.String("compare", "",
-		"compare fast benchmarks against a committed baseline FILE and exit non-zero on regression")
-	deltaFile := flag.String("delta", "",
-		"like -compare but advisory: print the delta table against FILE and always exit 0 (make pgo-bench)")
 	bestOfN := flag.Int("best-of", 5,
 		"samples per metric: the median is recorded, the spread across samples is reported")
 	benchTime := flag.Float64("bench-time", 2,
@@ -504,15 +359,6 @@ func main() {
 		}()
 	}
 	defer writeMemProfile(*memprofile)
-
-	if *compare != "" {
-		runCompare(*compare, *bestOfN, span, true)
-		return
-	}
-	if *deltaFile != "" {
-		runCompare(*deltaFile, *bestOfN, span, false)
-		return
-	}
 
 	workers := *parallel
 	if workers <= 0 {
@@ -593,7 +439,7 @@ func main() {
 }
 
 // writeMemProfile snapshots the allocs profile at exit. Runs via defer
-// so it captures the full run, whichever mode was selected.
+// so it captures the full run.
 func writeMemProfile(path string) {
 	if path == "" {
 		return

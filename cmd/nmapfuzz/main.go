@@ -39,8 +39,29 @@ var (
 	aborted  atomic.Int64
 )
 
+// fuzzFlags is every numeric knob the CLI validates before running.
+type fuzzFlags struct {
+	count, parallel int
+}
+
+// validateFlags rejects nonsensical flag values with errors naming the
+// flag, before any work starts.
+func validateFlags(f fuzzFlags) error {
+	if f.count < 0 {
+		return fmt.Errorf("-n must be >= 0, got %d", f.count)
+	}
+	if f.parallel < 0 {
+		return fmt.Errorf("-parallel must be >= 0 (0 = one worker per CPU), got %d", f.parallel)
+	}
+	return nil
+}
+
 func main() {
 	flag.Parse()
+	if err := validateFlags(fuzzFlags{count: *count, parallel: *workers}); err != nil {
+		fmt.Fprintln(os.Stderr, "nmapfuzz:", err)
+		os.Exit(2)
+	}
 	if *repro != "" {
 		os.Exit(runRepro(*repro))
 	}
@@ -78,7 +99,7 @@ func runRepro(path string) int {
 
 func fuzz() int {
 	n := *workers
-	if n <= 0 {
+	if n == 0 {
 		n = runtime.NumCPU()
 	}
 	// Pre-draw the spec stream serially so the set of configurations is a

@@ -20,13 +20,8 @@ func main() {
 	seed := flag.Uint64("seed", 1001, "profiling run seed")
 	flag.Parse()
 
-	var prof *workload.Profile
-	switch *app {
-	case "memcached":
-		prof = workload.Memcached()
-	case "nginx":
-		prof = workload.Nginx()
-	default:
+	prof, ok := workload.ProfileByName(*app)
+	if !ok {
 		fmt.Fprintf(os.Stderr, "nmapprofile: unknown app %q\n", *app)
 		os.Exit(2)
 	}

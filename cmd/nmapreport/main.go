@@ -126,17 +126,14 @@ func main() {
 	}
 	experiments.SetStreaming(*streamOn)
 
-	var profs []*workload.Profile
-	switch *app {
-	case "memcached":
-		profs = []*workload.Profile{workload.Memcached()}
-	case "nginx":
-		profs = []*workload.Profile{workload.Nginx()}
-	case "both":
-		profs = workload.Profiles()
-	default:
-		fmt.Fprintf(os.Stderr, "nmapreport: unknown app %q\n", *app)
-		os.Exit(2)
+	profs := workload.Profiles()
+	if *app != "both" {
+		prof, ok := workload.ProfileByName(*app)
+		if !ok {
+			fmt.Fprintf(os.Stderr, "nmapreport: unknown app %q\n", *app)
+			os.Exit(2)
+		}
+		profs = []*workload.Profile{prof}
 	}
 
 	var specs []experiments.Spec

@@ -32,6 +32,7 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"syscall"
+	"time"
 
 	"nmapsim/internal/experiments"
 	"nmapsim/internal/faults"
@@ -63,6 +64,24 @@ var route = flag.String("route", "rr",
 	"fig-cluster: routing policy — rr, least, weighted, flow")
 var hedge = flag.Bool("hedge", false,
 	"fig-cluster: arm tail-latency request hedging at the front end")
+
+// simFlags is every numeric knob the CLI validates before running.
+type simFlags struct {
+	parallel    int
+	cellTimeout time.Duration
+}
+
+// validateFlags rejects nonsensical flag values with errors naming the
+// flag, before any work starts.
+func validateFlags(f simFlags) error {
+	if f.parallel < 0 {
+		return fmt.Errorf("-parallel must be >= 0 (0 = one worker per CPU), got %d", f.parallel)
+	}
+	if f.cellTimeout < 0 {
+		return fmt.Errorf("-cell-timeout must be >= 0 (0 = unlimited), got %v", f.cellTimeout)
+	}
+	return nil
+}
 
 type experiment struct {
 	name, desc string
@@ -301,6 +320,10 @@ func printAuditReport() {
 
 func main() {
 	flag.Parse()
+	if err := validateFlags(simFlags{parallel: *parallel, cellTimeout: *cellTimeout}); err != nil {
+		fmt.Fprintf(os.Stderr, "nmapsim: %v\n", err)
+		os.Exit(2)
+	}
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
 		if err != nil {

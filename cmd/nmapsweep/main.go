@@ -175,13 +175,8 @@ func main() {
 		experiments.SetJournal(j)
 	}
 
-	var prof *workload.Profile
-	switch *app {
-	case "memcached":
-		prof = workload.Memcached()
-	case "nginx":
-		prof = workload.Nginx()
-	default:
+	prof, ok := workload.ProfileByName(*app)
+	if !ok {
 		fmt.Fprintf(os.Stderr, "nmapsweep: unknown app %q\n", *app)
 		os.Exit(2)
 	}
@@ -227,7 +222,7 @@ func main() {
 		}
 	}
 	cells, err := experiments.RunSpecsCtx(ctx, specs)
-	if err != nil && !quarantineOnly(cells, err) {
+	if err != nil {
 		fail(err)
 	}
 	quarantined, downgraded := 0, 0
@@ -277,11 +272,6 @@ func quarantineExitCode(quarantined int) int {
 	}
 	return 0
 }
-
-// quarantineOnly reports whether the sweep "error" is only the presence
-// of quarantined cells (RunSpecsCtx returns nil in that case, so any
-// non-nil error is real) — kept as a seam for clarity at the call site.
-func quarantineOnly([]experiments.CellResult, error) bool { return false }
 
 // truncateErr renders a cell error into one table cell.
 func truncateErr(err error) string {

@@ -24,13 +24,8 @@ func main() {
 	ms := flag.Int("ms", 500, "trace window in milliseconds")
 	flag.Parse()
 
-	var prof *workload.Profile
-	switch *app {
-	case "memcached":
-		prof = workload.Memcached()
-	case "nginx":
-		prof = workload.Nginx()
-	default:
+	prof, ok := workload.ProfileByName(*app)
+	if !ok {
 		fmt.Fprintf(os.Stderr, "traceviz: unknown app %q\n", *app)
 		os.Exit(2)
 	}

@@ -133,112 +133,71 @@ func FigClusterCtx(ctx context.Context, q Quality, nodes int, route string, hedg
 		Faults:   f,
 		Retry:    retry,
 	}
-	fleetCapW := clusterCapFrac * float64(nodes) * cpu.XeonGold6134.MaxPowerW()
-	arms := []struct {
-		name   string
-		policy string
-		capW   float64
-	}{
-		{"nmap-per-node", "nmap", 0},
-		{"ondemand+fleet-cap", "ondemand", fleetCapW},
+	uncapped := cluster.Config{Nodes: nodes, Route: route, RouteRetries: 2}
+	if hedge {
+		uncapped.Hedge = cluster.HedgeConfig{Enabled: true}
 	}
-	// The arms fan out over the worker pool; results land by index so the
-	// figure's arm order is the input order at any parallelism. An arm
-	// skipped because ctx was already cancelled when its worker picked it
-	// up is absent from the figure (nothing ran, nothing is fabricated).
-	outs := make([]ClusterArm, len(arms))
-	errs := make([]error, len(arms))
-	started := make([]bool, len(arms))
-	forEach(len(arms), func(i int) {
-		if ctx != nil && ctx.Err() != nil {
-			errs[i] = ctx.Err()
-			return
-		}
-		started[i] = true
-		a := arms[i]
-		ccfg := cluster.Config{
-			Nodes:          nodes,
-			Route:          route,
-			RouteRetries:   2,
-			Node:           ncfg,
-			FleetPowerCapW: a.capW,
-		}
-		if hedge {
-			ccfg.Hedge = cluster.HedgeConfig{Enabled: true}
-		}
-		outs[i], errs[i] = runClusterArm(ctx, ccfg, a.policy, a.name, warm+dur, bucket)
-	})
-	for i := range arms {
-		if started[i] {
-			fig.Arms = append(fig.Arms, outs[i])
-		}
-	}
-	if ctx != nil && ctx.Err() != nil {
-		return fig, ctx.Err()
-	}
-	for _, err := range errs {
-		if err != nil {
-			return fig, err
-		}
-	}
-	return fig, nil
+	capped := uncapped
+	capped.FleetPowerCapW = clusterCapFrac * float64(nodes) * cpu.XeonGold6134.MaxPowerW()
+	var err error
+	fig.Arms, err = runFleetArms(ctx, []fleetArm{
+		{"nmap-per-node", "nmap", uncapped},
+		{"ondemand+fleet-cap", "ondemand", capped},
+	}, ncfg, bucket)
+	return fig, err
 }
 
-// runClusterArm executes one arm, bucketing front-end completions by
-// completion time and sampling the resteer/offline counters on a
-// ticker. The arm's Result is valid even when the run was cut short.
-func runClusterArm(ctx context.Context, ccfg cluster.Config, policy, name string,
-	total, bucket sim.Duration) (ClusterArm, error) {
-	arm := ClusterArm{Name: name, CapW: ccfg.FleetPowerCapW}
-	cl, err := cluster.New(ccfg, func(_ int, ncfg server.Config, eng *sim.Engine) (*server.Server, error) {
-		return BuildOn(Spec{Policy: policy, Idle: "menu", Cfg: ncfg}, eng)
-	})
-	if err != nil {
-		return arm, err
-	}
-	n := int(total / bucket)
-	lats := make([][]sim.Duration, n)
-	cl.OnDone = func(r *workload.Request) {
-		if b := int(sim.Duration(r.Done) / bucket); b >= 0 && b < n {
-			lats[b] = append(lats[b], r.Latency())
+// fleetArm is one arm of a fleet figure: a name, the policy every node
+// runs, and the cluster topology (its Node template is ignored).
+type fleetArm struct {
+	name, policy string
+	ccfg         cluster.Config
+}
+
+// runFleetArms runs a fleet figure's arms as cells on the worker pool,
+// each with a timeline observer bucketing front-end completions and
+// sampling the resteer/offline-node counters; ncfg is the node template.
+// Results land by index, so the arm order is the input order at any
+// parallelism. An arm the context cut off before it started is absent
+// (nothing ran, nothing is fabricated); an arm cut short mid-run is
+// kept with Done false and its Result as of the abort instant. The
+// error is ctx.Err() if the run was cut short, else the first arm error.
+func runFleetArms(ctx context.Context, arms []fleetArm, ncfg server.Config, bucket sim.Duration) ([]ClusterArm, error) {
+	cells := make([]cell, len(arms))
+	tls := make([]*timeline, len(arms))
+	for i, a := range arms {
+		cells[i] = cell{
+			spec:  Spec{Policy: a.policy, Idle: "menu", Cfg: ncfg},
+			fleet: &a.ccfg,
+			observeFleet: func(cl *cluster.Cluster) {
+				tls[i] = newTimeline(cl.Eng, ncfg.Warmup+ncfg.Duration, bucket, func() (uint64, int) {
+					return cl.Accounting().Resteers, cl.OfflineNodes()
+				})
+				cl.OnDone = tls[i].record
+			},
 		}
 	}
-	// The ticker fires at the END of each bucket: sample the cumulative
-	// resteer count and the offline-node population there.
-	resteerAt := make([]uint64, n)
-	offAt := make([]int, n)
-	bi := 0
-	stop := cl.Eng.Ticker(bucket, func() {
-		if bi < n {
-			resteerAt[bi] = cl.Accounting().Resteers
-			offAt[bi] = cl.OfflineNodes()
-			bi++
+	outs, err := runCells(ctx, cells)
+	var out []ClusterArm
+	for i, c := range outs {
+		if c.Attempts == 0 {
+			continue
 		}
-	})
-	res, err := cl.Run(ctx)
-	stop()
-	recordAudit(res.Audit)
-	arm.Result = res
-	var prev uint64
-	for i := 0; i < n; i++ {
-		cum := resteerAt[i]
-		if i >= bi { // run ended before this tick; carry the final ledger
-			cum = res.Front.Resteers
+		arm := ClusterArm{Name: arms[i].name, CapW: arms[i].ccfg.FleetPowerCapW, Result: c.Fleet, Done: c.Done}
+		if tls[i] != nil {
+			for _, tb := range tls[i].buckets(c.Fleet.Front.Resteers) {
+				arm.Buckets = append(arm.Buckets, ClusterBucket{
+					FromMs:   int(tb.from / sim.Millisecond),
+					Done:     tb.done,
+					P99:      tb.p99,
+					Resteers: tb.delta,
+					Offline:  tb.offline,
+				})
+			}
 		}
-		arm.Buckets = append(arm.Buckets, ClusterBucket{
-			FromMs:   int(sim.Duration(i) * bucket / sim.Millisecond),
-			Done:     len(lats[i]),
-			P99:      p99Of(lats[i]),
-			Resteers: cum - prev,
-			Offline:  offAt[i],
-		})
-		prev = cum
+		out = append(out, arm)
 	}
-	if err != nil {
-		return arm, err
-	}
-	arm.Done = true
-	return arm, nil
+	return out, err
 }
 
 // RenderCluster formats the fleet timeline: one table per arm plus a

@@ -80,3 +80,17 @@ func TestFigClusterDeterministic(t *testing.T) {
 		t.Fatalf("render missing the offline-node timeline:\n%s", ra)
 	}
 }
+
+// The fleet figures run their arms through the same guarded cell runner
+// as every other figure: a per-cell wall-clock budget aborts each arm
+// and surfaces as the figure's error instead of being ignored.
+func TestFleetFiguresHonourRunTimeout(t *testing.T) {
+	SetRunTimeout(time.Nanosecond)
+	defer SetRunTimeout(0)
+	if _, err := FigCluster(Quick, 2, "rr", false); err == nil || !strings.Contains(err.Error(), "wall-clock budget") {
+		t.Fatalf("fig-cluster err = %v, want the wall-clock budget error", err)
+	}
+	if _, err := FigGrayFail(Quick, 2, "rr"); err == nil || !strings.Contains(err.Error(), "wall-clock budget") {
+		t.Fatalf("fig-grayfail err = %v, want the wall-clock budget error", err)
+	}
+}

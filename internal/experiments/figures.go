@@ -3,7 +3,6 @@ package experiments
 import (
 	"nmapsim/internal/baselines"
 	"nmapsim/internal/cpu"
-	"nmapsim/internal/governor"
 	"nmapsim/internal/server"
 	"nmapsim/internal/sim"
 	"nmapsim/internal/stats"
@@ -56,10 +55,9 @@ type TraceFigure struct {
 	Result server.Result
 }
 
-// RunTrace runs one traced configuration and samples the window
-// [warmup, warmup+window).
-func RunTrace(profile *workload.Profile, level workload.Level, policy, idle string, window sim.Duration, q Quality) (TraceFigure, error) {
-	spec := Spec{
+// tracedSpec is one traced configuration, run for dur after warmup.
+func tracedSpec(q Quality, dur sim.Duration, profile *workload.Profile, level workload.Level, policy, idle string) Spec {
+	return Spec{
 		Policy: policy,
 		Idle:   idle,
 		Cfg: server.Config{
@@ -67,93 +65,87 @@ func RunTrace(profile *workload.Profile, level workload.Level, policy, idle stri
 			Profile:  profile,
 			Level:    level,
 			Warmup:   q.warmup(),
-			Duration: window,
+			Duration: dur,
 		},
 	}
-	s, err := Build(spec)
-	if err != nil {
-		return TraceFigure{}, err
-	}
-	tr := NewTrace(s, 0)
-	guardCell(nil, s)
-	res, err := s.Run()
-	recordAudit(res.Audit)
-	if err != nil {
-		return TraceFigure{}, err
-	}
+}
 
+// runTraced runs each spec as one cell on the worker pool with a Trace
+// attached to the built server, and reads each run into its row, in
+// input order.
+func runTraced[T any](specs []Spec, read func(spec Spec, tr *Trace, res server.Result) T) ([]T, error) {
+	cells := make([]cell, len(specs))
+	trs := make([]*Trace, len(specs))
+	for i, spec := range specs {
+		cells[i] = cell{spec: spec, observe: func(s *server.Server) { trs[i] = NewTrace(s, 0) }}
+	}
+	return runRows(cells, func(i int, c CellResult) T { return read(specs[i], trs[i], c.Result) })
+}
+
+// RunTrace runs one traced configuration and samples the window
+// [warmup, warmup+window).
+func RunTrace(profile *workload.Profile, level workload.Level, policy, idle string, window sim.Duration, q Quality) (TraceFigure, error) {
+	figs, err := traceSet(q, window, tracedSpec(q, window, profile, level, policy, idle))
+	if err != nil {
+		return TraceFigure{}, err
+	}
+	return figs[0], nil
+}
+
+// traceSet runs a list of trace configurations, each sampling the
+// window [warmup, warmup+window).
+func traceSet(q Quality, window sim.Duration, specs ...Spec) ([]TraceFigure, error) {
 	from := int(q.warmup() / sim.Millisecond)
 	n := int(window / sim.Millisecond)
-	slice := func(c *stats.Counter) []float64 {
-		out := make([]float64, n)
-		for i := 0; i < n; i++ {
-			out[i] = c.Bin(from + i)
+	return runTraced(specs, func(spec Spec, tr *Trace, res server.Result) TraceFigure {
+		slice := func(c *stats.Counter) []float64 {
+			out := make([]float64, n)
+			for i := 0; i < n; i++ {
+				out[i] = c.Bin(from + i)
+			}
+			return out
 		}
-		return out
-	}
-	ps := tr.PStateSeries(sim.Time(q.warmup() + window))
-	return TraceFigure{
-		App:     profile.Name,
-		Policy:  policy,
-		Idle:    idle,
-		Level:   level,
-		Ms:      n,
-		PktIntr: slice(tr.PktIntr),
-		PktPoll: slice(tr.PktPoll),
-		KsWakes: slice(tr.KsWakes),
-		CC6:     slice(tr.CC6Entry),
-		PState:  ps[from:],
-		Result:  res,
-	}, nil
+		ps := tr.PStateSeries(sim.Time(q.warmup() + window))
+		return TraceFigure{
+			App:     spec.Cfg.Profile.Name,
+			Policy:  spec.Policy,
+			Idle:    spec.Idle,
+			Level:   spec.Cfg.Level,
+			Ms:      n,
+			PktIntr: slice(tr.PktIntr),
+			PktPoll: slice(tr.PktPoll),
+			KsWakes: slice(tr.KsWakes),
+			CC6:     slice(tr.CC6Entry),
+			PState:  ps[from:],
+			Result:  res,
+		}
+	})
 }
 
-// traceSet runs a list of trace configurations, stopping at the first
-// failure.
-func traceSet(q Quality, runs ...func(Quality) (TraceFigure, error)) ([]TraceFigure, error) {
-	out := make([]TraceFigure, 0, len(runs))
-	for _, run := range runs {
-		tf, err := run(q)
-		if err != nil {
-			return out, err
-		}
-		out = append(out, tf)
-	}
-	return out, nil
-}
+// traceWindow is the span the trace figures plot.
+const traceWindow = 500 * sim.Millisecond
 
 // Fig2 reproduces Fig 2: ksoftirqd wake-ups, the ondemand P-state, and
 // the interrupt/polling packet split at high load for both apps.
 func Fig2(q Quality) ([]TraceFigure, error) {
-	return traceSet(q,
-		func(q Quality) (TraceFigure, error) {
-			return RunTrace(workload.Memcached(), workload.High, "ondemand", "menu", 500*sim.Millisecond, q)
-		},
-		func(q Quality) (TraceFigure, error) {
-			return RunTrace(workload.Nginx(), workload.High, "ondemand", "menu", 500*sim.Millisecond, q)
-		})
+	return traceSet(q, traceWindow,
+		tracedSpec(q, traceWindow, workload.Memcached(), workload.High, "ondemand", "menu"),
+		tracedSpec(q, traceWindow, workload.Nginx(), workload.High, "ondemand", "menu"))
 }
 
 // Fig9 reproduces Fig 9: the same view under NMAP.
 func Fig9(q Quality) ([]TraceFigure, error) {
-	return traceSet(q,
-		func(q Quality) (TraceFigure, error) {
-			return RunTrace(workload.Memcached(), workload.High, "nmap", "menu", 500*sim.Millisecond, q)
-		},
-		func(q Quality) (TraceFigure, error) {
-			return RunTrace(workload.Nginx(), workload.High, "nmap", "menu", 500*sim.Millisecond, q)
-		})
+	return traceSet(q, traceWindow,
+		tracedSpec(q, traceWindow, workload.Memcached(), workload.High, "nmap", "menu"),
+		tracedSpec(q, traceWindow, workload.Nginx(), workload.High, "nmap", "menu"))
 }
 
 // Fig7 reproduces Fig 7: CC6 entries and the packet split under the
 // menu governor at low and high memcached load (performance governor).
 func Fig7(q Quality) ([]TraceFigure, error) {
-	return traceSet(q,
-		func(q Quality) (TraceFigure, error) {
-			return RunTrace(workload.Memcached(), workload.Low, "performance", "menu", 500*sim.Millisecond, q)
-		},
-		func(q Quality) (TraceFigure, error) {
-			return RunTrace(workload.Memcached(), workload.High, "performance", "menu", 500*sim.Millisecond, q)
-		})
+	return traceSet(q, traceWindow,
+		tracedSpec(q, traceWindow, workload.Memcached(), workload.Low, "performance", "menu"),
+		tracedSpec(q, traceWindow, workload.Memcached(), workload.High, "performance", "menu"))
 }
 
 // ---------------------------------------------------------------------
@@ -173,71 +165,40 @@ type LatencyFigure struct {
 	Result    server.Result
 }
 
-// RunLatency runs one configuration and extracts the Fig-3-style
-// scatter and Fig-4-style CDF.
-func RunLatency(profile *workload.Profile, level workload.Level, policy, idle string, q Quality) (LatencyFigure, error) {
-	spec := Spec{
-		Policy: policy,
-		Idle:   idle,
-		Cfg: server.Config{
-			Seed:     defaultSeed,
-			Profile:  profile,
-			Level:    level,
-			Warmup:   q.warmup(),
-			Duration: q.duration(),
-		},
-	}
-	s, err := Build(spec)
-	if err != nil {
-		return LatencyFigure{}, err
-	}
-	tr := NewTrace(s, 0)
-	guardCell(nil, s)
-	res, err := s.Run()
-	recordAudit(res.Audit)
-	if err != nil {
-		return LatencyFigure{}, err
+// latencySet runs each policy at high load on both applications and
+// extracts the Fig-3-style scatter and Fig-4-style CDF.
+func latencySet(q Quality, policies ...string) ([]LatencyFigure, error) {
+	var specs []Spec
+	for _, prof := range workload.Profiles() {
+		for _, pol := range policies {
+			specs = append(specs, tracedSpec(q, q.duration(), prof, workload.High, pol, "menu"))
+		}
 	}
 	from := sim.Time(q.warmup())
-	return LatencyFigure{
-		App:       profile.Name,
-		Policy:    policy,
-		Level:     level,
-		SLO:       profile.SLO,
-		Scatter:   tr.Lat.Window(from, from+sim.Time(500*sim.Millisecond)),
-		CDF:       res.Hist.CDF(101),
-		FracUnder: res.Hist.FracLE(profile.SLO),
-		Result:    res,
-	}, nil
+	return runTraced(specs, func(spec Spec, tr *Trace, res server.Result) LatencyFigure {
+		slo := spec.Cfg.Profile.SLO
+		return LatencyFigure{
+			App:       spec.Cfg.Profile.Name,
+			Policy:    spec.Policy,
+			Level:     spec.Cfg.Level,
+			SLO:       slo,
+			Scatter:   tr.Lat.Window(from, from+sim.Time(500*sim.Millisecond)),
+			CDF:       res.Hist.CDF(101),
+			FracUnder: res.Hist.FracLE(slo),
+			Result:    res,
+		}
+	})
 }
 
 // Fig3And4 reproduces Figs 3 and 4: per-request latency and CDFs for
 // ondemand vs performance at high load on both applications.
 func Fig3And4(q Quality) ([]LatencyFigure, error) {
-	var out []LatencyFigure
-	for _, prof := range workload.Profiles() {
-		for _, pol := range []string{"ondemand", "performance"} {
-			lf, err := RunLatency(prof, workload.High, pol, "menu", q)
-			if err != nil {
-				return out, err
-			}
-			out = append(out, lf)
-		}
-	}
-	return out, nil
+	return latencySet(q, "ondemand", "performance")
 }
 
 // Fig10And11 reproduces Figs 10 and 11: the same view under NMAP.
 func Fig10And11(q Quality) ([]LatencyFigure, error) {
-	var out []LatencyFigure
-	for _, prof := range workload.Profiles() {
-		lf, err := RunLatency(prof, workload.High, "nmap", "menu", q)
-		if err != nil {
-			return out, err
-		}
-		out = append(out, lf)
-	}
-	return out, nil
+	return latencySet(q, "nmap")
 }
 
 // ---------------------------------------------------------------------
@@ -405,9 +366,9 @@ func Fig16(q Quality) ([]Fig16Result, error) {
 	if q == Quick {
 		dur = 1500 * sim.Millisecond
 	}
-	var out []Fig16Result
+	var specs []Spec
 	for _, pol := range []string{"nmap", "parties"} {
-		spec := Spec{
+		specs = append(specs, Spec{
 			Policy: pol,
 			Idle:   "menu",
 			Cfg: server.Config{
@@ -418,29 +379,19 @@ func Fig16(q Quality) ([]Fig16Result, error) {
 				Warmup:         q.warmup(),
 				Duration:       dur,
 			},
-		}
-		s, err := Build(spec)
-		if err != nil {
-			return out, err
-		}
-		tr := NewTrace(s, 0)
-		guardCell(nil, s)
-		res, err := s.Run()
-		recordAudit(res.Audit)
-		if err != nil {
-			return out, err
-		}
-		from := sim.Time(q.warmup())
+		})
+	}
+	from := sim.Time(q.warmup())
+	return runTraced(specs, func(spec Spec, tr *Trace, res server.Result) Fig16Result {
 		ps := tr.PStateSeries(from + sim.Time(dur))
-		out = append(out, Fig16Result{
-			Policy:      pol,
+		return Fig16Result{
+			Policy:      spec.Policy,
 			FracOverSLO: res.FracOverSLO,
 			PState:      ps[int(from/sim.Time(sim.Millisecond)):],
 			Scatter:     tr.Lat.Window(from, from+sim.Time(dur)),
 			Result:      res,
-		})
-	}
-	return out, nil
+		}
+	})
 }
 
 // ---------------------------------------------------------------------
@@ -461,49 +412,46 @@ type AblationCell struct {
 	Violated    bool
 }
 
+// ablate runs one ablation's cells on the worker pool and names each
+// row.
+func ablate(names []string, cells []cell) ([]AblationCell, error) {
+	return runRows(cells, func(i int, c CellResult) AblationCell {
+		res := c.Result
+		return AblationCell{
+			Name: names[i], P99: res.Summary.P99, EnergyJ: res.EnergyJ,
+			Transitions: res.Transitions, Violated: res.Violated,
+		}
+	})
+}
+
 // AblationPerRequest contrasts NMAP with a per-request DVFS policy on
 // hardware with realistic re-transition latency (§5.1's argument: the
 // per-request policy issues orders of magnitude more V/F writes than
 // ever take effect, so its fine-grained decisions are simply not
 // reflected by the processor).
 func AblationPerRequest(q Quality) ([]AblationCell, error) {
-	prof := workload.Memcached()
-	cfg := server.Config{
-		Seed: defaultSeed, Profile: prof, Level: workload.High,
+	return perRequestArms(server.Config{
+		Seed: defaultSeed, Profile: workload.Memcached(), Level: workload.High,
 		Warmup: q.warmup(), Duration: q.duration(),
+	})
+}
+
+// perRequestArms runs the NMAP, ondemand and per-request DVFS arms of
+// AblationPerRequest on cfg.
+func perRequestArms(cfg server.Config) ([]AblationCell, error) {
+	names := []string{"nmap", "ondemand", "perrequest"}
+	cells := make([]cell, len(names))
+	for i, pol := range names {
+		cells[i] = cell{spec: Spec{Policy: pol, Idle: "menu", Cfg: cfg}}
 	}
-	var specs []Spec
-	for _, pol := range []string{"nmap", "ondemand"} {
-		specs = append(specs, Spec{Policy: pol, Idle: "menu", Cfg: cfg})
-	}
-	results, err := RunSpecs(specs)
+	// Keep a handle on the per-request policy's attempted-write counter.
+	var pr *baselines.PerRequest
+	cells[2].observe = func(s *server.Server) { pr = s.Policy().(*baselines.PerRequest) }
+	out, err := ablate(names, cells)
 	if err != nil {
 		return nil, err
 	}
-	var out []AblationCell
-	for i, res := range results {
-		out = append(out, AblationCell{
-			Name: specs[i].Policy, P99: res.Summary.P99, EnergyJ: res.EnergyJ,
-			Transitions: res.Transitions, Violated: res.Violated,
-		})
-	}
-	// Assemble the per-request policy by hand to keep a handle on its
-	// attempted-write counter.
-	idle, _ := governor.NewIdlePolicy("menu")
-	s := server.New(cfg, idle)
-	pr := baselines.NewPerRequest(s.Eng, s.Proc, s.Kernels)
-	s.AddListener(pr)
-	s.AttachPolicy(pr)
-	guardCell(nil, s)
-	res, err := s.Run()
-	recordAudit(res.Audit)
-	if err != nil {
-		return out, err
-	}
-	out = append(out, AblationCell{
-		Name: "perrequest", P99: res.Summary.P99, EnergyJ: res.EnergyJ,
-		Attempts: pr.Requests, Transitions: res.Transitions, Violated: res.Violated,
-	})
+	out[2].Attempts = pr.Requests
 	return out, nil
 }
 
@@ -513,10 +461,12 @@ func AblationThresholds(q Quality) ([]AblationCell, error) {
 	prof := workload.Memcached()
 	base := ProfiledThresholds(prof, 1042)
 	mults := []float64{0.25, 0.5, 1, 2, 4}
+	names := make([]string, len(mults))
 	specs := make([]Spec, len(mults))
 	for i, mult := range mults {
 		th := base
 		th.NITh = base.NITh * mult
+		names[i] = "NI_TH x" + ftoa(mult)
 		specs[i] = Spec{
 			Policy:     "nmap",
 			Idle:       "menu",
@@ -527,18 +477,7 @@ func AblationThresholds(q Quality) ([]AblationCell, error) {
 			},
 		}
 	}
-	results, err := RunSpecs(specs)
-	if err != nil {
-		return nil, err
-	}
-	var out []AblationCell
-	for i, res := range results {
-		out = append(out, AblationCell{
-			Name: "NI_TH x" + ftoa(mults[i]), P99: res.Summary.P99,
-			EnergyJ: res.EnergyJ, Transitions: res.Transitions, Violated: res.Violated,
-		})
-	}
-	return out, nil
+	return ablate(names, specCells(specs))
 }
 
 // AblationChipWide contrasts per-core NMAP with a chip-wide variant
@@ -546,13 +485,8 @@ func AblationThresholds(q Quality) ([]AblationCell, error) {
 func AblationChipWide(q Quality) ([]AblationCell, error) {
 	prof := workload.Memcached()
 	var specs []Spec
-	var names []string
+	names := []string{"nmap-per-core", "nmap-chip-wide"}
 	for _, chipWide := range []bool{false, true} {
-		name := "nmap-per-core"
-		if chipWide {
-			name = "nmap-chip-wide"
-		}
-		names = append(names, name)
 		specs = append(specs, Spec{
 			Policy: "nmap",
 			Idle:   "menu",
@@ -563,18 +497,7 @@ func AblationChipWide(q Quality) ([]AblationCell, error) {
 			},
 		})
 	}
-	results, err := RunSpecs(specs)
-	if err != nil {
-		return nil, err
-	}
-	var out []AblationCell
-	for i, res := range results {
-		out = append(out, AblationCell{
-			Name: names[i], P99: res.Summary.P99, EnergyJ: res.EnergyJ,
-			Transitions: res.Transitions, Violated: res.Violated,
-		})
-	}
-	return out, nil
+	return ablate(names, specCells(specs))
 }
 
 // AblationExtensions compares stock NMAP against the two future-work
@@ -582,8 +505,9 @@ func AblationChipWide(q Quality) ([]AblationCell, error) {
 // sleep-state integration.
 func AblationExtensions(q Quality) ([]AblationCell, error) {
 	prof := workload.Memcached()
+	names := []string{"nmap", "nmap-online", "nmap-sleep"}
 	var specs []Spec
-	for _, pol := range []string{"nmap", "nmap-online", "nmap-sleep"} {
+	for _, pol := range names {
 		specs = append(specs, Spec{
 			Policy: pol,
 			Idle:   "menu",
@@ -593,18 +517,7 @@ func AblationExtensions(q Quality) ([]AblationCell, error) {
 			},
 		})
 	}
-	results, err := RunSpecs(specs)
-	if err != nil {
-		return nil, err
-	}
-	var out []AblationCell
-	for i, res := range results {
-		out = append(out, AblationCell{
-			Name: specs[i].Policy, P99: res.Summary.P99, EnergyJ: res.EnergyJ,
-			Transitions: res.Transitions, Violated: res.Violated,
-		})
-	}
-	return out, nil
+	return ablate(names, specCells(specs))
 }
 
 // AblationRSS shows why per-core DVFS beats chip-wide when RSS is
@@ -637,18 +550,7 @@ func AblationRSS(q Quality) ([]AblationCell, error) {
 			})
 		}
 	}
-	results, err := RunSpecs(specs)
-	if err != nil {
-		return nil, err
-	}
-	var out []AblationCell
-	for i, res := range results {
-		out = append(out, AblationCell{
-			Name: names[i], P99: res.Summary.P99, EnergyJ: res.EnergyJ,
-			Transitions: res.Transitions, Violated: res.Violated,
-		})
-	}
-	return out, nil
+	return ablate(names, specCells(specs))
 }
 
 // AblationITR sweeps the NIC interrupt-throttle period: the ITR sets
@@ -657,8 +559,10 @@ func AblationRSS(q Quality) ([]AblationCell, error) {
 func AblationITR(q Quality) ([]AblationCell, error) {
 	prof := workload.Memcached()
 	var specs []Spec
+	var names []string
 	for _, itr := range []sim.Duration{5 * sim.Microsecond, 10 * sim.Microsecond,
 		20 * sim.Microsecond, 50 * sim.Microsecond} {
+		names = append(names, "ITR="+itr.String())
 		specs = append(specs, Spec{
 			Policy: "nmap",
 			Idle:   "menu",
@@ -669,18 +573,7 @@ func AblationITR(q Quality) ([]AblationCell, error) {
 			},
 		})
 	}
-	results, err := RunSpecs(specs)
-	if err != nil {
-		return nil, err
-	}
-	var out []AblationCell
-	for i, res := range results {
-		out = append(out, AblationCell{
-			Name: "ITR=" + specs[i].Cfg.ITR.String(), P99: res.Summary.P99, EnergyJ: res.EnergyJ,
-			Transitions: res.Transitions, Violated: res.Violated,
-		})
-	}
-	return out, nil
+	return ablate(names, specCells(specs))
 }
 
 func ftoa(f float64) string {

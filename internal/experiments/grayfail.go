@@ -117,56 +117,24 @@ func FigGrayFailCtx(ctx context.Context, q Quality, nodes int, route string) (Gr
 		fig.SlowAtMs = append(fig.SlowAtMs, int(at/sim.Millisecond))
 	}
 
-	hold := dur / 8
-	arms := []struct {
-		name  string
-		hold  sim.Duration
-		hedge bool
-	}{
-		{"health-naive", 0, false},
-		{"flap-damped", hold, false},
-		{"flap-damped+hedged", hold, true},
+	naive := cluster.Config{
+		Nodes:        nodes,
+		Route:        route,
+		RouteRetries: 2,
+		Health:       cluster.HealthConfig{ProbeTimeout: 20 * sim.Microsecond},
+		Fabric:       grayFabric(),
 	}
-	outs := make([]ClusterArm, len(arms))
-	errs := make([]error, len(arms))
-	started := make([]bool, len(arms))
-	forEach(len(arms), func(i int) {
-		if ctx != nil && ctx.Err() != nil {
-			errs[i] = ctx.Err()
-			return
-		}
-		started[i] = true
-		a := arms[i]
-		ccfg := cluster.Config{
-			Nodes:        nodes,
-			Route:        route,
-			RouteRetries: 2,
-			Health: cluster.HealthConfig{
-				ProbeTimeout: 20 * sim.Microsecond,
-				FlapHold:     a.hold,
-			},
-			Node:   ncfg,
-			Fabric: grayFabric(),
-		}
-		if a.hedge {
-			ccfg.Hedge = cluster.HedgeConfig{Enabled: true}
-		}
-		outs[i], errs[i] = runClusterArm(ctx, ccfg, "nmap", a.name, warm+dur, bucket)
-	})
-	for i := range arms {
-		if started[i] {
-			fig.Arms = append(fig.Arms, outs[i])
-		}
-	}
-	if ctx != nil && ctx.Err() != nil {
-		return fig, ctx.Err()
-	}
-	for _, err := range errs {
-		if err != nil {
-			return fig, err
-		}
-	}
-	return fig, nil
+	damped := naive
+	damped.Health.FlapHold = dur / 8
+	hedged := damped
+	hedged.Hedge = cluster.HedgeConfig{Enabled: true}
+	var err error
+	fig.Arms, err = runFleetArms(ctx, []fleetArm{
+		{"health-naive", "nmap", naive},
+		{"flap-damped", "nmap", damped},
+		{"flap-damped+hedged", "nmap", hedged},
+	}, ncfg, bucket)
+	return fig, err
 }
 
 // RenderGrayFail formats the gray-failure figure: a header naming the

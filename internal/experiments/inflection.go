@@ -37,33 +37,31 @@ func FindInflection(profile *workload.Profile, lo, hi float64, steps int, kneeFa
 	if kneeFactor <= 1 {
 		kneeFactor = 5
 	}
-	var out InflectionPoint
-	var baseline sim.Duration
-	for i := 0; i < steps; i++ {
-		rps := lo + (hi-lo)*float64(i)/float64(steps-1)
-		res, err := Run(Spec{
+	specs := make([]Spec, steps)
+	for i := range specs {
+		specs[i] = Spec{
 			Policy: "performance",
 			Idle:   "menu",
 			Cfg: server.Config{
 				Seed:     defaultSeed,
 				Profile:  profile,
-				RPS:      rps,
+				RPS:      lo + (hi-lo)*float64(i)/float64(steps-1),
 				Warmup:   q.warmup(),
 				Duration: q.duration(),
 			},
-		})
-		if err != nil {
-			return out, err
 		}
-		pt := SweepPoint{RPS: rps, P99: res.Summary.P99}
-		out.Curve = append(out.Curve, pt)
-		if i == 0 {
-			baseline = pt.P99
-			continue
-		}
-		if out.RPS == 0 && float64(pt.P99) > kneeFactor*float64(baseline) {
-			out.RPS = pt.RPS
-			out.P99 = pt.P99
+	}
+	curve, err := runRows(specCells(specs), func(i int, c CellResult) SweepPoint {
+		return SweepPoint{RPS: specs[i].Cfg.RPS, P99: c.Result.Summary.P99}
+	})
+	if err != nil {
+		return InflectionPoint{}, err
+	}
+	out := InflectionPoint{Curve: curve}
+	for _, pt := range curve[1:] {
+		if float64(pt.P99) > kneeFactor*float64(curve[0].P99) {
+			out.RPS, out.P99 = pt.RPS, pt.P99
+			break
 		}
 	}
 	if out.RPS == 0 {

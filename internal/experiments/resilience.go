@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"nmapsim/internal/faults"
@@ -85,113 +84,63 @@ func FigResilience(q Quality) (ResilienceFigure, error) {
 		RecoverAtMs: int((crash.At + crash.Duration) / sim.Millisecond),
 		BucketMs:    int(bucket / sim.Millisecond),
 	}
-	for _, shed := range []float64{0, resilienceShedMultiple} {
-		run, err := runResilience(q, prof, crash, bucket, shed)
-		if err != nil {
-			return fig, err
-		}
-		fig.Runs = append(fig.Runs, run)
-	}
-	return fig, nil
-}
-
-// runResilience executes one arm of the scenario, bucketing completions
-// by completion time and sampling the shed/offline counters on a ticker.
-func runResilience(q Quality, prof *workload.Profile, crash faults.CoreCrash,
-	bucket sim.Duration, shed float64) (ResilienceRun, error) {
-	spec := Spec{
-		Policy: "nmap",
-		Idle:   "menu",
-		Cfg: server.Config{
-			Seed:            defaultSeed,
-			Profile:         prof,
-			Level:           workload.High,
-			Warmup:          q.warmup(),
-			Duration:        q.duration(),
-			ShedSLOMultiple: shed,
-			Faults:          faults.Config{CoreCrashes: []faults.CoreCrash{crash}},
-		},
-	}
-	name := "shed-off"
-	if shed > 0 {
-		name = fmt.Sprintf("shed@%gxSLO", shed)
-	}
-	run := ResilienceRun{Name: name, ShedSLOMultiple: shed}
-
-	s, err := Build(spec)
-	if err != nil {
-		return run, err
-	}
-	total := q.warmup() + q.duration()
-	n := int(total / bucket)
-	lats := make([][]sim.Duration, n)
+	total := warm + dur
 	crashEnd := crash.At + crash.Duration
-	var crashLats []sim.Duration
-	s.OnDone = func(r *workload.Request) {
-		at := sim.Duration(r.Done)
-		if b := int(at / bucket); b >= 0 && b < n {
-			lats[b] = append(lats[b], r.Latency())
-		}
-		if at >= crash.At && at < crashEnd {
-			crashLats = append(crashLats, r.Latency())
+	sheds := []float64{0, resilienceShedMultiple}
+	cells := make([]cell, len(sheds))
+	tls := make([]*timeline, len(sheds))
+	crashLats := make([][]sim.Duration, len(sheds))
+	for i, shed := range sheds {
+		cells[i] = cell{
+			spec: Spec{
+				Policy: "nmap",
+				Idle:   "menu",
+				Cfg: server.Config{
+					Seed:            defaultSeed,
+					Profile:         prof,
+					Level:           workload.High,
+					Warmup:          warm,
+					Duration:        dur,
+					ShedSLOMultiple: shed,
+					Faults:          faults.Config{CoreCrashes: []faults.CoreCrash{crash}},
+				},
+			},
+			observe: func(s *server.Server) {
+				tl := newTimeline(s.Eng, total, bucket, func() (uint64, int) {
+					return s.Accounting().Shed, s.Proc.OfflineCount()
+				})
+				tls[i], crashLats[i] = tl, nil
+				s.OnDone = func(r *workload.Request) {
+					tl.record(r)
+					if at := sim.Duration(r.Done); at >= crash.At && at < crashEnd {
+						crashLats[i] = append(crashLats[i], r.Latency())
+					}
+				}
+			},
 		}
 	}
-	// The ticker fires at the END of each bucket: sample the cumulative
-	// shed count and the offline-core population there.
-	shedAt := make([]uint64, n)
-	offAt := make([]int, n)
-	bi := 0
-	stop := s.Eng.Ticker(bucket, func() {
-		if bi < n {
-			shedAt[bi] = s.Accounting().Shed
-			offAt[bi] = s.Proc.OfflineCount()
-			bi++
+	runs, err := runRows(cells, func(i int, c CellResult) ResilienceRun {
+		run := ResilienceRun{Name: "shed-off", ShedSLOMultiple: sheds[i], Result: c.Result,
+			CrashP99: p99Of(crashLats[i])}
+		if sheds[i] > 0 {
+			run.Name = fmt.Sprintf("shed@%gxSLO", sheds[i])
 		}
+		for _, tb := range tls[i].buckets(c.Result.Reqs.Shed) {
+			if tb.from >= crash.At && tb.from < crashEnd {
+				run.CrashShed += tb.delta
+			}
+			run.Buckets = append(run.Buckets, ResilienceBucket{
+				FromMs:  int(tb.from / sim.Millisecond),
+				Done:    tb.done,
+				P99:     tb.p99,
+				Shed:    tb.delta,
+				Offline: tb.offline,
+			})
+		}
+		return run
 	})
-	guardCell(nil, s)
-	res, err := s.Run()
-	stop()
-	recordAudit(res.Audit)
-	if err != nil {
-		return run, err
-	}
-	run.Result = res
-	run.CrashP99 = p99Of(crashLats)
-	var prevShed uint64
-	for i := 0; i < n; i++ {
-		from := sim.Duration(i) * bucket
-		cum := shedAt[i]
-		if i >= bi { // run ended before this tick; carry the final ledger
-			cum = res.Reqs.Shed
-		}
-		b := ResilienceBucket{
-			FromMs:  int(from / sim.Millisecond),
-			Done:    len(lats[i]),
-			P99:     p99Of(lats[i]),
-			Shed:    cum - prevShed,
-			Offline: offAt[i],
-		}
-		if from >= crash.At && from < crashEnd {
-			run.CrashShed += b.Shed
-		}
-		prevShed = cum
-		run.Buckets = append(run.Buckets, b)
-	}
-	return run, nil
-}
-
-// p99Of returns the 99th-percentile of the sample (0 when empty). The
-// input slice is sorted in place.
-func p99Of(d []sim.Duration) sim.Duration {
-	if len(d) == 0 {
-		return 0
-	}
-	sort.Slice(d, func(i, j int) bool { return d[i] < d[j] })
-	idx := (len(d)*99 + 99) / 100
-	if idx >= len(d) {
-		idx = len(d) - 1
-	}
-	return d[idx]
+	fig.Runs = runs
+	return fig, err
 }
 
 // RenderResilience formats the crash/recovery timeline: one table per

@@ -119,7 +119,8 @@ func TestRunSpecsCtxCancelMidSweep(t *testing.T) {
 func TestRunTimeoutAbortsCell(t *testing.T) {
 	SetRunTimeout(time.Nanosecond)
 	defer SetRunTimeout(0)
-	_, err := runCell(context.Background(), Spec{Policy: "ondemand", Idle: "menu", Cfg: quickCfg()})
+	out, _ := runCell(context.Background(), cell{spec: Spec{Policy: "ondemand", Idle: "menu", Cfg: quickCfg()}})
+	err := out.Err
 	if err == nil {
 		t.Fatal("1ns budget did not abort the cell")
 	}

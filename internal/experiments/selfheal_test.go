@@ -86,7 +86,8 @@ func TestCellDeadlineBoundsRetries(t *testing.T) {
 		t.Fatal(err)
 	}
 	start := time.Now()
-	_, attempts, err := runCellAttempts(context.Background(), Spec{Policy: "performance", Idle: "menu", Cfg: quickCfg()})
+	out := runCellAttempts(context.Background(), cell{spec: Spec{Policy: "performance", Idle: "menu", Cfg: quickCfg()}})
+	attempts, err := out.Attempts, out.Err
 	if err == nil || !strings.Contains(err.Error(), "deadline") {
 		t.Fatalf("error %v does not name the deadline", err)
 	}

@@ -89,7 +89,7 @@ func ProfiledThresholds(profile *workload.Profile, seed uint64) core.Thresholds 
 		s.AttachPolicy(governor.NewStack(s.Eng, s.Proc, governor.Ondemand{Model: s.Cfg.Model}, 0))
 		prof := core.NewProfiler(s.Eng)
 		s.AddListener(prof)
-		guardCell(nil, s)
+		guard(nil, s.Eng)
 		s.Run()
 		ent.th = prof.Thresholds()
 	})
@@ -347,25 +347,10 @@ func ncapThreshold(p *workload.Profile) float64 {
 	return math.Sqrt(lo * med)
 }
 
-// Run builds and runs one spec. A watchdog or harness abort mid-run —
-// or, with auditing on, an invariant violation — surfaces as an error
-// alongside the partial result collected so far.
+// Run runs one spec as a single cell. A watchdog or harness abort
+// mid-run — or, with auditing on, an invariant violation — surfaces as
+// an error alongside the partial result collected so far.
 func Run(spec Spec) (server.Result, error) {
-	s, err := Build(spec)
-	if err != nil {
-		return server.Result{}, err
-	}
-	res, err := s.Run()
-	recordAudit(res.Audit)
-	return res, err
-}
-
-// MustRun is Run with a panic on assembly errors (experiment tables use
-// fixed, known-good names).
-func MustRun(spec Spec) server.Result {
-	r, err := Run(spec)
-	if err != nil {
-		panic(err)
-	}
-	return r
+	out, _ := runCell(nil, cell{spec: spec})
+	return out.Result, out.Err
 }

@@ -558,6 +558,9 @@ func appCost(r *workload.Request) float64 { return r.AppCycles }
 // when Run begins.
 func (s *Server) AttachPolicy(p Policy) { s.policy = p }
 
+// Policy returns the attached power-management policy (nil if none).
+func (s *Server) Policy() Policy { return s.policy }
+
 // AddListener attaches a NAPI listener to every core kernel.
 func (s *Server) AddListener(l kernel.NAPIListener) {
 	for _, k := range s.Kernels {

@@ -171,8 +171,8 @@ func BenchmarkHistCDF(b *testing.B) {
 	}
 }
 
-// BenchmarkHistPercentile keeps the historical name tracked by
-// BENCH_sim.json: the warm single-quantile query.
+// BenchmarkHistPercentile is the warm single-quantile query (the same
+// probe cmd/nmapbench records as HistPercentile).
 func BenchmarkHistPercentile(b *testing.B) {
 	h := fillExact(100_000)
 	h.P(0.5)

@@ -229,3 +229,14 @@ func Nginx() *Profile {
 
 // Profiles returns both evaluation applications.
 func Profiles() []*Profile { return []*Profile{Memcached(), Nginx()} }
+
+// ProfileByName returns the evaluation application named name
+// ("memcached" or "nginx").
+func ProfileByName(name string) (*Profile, bool) {
+	for _, p := range Profiles() {
+		if p.Name == name {
+			return p, true
+		}
+	}
+	return nil, false
+}

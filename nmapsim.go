@@ -81,11 +81,12 @@ type Result struct {
 }
 
 func (s Scenario) profile() (*workload.Profile, error) {
-	switch s.App {
-	case "", "memcached":
-		return workload.Memcached(), nil
-	case "nginx":
-		return workload.Nginx(), nil
+	app := s.App
+	if app == "" {
+		app = "memcached"
+	}
+	if p, ok := workload.ProfileByName(app); ok {
+		return p, nil
 	}
 	return nil, fmt.Errorf("nmapsim: unknown app %q", s.App)
 }
