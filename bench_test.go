@@ -15,6 +15,9 @@ import (
 	"nmapsim/internal/workload"
 )
 
+// harness runs every benchmark under the default run conditions.
+var harness = &experiments.Harness{}
+
 func BenchmarkTable1ReTransitionLatency(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -40,7 +43,7 @@ func BenchmarkTable2WakeupLatency(b *testing.B) {
 func BenchmarkFig2OndemandTrace(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		figs := must(experiments.Fig2(experiments.Quick))
+		figs := must(harness.Fig2(experiments.Quick))
 		b.ReportMetric(sum(figs[0].PktPoll), "memcached-polling-pkts")
 		b.ReportMetric(sum(figs[0].KsWakes), "ksoftirqd-wakes")
 	}
@@ -49,7 +52,7 @@ func BenchmarkFig2OndemandTrace(b *testing.B) {
 func BenchmarkFig3PerRequestLatency(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		figs := must(experiments.Fig3And4(experiments.Quick))
+		figs := must(harness.Fig3And4(experiments.Quick))
 		b.ReportMetric(figs[0].Result.Summary.P99.Millis(), "ondemand-p99-ms")
 		b.ReportMetric(figs[1].Result.Summary.P99.Millis(), "performance-p99-ms")
 	}
@@ -58,7 +61,7 @@ func BenchmarkFig3PerRequestLatency(b *testing.B) {
 func BenchmarkFig4LatencyCDF(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		figs := must(experiments.Fig3And4(experiments.Quick))
+		figs := must(harness.Fig3And4(experiments.Quick))
 		b.ReportMetric(figs[0].FracUnder*100, "ondemand-within-slo-pct")
 		b.ReportMetric(figs[1].FracUnder*100, "performance-within-slo-pct")
 	}
@@ -67,7 +70,7 @@ func BenchmarkFig4LatencyCDF(b *testing.B) {
 func BenchmarkFig7SleepStateTrace(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		figs := must(experiments.Fig7(experiments.Quick))
+		figs := must(harness.Fig7(experiments.Quick))
 		b.ReportMetric(sum(figs[0].CC6), "low-load-cc6-entries")
 		b.ReportMetric(sum(figs[1].CC6), "high-load-cc6-entries")
 	}
@@ -76,7 +79,7 @@ func BenchmarkFig7SleepStateTrace(b *testing.B) {
 func BenchmarkFig8SleepPolicySweep(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		pts := must(experiments.Fig8(experiments.Quick))
+		pts := must(harness.Fig8(experiments.Quick))
 		var menu, disable, c6 float64
 		for _, p := range pts {
 			if p.RPS != 30_000 {
@@ -99,7 +102,7 @@ func BenchmarkFig8SleepPolicySweep(b *testing.B) {
 func BenchmarkFig9NMAPTrace(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		figs := must(experiments.Fig9(experiments.Quick))
+		figs := must(harness.Fig9(experiments.Quick))
 		b.ReportMetric(figs[0].Result.Summary.P99.Millis(), "memcached-p99-ms")
 	}
 }
@@ -107,7 +110,7 @@ func BenchmarkFig9NMAPTrace(b *testing.B) {
 func BenchmarkFig10NMAPLatency(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		figs := must(experiments.Fig10And11(experiments.Quick))
+		figs := must(harness.Fig10And11(experiments.Quick))
 		b.ReportMetric(figs[0].Result.Summary.P99.Millis(), "memcached-p99-ms")
 	}
 }
@@ -115,7 +118,7 @@ func BenchmarkFig10NMAPLatency(b *testing.B) {
 func BenchmarkFig11NMAPCDF(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		figs := must(experiments.Fig10And11(experiments.Quick))
+		figs := must(harness.Fig10And11(experiments.Quick))
 		b.ReportMetric((1-figs[0].FracUnder)*100, "memcached-over-slo-pct")
 		b.ReportMetric((1-figs[1].FracUnder)*100, "nginx-over-slo-pct")
 	}
@@ -124,7 +127,7 @@ func BenchmarkFig11NMAPCDF(b *testing.B) {
 func BenchmarkFig12P99Matrix(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		cells := must(experiments.Fig12And13(experiments.Quick))
+		cells := must(harness.Fig12And13(experiments.Quick))
 		b.ReportMetric(pickP99(cells, "memcached", workload.High, "ondemand"), "ondemand-high-p99-ms")
 		b.ReportMetric(pickP99(cells, "memcached", workload.High, "nmap"), "nmap-high-p99-ms")
 	}
@@ -133,7 +136,7 @@ func BenchmarkFig12P99Matrix(b *testing.B) {
 func BenchmarkFig13EnergyMatrix(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		cells := must(experiments.Fig12And13(experiments.Quick))
+		cells := must(harness.Fig12And13(experiments.Quick))
 		perf := pickEnergy(cells, "memcached", workload.Low, "performance")
 		nmap := pickEnergy(cells, "memcached", workload.Low, "nmap")
 		b.ReportMetric((nmap/perf-1)*100, "nmap-vs-perf-low-pct")
@@ -143,7 +146,7 @@ func BenchmarkFig13EnergyMatrix(b *testing.B) {
 func BenchmarkFig14SOTAP99(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		cells := must(experiments.Fig14And15(experiments.Quick))
+		cells := must(harness.Fig14And15(experiments.Quick))
 		b.ReportMetric(pickP99(cells, "memcached", workload.High, "ncap"), "ncap-high-p99-ms")
 		b.ReportMetric(pickP99(cells, "memcached", workload.High, "nmap"), "nmap-high-p99-ms")
 	}
@@ -152,7 +155,7 @@ func BenchmarkFig14SOTAP99(b *testing.B) {
 func BenchmarkFig15SOTAEnergy(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		cells := must(experiments.Fig14And15(experiments.Quick))
+		cells := must(harness.Fig14And15(experiments.Quick))
 		ncap := pickEnergy(cells, "memcached", workload.Medium, "ncap")
 		nmap := pickEnergy(cells, "memcached", workload.Medium, "nmap")
 		b.ReportMetric((nmap/ncap-1)*100, "nmap-vs-ncap-medium-pct")
@@ -162,7 +165,7 @@ func BenchmarkFig15SOTAEnergy(b *testing.B) {
 func BenchmarkFig16SwitchingLoad(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		res := must(experiments.Fig16(experiments.Quick))
+		res := must(harness.Fig16(experiments.Quick))
 		b.ReportMetric(res[0].FracOverSLO*100, "nmap-over-slo-pct")
 		b.ReportMetric(res[1].FracOverSLO*100, "parties-over-slo-pct")
 	}
@@ -171,7 +174,7 @@ func BenchmarkFig16SwitchingLoad(b *testing.B) {
 func BenchmarkAblationPerRequestDVFS(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		cells := must(experiments.AblationPerRequest(experiments.Quick))
+		cells := must(harness.AblationPerRequest(experiments.Quick))
 		for _, c := range cells {
 			if c.Name == "perrequest" {
 				b.ReportMetric(float64(c.Attempts), "writes-attempted")
@@ -184,7 +187,7 @@ func BenchmarkAblationPerRequestDVFS(b *testing.B) {
 func BenchmarkAblationThresholdSweep(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		cells := must(experiments.AblationThresholds(experiments.Quick))
+		cells := must(harness.AblationThresholds(experiments.Quick))
 		b.ReportMetric(cells[0].P99.Millis(), "nith-quarter-p99-ms")
 		b.ReportMetric(cells[len(cells)-1].P99.Millis(), "nith-4x-p99-ms")
 	}
@@ -193,7 +196,7 @@ func BenchmarkAblationThresholdSweep(b *testing.B) {
 func BenchmarkAblationChipWideNMAP(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		cells := must(experiments.AblationChipWide(experiments.Quick))
+		cells := must(harness.AblationChipWide(experiments.Quick))
 		b.ReportMetric(cells[0].EnergyJ, "per-core-energy-j")
 		b.ReportMetric(cells[1].EnergyJ, "chip-wide-energy-j")
 	}

@@ -277,10 +277,8 @@ func endToEndBestOf(n int, span sim.Duration) endToEnd {
 }
 
 func timeFig12(workers int) time.Duration {
-	experiments.SetParallelism(workers)
-	defer experiments.SetParallelism(0)
 	start := time.Now()
-	cells, err := experiments.Fig12And13(experiments.Quick)
+	cells, err := (&experiments.Harness{Parallel: workers}).Fig12And13(experiments.Quick)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "nmapbench: %v\n", err)
 		os.Exit(1)

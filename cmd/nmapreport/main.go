@@ -91,17 +91,24 @@ func main() {
 		fmt.Fprintf(os.Stderr, "nmapreport: %v\n", err)
 		os.Exit(2)
 	}
-	experiments.SetParallelism(*parallel)
-	// Quarantine is deliberately not offered here: every record in the
-	// JSON output must carry a real result, so an exhausted cell fails
-	// the run instead of leaving a hole in the matrix.
-	if err := experiments.SetCellRetry(experiments.HarnessRetry{
-		MaxRetries: *cellRetries,
-		Backoff:    *cellBackoff,
-		Deadline:   *cellDeadline,
-	}); err != nil {
+	fcfg, err := faults.ParseSpec(*faultSpec)
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "nmapreport: %v\n", err)
 		os.Exit(2)
+	}
+	h := &experiments.Harness{
+		Parallel:  *parallel,
+		Faults:    fcfg,
+		Audit:     *auditOn || *auditReport,
+		Streaming: *streamOn,
+		// Quarantine is deliberately not offered here: every record in
+		// the JSON output must carry a real result, so an exhausted cell
+		// fails the run instead of leaving a hole in the matrix.
+		CellRetry: experiments.HarnessRetry{
+			MaxRetries: *cellRetries,
+			Backoff:    *cellBackoff,
+			Deadline:   *cellDeadline,
+		},
 	}
 	if *checkpoint != "" {
 		j, err := experiments.OpenJournal(*checkpoint)
@@ -113,18 +120,8 @@ func main() {
 			fmt.Fprintf(os.Stderr, "nmapreport: resuming, %d cell(s) already journaled in %s\n", n, *checkpoint)
 		}
 		defer j.Close()
-		experiments.SetJournal(j)
+		h.Journal = j
 	}
-	fcfg, err := faults.ParseSpec(*faultSpec)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "nmapreport: %v\n", err)
-		os.Exit(2)
-	}
-	experiments.SetInjection(fcfg, workload.RetryConfig{})
-	if *auditOn || *auditReport {
-		experiments.SetAudit(true)
-	}
-	experiments.SetStreaming(*streamOn)
 
 	profs := workload.Profiles()
 	if *app != "both" {
@@ -157,9 +154,9 @@ func main() {
 			}
 		}
 	}
-	results, err := experiments.RunSpecs(specs)
+	results, err := h.RunSpecs(specs)
 	if *auditReport {
-		if rep := experiments.AuditReport(); rep != nil {
+		if rep := h.AuditReport(); rep != nil {
 			fmt.Fprint(os.Stderr, rep)
 		}
 	}

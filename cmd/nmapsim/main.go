@@ -85,7 +85,7 @@ func validateFlags(f simFlags) error {
 
 type experiment struct {
 	name, desc string
-	run        func(q experiments.Quality) error
+	run        func(h *experiments.Harness, q experiments.Quality) error
 }
 
 func q2() experiments.Quality {
@@ -96,7 +96,7 @@ func q2() experiments.Quality {
 }
 
 var catalog = []experiment{
-	{"table1", "re-transition latency, 4 CPUs x 6 transitions (10,000 reps)", func(q experiments.Quality) error {
+	{"table1", "re-transition latency, 4 CPUs x 6 transitions (10,000 reps)", func(h *experiments.Harness, q experiments.Quality) error {
 		reps := 10000
 		if q == experiments.Quick {
 			reps = 500
@@ -104,12 +104,12 @@ var catalog = []experiment{
 		fmt.Println(experiments.RenderTable1(experiments.Table1(reps)))
 		return nil
 	}},
-	{"table2", "C-state wake-up latency, 4 CPUs x 2 states (100 reps)", func(q experiments.Quality) error {
+	{"table2", "C-state wake-up latency, 4 CPUs x 2 states (100 reps)", func(h *experiments.Harness, q experiments.Quality) error {
 		fmt.Println(experiments.RenderTable2(experiments.Table2(100)))
 		return nil
 	}},
-	{"fig2", "NAPI mode split + ondemand P-state trace at high load", func(q experiments.Quality) error {
-		figs, err := experiments.Fig2(q)
+	{"fig2", "NAPI mode split + ondemand P-state trace at high load", func(h *experiments.Harness, q experiments.Quality) error {
+		figs, err := h.Fig2(q)
 		if err != nil {
 			return err
 		}
@@ -118,24 +118,24 @@ var catalog = []experiment{
 	}},
 	{"fig3", "per-request latency over 0.5s, ondemand vs performance", runFig34},
 	{"fig4", "response-time CDFs, ondemand vs performance", runFig34},
-	{"fig7", "CC6 entries and packet split under menu (low vs high load)", func(q experiments.Quality) error {
-		figs, err := experiments.Fig7(q)
+	{"fig7", "CC6 entries and packet split under menu (low vs high load)", func(h *experiments.Harness, q experiments.Quality) error {
+		figs, err := h.Fig7(q)
 		if err != nil {
 			return err
 		}
 		fmt.Println(experiments.RenderTraceFigures("Fig 7: menu governor sleep behaviour (performance governor)", figs))
 		return nil
 	}},
-	{"fig8", "latency-load curve + energy for menu/disable/c6only", func(q experiments.Quality) error {
-		pts, err := experiments.Fig8(q)
+	{"fig8", "latency-load curve + energy for menu/disable/c6only", func(h *experiments.Harness, q experiments.Quality) error {
+		pts, err := h.Fig8(q)
 		if err != nil {
 			return err
 		}
 		fmt.Println(experiments.RenderFig8(pts))
 		return nil
 	}},
-	{"fig9", "NAPI mode split + NMAP P-state trace at high load", func(q experiments.Quality) error {
-		figs, err := experiments.Fig9(q)
+	{"fig9", "NAPI mode split + NMAP P-state trace at high load", func(h *experiments.Harness, q experiments.Quality) error {
+		figs, err := h.Fig9(q)
 		if err != nil {
 			return err
 		}
@@ -148,16 +148,16 @@ var catalog = []experiment{
 	{"fig13", "energy matrix for the same configurations", runFig1213},
 	{"fig14", "P99 vs state-of-the-art (NCAP, NCAP-menu)", runFig1415},
 	{"fig15", "energy vs state-of-the-art (NCAP, NCAP-menu)", runFig1415},
-	{"fig16", "randomly switching load: NMAP vs Parties", func(q experiments.Quality) error {
-		figs, err := experiments.Fig16(q)
+	{"fig16", "randomly switching load: NMAP vs Parties", func(h *experiments.Harness, q experiments.Quality) error {
+		figs, err := h.Fig16(q)
 		if err != nil {
 			return err
 		}
 		fmt.Println(experiments.RenderFig16(figs))
 		return nil
 	}},
-	{"fig-resilience", "P99 + shed rate through a core crash and recovery", func(q experiments.Quality) error {
-		fig, err := experiments.FigResilience(q)
+	{"fig-resilience", "P99 + shed rate through a core crash and recovery", func(h *experiments.Harness, q experiments.Quality) error {
+		fig, err := h.FigResilience(q)
 		if err != nil {
 			return err
 		}
@@ -168,24 +168,24 @@ var catalog = []experiment{
 	{"fig-grayfail", "gray link faults: naive vs flap-damped vs hedged front end (-nodes, -route)", runFigGrayFail},
 	{"ablation-perrequest", "per-request DVFS vs NMAP under re-transition latency (5.1)",
 		runAblation("Ablation: per-request DVFS pays the re-transition latency",
-			experiments.AblationPerRequest)},
+			(*experiments.Harness).AblationPerRequest)},
 	{"ablation-thresholds", "NI_TH sensitivity sweep",
 		runAblation("Ablation: NI_TH sensitivity (memcached, high load)",
-			experiments.AblationThresholds)},
+			(*experiments.Harness).AblationThresholds)},
 	{"ablation-chipwide", "per-core vs chip-wide NMAP",
 		runAblation("Ablation: per-core vs chip-wide NMAP (memcached, medium load)",
-			experiments.AblationChipWide)},
+			(*experiments.Harness).AblationChipWide)},
 	{"ablation-extensions", "future-work extensions: online tuning, sleep integration",
 		runAblation("Ablation: NMAP future-work extensions (memcached, high load)",
-			experiments.AblationExtensions)},
+			(*experiments.Harness).AblationExtensions)},
 	{"ablation-rss", "per-core vs chip-wide NMAP under lumpy RSS",
 		runAblation("Ablation: RSS imbalance and per-core DVFS (memcached, medium load)",
-			experiments.AblationRSS)},
+			(*experiments.Harness).AblationRSS)},
 	{"ablation-itr", "NIC interrupt-throttle period sensitivity",
 		runAblation("Ablation: ITR period sensitivity (memcached, high load, NMAP)",
-			experiments.AblationITR)},
-	{"ablation-microslo", "sleep states vs a 90µs SLO (the §8 outlook)", func(q experiments.Quality) error {
-		cells, err := experiments.AblationMicroSLO(q)
+			(*experiments.Harness).AblationITR)},
+	{"ablation-microslo", "sleep states vs a 90µs SLO (the §8 outlook)", func(h *experiments.Harness, q experiments.Quality) error {
+		cells, err := h.AblationMicroSLO(q)
 		if err != nil {
 			return err
 		}
@@ -202,9 +202,9 @@ var catalog = []experiment{
 
 // runAblation adapts an ablation runner into a catalog entry that
 // renders the table on success and surfaces the error otherwise.
-func runAblation(title string, fn func(experiments.Quality) ([]experiments.AblationCell, error)) func(experiments.Quality) error {
-	return func(q experiments.Quality) error {
-		cells, err := fn(q)
+func runAblation(title string, fn func(*experiments.Harness, experiments.Quality) ([]experiments.AblationCell, error)) func(*experiments.Harness, experiments.Quality) error {
+	return func(h *experiments.Harness, q experiments.Quality) error {
+		cells, err := fn(h, q)
 		if err != nil {
 			return err
 		}
@@ -217,10 +217,10 @@ func runAblation(title string, fn func(experiments.Quality) ([]experiments.Ablat
 // context: Ctrl-C / SIGTERM aborts the simulation at its next simulated
 // millisecond, and whatever arms (and per-node results, in input order)
 // are in hand are rendered before the non-zero exit.
-func runFigCluster(q experiments.Quality) error {
+func runFigCluster(h *experiments.Harness, q experiments.Quality) error {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	fig, err := experiments.FigClusterCtx(ctx, q, *nodes, *route, *hedge)
+	fig, err := h.FigClusterCtx(ctx, q, *nodes, *route, *hedge)
 	if len(fig.Arms) > 0 {
 		fmt.Println(experiments.RenderCluster(fig))
 	}
@@ -229,18 +229,18 @@ func runFigCluster(q experiments.Quality) error {
 
 // runFigGrayFail runs the gray-failure experiment under the same
 // interruptible context discipline as fig-cluster.
-func runFigGrayFail(q experiments.Quality) error {
+func runFigGrayFail(h *experiments.Harness, q experiments.Quality) error {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	fig, err := experiments.FigGrayFailCtx(ctx, q, *nodes, *route)
+	fig, err := h.FigGrayFailCtx(ctx, q, *nodes, *route)
 	if len(fig.Arms) > 0 {
 		fmt.Println(experiments.RenderGrayFail(fig))
 	}
 	return err
 }
 
-func runFig34(q experiments.Quality) error {
-	figs, err := experiments.Fig3And4(q)
+func runFig34(h *experiments.Harness, q experiments.Quality) error {
+	figs, err := h.Fig3And4(q)
 	if err != nil {
 		return err
 	}
@@ -248,8 +248,8 @@ func runFig34(q experiments.Quality) error {
 	return nil
 }
 
-func runFig1011(q experiments.Quality) error {
-	figs, err := experiments.Fig10And11(q)
+func runFig1011(h *experiments.Harness, q experiments.Quality) error {
+	figs, err := h.Fig10And11(q)
 	if err != nil {
 		return err
 	}
@@ -257,8 +257,8 @@ func runFig1011(q experiments.Quality) error {
 	return nil
 }
 
-func runFig1213(q experiments.Quality) error {
-	cells, err := experiments.Fig12And13(q)
+func runFig1213(h *experiments.Harness, q experiments.Quality) error {
+	cells, err := h.Fig12And13(q)
 	if err != nil {
 		return err
 	}
@@ -267,8 +267,8 @@ func runFig1213(q experiments.Quality) error {
 	return nil
 }
 
-func runFig1415(q experiments.Quality) error {
-	cells, err := experiments.Fig14And15(q)
+func runFig1415(h *experiments.Harness, q experiments.Quality) error {
+	cells, err := h.Fig14And15(q)
 	if err != nil {
 		return err
 	}
@@ -277,12 +277,12 @@ func runFig1415(q experiments.Quality) error {
 	return nil
 }
 
-// applyInjection parses the -faults/-rto/-retries flags into the
-// package-default injection config every experiment spec inherits.
-func applyInjection() error {
+// parseInjection parses the -faults/-rto/-retries flags into the fault
+// and retry configuration every experiment cell inherits.
+func parseInjection() (faults.Config, workload.RetryConfig, error) {
 	fcfg, err := faults.ParseSpec(*faultSpec)
 	if err != nil {
-		return err
+		return fcfg, workload.RetryConfig{}, err
 	}
 	var rcfg workload.RetryConfig
 	if *rto > 0 {
@@ -291,29 +291,18 @@ func applyInjection() error {
 			MaxRetries: *retries,
 		}
 	} else if *retries != 0 {
-		return fmt.Errorf("-retries needs -rto to enable the retry loop")
+		return fcfg, rcfg, fmt.Errorf("-retries needs -rto to enable the retry loop")
 	}
-	if err := rcfg.Validate(); err != nil {
-		return err
-	}
-	experiments.SetInjection(fcfg, rcfg)
-	experiments.SetRunTimeout(*cellTimeout)
-	return nil
-}
-
-func fail(err error) {
-	fmt.Fprintf(os.Stderr, "nmapsim: %v\n", err)
-	printAuditReport() // os.Exit skips defers; a violation report still matters
-	os.Exit(1)
+	return fcfg, rcfg, rcfg.Validate()
 }
 
 // printAuditReport dumps the per-rule audit tally accumulated across
 // every cell of the run, when -audit-report asked for it.
-func printAuditReport() {
+func printAuditReport(h *experiments.Harness) {
 	if !*auditReport {
 		return
 	}
-	if rep := experiments.AuditReport(); rep != nil {
+	if rep := h.AuditReport(); rep != nil {
 		fmt.Print(rep)
 	}
 }
@@ -323,6 +312,16 @@ func main() {
 	if err := validateFlags(simFlags{parallel: *parallel, cellTimeout: *cellTimeout}); err != nil {
 		fmt.Fprintf(os.Stderr, "nmapsim: %v\n", err)
 		os.Exit(2)
+	}
+	h := &experiments.Harness{
+		Parallel:   *parallel,
+		Audit:      *auditOn || *auditReport,
+		RunTimeout: *cellTimeout,
+	}
+	fail := func(err error) {
+		fmt.Fprintf(os.Stderr, "nmapsim: %v\n", err)
+		printAuditReport(h) // os.Exit skips defers; a violation report still matters
+		os.Exit(1)
 	}
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
@@ -338,12 +337,9 @@ func main() {
 		}()
 	}
 	defer writeMemProfile(*memprofile)
-	experiments.SetParallelism(*parallel)
-	if *auditOn || *auditReport {
-		experiments.SetAudit(true)
-		defer printAuditReport()
-	}
-	if err := applyInjection(); err != nil {
+	defer printAuditReport(h)
+	var err error
+	if h.Faults, h.Retry, err = parseInjection(); err != nil {
 		fail(err)
 	}
 	if *list || flag.NArg() == 0 {
@@ -367,7 +363,7 @@ func main() {
 				continue
 			}
 			seen[key] = true
-			if err := e.run(q2()); err != nil {
+			if err := e.run(h, q2()); err != nil {
 				fail(err)
 			}
 		}
@@ -375,7 +371,7 @@ func main() {
 	}
 	for _, e := range catalog {
 		if e.name == name {
-			if err := e.run(q2()); err != nil {
+			if err := e.run(h, q2()); err != nil {
 				fail(err)
 			}
 			return

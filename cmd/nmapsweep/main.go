@@ -140,25 +140,24 @@ func main() {
 		return
 	}
 
-	experiments.SetParallelism(*parallel)
 	fcfg, err := faults.ParseSpec(*faultSpec)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "nmapsweep: %v\n", err)
 		os.Exit(2)
 	}
-	experiments.SetInjection(fcfg, workload.RetryConfig{})
-	experiments.SetAudit(*auditOn)
-	experiments.SetStreaming(*streamOn)
-	if err := experiments.SetCellRetry(experiments.HarnessRetry{
-		MaxRetries: *cellRetries,
-		Backoff:    *cellBackoff,
-		Deadline:   *cellDeadline,
-		Quarantine: *quarantine,
-	}); err != nil {
-		fmt.Fprintf(os.Stderr, "nmapsweep: %v\n", err)
-		os.Exit(2)
+	h := &experiments.Harness{
+		Parallel:  *parallel,
+		Faults:    fcfg,
+		Audit:     *auditOn,
+		Streaming: *streamOn,
+		CellRetry: experiments.HarnessRetry{
+			MaxRetries: *cellRetries,
+			Backoff:    *cellBackoff,
+			Deadline:   *cellDeadline,
+			Quarantine: *quarantine,
+		},
+		MemoryBudget: int64(*memBudgetMB) << 20,
 	}
-	experiments.SetMemoryBudget(int64(*memBudgetMB) << 20)
 	if *checkpoint != "" {
 		j, err := experiments.OpenJournal(*checkpoint)
 		if err != nil {
@@ -172,7 +171,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "nmapsweep: resuming, %d cell(s) already journaled in %s\n", n, *checkpoint)
 		}
 		defer j.Close()
-		experiments.SetJournal(j)
+		h.Journal = j
 	}
 
 	prof, ok := workload.ProfileByName(*app)
@@ -182,7 +181,7 @@ func main() {
 	}
 
 	if *inflection {
-		inf, err := experiments.FindInflection(prof, prof.HighRPS/8, prof.HighRPS*1.2, *points, 5, experiments.Full)
+		inf, err := h.FindInflection(prof, prof.HighRPS/8, prof.HighRPS*1.2, *points, 5, experiments.Full)
 		if err != nil {
 			fail(err)
 		}
@@ -221,7 +220,7 @@ func main() {
 			},
 		}
 	}
-	cells, err := experiments.RunSpecsCtx(ctx, specs)
+	cells, err := h.RunSpecsCtx(ctx, specs)
 	if err != nil {
 		fail(err)
 	}

@@ -30,7 +30,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	tf, err := experiments.RunTrace(prof, workload.High, *policy, "menu",
+	tf, err := new(experiments.Harness).RunTrace(prof, workload.High, *policy, "menu",
 		sim.Duration(*ms)*sim.Millisecond, experiments.Full)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "traceviz: %v\n", err)

@@ -8,9 +8,9 @@ import (
 	"nmapsim/internal/workload"
 )
 
-// auditChecks sums the per-rule check counts of the package audit tally.
-func auditChecks() (n uint64) {
-	if r := AuditReport(); r != nil {
+// auditChecks sums the per-rule check counts of h's audit tally.
+func auditChecks(h *Harness) (n uint64) {
+	if r := h.AuditReport(); r != nil {
 		for _, rs := range r.Rules {
 			n += rs.Checks
 		}
@@ -19,22 +19,22 @@ func auditChecks() (n uint64) {
 }
 
 // The per-request arm of ablation-perrequest is an ordinary cell: the
-// package injection and audit defaults reach it exactly as they reach
+// harness injection and audit conditions reach it exactly as they reach
 // the NMAP and ondemand arms.
 func TestAblationPerRequestHonoursDefaults(t *testing.T) {
 	const rto = 20 * sim.Millisecond
-	SetInjection(faults.Config{WireLossProb: 0.2}, workload.RetryConfig{Timeout: rto})
-	defer SetInjection(faults.Config{}, workload.RetryConfig{})
-	SetAudit(true)
-	defer SetAudit(false)
+	h := &Harness{
+		Faults: faults.Config{WireLossProb: 0.2},
+		Retry:  workload.RetryConfig{Timeout: rto},
+		Audit:  true,
+	}
 
 	cfg := quickCfg()
-	before := auditChecks()
-	rows, err := perRequestArms(cfg)
+	rows, err := h.perRequestArms(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ablation := auditChecks() - before
+	ablation := auditChecks(h)
 	for _, r := range rows {
 		if r.P99 < rto {
 			t.Errorf("%s: p99 %v below the %v RTO — the injected loss never reached the arm", r.Name, r.P99, rto)
@@ -46,14 +46,14 @@ func TestAblationPerRequestHonoursDefaults(t *testing.T) {
 
 	// The nmap and ondemand arms on their own: whatever the ablation
 	// audited beyond them is the per-request arm's report.
-	before = auditChecks()
-	if _, err := RunSpecs([]Spec{
+	before := auditChecks(h)
+	if _, err := h.RunSpecs([]Spec{
 		{Policy: "nmap", Idle: "menu", Cfg: cfg},
 		{Policy: "ondemand", Idle: "menu", Cfg: cfg},
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if pair := auditChecks() - before; ablation <= pair {
+	if pair := auditChecks(h) - before; ablation <= pair {
 		t.Fatalf("ablation audited %d checks, the nmap+ondemand arms alone %d: the perrequest arm carried no report",
 			ablation, pair)
 	}

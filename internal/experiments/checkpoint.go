@@ -56,12 +56,12 @@ var ErrJournalWrite = errors.New("experiments: journal write error")
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-// SpecHash returns a stable identity for a spec: the policy/idle pair,
-// the full server configuration (processor and workload identified by
-// name), and the package-level injection/audit defaults Build would
-// fold in. Two specs hash equal iff they describe the same deterministic
-// cell.
-func SpecHash(spec Spec) string {
+// SpecHash returns a stable identity for a spec run under h — the
+// journal key of the cell: the policy/idle pair, the full server
+// configuration (processor and workload identified by name), and the
+// fault/retry/audit/streaming defaults h folds in. Two specs hash equal
+// iff they describe the same deterministic cell.
+func (h *Harness) SpecHash(spec Spec) string {
 	model, profile := "", ""
 	cfg := spec.Cfg
 	if cfg.Model != nil {
@@ -71,10 +71,9 @@ func SpecHash(spec Spec) string {
 		profile = cfg.Profile.Name
 	}
 	cfg.Model, cfg.Profile = nil, nil
-	f, r := Injection()
 	sum := sha256.Sum256(fmt.Appendf(nil, "v1|%s|%s|%d|%+v|model=%s|profile=%s|%+v|inj=%+v|retry=%+v|audit=%v|stream=%v",
 		spec.Policy, spec.Idle, spec.UserspaceP, spec.Thresholds,
-		model, profile, cfg, f, r, AuditDefault(), StreamingDefault()))
+		model, profile, cfg, h.Faults, h.Retry, h.Audit, h.Streaming))
 	return hex.EncodeToString(sum[:16])
 }
 
@@ -456,27 +455,4 @@ func (j *Journal) Close() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.f.Close()
-}
-
-// Package-level checkpoint journal (the CLIs' -checkpoint flag): when
-// set, RunSpecs serves journaled cells without re-running them and
-// journals every cell that completes cleanly.
-var (
-	jMu           sync.RWMutex
-	activeJournal *Journal
-)
-
-// SetJournal installs the checkpoint journal consulted by RunSpecs.
-// nil disables checkpointing.
-func SetJournal(j *Journal) {
-	jMu.Lock()
-	activeJournal = j
-	jMu.Unlock()
-}
-
-// ActiveJournal returns the installed checkpoint journal, or nil.
-func ActiveJournal() *Journal {
-	jMu.RLock()
-	defer jMu.RUnlock()
-	return activeJournal
 }

@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"testing"
 
+	"nmapsim/internal/faults"
 	"nmapsim/internal/server"
 	"nmapsim/internal/sim"
 	"nmapsim/internal/workload"
@@ -66,7 +67,7 @@ func TestCheckpointResumeByteIdentical(t *testing.T) {
 	specs := checkpointSpecs()
 
 	// Uninterrupted reference sweep, no journal.
-	want, err := RunSpecs(specs)
+	want, err := new(Harness).RunSpecs(specs)
 	if err != nil {
 		t.Fatalf("reference sweep: %v", err)
 	}
@@ -77,9 +78,7 @@ func TestCheckpointResumeByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatalf("open journal: %v", err)
 	}
-	SetJournal(j)
-	defer SetJournal(nil)
-	if _, err := RunSpecs(specs[:2]); err != nil {
+	if _, err := (&Harness{Journal: j}).RunSpecs(specs[:2]); err != nil {
 		t.Fatalf("partial sweep: %v", err)
 	}
 	j.Close()
@@ -103,8 +102,7 @@ func TestCheckpointResumeByteIdentical(t *testing.T) {
 	if n := j2.Len(); n != 2 {
 		t.Fatalf("journal reloaded %d cells, want 2 (torn line must be dropped)", n)
 	}
-	SetJournal(j2)
-	got, err := RunSpecs(specs)
+	got, err := (&Harness{Journal: j2}).RunSpecs(specs)
 	if err != nil {
 		t.Fatalf("resumed sweep: %v", err)
 	}
@@ -118,22 +116,47 @@ func TestCheckpointResumeByteIdentical(t *testing.T) {
 }
 
 func TestSpecHashStableAndDistinct(t *testing.T) {
+	var h Harness
 	specs := checkpointSpecs()
-	h0 := SpecHash(specs[0])
-	if h0 != SpecHash(specs[0]) {
+	h0 := h.SpecHash(specs[0])
+	if h0 != h.SpecHash(specs[0]) {
 		t.Fatal("SpecHash is not stable for an identical spec")
 	}
 	seen := map[string]bool{}
 	for _, s := range specs {
-		h := SpecHash(s)
-		if seen[h] {
-			t.Fatalf("distinct specs collide on hash %s", h)
+		k := h.SpecHash(s)
+		if seen[k] {
+			t.Fatalf("distinct specs collide on hash %s", k)
 		}
-		seen[h] = true
+		seen[k] = true
 	}
 	other := specs[0]
 	other.Idle = "disable"
-	if SpecHash(other) == h0 {
+	if h.SpecHash(other) == h0 {
 		t.Fatal("idle policy change did not change the hash")
+	}
+}
+
+// TestSpecHashPinned pins the journal keys to the values the
+// package-global harness produced before Harness existed, so journals
+// written by older binaries still resume: a plain spec, the same spec
+// under injected faults and retries, and under audit and streaming.
+func TestSpecHashPinned(t *testing.T) {
+	spec := Spec{Policy: "performance", Idle: "menu", Cfg: quickCfg()}
+	for _, c := range []struct {
+		name string
+		h    *Harness
+		want string
+	}{
+		{"plain", &Harness{}, "1510b1972528523d08a2745783fa8c0f"},
+		{"faults+retry", &Harness{
+			Faults: faults.Config{WireLossProb: 0.02},
+			Retry:  workload.RetryConfig{Timeout: 20 * sim.Millisecond},
+		}, "654dbedc67824afeef88e2abb48bd815"},
+		{"audit+streaming", &Harness{Audit: true, Streaming: true}, "363f749e57dd1447817d5afcb96d0ce7"},
+	} {
+		if got := c.h.SpecHash(spec); got != c.want {
+			t.Errorf("%s: SpecHash = %s, want %s", c.name, got, c.want)
+		}
 	}
 }

@@ -71,15 +71,15 @@ const clusterLoadFrac = 0.7
 const clusterCapFrac = 0.45
 
 // FigCluster runs the fleet scenario to completion (no cancellation).
-func FigCluster(q Quality, nodes int, route string, hedge bool) (ClusterFigure, error) {
-	return FigClusterCtx(context.Background(), q, nodes, route, hedge)
+func (h *Harness) FigCluster(q Quality, nodes int, route string, hedge bool) (ClusterFigure, error) {
+	return h.FigClusterCtx(context.Background(), q, nodes, route, hedge)
 }
 
 // FigClusterCtx runs memcached across a cluster of NMAP nodes behind
-// the routing front end, kills node 1 mid-run (unless the injection
-// default already schedules node faults), and plots the per-bucket
-// cluster P99 / resteer / offline-node timeline for two arms: per-node
-// NMAP governors, and per-node ondemand under a fleet power cap.
+// the routing front end, kills node 1 mid-run (unless h.Faults already
+// schedules node faults), and plots the per-bucket cluster P99 /
+// resteer / offline-node timeline for two arms: per-node NMAP
+// governors, and per-node ondemand under a fleet power cap.
 //
 // The arms run on the bounded worker pool (each owns its engine and
 // seeded streams, results collected by index), so the rendered figure
@@ -91,7 +91,7 @@ func FigCluster(q Quality, nodes int, route string, hedge bool) (ClusterFigure, 
 // all its per-node results in input order (Done=false), never-started
 // arms are absent, and ctx.Err() is returned alongside the partial
 // figure.
-func FigClusterCtx(ctx context.Context, q Quality, nodes int, route string, hedge bool) (ClusterFigure, error) {
+func (h *Harness) FigClusterCtx(ctx context.Context, q Quality, nodes int, route string, hedge bool) (ClusterFigure, error) {
 	if nodes < 1 {
 		return ClusterFigure{}, fmt.Errorf("experiments: fig-cluster needs at least 1 node, got %d", nodes)
 	}
@@ -99,7 +99,7 @@ func FigClusterCtx(ctx context.Context, q Quality, nodes int, route string, hedg
 	warm, dur := q.warmup(), q.duration()
 	bucket := dur / 20
 
-	f, retry := Injection()
+	f, retry := h.Faults, h.Retry
 	if nodes > 1 && len(f.NodeCrashes) == 0 && len(f.NodeSlows) == 0 {
 		// Default scenario: node 1 dies roughly a quarter into the
 		// measured window and reboots a quarter later. The instant is
@@ -140,7 +140,7 @@ func FigClusterCtx(ctx context.Context, q Quality, nodes int, route string, hedg
 	capped := uncapped
 	capped.FleetPowerCapW = clusterCapFrac * float64(nodes) * cpu.XeonGold6134.MaxPowerW()
 	var err error
-	fig.Arms, err = runFleetArms(ctx, []fleetArm{
+	fig.Arms, err = h.runFleetArms(ctx, []fleetArm{
 		{"nmap-per-node", "nmap", uncapped},
 		{"ondemand+fleet-cap", "ondemand", capped},
 	}, ncfg, bucket)
@@ -162,7 +162,7 @@ type fleetArm struct {
 // (nothing ran, nothing is fabricated); an arm cut short mid-run is
 // kept with Done false and its Result as of the abort instant. The
 // error is ctx.Err() if the run was cut short, else the first arm error.
-func runFleetArms(ctx context.Context, arms []fleetArm, ncfg server.Config, bucket sim.Duration) ([]ClusterArm, error) {
+func (h *Harness) runFleetArms(ctx context.Context, arms []fleetArm, ncfg server.Config, bucket sim.Duration) ([]ClusterArm, error) {
 	cells := make([]cell, len(arms))
 	tls := make([]*timeline, len(arms))
 	for i, a := range arms {
@@ -177,7 +177,7 @@ func runFleetArms(ctx context.Context, arms []fleetArm, ncfg server.Config, buck
 			},
 		}
 	}
-	outs, err := runCells(ctx, cells)
+	outs, err := h.runCells(ctx, cells)
 	var out []ClusterArm
 	for i, c := range outs {
 		if c.Attempts == 0 {

@@ -15,11 +15,9 @@ import (
 func TestFigClusterCtxCancelCheckpointsPartial(t *testing.T) {
 	// Pin the worker pool to one so exactly the first arm is in flight
 	// at the deadline regardless of the host's core count.
-	SetParallelism(1)
-	defer SetParallelism(0)
 	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
 	defer cancel()
-	fig, err := FigClusterCtx(ctx, Quick, 3, "rr", false)
+	fig, err := (&Harness{Parallel: 1}).FigClusterCtx(ctx, Quick, 3, "rr", false)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want the ctx cause", err)
 	}
@@ -44,7 +42,7 @@ func TestFigClusterCtxCancelCheckpointsPartial(t *testing.T) {
 func TestFigClusterCtxPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	fig, err := FigClusterCtx(ctx, Quick, 2, "rr", false)
+	fig, err := new(Harness).FigClusterCtx(ctx, Quick, 2, "rr", false)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -57,11 +55,11 @@ func TestFigClusterCtxPreCancelled(t *testing.T) {
 // identical bytes, and the default scenario actually exercises the
 // resteer path.
 func TestFigClusterDeterministic(t *testing.T) {
-	a, err := FigCluster(Quick, 2, "rr", false)
+	a, err := new(Harness).FigCluster(Quick, 2, "rr", false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := FigCluster(Quick, 2, "rr", false)
+	b, err := new(Harness).FigCluster(Quick, 2, "rr", false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,12 +83,11 @@ func TestFigClusterDeterministic(t *testing.T) {
 // as every other figure: a per-cell wall-clock budget aborts each arm
 // and surfaces as the figure's error instead of being ignored.
 func TestFleetFiguresHonourRunTimeout(t *testing.T) {
-	SetRunTimeout(time.Nanosecond)
-	defer SetRunTimeout(0)
-	if _, err := FigCluster(Quick, 2, "rr", false); err == nil || !strings.Contains(err.Error(), "wall-clock budget") {
+	h := &Harness{RunTimeout: time.Nanosecond}
+	if _, err := h.FigCluster(Quick, 2, "rr", false); err == nil || !strings.Contains(err.Error(), "wall-clock budget") {
 		t.Fatalf("fig-cluster err = %v, want the wall-clock budget error", err)
 	}
-	if _, err := FigGrayFail(Quick, 2, "rr"); err == nil || !strings.Contains(err.Error(), "wall-clock budget") {
+	if _, err := h.FigGrayFail(Quick, 2, "rr"); err == nil || !strings.Contains(err.Error(), "wall-clock budget") {
 		t.Fatalf("fig-grayfail err = %v, want the wall-clock budget error", err)
 	}
 }

@@ -73,19 +73,19 @@ func tracedSpec(q Quality, dur sim.Duration, profile *workload.Profile, level wo
 // runTraced runs each spec as one cell on the worker pool with a Trace
 // attached to the built server, and reads each run into its row, in
 // input order.
-func runTraced[T any](specs []Spec, read func(spec Spec, tr *Trace, res server.Result) T) ([]T, error) {
+func runTraced[T any](h *Harness, specs []Spec, read func(spec Spec, tr *Trace, res server.Result) T) ([]T, error) {
 	cells := make([]cell, len(specs))
 	trs := make([]*Trace, len(specs))
 	for i, spec := range specs {
 		cells[i] = cell{spec: spec, observe: func(s *server.Server) { trs[i] = NewTrace(s, 0) }}
 	}
-	return runRows(cells, func(i int, c CellResult) T { return read(specs[i], trs[i], c.Result) })
+	return runRows(h, cells, func(i int, c CellResult) T { return read(specs[i], trs[i], c.Result) })
 }
 
 // RunTrace runs one traced configuration and samples the window
 // [warmup, warmup+window).
-func RunTrace(profile *workload.Profile, level workload.Level, policy, idle string, window sim.Duration, q Quality) (TraceFigure, error) {
-	figs, err := traceSet(q, window, tracedSpec(q, window, profile, level, policy, idle))
+func (h *Harness) RunTrace(profile *workload.Profile, level workload.Level, policy, idle string, window sim.Duration, q Quality) (TraceFigure, error) {
+	figs, err := h.traceSet(q, window, tracedSpec(q, window, profile, level, policy, idle))
 	if err != nil {
 		return TraceFigure{}, err
 	}
@@ -94,10 +94,10 @@ func RunTrace(profile *workload.Profile, level workload.Level, policy, idle stri
 
 // traceSet runs a list of trace configurations, each sampling the
 // window [warmup, warmup+window).
-func traceSet(q Quality, window sim.Duration, specs ...Spec) ([]TraceFigure, error) {
+func (h *Harness) traceSet(q Quality, window sim.Duration, specs ...Spec) ([]TraceFigure, error) {
 	from := int(q.warmup() / sim.Millisecond)
 	n := int(window / sim.Millisecond)
-	return runTraced(specs, func(spec Spec, tr *Trace, res server.Result) TraceFigure {
+	return runTraced(h, specs, func(spec Spec, tr *Trace, res server.Result) TraceFigure {
 		slice := func(c *stats.Counter) []float64 {
 			out := make([]float64, n)
 			for i := 0; i < n; i++ {
@@ -127,23 +127,23 @@ const traceWindow = 500 * sim.Millisecond
 
 // Fig2 reproduces Fig 2: ksoftirqd wake-ups, the ondemand P-state, and
 // the interrupt/polling packet split at high load for both apps.
-func Fig2(q Quality) ([]TraceFigure, error) {
-	return traceSet(q, traceWindow,
+func (h *Harness) Fig2(q Quality) ([]TraceFigure, error) {
+	return h.traceSet(q, traceWindow,
 		tracedSpec(q, traceWindow, workload.Memcached(), workload.High, "ondemand", "menu"),
 		tracedSpec(q, traceWindow, workload.Nginx(), workload.High, "ondemand", "menu"))
 }
 
 // Fig9 reproduces Fig 9: the same view under NMAP.
-func Fig9(q Quality) ([]TraceFigure, error) {
-	return traceSet(q, traceWindow,
+func (h *Harness) Fig9(q Quality) ([]TraceFigure, error) {
+	return h.traceSet(q, traceWindow,
 		tracedSpec(q, traceWindow, workload.Memcached(), workload.High, "nmap", "menu"),
 		tracedSpec(q, traceWindow, workload.Nginx(), workload.High, "nmap", "menu"))
 }
 
 // Fig7 reproduces Fig 7: CC6 entries and the packet split under the
 // menu governor at low and high memcached load (performance governor).
-func Fig7(q Quality) ([]TraceFigure, error) {
-	return traceSet(q, traceWindow,
+func (h *Harness) Fig7(q Quality) ([]TraceFigure, error) {
+	return h.traceSet(q, traceWindow,
 		tracedSpec(q, traceWindow, workload.Memcached(), workload.Low, "performance", "menu"),
 		tracedSpec(q, traceWindow, workload.Memcached(), workload.High, "performance", "menu"))
 }
@@ -167,7 +167,7 @@ type LatencyFigure struct {
 
 // latencySet runs each policy at high load on both applications and
 // extracts the Fig-3-style scatter and Fig-4-style CDF.
-func latencySet(q Quality, policies ...string) ([]LatencyFigure, error) {
+func (h *Harness) latencySet(q Quality, policies ...string) ([]LatencyFigure, error) {
 	var specs []Spec
 	for _, prof := range workload.Profiles() {
 		for _, pol := range policies {
@@ -175,7 +175,7 @@ func latencySet(q Quality, policies ...string) ([]LatencyFigure, error) {
 		}
 	}
 	from := sim.Time(q.warmup())
-	return runTraced(specs, func(spec Spec, tr *Trace, res server.Result) LatencyFigure {
+	return runTraced(h, specs, func(spec Spec, tr *Trace, res server.Result) LatencyFigure {
 		slo := spec.Cfg.Profile.SLO
 		return LatencyFigure{
 			App:       spec.Cfg.Profile.Name,
@@ -192,13 +192,13 @@ func latencySet(q Quality, policies ...string) ([]LatencyFigure, error) {
 
 // Fig3And4 reproduces Figs 3 and 4: per-request latency and CDFs for
 // ondemand vs performance at high load on both applications.
-func Fig3And4(q Quality) ([]LatencyFigure, error) {
-	return latencySet(q, "ondemand", "performance")
+func (h *Harness) Fig3And4(q Quality) ([]LatencyFigure, error) {
+	return h.latencySet(q, "ondemand", "performance")
 }
 
 // Fig10And11 reproduces Figs 10 and 11: the same view under NMAP.
-func Fig10And11(q Quality) ([]LatencyFigure, error) {
-	return latencySet(q, "nmap")
+func (h *Harness) Fig10And11(q Quality) ([]LatencyFigure, error) {
+	return h.latencySet(q, "nmap")
 }
 
 // ---------------------------------------------------------------------
@@ -239,7 +239,7 @@ type Fig8Point struct {
 // three sleep-state policies. Energy is reported raw; the caller
 // normalises to menu as the paper does. Cells run on the harness worker
 // pool in deterministic order.
-func Fig8(q Quality) ([]Fig8Point, error) {
+func (h *Harness) Fig8(q Quality) ([]Fig8Point, error) {
 	prof := workload.Memcached()
 	loads := []float64{30_000, 150_000, 290_000, 450_000, 600_000, 750_000}
 	if q == Quick {
@@ -261,7 +261,7 @@ func Fig8(q Quality) ([]Fig8Point, error) {
 			})
 		}
 	}
-	results, err := RunSpecs(specs)
+	results, err := h.RunSpecs(specs)
 	if err != nil {
 		return nil, err
 	}
@@ -290,7 +290,7 @@ type MatrixCell struct {
 // and load levels on both applications. Cells fan out over the harness
 // worker pool; the returned slice is in the serial cross-product order
 // and is byte-for-byte independent of the fan-out.
-func RunMatrix(policies, idles []string, q Quality) ([]MatrixCell, error) {
+func (h *Harness) RunMatrix(policies, idles []string, q Quality) ([]MatrixCell, error) {
 	var specs []Spec
 	var meta []MatrixCell
 	for _, prof := range workload.Profiles() {
@@ -315,7 +315,7 @@ func RunMatrix(policies, idles []string, q Quality) ([]MatrixCell, error) {
 			}
 		}
 	}
-	results, err := RunSpecs(specs)
+	results, err := h.RunSpecs(specs)
 	if err != nil {
 		return nil, err
 	}
@@ -327,20 +327,20 @@ func RunMatrix(policies, idles []string, q Quality) ([]MatrixCell, error) {
 
 // Fig12And13 reproduces the Fig 12 (P99) and Fig 13 (energy) matrix:
 // five V/F policies × three sleep policies × three loads × two apps.
-func Fig12And13(q Quality) ([]MatrixCell, error) {
+func (h *Harness) Fig12And13(q Quality) ([]MatrixCell, error) {
 	idles := []string{"menu", "disable", "c6only"}
 	if q == Quick {
 		idles = []string{"menu"}
 	}
-	return RunMatrix(
+	return h.RunMatrix(
 		[]string{"intel_powersave", "ondemand", "performance", "nmap-simpl", "nmap"},
 		idles, q)
 }
 
 // Fig14And15 reproduces the Fig 14 (P99, SLO-normalised) and Fig 15
 // (energy) comparison with the state-of-the-art baselines.
-func Fig14And15(q Quality) ([]MatrixCell, error) {
-	return RunMatrix(
+func (h *Harness) Fig14And15(q Quality) ([]MatrixCell, error) {
+	return h.RunMatrix(
 		[]string{"ncap-menu", "ncap", "nmap-simpl", "nmap", "performance"},
 		[]string{"menu"}, q)
 }
@@ -360,7 +360,7 @@ type Fig16Result struct {
 
 // Fig16 runs memcached with the load switching uniformly among the
 // three levels every 500ms for 5 seconds, comparing NMAP and Parties.
-func Fig16(q Quality) ([]Fig16Result, error) {
+func (h *Harness) Fig16(q Quality) ([]Fig16Result, error) {
 	prof := workload.Memcached()
 	dur := 5 * sim.Duration(sim.Second)
 	if q == Quick {
@@ -382,7 +382,7 @@ func Fig16(q Quality) ([]Fig16Result, error) {
 		})
 	}
 	from := sim.Time(q.warmup())
-	return runTraced(specs, func(spec Spec, tr *Trace, res server.Result) Fig16Result {
+	return runTraced(h, specs, func(spec Spec, tr *Trace, res server.Result) Fig16Result {
 		ps := tr.PStateSeries(from + sim.Time(dur))
 		return Fig16Result{
 			Policy:      spec.Policy,
@@ -414,8 +414,8 @@ type AblationCell struct {
 
 // ablate runs one ablation's cells on the worker pool and names each
 // row.
-func ablate(names []string, cells []cell) ([]AblationCell, error) {
-	return runRows(cells, func(i int, c CellResult) AblationCell {
+func (h *Harness) ablate(names []string, cells []cell) ([]AblationCell, error) {
+	return runRows(h, cells, func(i int, c CellResult) AblationCell {
 		res := c.Result
 		return AblationCell{
 			Name: names[i], P99: res.Summary.P99, EnergyJ: res.EnergyJ,
@@ -429,8 +429,8 @@ func ablate(names []string, cells []cell) ([]AblationCell, error) {
 // per-request policy issues orders of magnitude more V/F writes than
 // ever take effect, so its fine-grained decisions are simply not
 // reflected by the processor).
-func AblationPerRequest(q Quality) ([]AblationCell, error) {
-	return perRequestArms(server.Config{
+func (h *Harness) AblationPerRequest(q Quality) ([]AblationCell, error) {
+	return h.perRequestArms(server.Config{
 		Seed: defaultSeed, Profile: workload.Memcached(), Level: workload.High,
 		Warmup: q.warmup(), Duration: q.duration(),
 	})
@@ -438,7 +438,7 @@ func AblationPerRequest(q Quality) ([]AblationCell, error) {
 
 // perRequestArms runs the NMAP, ondemand and per-request DVFS arms of
 // AblationPerRequest on cfg.
-func perRequestArms(cfg server.Config) ([]AblationCell, error) {
+func (h *Harness) perRequestArms(cfg server.Config) ([]AblationCell, error) {
 	names := []string{"nmap", "ondemand", "perrequest"}
 	cells := make([]cell, len(names))
 	for i, pol := range names {
@@ -447,7 +447,7 @@ func perRequestArms(cfg server.Config) ([]AblationCell, error) {
 	// Keep a handle on the per-request policy's attempted-write counter.
 	var pr *baselines.PerRequest
 	cells[2].observe = func(s *server.Server) { pr = s.Policy().(*baselines.PerRequest) }
-	out, err := ablate(names, cells)
+	out, err := h.ablate(names, cells)
 	if err != nil {
 		return nil, err
 	}
@@ -457,7 +457,7 @@ func perRequestArms(cfg server.Config) ([]AblationCell, error) {
 
 // AblationThresholds sweeps NI_TH around the profiled value to show the
 // detection-latency/energy trade-off.
-func AblationThresholds(q Quality) ([]AblationCell, error) {
+func (h *Harness) AblationThresholds(q Quality) ([]AblationCell, error) {
 	prof := workload.Memcached()
 	base := ProfiledThresholds(prof, 1042)
 	mults := []float64{0.25, 0.5, 1, 2, 4}
@@ -477,12 +477,12 @@ func AblationThresholds(q Quality) ([]AblationCell, error) {
 			},
 		}
 	}
-	return ablate(names, specCells(specs))
+	return h.ablate(names, specCells(specs))
 }
 
 // AblationChipWide contrasts per-core NMAP with a chip-wide variant
 // (the §6.3 argument for why NMAP beats NCAP).
-func AblationChipWide(q Quality) ([]AblationCell, error) {
+func (h *Harness) AblationChipWide(q Quality) ([]AblationCell, error) {
 	prof := workload.Memcached()
 	var specs []Spec
 	names := []string{"nmap-per-core", "nmap-chip-wide"}
@@ -497,13 +497,13 @@ func AblationChipWide(q Quality) ([]AblationCell, error) {
 			},
 		})
 	}
-	return ablate(names, specCells(specs))
+	return h.ablate(names, specCells(specs))
 }
 
 // AblationExtensions compares stock NMAP against the two future-work
 // extensions: online threshold tuning (no offline profiling) and
 // sleep-state integration.
-func AblationExtensions(q Quality) ([]AblationCell, error) {
+func (h *Harness) AblationExtensions(q Quality) ([]AblationCell, error) {
 	prof := workload.Memcached()
 	names := []string{"nmap", "nmap-online", "nmap-sleep"}
 	var specs []Spec
@@ -517,13 +517,13 @@ func AblationExtensions(q Quality) ([]AblationCell, error) {
 			},
 		})
 	}
-	return ablate(names, specCells(specs))
+	return h.ablate(names, specCells(specs))
 }
 
 // AblationRSS shows why per-core DVFS beats chip-wide when RSS is
 // lumpy (§6.3): with few client connections the per-queue loads differ,
 // so pulling every core to the hottest core's frequency wastes energy.
-func AblationRSS(q Quality) ([]AblationCell, error) {
+func (h *Harness) AblationRSS(q Quality) ([]AblationCell, error) {
 	prof := workload.Memcached()
 	var specs []Spec
 	var names []string
@@ -550,13 +550,13 @@ func AblationRSS(q Quality) ([]AblationCell, error) {
 			})
 		}
 	}
-	return ablate(names, specCells(specs))
+	return h.ablate(names, specCells(specs))
 }
 
 // AblationITR sweeps the NIC interrupt-throttle period: the ITR sets
 // how often the NAPI mode counters get a fresh interrupt window and how
 // bursty the hardirq load is, so it bounds NMAP's detection texture.
-func AblationITR(q Quality) ([]AblationCell, error) {
+func (h *Harness) AblationITR(q Quality) ([]AblationCell, error) {
 	prof := workload.Memcached()
 	var specs []Spec
 	var names []string
@@ -573,7 +573,7 @@ func AblationITR(q Quality) ([]AblationCell, error) {
 			},
 		})
 	}
-	return ablate(names, specCells(specs))
+	return h.ablate(names, specCells(specs))
 }
 
 func ftoa(f float64) string {

@@ -51,8 +51,8 @@ func grayFabric() cluster.FabricConfig {
 }
 
 // FigGrayFail runs the gray-failure scenario to completion.
-func FigGrayFail(q Quality, nodes int, route string) (GrayFigure, error) {
-	return FigGrayFailCtx(context.Background(), q, nodes, route)
+func (h *Harness) FigGrayFail(q Quality, nodes int, route string) (GrayFigure, error) {
+	return h.FigGrayFailCtx(context.Background(), q, nodes, route)
 }
 
 // FigGrayFailCtx runs memcached across a cluster whose node-1 link goes
@@ -68,7 +68,7 @@ func FigGrayFail(q Quality, nodes int, route string) (GrayFigure, error) {
 // byte-identically at any parallelism, like fig-cluster. Cancelling ctx
 // checkpoints finished and in-flight arms exactly as FigClusterCtx
 // does.
-func FigGrayFailCtx(ctx context.Context, q Quality, nodes int, route string) (GrayFigure, error) {
+func (h *Harness) FigGrayFailCtx(ctx context.Context, q Quality, nodes int, route string) (GrayFigure, error) {
 	if nodes < 2 {
 		return GrayFigure{}, fmt.Errorf("experiments: fig-grayfail needs at least 2 nodes, got %d", nodes)
 	}
@@ -77,7 +77,7 @@ func FigGrayFailCtx(ctx context.Context, q Quality, nodes int, route string) (Gr
 	bucket := dur / 20
 
 	const grayNode = 1
-	f, retry := Injection()
+	f, retry := h.Faults, h.Retry
 	slowDur := dur / 16
 	slowAts := []sim.Duration{warm + dur/8, warm + dur/4, warm + 3*dur/8}
 	for _, at := range slowAts {
@@ -129,7 +129,7 @@ func FigGrayFailCtx(ctx context.Context, q Quality, nodes int, route string) (Gr
 	hedged := damped
 	hedged.Hedge = cluster.HedgeConfig{Enabled: true}
 	var err error
-	fig.Arms, err = runFleetArms(ctx, []fleetArm{
+	fig.Arms, err = h.runFleetArms(ctx, []fleetArm{
 		{"health-naive", "nmap", naive},
 		{"flap-damped", "nmap", damped},
 		{"flap-damped+hedged", "nmap", hedged},

@@ -11,15 +11,11 @@ import (
 // mechanisms visibly engage (the damped arm flaps less than the naive
 // one, the hedged arm dispatches hedges).
 func TestFigGrayFailDeterministicAcrossParallelism(t *testing.T) {
-	SetParallelism(1)
-	serial, err := FigGrayFail(Quick, 3, "rr")
-	SetParallelism(0)
+	serial, err := (&Harness{Parallel: 1}).FigGrayFail(Quick, 3, "rr")
 	if err != nil {
 		t.Fatal(err)
 	}
-	SetParallelism(4)
-	wide, err := FigGrayFail(Quick, 3, "rr")
-	SetParallelism(0)
+	wide, err := (&Harness{Parallel: 4}).FigGrayFail(Quick, 3, "rr")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +55,7 @@ func TestFigGrayFailDeterministicAcrossParallelism(t *testing.T) {
 // fig-grayfail refuses a single-node fleet: a gray link needs a peer to
 // steer around.
 func TestFigGrayFailRejectsSingleNode(t *testing.T) {
-	if _, err := FigGrayFail(Quick, 1, "rr"); err == nil ||
+	if _, err := new(Harness).FigGrayFail(Quick, 1, "rr"); err == nil ||
 		!strings.Contains(err.Error(), "at least 2 nodes") {
 		t.Fatalf("err = %v, want the 2-node floor", err)
 	}
@@ -68,15 +64,11 @@ func TestFigGrayFailRejectsSingleNode(t *testing.T) {
 // fig-cluster is byte-identical across worker-pool widths too — the
 // hedged variant included, so the hedge ledger itself is replay-stable.
 func TestFigClusterParallelismByteIdentical(t *testing.T) {
-	SetParallelism(1)
-	serial, err := FigCluster(Quick, 2, "rr", true)
-	SetParallelism(0)
+	serial, err := (&Harness{Parallel: 1}).FigCluster(Quick, 2, "rr", true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	SetParallelism(4)
-	wide, err := FigCluster(Quick, 2, "rr", true)
-	SetParallelism(0)
+	wide, err := (&Harness{Parallel: 4}).FigCluster(Quick, 2, "rr", true)
 	if err != nil {
 		t.Fatal(err)
 	}

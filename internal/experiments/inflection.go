@@ -30,7 +30,7 @@ type SweepPoint struct {
 // low-load baseline. The sweep runs under the performance governor (the
 // best-case configuration, as in the paper's SLO-setting procedure).
 // kneeFactor <= 1 defaults to 5.
-func FindInflection(profile *workload.Profile, lo, hi float64, steps int, kneeFactor float64, q Quality) (InflectionPoint, error) {
+func (h *Harness) FindInflection(profile *workload.Profile, lo, hi float64, steps int, kneeFactor float64, q Quality) (InflectionPoint, error) {
 	if steps < 2 {
 		steps = 2
 	}
@@ -51,7 +51,7 @@ func FindInflection(profile *workload.Profile, lo, hi float64, steps int, kneeFa
 			},
 		}
 	}
-	curve, err := runRows(specCells(specs), func(i int, c CellResult) SweepPoint {
+	curve, err := runRows(h, specCells(specs), func(i int, c CellResult) SweepPoint {
 		return SweepPoint{RPS: specs[i].Cfg.RPS, P99: c.Result.Summary.P99}
 	})
 	if err != nil {

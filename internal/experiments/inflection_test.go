@@ -11,7 +11,7 @@ func TestFindInflectionLocatesKnee(t *testing.T) {
 		t.Skip("sweep is slow")
 	}
 	prof := workload.Memcached()
-	inf, err := FindInflection(prof, 100_000, 900_000, 5, 5, Quick)
+	inf, err := new(Harness).FindInflection(prof, 100_000, 900_000, 5, 5, Quick)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +35,7 @@ func TestFindInflectionNoKneeFallsBack(t *testing.T) {
 	}
 	prof := workload.Memcached()
 	// Sweep entirely in the flat region: no knee → last point reported.
-	inf, err := FindInflection(prof, 10_000, 50_000, 3, 50, Quick)
+	inf, err := new(Harness).FindInflection(prof, 10_000, 50_000, 3, 50, Quick)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -50,7 +50,7 @@ type MicroSLOCell struct {
 // NMAP extension. The expected §8 shape: deep sleep now costs tail
 // latency, disable buys it back with energy, and the integrated policy
 // sits in between.
-func AblationMicroSLO(q Quality) ([]MicroSLOCell, error) {
+func (h *Harness) AblationMicroSLO(q Quality) ([]MicroSLOCell, error) {
 	prof := MicroService()
 	var specs []Spec
 	add := func(policy, idle string) {
@@ -67,7 +67,7 @@ func AblationMicroSLO(q Quality) ([]MicroSLOCell, error) {
 		add("performance", idle)
 	}
 	add("nmap-sleep", "c6only")
-	results, err := RunSpecs(specs)
+	results, err := h.RunSpecs(specs)
 	if err != nil {
 		return nil, err
 	}

@@ -22,15 +22,6 @@ func quickCfg() server.Config {
 	}
 }
 
-// withParallelism runs f with the harness fan-out pinned to n, restoring
-// the default afterwards.
-func withParallelism(t *testing.T, n int, f func()) {
-	t.Helper()
-	SetParallelism(n)
-	defer SetParallelism(0)
-	f()
-}
-
 func encode(t *testing.T, v any) []byte {
 	t.Helper()
 	b, err := json.Marshal(v)
@@ -49,20 +40,16 @@ func TestRunMatrixParallelDeterminism(t *testing.T) {
 	idles := []string{"menu"}
 
 	var serial, parallel []byte
-	withParallelism(t, 1, func() {
-		cells, err := RunMatrix(policies, idles, Quick)
+	for _, run := range []struct {
+		workers int
+		out     *[]byte
+	}{{1, &serial}, {8, &parallel}} {
+		cells, err := (&Harness{Parallel: run.workers}).RunMatrix(policies, idles, Quick)
 		if err != nil {
 			t.Fatal(err)
 		}
-		serial = encode(t, cells)
-	})
-	withParallelism(t, 8, func() {
-		cells, err := RunMatrix(policies, idles, Quick)
-		if err != nil {
-			t.Fatal(err)
-		}
-		parallel = encode(t, cells)
-	})
+		*run.out = encode(t, cells)
+	}
 	if !bytes.Equal(serial, parallel) {
 		t.Fatalf("RunMatrix output differs between serial and 8-way parallel runs:\nserial:   %.400s\nparallel: %.400s",
 			serial, parallel)
@@ -80,20 +67,16 @@ func TestRunSeedsParallelDeterminism(t *testing.T) {
 	}
 
 	var serial, parallel []byte
-	withParallelism(t, 1, func() {
-		res, err := RunSeeds(spec, 42, 6)
+	for _, run := range []struct {
+		workers int
+		out     *[]byte
+	}{{1, &serial}, {8, &parallel}} {
+		res, err := (&Harness{Parallel: run.workers}).RunSeeds(spec, 42, 6)
 		if err != nil {
 			t.Fatal(err)
 		}
-		serial = encode(t, res)
-	})
-	withParallelism(t, 8, func() {
-		res, err := RunSeeds(spec, 42, 6)
-		if err != nil {
-			t.Fatal(err)
-		}
-		parallel = encode(t, res)
-	})
+		*run.out = encode(t, res)
+	}
 	if !bytes.Equal(serial, parallel) {
 		t.Fatal("RunSeeds output differs between serial and 8-way parallel runs")
 	}
@@ -103,35 +86,35 @@ func TestRunSeedsParallelDeterminism(t *testing.T) {
 // path: results come back in input order, and a bad spec surfaces as an
 // error rather than a panic.
 func TestRunSpecsOrderAndErrors(t *testing.T) {
-	withParallelism(t, 4, func() {
-		specs := []Spec{
-			{Policy: "performance", Idle: "menu", Cfg: quickCfg()},
-			{Policy: "ondemand", Idle: "menu", Cfg: quickCfg()},
-		}
-		results, err := RunSpecs(specs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(results) != 2 {
-			t.Fatalf("got %d results, want 2", len(results))
-		}
-		// performance pins P0 throughout, so it must burn at least as
-		// much energy as ondemand on the same workload — a cheap check
-		// that results were not collected out of order.
-		if results[0].EnergyJ <= results[1].EnergyJ {
-			t.Errorf("results look swapped: performance %.1fJ <= ondemand %.1fJ",
-				results[0].EnergyJ, results[1].EnergyJ)
-		}
+	h := &Harness{Parallel: 4}
+	specs := []Spec{
+		{Policy: "performance", Idle: "menu", Cfg: quickCfg()},
+		{Policy: "ondemand", Idle: "menu", Cfg: quickCfg()},
+	}
+	results, err := h.RunSpecs(specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(results) != 2 {
+		t.Fatalf("got %d results, want 2", len(results))
+	}
+	// performance pins P0 throughout, so it must burn at least as much
+	// energy as ondemand on the same workload — a cheap check that
+	// results were not collected out of order.
+	if results[0].EnergyJ <= results[1].EnergyJ {
+		t.Errorf("results look swapped: performance %.1fJ <= ondemand %.1fJ",
+			results[0].EnergyJ, results[1].EnergyJ)
+	}
 
-		if _, err := RunSpecs([]Spec{{Policy: "no-such-policy", Cfg: quickCfg()}}); err == nil {
-			t.Fatal("RunSpecs accepted an unknown policy")
-		}
-	})
+	if _, err := h.RunSpecs([]Spec{{Policy: "no-such-policy", Cfg: quickCfg()}}); err == nil {
+		t.Fatal("RunSpecs accepted an unknown policy")
+	}
 }
 
+// TestSetParallelismClamps: a negative width clamps to the default (one
+// worker per CPU), so there is nothing to restore afterwards.
 func TestSetParallelismClamps(t *testing.T) {
 	SetParallelism(-5)
-	defer SetParallelism(0)
 	if Parallelism() < 1 {
 		t.Fatalf("Parallelism() = %d, want >= 1", Parallelism())
 	}

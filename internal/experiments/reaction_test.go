@@ -68,11 +68,11 @@ func TestReactionNMAPFasterThanOndemand(t *testing.T) {
 		t.Skip("trace runs are slow")
 	}
 	window := 300 * sim.Millisecond
-	od, err := RunTrace(workload.Memcached(), workload.High, "ondemand", "menu", window, Quick)
+	od, err := new(Harness).RunTrace(workload.Memcached(), workload.High, "ondemand", "menu", window, Quick)
 	if err != nil {
 		t.Fatal(err)
 	}
-	nm, err := RunTrace(workload.Memcached(), workload.High, "nmap", "menu", window, Quick)
+	nm, err := new(Harness).RunTrace(workload.Memcached(), workload.High, "nmap", "menu", window, Quick)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -67,7 +67,7 @@ const resilienceShedMultiple = 4
 // mid-run, recovers it after a quarter of the measurement window, and
 // plots P99 plus shed rate through the timeline — once with the
 // admission controller off and once shedding at 4x the SLO.
-func FigResilience(q Quality) (ResilienceFigure, error) {
+func (h *Harness) FigResilience(q Quality) (ResilienceFigure, error) {
 	prof := workload.Memcached()
 	warm, dur := q.warmup(), q.duration()
 	crash := faults.CoreCrash{
@@ -119,7 +119,7 @@ func FigResilience(q Quality) (ResilienceFigure, error) {
 			},
 		}
 	}
-	runs, err := runRows(cells, func(i int, c CellResult) ResilienceRun {
+	runs, err := runRows(h, cells, func(i int, c CellResult) ResilienceRun {
 		run := ResilienceRun{Name: "shed-off", ShedSLOMultiple: sheds[i], Result: c.Result,
 			CrashP99: p99Of(crashLats[i])}
 		if sheds[i] > 0 {

@@ -11,7 +11,7 @@ import (
 // agree between the arms (admission control is inert until the estimate
 // trips), and every arm's ledger stays exact.
 func TestFigResilienceStory(t *testing.T) {
-	fig, err := FigResilience(Quick)
+	fig, err := new(Harness).FigResilience(Quick)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestFigResilienceStory(t *testing.T) {
 
 // RenderResilience emits both timelines plus the outage-window footer.
 func TestRenderResilienceOutput(t *testing.T) {
-	fig, err := FigResilience(Quick)
+	fig, err := new(Harness).FigResilience(Quick)
 	if err != nil {
 		t.Fatal(err)
 	}

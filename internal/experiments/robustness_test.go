@@ -16,32 +16,30 @@ import (
 // sweep: the good cells must still run and come back checkpointed, and
 // the returned error must be the bad cell's (first in input order).
 func TestRunSpecsPartialResultsOnError(t *testing.T) {
-	withParallelism(t, 2, func() {
-		specs := []Spec{
-			{Policy: "performance", Idle: "menu", Cfg: quickCfg()},
-			{Policy: "no-such-policy", Idle: "menu", Cfg: quickCfg()},
-			{Policy: "ondemand", Idle: "menu", Cfg: quickCfg()},
-		}
-		cells, err := RunSpecsCtx(context.Background(), specs)
-		if err == nil {
-			t.Fatal("sweep with a bad spec returned no error")
-		}
-		if !strings.Contains(err.Error(), "no-such-policy") {
-			t.Fatalf("error %v does not name the bad policy", err)
-		}
-		if len(cells) != 3 {
-			t.Fatalf("got %d cells, want 3", len(cells))
-		}
-		if !cells[0].Done || !cells[2].Done {
-			t.Fatalf("good cells not checkpointed: %+v %+v", cells[0].Err, cells[2].Err)
-		}
-		if cells[0].Result.Completed == 0 || cells[2].Result.Completed == 0 {
-			t.Fatal("checkpointed cells carry empty results")
-		}
-		if cells[1].Done || cells[1].Err == nil {
-			t.Fatal("bad cell not marked failed")
-		}
-	})
+	specs := []Spec{
+		{Policy: "performance", Idle: "menu", Cfg: quickCfg()},
+		{Policy: "no-such-policy", Idle: "menu", Cfg: quickCfg()},
+		{Policy: "ondemand", Idle: "menu", Cfg: quickCfg()},
+	}
+	cells, err := (&Harness{Parallel: 2}).RunSpecsCtx(context.Background(), specs)
+	if err == nil {
+		t.Fatal("sweep with a bad spec returned no error")
+	}
+	if !strings.Contains(err.Error(), "no-such-policy") {
+		t.Fatalf("error %v does not name the bad policy", err)
+	}
+	if len(cells) != 3 {
+		t.Fatalf("got %d cells, want 3", len(cells))
+	}
+	if !cells[0].Done || !cells[2].Done {
+		t.Fatalf("good cells not checkpointed: %+v %+v", cells[0].Err, cells[2].Err)
+	}
+	if cells[0].Result.Completed == 0 || cells[2].Result.Completed == 0 {
+		t.Fatal("checkpointed cells carry empty results")
+	}
+	if cells[1].Done || cells[1].Err == nil {
+		t.Fatal("bad cell not marked failed")
+	}
 }
 
 // TestRunSpecsCtxCanceledSkipsCells cancels before the sweep starts: no
@@ -55,7 +53,7 @@ func TestRunSpecsCtxCanceledSkipsCells(t *testing.T) {
 		{Policy: "ondemand", Idle: "menu", Cfg: quickCfg()},
 	}
 	start := time.Now()
-	cells, err := RunSpecsCtx(ctx, specs)
+	cells, err := new(Harness).RunSpecsCtx(ctx, specs)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -91,35 +89,32 @@ func TestRunSpecsCtxCancelMidSweep(t *testing.T) {
 		cfg.Duration = 400 * sim.Millisecond
 		specs[i] = Spec{Policy: "ondemand", Idle: "menu", Cfg: cfg}
 	}
-	withParallelism(t, 1, func() {
-		cells, err := RunSpecsCtx(ctx, specs)
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("err = %v, want context.Canceled", err)
+	cells, err := (&Harness{Parallel: 1}).RunSpecsCtx(ctx, specs)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	var done, failed int
+	for _, c := range cells {
+		if c.Done {
+			done++
+		} else if c.Err != nil {
+			failed++
 		}
-		var done, failed int
-		for _, c := range cells {
-			if c.Done {
-				done++
-			} else if c.Err != nil {
-				failed++
-			}
-		}
-		if done+failed != len(specs) {
-			t.Fatalf("cells unaccounted for: %d done + %d failed of %d", done, failed, len(specs))
-		}
-		if failed == 0 {
-			t.Fatal("cancellation arrived after the whole sweep finished — nothing was cut short")
-		}
-	})
+	}
+	if done+failed != len(specs) {
+		t.Fatalf("cells unaccounted for: %d done + %d failed of %d", done, failed, len(specs))
+	}
+	if failed == 0 {
+		t.Fatal("cancellation arrived after the whole sweep finished — nothing was cut short")
+	}
 }
 
 // TestRunTimeoutAbortsCell pins the per-cell wall-clock budget: an
 // absurdly small budget must abort the cell with a diagnostic naming
 // the budget, not hang or panic.
 func TestRunTimeoutAbortsCell(t *testing.T) {
-	SetRunTimeout(time.Nanosecond)
-	defer SetRunTimeout(0)
-	out, _ := runCell(context.Background(), cell{spec: Spec{Policy: "ondemand", Idle: "menu", Cfg: quickCfg()}})
+	h := &Harness{RunTimeout: time.Nanosecond}
+	out, _ := h.runCell(context.Background(), cell{spec: Spec{Policy: "ondemand", Idle: "menu", Cfg: quickCfg()}})
 	err := out.Err
 	if err == nil {
 		t.Fatal("1ns budget did not abort the cell")
@@ -129,34 +124,59 @@ func TestRunTimeoutAbortsCell(t *testing.T) {
 	}
 }
 
-// TestInjectionDefaultsFlowIntoBuild installs package-default injection
-// (the CLI -faults path) and checks a spec that carries none picks it
-// up — and that clearing the default restores clean physics.
+// TestInjectionDefaultsFlowIntoBuild runs a spec that carries no
+// injection under a harness that does (the CLI -faults path): the cell
+// picks the harness faults and retries up, while Build itself stays pure
+// and the zero harness keeps clean physics.
 func TestInjectionDefaultsFlowIntoBuild(t *testing.T) {
-	SetInjection(faults.Config{WireLossProb: 0.05}, workload.RetryConfig{Timeout: 2 * sim.Millisecond})
-	defer SetInjection(faults.Config{}, workload.RetryConfig{})
-
-	res, err := Run(Spec{Policy: "performance", Idle: "menu", Cfg: quickCfg()})
+	spec := Spec{Policy: "performance", Idle: "menu", Cfg: quickCfg()}
+	h := &Harness{Faults: faults.Config{WireLossProb: 0.05}, Retry: workload.RetryConfig{Timeout: 2 * sim.Millisecond}}
+	res, err := h.Run(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Faults.WireDrops == 0 {
-		t.Fatal("package-default fault config was not applied by Build")
+		t.Fatal("the harness fault config did not reach the cell")
 	}
 	if res.Reqs.Retransmits == 0 {
-		t.Fatal("package-default retry config was not applied by Build")
+		t.Fatal("the harness retry config did not reach the cell")
 	}
 	if !res.Reqs.Consistent() {
 		t.Fatalf("ledger identity broken: %+v", res.Reqs)
 	}
 
-	SetInjection(faults.Config{}, workload.RetryConfig{})
-	clean, err := Run(Spec{Policy: "performance", Idle: "menu", Cfg: quickCfg()})
+	if s, err := Build(spec); err != nil || s.Cfg.Faults.Enabled() || s.Cfg.Retry.Enabled() {
+		t.Fatalf("Build folded in harness conditions: err=%v faults=%+v", err, s.Cfg.Faults)
+	}
+	clean, err := new(Harness).Run(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if clean.Faults != (faults.Stats{}) || clean.Reqs.Retransmits != 0 {
-		t.Fatalf("cleared injection still active: %+v", clean.Faults)
+		t.Fatalf("the zero harness injected faults: %+v", clean.Faults)
+	}
+}
+
+// TestProfilingIgnoresRunBudget: a cell's wall-clock budget must not
+// reach the §4.2 threshold profiling its build triggers. The profile is
+// renamed so its thresholds are not cached yet; the budget aborts the
+// cell itself, and the thresholds it cached must equal an unbudgeted
+// profile of the same workload.
+func TestProfilingIgnoresRunBudget(t *testing.T) {
+	prof := workload.Memcached()
+	prof.Name = "memcached-budget-probe"
+	cfg := quickCfg()
+	cfg.Profile = prof
+	h := &Harness{RunTimeout: time.Nanosecond}
+	if _, err := h.Run(Spec{Policy: "nmap", Idle: "menu", Cfg: cfg}); err == nil ||
+		!strings.Contains(err.Error(), "wall-clock budget") {
+		t.Fatalf("err = %v, want the cell's own budget error", err)
+	}
+	ref := workload.Memcached()
+	ref.Name = "memcached-budget-ref"
+	seed := 1000 + cfg.Seed%4
+	if got, want := ProfiledThresholds(prof, seed), ProfiledThresholds(ref, seed); got != want {
+		t.Fatalf("budgeted cell cached thresholds %+v, the unbudgeted profile is %+v", got, want)
 	}
 }
 
@@ -166,7 +186,7 @@ func TestInjectionDefaultsFlowIntoBuild(t *testing.T) {
 func TestWatchdogSurfacesThroughSweep(t *testing.T) {
 	cfg := quickCfg()
 	cfg.MaxEvents = 10_000
-	cells, err := RunSpecsCtx(context.Background(), []Spec{
+	cells, err := new(Harness).RunSpecsCtx(context.Background(), []Spec{
 		{Policy: "performance", Idle: "menu", Cfg: cfg},
 	})
 	if !errors.Is(err, sim.ErrWatchdog) {

@@ -48,13 +48,13 @@ func statOf(vals []float64) Stat {
 // RunSeeds runs the spec with seeds base, base+1, … base+n-1 on the
 // harness worker pool and aggregates the headline metrics. The
 // aggregation order is the seed order, independent of the fan-out.
-func RunSeeds(spec Spec, base uint64, n int) (SeededResult, error) {
+func (h *Harness) RunSeeds(spec Spec, base uint64, n int) (SeededResult, error) {
 	specs := make([]Spec, n)
 	for i := range specs {
 		specs[i] = spec
 		specs[i].Cfg.Seed = base + uint64(i)
 	}
-	runs, err := RunSpecs(specs)
+	runs, err := h.RunSpecs(specs)
 	if err != nil {
 		return SeededResult{}, err
 	}

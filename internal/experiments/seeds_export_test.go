@@ -13,7 +13,7 @@ import (
 
 func TestRunSeedsAggregates(t *testing.T) {
 	spec := quickSpec("ondemand")
-	agg, err := RunSeeds(spec, 100, 3)
+	agg, err := new(Harness).RunSeeds(spec, 100, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestRelativeEnergy(t *testing.T) {
 
 func TestRecordRoundTrip(t *testing.T) {
 	spec := quickSpec("nmap")
-	res, err := Run(spec)
+	res, err := new(Harness).Run(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestRecordRoundTrip(t *testing.T) {
 }
 
 func TestSchedutilPolicyBuilds(t *testing.T) {
-	res, err := Run(quickSpec("schedutil"))
+	res, err := new(Harness).Run(quickSpec("schedutil"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestSchedutilPolicyBuilds(t *testing.T) {
 func TestExtensionPoliciesRun(t *testing.T) {
 	for _, pol := range []string{"nmap-online", "nmap-sleep"} {
 		spec := quickSpec(pol)
-		res, err := Run(spec)
+		res, err := new(Harness).Run(spec)
 		if err != nil {
 			t.Fatalf("%s: %v", pol, err)
 		}
@@ -148,7 +148,7 @@ func TestFlowsOverrideChangesBalance(t *testing.T) {
 }
 
 func TestPegasusPolicyBuilds(t *testing.T) {
-	res, err := Run(quickSpec("pegasus"))
+	res, err := new(Harness).Run(quickSpec("pegasus"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +176,7 @@ func TestAblationMicroSLOShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow")
 	}
-	cells, err := AblationMicroSLO(Quick)
+	cells, err := new(Harness).AblationMicroSLO(Quick)
 	if err != nil {
 		t.Fatal(err)
 	}

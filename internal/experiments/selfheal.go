@@ -2,8 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"nmapsim/internal/server"
@@ -17,8 +15,9 @@ import (
 // one pathological config cannot sink the other 9,999; and a soft
 // memory watermark downgrades new cells from the exact sample recorder
 // to the bounded streaming histogram instead of letting the sweep die
-// under memory pressure. All of it is opt-in: with no policy installed
-// the orchestration path is byte-identical to the pre-healing harness.
+// under memory pressure. All of it is opt-in (Harness.CellRetry,
+// Harness.CellFault, Harness.MemoryBudget): under the zero Harness the
+// orchestration path is byte-identical to the pre-healing harness.
 
 // HarnessRetry is the per-cell retry policy, mirroring
 // workload.RetryConfig at the orchestration layer: a base backoff
@@ -80,82 +79,15 @@ func (r HarnessRetry) Delay(n int) time.Duration {
 	return d
 }
 
-var (
-	retryMu  sync.RWMutex
-	cellPol  HarnessRetry
-	cellHook func(Spec, int) error
-)
-
-// SetCellRetry installs the package-level per-cell retry policy the
-// sweeps run under. The zero policy (the default) restores the
-// fail-fast seed behaviour.
-func SetCellRetry(r HarnessRetry) error {
-	if err := r.Validate(); err != nil {
-		return err
-	}
-	retryMu.Lock()
-	cellPol = r
-	retryMu.Unlock()
-	return nil
-}
-
-// CellRetry returns the installed per-cell retry policy.
-func CellRetry() HarnessRetry {
-	retryMu.RLock()
-	defer retryMu.RUnlock()
-	return cellPol
-}
-
-// SetCellFault installs a harness-fault hook consulted at the start of
-// every cell attempt: a non-nil return fails that attempt before the
-// cell runs. This is the injection point the chaos harness (package
-// harnesschaos) uses to simulate flaky and poison cells
-// deterministically; nil (the default) costs nothing.
-func SetCellFault(f func(spec Spec, attempt int) error) {
-	retryMu.Lock()
-	cellHook = f
-	retryMu.Unlock()
-}
-
-// CellFault returns the installed harness-fault hook, or nil.
-func CellFault() func(Spec, int) error {
-	retryMu.RLock()
-	defer retryMu.RUnlock()
-	return cellHook
-}
-
-// memBudget is the soft memory watermark in bytes (0 = unlimited).
-var memBudget atomic.Int64
-
-// SetMemoryBudget installs a soft memory watermark for sweeps: before a
-// fresh (non-journaled) cell starts, its projected exact-histogram
-// footprint times the worker-pool size is compared against the budget,
-// and a cell that would cross it is downgraded to the bounded streaming
-// recorder (~64KB fixed) instead. The downgrade is explicit — the
-// cell's CellResult and its archived Record both carry a marker — and
-// deterministic: it depends only on the spec and the configured
-// parallelism, never on allocator state, so a resumed sweep makes the
-// same decision. bytes <= 0 removes the watermark.
-func SetMemoryBudget(bytes int64) {
-	if bytes < 0 {
-		bytes = 0
-	}
-	memBudget.Store(bytes)
-}
-
-// MemoryBudget returns the soft memory watermark (0 = none).
-func MemoryBudget() int64 { return memBudget.Load() }
-
 // downgradeForBudget applies the memory watermark to one cell about to
 // run fresh, flipping it to the streaming recorder when its projected
 // exact-mode footprint across the worker pool would cross the budget.
 // Reports whether it downgraded.
-func downgradeForBudget(spec *Spec) bool {
-	b := MemoryBudget()
-	if b <= 0 || spec.Cfg.StreamingHist || StreamingDefault() {
+func (h *Harness) downgradeForBudget(spec *Spec) bool {
+	if h.MemoryBudget <= 0 || spec.Cfg.StreamingHist || h.Streaming {
 		return false
 	}
-	if server.EstimatedHistBytes(spec.Cfg)*int64(Parallelism()) <= b {
+	if server.EstimatedHistBytes(spec.Cfg)*int64(h.workers()) <= h.MemoryBudget {
 		return false
 	}
 	spec.Cfg.StreamingHist = true

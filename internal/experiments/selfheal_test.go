@@ -14,17 +14,6 @@ import (
 	"nmapsim/internal/server"
 )
 
-// resetSelfHeal restores the orchestration knobs a test touched.
-func resetSelfHeal(t *testing.T) {
-	t.Helper()
-	t.Cleanup(func() {
-		SetJournal(nil)
-		SetCellFault(nil)
-		SetCellRetry(HarnessRetry{})
-		SetMemoryBudget(0)
-	})
-}
-
 // TestHarnessRetryDelayShape pins the backoff to the workload
 // RetryConfig semantics one layer up: base × 2^(n-1), capped at 10×.
 func TestHarnessRetryDelayShape(t *testing.T) {
@@ -66,8 +55,8 @@ func TestHarnessRetryValidate(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Fatalf("%s: error %v does not name %q", c.name, err, c.want)
 		}
-		if SetCellRetry(c.pol) == nil {
-			t.Fatalf("%s: SetCellRetry accepted an invalid policy", c.name)
+		if _, err := (&Harness{CellRetry: c.pol}).RunSpecs(nil); err == nil {
+			t.Fatalf("%s: the harness ran under an invalid policy", c.name)
 		}
 	}
 }
@@ -76,17 +65,16 @@ func TestHarnessRetryValidate(t *testing.T) {
 // keeps failing must stop retrying once the wall-clock budget is spent,
 // with an error naming the deadline.
 func TestCellDeadlineBoundsRetries(t *testing.T) {
-	resetSelfHeal(t)
-	SetCellFault(func(Spec, int) error { return errors.New("always fails") })
-	if err := SetCellRetry(HarnessRetry{
-		MaxRetries: 1000,
-		Backoff:    20 * time.Millisecond,
-		Deadline:   50 * time.Millisecond,
-	}); err != nil {
-		t.Fatal(err)
+	h := &Harness{
+		CellFault: func(Spec, int) error { return errors.New("always fails") },
+		CellRetry: HarnessRetry{
+			MaxRetries: 1000,
+			Backoff:    20 * time.Millisecond,
+			Deadline:   50 * time.Millisecond,
+		},
 	}
 	start := time.Now()
-	out := runCellAttempts(context.Background(), cell{spec: Spec{Policy: "performance", Idle: "menu", Cfg: quickCfg()}})
+	out := h.runCellAttempts(context.Background(), cell{spec: Spec{Policy: "performance", Idle: "menu", Cfg: quickCfg()}})
 	attempts, err := out.Attempts, out.Err
 	if err == nil || !strings.Contains(err.Error(), "deadline") {
 		t.Fatalf("error %v does not name the deadline", err)
@@ -104,16 +92,13 @@ func TestCellDeadlineBoundsRetries(t *testing.T) {
 // cell must be reported (not silently skipped), and the good cells keep
 // their results.
 func TestQuarantineBadSpecKeepsSweepAlive(t *testing.T) {
-	resetSelfHeal(t)
-	if err := SetCellRetry(HarnessRetry{Quarantine: true}); err != nil {
-		t.Fatal(err)
-	}
+	h := &Harness{CellRetry: HarnessRetry{Quarantine: true}}
 	specs := []Spec{
 		{Policy: "performance", Idle: "menu", Cfg: quickCfg()},
 		{Policy: "no-such-policy", Idle: "menu", Cfg: quickCfg()},
 		{Policy: "ondemand", Idle: "menu", Cfg: quickCfg()},
 	}
-	cells, err := RunSpecsCtx(context.Background(), specs)
+	cells, err := h.RunSpecsCtx(context.Background(), specs)
 	if err != nil {
 		t.Fatalf("quarantine did not keep the sweep alive: %v", err)
 	}
@@ -135,15 +120,15 @@ func TestQuarantineBadSpecKeepsSweepAlive(t *testing.T) {
 // to the streaming recorder, explicitly marked, while a generous budget
 // leaves them exact.
 func TestMemoryBudgetDowngradesNewCells(t *testing.T) {
-	resetSelfHeal(t)
 	spec := Spec{Policy: "performance", Idle: "menu", Cfg: quickCfg()}
 	est := server.EstimatedHistBytes(spec.Cfg)
 	if est <= 0 {
 		t.Fatalf("EstimatedHistBytes = %d, want positive", est)
 	}
 
-	SetMemoryBudget(est * int64(Parallelism()) * 4)
-	cells, err := RunSpecsCtx(context.Background(), []Spec{spec})
+	generous := &Harness{}
+	generous.MemoryBudget = est * int64(generous.workers()) * 4
+	cells, err := generous.RunSpecsCtx(context.Background(), []Spec{spec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,8 +136,7 @@ func TestMemoryBudgetDowngradesNewCells(t *testing.T) {
 		t.Fatal("generous budget still downgraded the cell")
 	}
 
-	SetMemoryBudget(1)
-	cells, err = RunSpecsCtx(context.Background(), []Spec{spec})
+	cells, err = (&Harness{MemoryBudget: 1}).RunSpecsCtx(context.Background(), []Spec{spec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,18 +154,14 @@ func TestMemoryBudgetDowngradesNewCells(t *testing.T) {
 // the spec as *requested*, and a resume serves it back with the
 // streaming marker intact and identical quantiles.
 func TestDowngradedCellJournalRoundTrip(t *testing.T) {
-	resetSelfHeal(t)
 	spec := Spec{Policy: "performance", Idle: "menu", Cfg: quickCfg()}
 	path := filepath.Join(t.TempDir(), "sweep.journal")
 
-	SetMemoryBudget(1)
 	j, err := OpenJournal(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	SetJournal(j)
-	cells, err := RunSpecsCtx(context.Background(), []Spec{spec})
-	SetJournal(nil)
+	cells, err := (&Harness{MemoryBudget: 1, Journal: j}).RunSpecsCtx(context.Background(), []Spec{spec})
 	j.Close()
 	if err != nil {
 		t.Fatal(err)
@@ -201,9 +181,7 @@ func TestDowngradedCellJournalRoundTrip(t *testing.T) {
 	if j2.Len() != 1 {
 		t.Fatalf("journal holds %d cell(s), want 1", j2.Len())
 	}
-	SetJournal(j2)
-	cells2, err := RunSpecsCtx(context.Background(), []Spec{spec})
-	SetJournal(nil)
+	cells2, err := (&Harness{MemoryBudget: 1, Journal: j2}).RunSpecsCtx(context.Background(), []Spec{spec})
 	j2.Close()
 	if err != nil {
 		t.Fatal(err)
@@ -252,7 +230,6 @@ func (f *failingFile) Write(p []byte) (int, error) {
 // must surface as a descriptive error (never a panic) and must never
 // leave a half-written trailing record behind.
 func TestJournalErrorPaths(t *testing.T) {
-	resetSelfHeal(t)
 	t.Run("missing checkpoint directory", func(t *testing.T) {
 		_, err := OpenJournal(filepath.Join(t.TempDir(), "no", "such", "dir", "x.journal"))
 		if err == nil {
@@ -326,24 +303,20 @@ func TestJournalErrorPaths(t *testing.T) {
 		// Cancel while the second cell runs: the first cell's record is
 		// already durable; nothing may be half-written.
 		n := 0
-		SetCellFault(func(Spec, int) error {
+		h := &Harness{Parallel: 1, Journal: j, CellFault: func(Spec, int) error {
 			n++
 			if n == 2 {
 				cancel()
 			}
 			return nil
-		})
+		}}
 		defer cancel()
 		specs := make([]Spec, 3)
 		for i := range specs {
 			specs[i] = Spec{Policy: "performance", Idle: "menu", Cfg: quickCfg()}
 			specs[i].Cfg.RPS = 1000 * float64(i+1)
 		}
-		SetJournal(j)
-		withParallelism(t, 1, func() {
-			_, err = RunSpecsCtx(ctx, specs)
-		})
-		SetJournal(nil)
+		_, err = h.RunSpecsCtx(ctx, specs)
 		j.Close()
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("err = %v, want context.Canceled", err)
@@ -363,7 +336,6 @@ func TestJournalErrorPaths(t *testing.T) {
 // and requires the loader to serve it unchanged — pre-v2 journals must
 // resume without recomputation.
 func TestJournalV1StillLoads(t *testing.T) {
-	resetSelfHeal(t)
 	path := filepath.Join(t.TempDir(), "sweep.journal")
 	j, err := OpenJournal(path)
 	if err != nil {

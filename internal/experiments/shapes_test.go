@@ -16,7 +16,7 @@ import (
 
 func shapeRun(t *testing.T, prof *workload.Profile, lvl workload.Level, policy string) server.Result {
 	t.Helper()
-	res, err := Run(Spec{
+	res, err := new(Harness).Run(Spec{
 		Policy: policy,
 		Idle:   "menu",
 		Cfg: server.Config{
@@ -116,7 +116,7 @@ func TestShapeSleepPoliciesEnergyOrder(t *testing.T) {
 	}
 	prof := workload.Memcached()
 	run := func(idle string) server.Result {
-		res, err := Run(Spec{
+		res, err := new(Harness).Run(Spec{
 			Policy: "performance",
 			Idle:   idle,
 			Cfg: server.Config{
@@ -174,7 +174,7 @@ func TestShapeSwitchingLoadNMAPvsParties(t *testing.T) {
 	if testing.Short() {
 		t.Skip("shape tests are slow")
 	}
-	res, err := Fig16(Quick)
+	res, err := new(Harness).Fig16(Quick)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +201,7 @@ func TestShapePerRequestDVFSPaysReTransitions(t *testing.T) {
 	if testing.Short() {
 		t.Skip("shape tests are slow")
 	}
-	cells, err := AblationPerRequest(Quick)
+	cells, err := new(Harness).AblationPerRequest(Quick)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +241,7 @@ func TestShapeIntelPowersaveWithDisablePegsP0(t *testing.T) {
 	// 100% CC0 residency and always runs at P0 — so it satisfies the
 	// SLO (at performance-level energy).
 	prof := workload.Memcached()
-	res, err := Run(Spec{
+	res, err := new(Harness).Run(Spec{
 		Policy: "intel_powersave",
 		Idle:   "disable",
 		Cfg: server.Config{

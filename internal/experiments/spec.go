@@ -9,11 +9,9 @@ import (
 	"math"
 	"sync"
 
-	"nmapsim/internal/audit"
 	"nmapsim/internal/baselines"
 	"nmapsim/internal/core"
 	"nmapsim/internal/cpu"
-	"nmapsim/internal/faults"
 	"nmapsim/internal/governor"
 	"nmapsim/internal/server"
 	"nmapsim/internal/sim"
@@ -89,114 +87,24 @@ func ProfiledThresholds(profile *workload.Profile, seed uint64) core.Thresholds 
 		s.AttachPolicy(governor.NewStack(s.Eng, s.Proc, governor.Ondemand{Model: s.Cfg.Model}, 0))
 		prof := core.NewProfiler(s.Eng)
 		s.AddListener(prof)
-		guard(nil, s.Eng)
-		s.Run()
+		// No harness condition reaches this run — least of all a cell's
+		// wall-clock budget: thresholds from a cut-short profile would be
+		// cached for every later NMAP cell of the process. Unguarded and
+		// unaudited, the run cannot fail short of a model bug.
+		if _, err := s.Run(); err != nil {
+			panic(fmt.Sprintf("experiments: §4.2 profiling run failed: %v", err))
+		}
 		ent.th = prof.Thresholds()
 	})
 	return ent.th
 }
 
-// Package-level injection defaults: the fault/retry configuration the
-// CLIs set once from their -faults/-rto flags. Build applies them to
-// every spec that does not carry its own, so the whole figure harness
-// runs under injection without threading the config through every
-// signature. Both default to zero — no faults, no retries.
-var (
-	injMu     sync.RWMutex
-	injFaults faults.Config
-	injRetry  workload.RetryConfig
-)
-
-// SetInjection installs the package-default fault and retry
-// configuration applied to specs that do not set their own.
-func SetInjection(f faults.Config, r workload.RetryConfig) {
-	injMu.Lock()
-	injFaults, injRetry = f, r
-	injMu.Unlock()
-}
-
-// Injection returns the package-default fault and retry configuration.
-func Injection() (faults.Config, workload.RetryConfig) {
-	injMu.RLock()
-	defer injMu.RUnlock()
-	return injFaults, injRetry
-}
-
-// Package-level audit default (the CLIs' -audit flag): when on, Build
-// enables the invariant auditor on every spec that does not already
-// request it, and every audited run's report is merged into a package
-// tally for -audit-report.
-var (
-	audMu    sync.RWMutex
-	audOn    bool
-	audTally *audit.Report
-)
-
-// SetAudit installs the package-default audit switch.
-func SetAudit(on bool) {
-	audMu.Lock()
-	audOn = on
-	audMu.Unlock()
-}
-
-// AuditDefault reports the package-default audit switch.
-func AuditDefault() bool {
-	audMu.RLock()
-	defer audMu.RUnlock()
-	return audOn
-}
-
-// recordAudit merges one run's audit report into the package tally.
-func recordAudit(rep *audit.Report) {
-	if rep == nil {
-		return
-	}
-	audMu.Lock()
-	if audTally == nil {
-		audTally = &audit.Report{}
-	}
-	audTally.Merge(rep)
-	audMu.Unlock()
-}
-
-// AuditReport returns a snapshot of the merged audit tally across every
-// audited run so far, or nil when no audited run has finished.
-func AuditReport() *audit.Report {
-	audMu.RLock()
-	defer audMu.RUnlock()
-	return audTally.Clone()
-}
-
-// Package-level streaming-histogram default (the CLIs' -stream flag):
-// when on, Build records latencies into the bounded streaming-quantile
-// histogram on every spec that does not already request it. Streaming
-// runs trade exact order statistics for a fixed ~64KB footprint per
-// cell (see stats.StreamRelError), which is what fleet-scale sweeps
-// want; the exact default stays byte-identical to the seed.
-var (
-	streamMu sync.RWMutex
-	streamOn bool
-)
-
-// SetStreaming installs the package-default streaming-histogram switch.
-func SetStreaming(on bool) {
-	streamMu.Lock()
-	streamOn = on
-	streamMu.Unlock()
-}
-
-// StreamingDefault reports the package-default streaming-histogram
-// switch.
-func StreamingDefault() bool {
-	streamMu.RLock()
-	defer streamMu.RUnlock()
-	return streamOn
-}
-
 // Build assembles the server and its policy without running it, so
-// callers can attach tracers first. The spec's configuration is
-// validated here — an invalid NIC/kernel/CPU parameter surfaces as a
-// descriptive error instead of a panic deep inside the run.
+// callers can attach tracers first. It is a pure function of the spec:
+// no harness condition is folded in (a Harness does that to the cells it
+// runs). The spec's configuration is validated here — an invalid
+// NIC/kernel/CPU parameter surfaces as a descriptive error instead of a
+// panic deep inside the run.
 func Build(spec Spec) (*server.Server, error) {
 	return BuildOn(spec, nil)
 }
@@ -215,19 +123,6 @@ func BuildOn(spec Spec, eng *sim.Engine) (*server.Server, error) {
 	}
 
 	cfg := spec.Cfg
-	f, r := Injection()
-	if !cfg.Faults.Enabled() {
-		cfg.Faults = f
-	}
-	if !cfg.Retry.Enabled() {
-		cfg.Retry = r
-	}
-	if !cfg.Audit {
-		cfg.Audit = AuditDefault()
-	}
-	if !cfg.StreamingHist {
-		cfg.StreamingHist = StreamingDefault()
-	}
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -350,7 +245,7 @@ func ncapThreshold(p *workload.Profile) float64 {
 // Run runs one spec as a single cell. A watchdog or harness abort
 // mid-run — or, with auditing on, an invariant violation — surfaces as
 // an error alongside the partial result collected so far.
-func Run(spec Spec) (server.Result, error) {
-	out, _ := runCell(nil, cell{spec: spec})
+func (h *Harness) Run(spec Spec) (server.Result, error) {
+	out, _ := h.runCell(nil, cell{spec: spec})
 	return out.Result, out.Err
 }

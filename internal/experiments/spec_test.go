@@ -63,7 +63,7 @@ func TestNCAPSpecsForceChipWide(t *testing.T) {
 }
 
 func TestRunProducesResults(t *testing.T) {
-	res, err := Run(quickSpec("ondemand"))
+	res, err := new(Harness).Run(quickSpec("ondemand"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestProfiledThresholdsCached(t *testing.T) {
 }
 
 func TestTraceCapturesSeries(t *testing.T) {
-	tf, err := RunTrace(workload.Memcached(), workload.High, "ondemand", "menu",
+	tf, err := new(Harness).RunTrace(workload.Memcached(), workload.High, "ondemand", "menu",
 		100*sim.Millisecond, Quick)
 	if err != nil {
 		t.Fatal(err)

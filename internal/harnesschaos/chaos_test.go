@@ -42,18 +42,6 @@ func chaosSpecs() []experiments.Spec {
 	return specs
 }
 
-// resetHarness restores every package-level orchestration knob the test
-// touched, so chaos scenarios cannot leak into each other.
-func resetHarness(t *testing.T) {
-	t.Helper()
-	t.Cleanup(func() {
-		experiments.SetJournal(nil)
-		experiments.SetCellFault(nil)
-		experiments.SetCellRetry(experiments.HarnessRetry{})
-		experiments.SetMemoryBudget(0)
-	})
-}
-
 // render canonicalises sweep results for byte comparison.
 func render(t *testing.T, results []server.Result) []byte {
 	t.Helper()
@@ -67,7 +55,7 @@ func render(t *testing.T, results []server.Result) []byte {
 // reference runs the unfaulted, unjournaled sweep.
 func reference(t *testing.T, specs []experiments.Spec) []byte {
 	t.Helper()
-	res, err := experiments.RunSpecs(specs)
+	res, err := new(experiments.Harness).RunSpecs(specs)
 	if err != nil {
 		t.Fatalf("reference sweep: %v", err)
 	}
@@ -82,9 +70,7 @@ func resumeAndCompare(t *testing.T, path string, specs []experiments.Spec, ref [
 	if err != nil {
 		t.Fatalf("reopen journal: %v", err)
 	}
-	experiments.SetJournal(j)
-	cells, err := experiments.RunSpecsCtx(context.Background(), specs)
-	experiments.SetJournal(nil)
+	cells, err := (&experiments.Harness{Journal: j}).RunSpecsCtx(context.Background(), specs)
 	j.Close()
 	if err != nil {
 		t.Fatalf("resumed sweep: %v", err)
@@ -105,9 +91,7 @@ func journalPrefix(t *testing.T, path string, specs []experiments.Spec, n int) {
 	if err != nil {
 		t.Fatalf("open journal: %v", err)
 	}
-	experiments.SetJournal(j)
-	_, err = experiments.RunSpecsCtx(context.Background(), specs[:n])
-	experiments.SetJournal(nil)
+	_, err = (&experiments.Harness{Journal: j}).RunSpecsCtx(context.Background(), specs[:n])
 	j.Close()
 	if err != nil {
 		t.Fatalf("prefix sweep: %v", err)
@@ -118,7 +102,6 @@ func journalPrefix(t *testing.T, path string, specs []experiments.Spec, n int) {
 // cells journaled, then a torn fragment of a third. The resume must
 // drop the fragment and recompute only what is missing.
 func TestChaosKillMidSweep(t *testing.T) {
-	resetHarness(t)
 	specs := chaosSpecs()
 	ref := reference(t, specs)
 	path := filepath.Join(t.TempDir(), "sweep.journal")
@@ -139,7 +122,6 @@ func TestChaosKillMidSweep(t *testing.T) {
 // TestChaosTornLine truncates the journal mid-record after a clean
 // sweep: the torn tail must be detected, dropped, and recomputed.
 func TestChaosTornLine(t *testing.T) {
-	resetHarness(t)
 	specs := chaosSpecs()
 	ref := reference(t, specs)
 	path := filepath.Join(t.TempDir(), "sweep.journal")
@@ -161,7 +143,6 @@ func TestChaosTornLine(t *testing.T) {
 // TestChaosCorruptedCRC flips a byte inside a journaled record: the
 // checksum must reject the record and the resume recomputes that cell.
 func TestChaosCorruptedCRC(t *testing.T) {
-	resetHarness(t)
 	specs := chaosSpecs()
 	ref := reference(t, specs)
 	path := filepath.Join(t.TempDir(), "sweep.journal")
@@ -183,7 +164,6 @@ func TestChaosCorruptedCRC(t *testing.T) {
 // TestChaosDuplicatedLine replays a journal record: the duplicated
 // sequence number must be detected and the duplicate dropped.
 func TestChaosDuplicatedLine(t *testing.T) {
-	resetHarness(t)
 	specs := chaosSpecs()
 	ref := reference(t, specs)
 	path := filepath.Join(t.TempDir(), "sweep.journal")
@@ -206,21 +186,17 @@ func TestChaosDuplicatedLine(t *testing.T) {
 // retry policy must carry it to success with results byte-identical to
 // a run that never failed.
 func TestChaosFlakyCellRecovered(t *testing.T) {
-	resetHarness(t)
 	specs := chaosSpecs()
 	ref := reference(t, specs)
 
 	target := specs[1].Cfg.RPS
-	experiments.SetCellFault(FailingCells(func(s experiments.Spec) bool {
-		return s.Cfg.RPS == target
-	}, 2))
-	if err := experiments.SetCellRetry(experiments.HarnessRetry{
-		MaxRetries: 3,
-		Backoff:    time.Millisecond,
-	}); err != nil {
-		t.Fatal(err)
+	h := &experiments.Harness{
+		CellFault: FailingCells(func(s experiments.Spec) bool {
+			return s.Cfg.RPS == target
+		}, 2),
+		CellRetry: experiments.HarnessRetry{MaxRetries: 3, Backoff: time.Millisecond},
 	}
-	cells, err := experiments.RunSpecsCtx(context.Background(), specs)
+	cells, err := h.RunSpecsCtx(context.Background(), specs)
 	if err != nil {
 		t.Fatalf("flaky sweep did not recover: %v", err)
 	}
@@ -244,28 +220,23 @@ func TestChaosFlakyCellRecovered(t *testing.T) {
 // cell explicitly, keep it out of the journal, and heal completely on a
 // fault-free resume.
 func TestChaosPoisonCellQuarantined(t *testing.T) {
-	resetHarness(t)
 	specs := chaosSpecs()
 	ref := reference(t, specs)
 	path := filepath.Join(t.TempDir(), "sweep.journal")
 
 	target := specs[1].Cfg.RPS
-	experiments.SetCellFault(FailingCells(func(s experiments.Spec) bool {
-		return s.Cfg.RPS == target
-	}, -1))
-	if err := experiments.SetCellRetry(experiments.HarnessRetry{
-		MaxRetries: 1,
-		Quarantine: true,
-	}); err != nil {
-		t.Fatal(err)
-	}
 	j, err := experiments.OpenJournal(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	experiments.SetJournal(j)
-	cells, err := experiments.RunSpecsCtx(context.Background(), specs)
-	experiments.SetJournal(nil)
+	h := &experiments.Harness{
+		Journal: j,
+		CellFault: FailingCells(func(s experiments.Spec) bool {
+			return s.Cfg.RPS == target
+		}, -1),
+		CellRetry: experiments.HarnessRetry{MaxRetries: 1, Quarantine: true},
+	}
+	cells, err := h.RunSpecsCtx(context.Background(), specs)
 	j.Close()
 	if err != nil {
 		t.Fatalf("quarantine did not keep the sweep alive: %v", err)
@@ -290,8 +261,6 @@ func TestChaosPoisonCellQuarantined(t *testing.T) {
 	}
 
 	// The poison cell must not be journaled; a fault-free resume heals.
-	experiments.SetCellFault(nil)
-	experiments.SetCellRetry(experiments.HarnessRetry{})
 	resumeAndCompare(t, path, specs, ref)
 }
 
@@ -300,7 +269,6 @@ func TestChaosPoisonCellQuarantined(t *testing.T) {
 // ErrJournalWrite exactly once, leave no half-written record behind,
 // and resume to byte-identity once space is back.
 func TestChaosENOSPC(t *testing.T) {
-	resetHarness(t)
 	specs := chaosSpecs()
 	ref := reference(t, specs)
 
@@ -322,9 +290,7 @@ func TestChaosENOSPC(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	experiments.SetJournal(j)
-	cells, err := experiments.RunSpecsCtx(context.Background(), specs)
-	experiments.SetJournal(nil)
+	cells, err := (&experiments.Harness{Journal: j}).RunSpecsCtx(context.Background(), specs)
 	j.Close()
 	if !errors.Is(err, experiments.ErrJournalWrite) {
 		t.Fatalf("full disk not surfaced as ErrJournalWrite: %v", err)

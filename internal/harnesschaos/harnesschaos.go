@@ -117,11 +117,10 @@ func writeLines(path string, ls [][]byte) error {
 
 // --- Flaky and poison cells ----------------------------------------------
 
-// FailingCells builds a cell-fault hook for experiments.SetCellFault:
-// every cell matching match fails its first n attempts (n < 0: every
-// attempt — a poison cell). Attempt counting is per sweep invocation,
-// tracked by spec hash, so the injection is deterministic under any
-// worker-pool interleaving.
+// FailingCells builds a hook for experiments.Harness.CellFault: every
+// cell matching match fails its first n attempts (n < 0: every attempt —
+// a poison cell). Attempts are counted per hook, keyed by spec hash, so
+// the injection is deterministic under any worker-pool interleaving.
 func FailingCells(match func(experiments.Spec) bool, n int) func(experiments.Spec, int) error {
 	var mu sync.Mutex
 	fails := map[string]int{}
@@ -132,7 +131,7 @@ func FailingCells(match func(experiments.Spec) bool, n int) func(experiments.Spe
 		if n < 0 {
 			return fmt.Errorf("harnesschaos: poison cell (attempt %d)", attempt)
 		}
-		key := experiments.SpecHash(spec)
+		key := new(experiments.Harness).SpecHash(spec)
 		mu.Lock()
 		defer mu.Unlock()
 		if fails[key] >= n {

@@ -145,7 +145,7 @@ func (s Scenario) Run() (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	res, err := experiments.Run(spec)
+	res, err := new(experiments.Harness).Run(spec)
 	if err != nil {
 		return Result{}, err
 	}
