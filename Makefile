@@ -120,13 +120,17 @@ profile:
 	rm -f .prof-nmapsim
 	@echo "wrote cpu.prof and mem.prof (view with: go tool pprof cpu.prof)"
 
-# Fuzz smoke: replay the checked-in corpus, let the native fuzzer mutate
-# for a few seconds, then push 200 fresh random configurations through
-# the auditor with the standalone driver. Any invariant violation fails
-# the build and leaves a minimized reproducer in fuzz-failures/.
+# Fuzz smoke: replay the checked-in corpus, let the native fuzzers mutate
+# for a few seconds each (the auditor's configurations, then the calendar
+# queue against the reference binary heap), then push 200 fresh random
+# configurations through the auditor with cmd/nmapfuzz. Any
+# invariant violation or firing-order divergence fails the build and
+# leaves a minimized reproducer in fuzz-failures/ or the package's
+# testdata/fuzz.
 fuzz-smoke:
 	$(GO) test -count=1 -run 'TestSeedCorpusClean|FuzzAuditInvariants' ./internal/fuzzer/
 	$(GO) test -run '^$$' -fuzz FuzzAuditInvariants -fuzztime 10s ./internal/fuzzer/
+	$(GO) test -run '^$$' -fuzz FuzzSchedulerEquivalence -fuzztime 10s ./internal/sim/
 	$(GO) run ./cmd/nmapfuzz -n 200 -seed 1
 
 # Record a fresh PGO profile from the representative fig12-quick run.

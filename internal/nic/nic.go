@@ -80,7 +80,7 @@ func DefaultConfig(queues int) Config {
 // the leading cache line; timer plumbing and failure-mode counters that
 // are touched per-interrupt or per-fault trail behind.
 type queue struct {
-	ring      []*Packet
+	ring      sim.FIFO[*Packet]
 	batch     []*Packet // reusable Poll return buffer
 	nextIRQ   sim.Time  // earliest instant ITR allows the next interrupt
 	txPending int       // Tx completions awaiting softirq cleaning
@@ -306,7 +306,7 @@ func (n *NIC) dmaLand(a any) {
 		n.PutPacket(p)
 		return
 	}
-	if len(qu.ring) >= n.cfg.RingSize {
+	if qu.ring.Len() >= n.cfg.RingSize {
 		qu.drops++
 		n.aud.RingDrop()
 		if n.OnRxDrop != nil {
@@ -317,7 +317,7 @@ func (n *NIC) dmaLand(a any) {
 	}
 	p.Arrived = n.eng.Now()
 	n.aud.RingAccept()
-	qu.ring = append(qu.ring, p)
+	qu.ring.Push(p)
 	n.maybeInterrupt(q)
 }
 
@@ -329,7 +329,7 @@ func (n *NIC) maybeInterrupt(q int) {
 	if qu.offline || qu.stalled {
 		return
 	}
-	if !qu.irqEnabled || n.handler[q] == nil || (len(qu.ring) == 0 && qu.txPending == 0) {
+	if !qu.irqEnabled || n.handler[q] == nil || (qu.ring.Len() == 0 && qu.txPending == 0) {
 		return
 	}
 	now := n.eng.Now()
@@ -364,23 +364,14 @@ func (n *NIC) Poll(q, max int) []*Packet {
 	if qu.offline || qu.stalled {
 		return qu.batch[:0]
 	}
-	if max > len(qu.ring) {
-		max = len(qu.ring)
-	}
+	max = min(max, qu.ring.Len())
 	n.aud.Polled(max)
-	qu.batch = append(qu.batch[:0], qu.ring[:max]...)
-	// Shift the remainder down in place (no fresh backing array) and
-	// clear the vacated tail so the ring never pins recycled records.
-	rest := copy(qu.ring, qu.ring[max:])
-	for i := rest; i < len(qu.ring); i++ {
-		qu.ring[i] = nil
-	}
-	qu.ring = qu.ring[:rest]
+	qu.batch = qu.ring.PopN(qu.batch[:0], max)
 	return qu.batch
 }
 
 // QueueLen returns the occupancy of ring q.
-func (n *NIC) QueueLen(q int) int { return len(n.qs[q].ring) }
+func (n *NIC) QueueLen(q int) int { return n.qs[q].ring.Len() }
 
 // EnableIRQ unmasks interrupts on queue q (NAPI complete). If packets
 // arrived while masked, the interrupt logic re-runs immediately.
@@ -462,7 +453,7 @@ func (n *NIC) HasWork(q int) bool {
 	if n.qs[q].offline || n.qs[q].stalled {
 		return false
 	}
-	return len(n.qs[q].ring) > 0 || n.qs[q].txPending > 0
+	return n.qs[q].ring.Len() > 0 || n.qs[q].txPending > 0
 }
 
 // OfflineQueue hard-fails queue q: its interrupt is torn down, the RSS
@@ -479,16 +470,15 @@ func (n *NIC) OfflineQueue(q int) {
 	n.offlineCount++
 	qu.irqEnabled = false
 	qu.irqTimer.Cancel()
-	for i, p := range qu.ring {
+	for qu.ring.Len() > 0 {
+		p := qu.ring.Pop()
 		qu.crashFails++
 		n.aud.RingCrashFail()
 		if n.OnRxDrop != nil {
 			n.OnRxDrop(p)
 		}
 		n.PutPacket(p)
-		qu.ring[i] = nil
 	}
-	qu.ring = qu.ring[:0]
 }
 
 // OnlineQueue brings a failed-over queue back: the re-steer table entry

@@ -36,12 +36,19 @@ package sim
 //
 // Calibration: the queue sizes itself to the observed event-horizon
 // distribution. Enqueues feed an integer EWMA of the scheduling horizon
-// (ev.at - now); the rung count tracks the live event count and the
-// rung width tracks the average inter-event gap (horizon over live
-// count), the classic calendar-queue operating point of ~1 event per
-// occupied rung. Recalibration triggers on occupancy bounds and on
-// horizon drift, rebuilds in O(n), and is driven purely by queue state
-// — never by wall clock — so it is deterministic and replay-safe.
+// (ev.at - now); the rung width tracks the average inter-event gap
+// (horizon over live count) and the rung count tracks rungsPerEvent
+// times the live count, so the insert window spans ~rungsPerEvent mean
+// horizons. The window must cover the horizon distribution's tail, not
+// its mean: a response's 48 Tx segments land 2–58µs out, and a window of
+// two mean horizons pushed 20–29% of all fired events through the
+// overflow ladder and back. Most rungs are empty at this operating point, which
+// costs one bit each in the occupancy scan. A rebuild anchors the window
+// at the earliest pending event, so the cached minimum is always
+// rung-resident. Recalibration triggers on occupancy bounds (4x either
+// side of the target) and on horizon drift, rebuilds in O(n), and is
+// driven purely by queue state — never by wall clock — so it is
+// deterministic and replay-safe.
 //
 // Occupancy bitmap: one uint64 word summarizes 64 rungs (bit set ⇔ rung
 // list non-empty), maintained by the O(1) rung link/unlink paths. The
@@ -73,6 +80,15 @@ const (
 	maxHorizonSample = 1 << 26
 	// recalPeriod masks the fired counter for the periodic drift check.
 	recalPeriod = 1<<12 - 1
+	// rungsPerEvent is the calibrated rung count per live event (see
+	// Calibration above). 8 and 16 tie on wall time; 16 leaves 0.05% of
+	// high-load memcached's events in the overflow ladder, 8 leaves
+	// 1.5%.
+	rungsPerEvent = 16
+	// rebuildBand is the rung-count hysteresis: a rebuild runs once the
+	// rung-resident count drifts this factor either side of
+	// nb/rungsPerEvent.
+	rebuildBand = 4
 )
 
 // Sentinel values for event.bkt.
@@ -129,7 +145,7 @@ func (e *Engine) enqueue(ev *event) {
 			// scan.
 			e.minEv = ev
 		}
-		if e.nshort > 2*len(e.buckets) && len(e.buckets) < maxBuckets {
+		if e.tooFull() {
 			e.calibrate()
 		}
 	}
@@ -195,7 +211,7 @@ func (e *Engine) dequeue(ev *event) {
 		return
 	}
 	e.bucketRemove(ev)
-	if nb := len(e.buckets); nb > minBuckets && e.nshort < nb/8 {
+	if e.tooSparse() {
 		e.calibrate()
 	}
 }
@@ -313,13 +329,13 @@ func (e *Engine) advanceWindow() {
 		ev := e.overRemove(0)
 		e.bucketPut(ev, int64(ev.at)>>e.shift)
 	}
-	if e.nshort > 2*len(e.buckets) && len(e.buckets) < maxBuckets {
+	if e.tooFull() {
 		e.calibrate()
 	}
 }
 
 // maybeRecalibrate is the periodic drift check (every 4096 fires): a
-// rebuild runs when the rung count is far off the live event count or
+// rebuild runs when the rung count is far off its target or
 // the rung width is ≥4x off the horizon EWMA's ideal. Pure queue state,
 // no wall clock — deterministic.
 func (e *Engine) maybeRecalibrate() {
@@ -332,11 +348,23 @@ func (e *Engine) maybeRecalibrate() {
 	if d < 0 {
 		d = -d
 	}
-	if d >= 2 ||
-		(nb > minBuckets && e.nshort < nb/8) ||
-		(nb < maxBuckets && e.nshort > 2*nb) {
+	if d >= 2 || e.tooSparse() || e.tooFull() {
 		e.calibrate()
 	}
+}
+
+// tooFull reports whether the rung-resident count has grown past the
+// rebuild band (and the rung count can still grow).
+func (e *Engine) tooFull() bool {
+	nb := len(e.buckets)
+	return nb < maxBuckets && rungsPerEvent*e.nshort > rebuildBand*nb
+}
+
+// tooSparse reports whether the rung-resident count has fallen below
+// the rebuild band (and the rung count can still shrink).
+func (e *Engine) tooSparse() bool {
+	nb := len(e.buckets)
+	return nb > minBuckets && rebuildBand*rungsPerEvent*e.nshort < nb
 }
 
 // idealShift picks the rung width (log2 ns) tracking the average
@@ -361,10 +389,11 @@ func (e *Engine) idealShift(n int64) uint {
 }
 
 // calibrate rebuilds the calendar to the current event population:
-// rung count tracking the live count, width from the horizon EWMA, the
-// window re-anchored at the earliest pending event. O(n); event records
-// are relinked in place and the rung-head array only grows past its
-// high-water mark, so steady-state rebuilds never allocate.
+// rung count tracking rungsPerEvent times the live count, width from
+// the horizon EWMA, the window anchored at the earliest pending event.
+// O(n); event records are relinked in place and the rung-head array
+// only grows past its high-water mark, so steady-state rebuilds never
+// allocate.
 func (e *Engine) calibrate() {
 	all := e.scratch[:0]
 	// The occupancy bitmap names exactly the non-empty rungs, so the
@@ -393,7 +422,7 @@ func (e *Engine) calibrate() {
 	e.over = e.over[:0]
 
 	nb := minBuckets
-	for nb < maxBuckets && nb < 2*len(all) {
+	for nb < maxBuckets && nb < rungsPerEvent*len(all) {
 		nb <<= 1
 	}
 	if nb > len(e.allRungs) {
@@ -405,10 +434,16 @@ func (e *Engine) calibrate() {
 	e.mask = int64(nb - 1)
 	e.shift = e.idealShift(int64(len(all)))
 
+	// Anchor at the earliest pending event, not at the clock: a window
+	// anchored at now can leave every pending event beyond winEnd, and
+	// the cached minimum must be rung-resident for fire to unlink it.
 	lo := e.now
-	for _, ev := range all {
-		if ev.at < lo {
-			lo = ev.at
+	if len(all) > 0 {
+		lo = all[0].at
+		for _, ev := range all[1:] {
+			if ev.at < lo {
+				lo = ev.at
+			}
 		}
 	}
 	e.curVb = int64(lo) >> e.shift
@@ -438,6 +473,7 @@ func (e *Engine) calibrate() {
 // stays small and its O(log n) is paid rarely.
 
 func (e *Engine) overPush(ev *event) {
+	e.overPushes++
 	ev.bkt = bktOverflow
 	ev.slot = int32(len(e.over))
 	e.over = append(e.over, ev)

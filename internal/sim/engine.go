@@ -186,6 +186,9 @@ type Engine struct {
 	over     []*event
 	ewmaH    int64
 	scratch  []*event
+	// overPushes counts pushes onto the overflow ladder, rebuilds
+	// included: the ladder traffic the window sizing exists to avoid.
+	overPushes uint64
 
 	free []*event
 

@@ -8,8 +8,8 @@ import (
 // This file pins the calendar queue to the seed engine's binary-heap
 // scheduler with a randomized equivalence test: both schedulers are
 // driven with identical schedule / cancel / reschedule streams —
-// including stale-handle no-ops, same-instant bursts, far-future
-// overflow events, and pool reuse — and must produce identical firing
+// including stale-handle no-ops, same-instant bursts, 48-segment Tx
+// bursts, far-future overflow events, and pool reuse — and must produce identical firing
 // order and Pending() counts at every step.
 //
 // refHeap below is the seed's hand-inlined binary heap (O(log n) sift,
@@ -304,7 +304,7 @@ func TestSchedulerEquivalence(t *testing.T) {
 			switch op := rng.Intn(16); {
 			case op < 9: // schedule with a mixed-horizon delta
 				var d int64
-				switch rng.Intn(8) {
+				switch rng.Intn(9) {
 				case 0: // same-instant burst
 					d = 0
 				case 1, 2, 3: // short ITR/poll-tick horizon
@@ -313,8 +313,14 @@ func TestSchedulerEquivalence(t *testing.T) {
 					d = rng.Int63n(1 << 16)
 				case 6: // long
 					d = rng.Int63n(1 << 22)
-				default: // far future: lands in the overflow ladder
+				case 7: // far future: lands in the overflow ladder
 					d = rng.Int63n(1 << 30)
+				default: // a response's 48 Tx segments, 1µs + i·1.2µs out
+					for seg := 1; seg < 48; seg++ {
+						tr.schedule(tr.eng.Now()+Time(Microsecond+Duration(seg)*1200), nextID, false)
+						nextID++
+					}
+					d = int64(Microsecond + 48*1200)
 				}
 				at := tr.eng.Now() + Time(d)
 				if rng.Intn(32) == 0 {
