@@ -277,20 +277,20 @@ func runFig1415(h *experiments.Harness, q experiments.Quality) error {
 	return nil
 }
 
-// parseInjection parses the -faults/-rto/-retries flags into the fault
-// and retry configuration every experiment cell inherits.
-func parseInjection() (faults.Config, workload.RetryConfig, error) {
-	fcfg, err := faults.ParseSpec(*faultSpec)
+// parseInjection parses the -faults/-rto/-retries flag values into the
+// fault and retry configuration every experiment cell inherits.
+func parseInjection(spec string, rto time.Duration, retries int) (faults.Config, workload.RetryConfig, error) {
+	fcfg, err := faults.ParseSpec(spec)
 	if err != nil {
 		return fcfg, workload.RetryConfig{}, err
 	}
 	var rcfg workload.RetryConfig
-	if *rto > 0 {
+	if rto > 0 {
 		rcfg = workload.RetryConfig{
 			Timeout:    sim.Duration(rto.Nanoseconds()),
-			MaxRetries: *retries,
+			MaxRetries: retries,
 		}
-	} else if *retries != 0 {
+	} else if retries != 0 {
 		return fcfg, rcfg, fmt.Errorf("-retries needs -rto to enable the retry loop")
 	}
 	return fcfg, rcfg, rcfg.Validate()
@@ -309,14 +309,21 @@ func printAuditReport(h *experiments.Harness) {
 
 func main() {
 	flag.Parse()
-	if err := validateFlags(simFlags{parallel: *parallel, cellTimeout: *cellTimeout}); err != nil {
+	usage := func(err error) {
 		fmt.Fprintf(os.Stderr, "nmapsim: %v\n", err)
 		os.Exit(2)
+	}
+	if err := validateFlags(simFlags{parallel: *parallel, cellTimeout: *cellTimeout}); err != nil {
+		usage(err)
 	}
 	h := &experiments.Harness{
 		Parallel:   *parallel,
 		Audit:      *auditOn || *auditReport,
 		RunTimeout: *cellTimeout,
+	}
+	var err error
+	if h.Faults, h.Retry, err = parseInjection(*faultSpec, *rto, *retries); err != nil {
+		usage(err)
 	}
 	fail := func(err error) {
 		fmt.Fprintf(os.Stderr, "nmapsim: %v\n", err)
@@ -338,10 +345,6 @@ func main() {
 	}
 	defer writeMemProfile(*memprofile)
 	defer printAuditReport(h)
-	var err error
-	if h.Faults, h.Retry, err = parseInjection(); err != nil {
-		fail(err)
-	}
 	if *list || flag.NArg() == 0 {
 		fmt.Println("available experiments:")
 		for _, e := range catalog {

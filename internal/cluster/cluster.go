@@ -290,16 +290,10 @@ func New(cfg Config, setup NodeSetup) (*Cluster, error) {
 	if cfg.FleetPowerCapW > 0 {
 		c.cap = &powerCap{c: c, capW: cfg.FleetPowerCapW}
 	}
-	// The cluster arms only the node- and link-level fault classes; each
-	// node's own injector arms the per-core classes, so nothing is armed
-	// twice.
-	if nf := (faults.Config{
-		NodeCrashes: cfg.Node.Faults.NodeCrashes, NodeSlows: cfg.Node.Faults.NodeSlows,
-		Partitions: cfg.Node.Faults.Partitions, LinkSlows: cfg.Node.Faults.LinkSlows,
-		LinkLosses: cfg.Node.Faults.LinkLosses,
-	}); nf.Enabled() {
-		c.inj = faults.New(nf, sim.NewRNG(cfg.Node.Seed^0x9e3779b97f4a7c15))
-	}
+	// The cluster's injector arms only the node- and link-level fault
+	// classes (see Start), which draw nothing from its PRNG; each node's
+	// own injector arms the per-core classes, so nothing is armed twice.
+	c.inj = faults.New(cfg.Node.Faults, sim.NewRNG(cfg.Node.Seed^0x9e3779b97f4a7c15))
 	// The front end is node 0's generator rewired through the router:
 	// the offered load is generated exactly once for the whole fleet.
 	c.Nodes[0].Srv.Gen.Deliver = c.router.route
@@ -367,30 +361,8 @@ func validate(cfg Config) error {
 			return fmt.Errorf("cluster: hedge Min %v exceeds Max %v", cfg.Hedge.Min, cfg.Hedge.Max)
 		}
 	}
-	for _, nc := range cfg.Node.Faults.NodeCrashes {
-		if nc.Node >= cfg.Nodes {
-			return fmt.Errorf("cluster: nodecrash node %d out of range for %d nodes", nc.Node, cfg.Nodes)
-		}
-	}
-	for _, ns := range cfg.Node.Faults.NodeSlows {
-		if ns.Node >= cfg.Nodes {
-			return fmt.Errorf("cluster: nodeslow node %d out of range for %d nodes", ns.Node, cfg.Nodes)
-		}
-	}
-	for _, p := range cfg.Node.Faults.Partitions {
-		if p.Node >= cfg.Nodes {
-			return fmt.Errorf("cluster: partition node %d out of range for %d nodes", p.Node, cfg.Nodes)
-		}
-	}
-	for _, ls := range cfg.Node.Faults.LinkSlows {
-		if ls.Node >= cfg.Nodes {
-			return fmt.Errorf("cluster: linkslow node %d out of range for %d nodes", ls.Node, cfg.Nodes)
-		}
-	}
-	for _, ll := range cfg.Node.Faults.LinkLosses {
-		if ll.Node >= cfg.Nodes {
-			return fmt.Errorf("cluster: linkloss node %d out of range for %d nodes", ll.Node, cfg.Nodes)
-		}
+	if err := cfg.Node.Faults.CheckTargets(0, cfg.Nodes); err != nil {
+		return fmt.Errorf("cluster: %w", err)
 	}
 	return cfg.Node.Validate()
 }

@@ -236,18 +236,15 @@ func (n *NMAP) CoreAdopted(coreID int) {
 // wakes and falls back when ksoftirqd sleeps, requiring no thresholds or
 // profiling.
 type NMAPSimpl struct {
-	eng   *sim.Engine
 	proc  *cpu.Processor
 	stack *governor.Stack
 
 	cores []*nmapCore
-	// OnModeChange, if set, observes every mode transition.
-	OnModeChange func(coreID int, m Mode, at sim.Time)
 }
 
 // NewNMAPSimpl builds the simplified governor over the fallback stack.
-func NewNMAPSimpl(eng *sim.Engine, proc *cpu.Processor, stack *governor.Stack) *NMAPSimpl {
-	n := &NMAPSimpl{eng: eng, proc: proc, stack: stack}
+func NewNMAPSimpl(proc *cpu.Processor, stack *governor.Stack) *NMAPSimpl {
+	n := &NMAPSimpl{proc: proc, stack: stack}
 	for range proc.Cores {
 		n.cores = append(n.cores, &nmapCore{mode: CPUUtilMode})
 	}
@@ -282,9 +279,6 @@ func (n *NMAPSimpl) KsoftirqdWake(coreID int) {
 	c.boosts++
 	n.stack.Suspend(coreID)
 	n.proc.Request(coreID, 0)
-	if n.OnModeChange != nil {
-		n.OnModeChange(coreID, NetworkIntensiveMode, n.eng.Now())
-	}
 }
 
 // KsoftirqdSleep implements kernel.NAPIListener: fall back.
@@ -296,9 +290,6 @@ func (n *NMAPSimpl) KsoftirqdSleep(coreID int) {
 	c.mode = CPUUtilMode
 	c.fallbacks++
 	n.stack.Resume(coreID)
-	if n.OnModeChange != nil {
-		n.OnModeChange(coreID, CPUUtilMode, n.eng.Now())
-	}
 }
 
 // CoreOffline implements the server's failure-aware protocol (see

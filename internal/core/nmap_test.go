@@ -156,7 +156,7 @@ func TestNMAPSimplFollowsKsoftirqd(t *testing.T) {
 	eng := sim.NewEngine()
 	proc := cpu.NewProcessor(cpu.XeonGold6134, eng, sim.NewRNG(1))
 	stack := governor.NewStack(eng, proc, governor.Ondemand{Model: cpu.XeonGold6134}, 10*sim.Millisecond)
-	n := NewNMAPSimpl(eng, proc, stack)
+	n := NewNMAPSimpl(proc, stack)
 	n.Start()
 	n.KsoftirqdWake(3)
 	if n.Mode(3) != NetworkIntensiveMode {

@@ -56,6 +56,11 @@ var goldenCases = []goldenCase{
 		fig, err := h.FigCluster(Quick, 3, "rr", false)
 		return RenderCluster(fig) + "\n", err
 	}},
+	// nmapsim -quick -audit -nodes 3 fig-grayfail
+	{file: "fig-grayfail-audit-nodes3.txt", audit: true, stdout: func(h *Harness) (string, error) {
+		fig, err := h.FigGrayFail(Quick, 3, "rr")
+		return RenderGrayFail(fig) + "\n", err
+	}},
 	// nmapreport -seeds 1 -dur 100
 	{file: "nmapreport-seeds1-dur100.json", stdout: func(h *Harness) (string, error) {
 		var specs []Spec

@@ -185,7 +185,7 @@ func BuildOn(spec Spec, eng *sim.Engine) (*server.Server, error) {
 		s.AddListener(n)
 		s.AttachPolicy(n)
 	case "nmap-simpl":
-		n := core.NewNMAPSimpl(s.Eng, s.Proc, newStack(governor.Ondemand{Model: m}))
+		n := core.NewNMAPSimpl(s.Proc, newStack(governor.Ondemand{Model: m}))
 		s.AddListener(n)
 		s.AttachPolicy(n)
 	case "nmap-online":

@@ -229,94 +229,41 @@ func (c Config) Validate() error {
 	if c.ThrottlePState < 0 {
 		return fmt.Errorf("faults: negative throttle P-state %d", c.ThrottlePState)
 	}
-	for _, cc := range c.CoreCrashes {
-		if cc.Core < 0 {
-			return fmt.Errorf("faults: negative corecrash core %d", cc.Core)
-		}
-		if cc.At < 0 {
-			return fmt.Errorf("faults: negative corecrash time %v", cc.At)
-		}
-		if cc.Duration < 0 {
-			return fmt.Errorf("faults: negative corecrash duration %v", cc.Duration)
+	for _, k := range classes {
+		for _, e := range k.list(&c) {
+			if err := k.check(e); err != nil {
+				return err
+			}
 		}
 	}
-	for _, qs := range c.QueueStalls {
-		if qs.Queue < 0 {
-			return fmt.Errorf("faults: negative queuestall queue %d", qs.Queue)
+	return nil
+}
+
+// CheckTargets rejects scheduled faults aimed past the assembly: core and
+// queue targets against a server's cores, node and link targets against
+// a fleet's nodes (a zero bound skips them), and permanent core crashes
+// that would leave no distinct core alive. Callers prefix the error.
+func (c Config) CheckTargets(cores, nodes int) error {
+	dead := map[int]bool{} // the server skips an already-dead core: count distinct ones
+	for _, k := range classes {
+		bound := cores
+		if k.noun == "node" {
+			bound = nodes
 		}
-		if qs.At < 0 {
-			return fmt.Errorf("faults: negative queuestall time %v", qs.At)
+		if bound == 0 {
+			continue
 		}
-		if qs.Duration <= 0 {
-			return fmt.Errorf("faults: queuestall needs a positive duration, got %v", qs.Duration)
-		}
-	}
-	for _, nc := range c.NodeCrashes {
-		if nc.Node < 0 {
-			return fmt.Errorf("faults: negative nodecrash node %d", nc.Node)
-		}
-		if nc.At < 0 {
-			return fmt.Errorf("faults: negative nodecrash time %v", nc.At)
-		}
-		if nc.Duration < 0 {
-			return fmt.Errorf("faults: negative nodecrash duration %v", nc.Duration)
-		}
-	}
-	for _, ns := range c.NodeSlows {
-		if ns.Node < 0 {
-			return fmt.Errorf("faults: negative nodeslow node %d", ns.Node)
-		}
-		if ns.At < 0 {
-			return fmt.Errorf("faults: negative nodeslow time %v", ns.At)
-		}
-		if ns.Duration <= 0 {
-			return fmt.Errorf("faults: nodeslow needs a positive duration, got %v", ns.Duration)
-		}
-		if ns.Factor <= 1 {
-			return fmt.Errorf("faults: nodeslow factor must be > 1, got %g", ns.Factor)
+		for _, e := range k.list(&c) {
+			if e.target >= bound {
+				return fmt.Errorf("%s %s %d out of range for %d %ss", k.key, k.noun, e.target, bound, k.noun)
+			}
+			if k == coreCrashes && e.dur == 0 {
+				dead[e.target] = true
+			}
 		}
 	}
-	for _, p := range c.Partitions {
-		if p.Node < 0 {
-			return fmt.Errorf("faults: negative partition node %d", p.Node)
-		}
-		if p.Dir > LinkRx {
-			return fmt.Errorf("faults: unknown partition direction %d", p.Dir)
-		}
-		if p.At < 0 {
-			return fmt.Errorf("faults: negative partition time %v", p.At)
-		}
-		if p.Duration < 0 {
-			return fmt.Errorf("faults: negative partition duration %v", p.Duration)
-		}
-	}
-	for _, ls := range c.LinkSlows {
-		if ls.Node < 0 {
-			return fmt.Errorf("faults: negative linkslow node %d", ls.Node)
-		}
-		if ls.At < 0 {
-			return fmt.Errorf("faults: negative linkslow time %v", ls.At)
-		}
-		if ls.Duration <= 0 {
-			return fmt.Errorf("faults: linkslow needs a positive duration, got %v", ls.Duration)
-		}
-		if ls.Factor <= 1 {
-			return fmt.Errorf("faults: linkslow factor must be > 1, got %g", ls.Factor)
-		}
-	}
-	for _, ll := range c.LinkLosses {
-		if ll.Node < 0 {
-			return fmt.Errorf("faults: negative linkloss node %d", ll.Node)
-		}
-		if ll.At < 0 {
-			return fmt.Errorf("faults: negative linkloss time %v", ll.At)
-		}
-		if ll.Duration <= 0 {
-			return fmt.Errorf("faults: linkloss needs a positive duration, got %v", ll.Duration)
-		}
-		if ll.Prob <= 0 || ll.Prob >= 1 {
-			return fmt.Errorf("faults: linkloss probability %g outside (0, 1)", ll.Prob)
-		}
+	if cores > 0 && len(dead) >= cores {
+		return fmt.Errorf("%d permanent core crashes would kill all %d cores", len(dead), cores)
 	}
 	return nil
 }
@@ -485,32 +432,13 @@ func (i *Injector) StartHardFaults(eng *sim.Engine, crash func(core int) bool, r
 	if i == nil {
 		return
 	}
-	for _, cc := range i.cfg.CoreCrashes {
-		cc := cc
-		eng.At(sim.Time(cc.At), func() {
-			if !crash(cc.Core) {
-				return
-			}
-			i.stats.CoreCrashes++
-			if cc.Duration > 0 {
-				eng.Schedule(cc.Duration, func() {
-					if restore(cc.Core) {
-						i.stats.CoreRecoveries++
-					}
-				})
-			}
-		})
-	}
-	for _, qs := range i.cfg.QueueStalls {
-		qs := qs
-		eng.At(sim.Time(qs.At), func() {
-			if !stall(qs.Queue) {
-				return
-			}
-			i.stats.QueueStalls++
-			eng.Schedule(qs.Duration, func() { unstall(qs.Queue) })
-		})
-	}
+	i.arm(eng, coreCrashes, &i.stats.CoreCrashes, func(e entry) bool { return crash(e.target) }, func(e entry) {
+		if restore(e.target) {
+			i.stats.CoreRecoveries++
+		}
+	})
+	i.arm(eng, queueStalls, &i.stats.QueueStalls, func(e entry) bool { return stall(e.target) },
+		func(e entry) { unstall(e.target) })
 }
 
 // StartNodeFaults arms the scheduled node-level hard faults on the
@@ -526,32 +454,13 @@ func (i *Injector) StartNodeFaults(eng *sim.Engine, crash func(node int) bool, r
 	if i == nil {
 		return
 	}
-	for _, nc := range i.cfg.NodeCrashes {
-		nc := nc
-		eng.At(sim.Time(nc.At), func() {
-			if !crash(nc.Node) {
-				return
-			}
-			i.stats.NodeCrashes++
-			if nc.Duration > 0 {
-				eng.Schedule(nc.Duration, func() {
-					if restore(nc.Node) {
-						i.stats.NodeRecoveries++
-					}
-				})
-			}
-		})
-	}
-	for _, ns := range i.cfg.NodeSlows {
-		ns := ns
-		eng.At(sim.Time(ns.At), func() {
-			if !slow(ns.Node, ns.Factor) {
-				return
-			}
-			i.stats.NodeSlows++
-			eng.Schedule(ns.Duration, func() { unslow(ns.Node) })
-		})
-	}
+	i.arm(eng, nodeCrashes, &i.stats.NodeCrashes, func(e entry) bool { return crash(e.target) }, func(e entry) {
+		if restore(e.target) {
+			i.stats.NodeRecoveries++
+		}
+	})
+	i.arm(eng, nodeSlows, &i.stats.NodeSlows, func(e entry) bool { return slow(e.target, e.param) },
+		func(e entry) { unslow(e.target) })
 }
 
 // StartLinkFaults arms the scheduled interconnect faults on the engine,
@@ -575,76 +484,63 @@ func (i *Injector) StartLinkFaults(eng *sim.Engine,
 	if i == nil {
 		return
 	}
-	for _, p := range i.cfg.Partitions {
-		p := p
-		eng.At(sim.Time(p.At), func() {
-			if !cut(p.Node, p.Dir) {
+	i.arm(eng, partitions, &i.stats.Partitions, func(e entry) bool { return cut(e.target, e.dir) }, func(e entry) {
+		heal(e.target, e.dir)
+		i.stats.PartitionHeals++
+	})
+	i.arm(eng, linkSlows, &i.stats.LinkSlows, func(e entry) bool { return slow(e.target, e.param) },
+		func(e entry) { unslow(e.target) })
+	i.arm(eng, linkLosses, &i.stats.LinkLosses, func(e entry) bool { return lossOn(e.target, e.param) },
+		func(e entry) { lossOff(e.target) })
+}
+
+// arm schedules class k's faults in declaration order, which fixes the
+// engine's tie-break sequence and so the physics bytes. on fires at each
+// fault's instant; if the fault took effect it is counted in *count and,
+// for a bounded window, off runs Duration later.
+func (i *Injector) arm(eng *sim.Engine, k *class, count *uint64, on func(entry) bool, off func(entry)) {
+	for _, e := range k.list(&i.cfg) {
+		eng.At(sim.Time(e.at), func() {
+			if !on(e) {
 				return
 			}
-			i.stats.Partitions++
-			if p.Duration > 0 {
-				eng.Schedule(p.Duration, func() {
-					heal(p.Node, p.Dir)
-					i.stats.PartitionHeals++
-				})
+			*count++
+			if e.dur > 0 {
+				eng.Schedule(e.dur, func() { off(e) })
 			}
-		})
-	}
-	for _, ls := range i.cfg.LinkSlows {
-		ls := ls
-		eng.At(sim.Time(ls.At), func() {
-			if !slow(ls.Node, ls.Factor) {
-				return
-			}
-			i.stats.LinkSlows++
-			eng.Schedule(ls.Duration, func() { unslow(ls.Node) })
-		})
-	}
-	for _, ll := range i.cfg.LinkLosses {
-		ll := ll
-		eng.At(sim.Time(ll.At), func() {
-			if !lossOn(ll.Node, ll.Prob) {
-				return
-			}
-			i.stats.LinkLosses++
-			eng.Schedule(ll.Duration, func() { lossOff(ll.Node) })
 		})
 	}
 }
 
 // ParseSpec parses the CLI fault specification: a comma-separated list
-// of key=value settings.
+// of key=value settings. The scalar knobs may each appear at most once:
 //
-//	loss=P                wire loss probability (both directions)
-//	irqloss=P             interrupt loss probability
-//	irqjitter=DUR         mean extra interrupt delivery delay (e.g. 5us)
-//	dmajitter=DUR         mean extra DMA latency
-//	throttle=R/DUR        throttle events per second / mean hold time,
-//	                      with an optional clamp P-state: throttle=5/20ms@12
-//	corecrash=CORE@T[:D]  hard core failure at simulated time T; with a
-//	                      :D suffix the core recovers after D, without it
-//	                      the crash is permanent (e.g. corecrash=2@300ms:200ms)
-//	queuestall=Q@T:D      Rx queue Q sticks at time T for duration D
-//	nodecrash=NODE@T[:D]  whole-node hard failure at time T; with a :D
-//	                      suffix the node reboots after D (cluster runs
-//	                      only — a single server ignores it)
-//	nodeslow=NODE@T:D:F   node NODE runs at 1/F of full frequency from
-//	                      time T for duration D (e.g. nodeslow=1@300ms:100ms:2)
-//	partition=A|B@T[:D]   interconnect cut at time T between endpoints A
-//	                      and B, healing after D (without :D the cut is
-//	                      permanent). One endpoint must be the front end,
-//	                      spelled fe: partition=fe|2@300ms cuts only the
-//	                      front→node-2 leg, partition=2|fe@300ms:100ms
-//	                      only node 2's responses, and a bare node number
-//	                      (partition=2@300ms) cuts both legs
-//	linkslow=NODE@T:D:F   every traversal of NODE's link stretches by F
-//	                      from time T for duration D
-//	linkloss=NODE@T:D:P   each traversal of NODE's link drops with
-//	                      probability P from time T for duration D
+//	loss=P          wire loss probability (both directions), in [0, 1)
+//	irqloss=P       interrupt loss probability, in [0, 1)
+//	irqjitter=DUR   mean extra interrupt delivery delay (e.g. 5us)
+//	dmajitter=DUR   mean extra DMA latency
+//	throttle=R/DUR  throttle events per second / mean hold time, with an
+//	                optional clamp P-state: throttle=5/20ms@12
 //
-// Scalar keys may appear at most once; corecrash, queuestall, nodecrash,
-// nodeslow, partition, linkslow and linkloss repeat, one fault per
-// occurrence. An empty spec returns the zero Config.
+// The seven scheduled fault classes repeat, one fault per occurrence,
+// and share one shape, KEY=TARGET@TIME[:DUR][:PARAM]: the fault strikes
+// TARGET at simulated time TIME and lifts DUR later. Where DUR is
+// optional, leaving it out makes the fault permanent.
+//
+//	KEY         TARGET     DUR        PARAM
+//	corecrash   core       optional   -
+//	queuestall  Rx queue   mandatory  -
+//	nodecrash   node       optional   -
+//	nodeslow    node       mandatory  factor F > 1: cores run at 1/F of full frequency
+//	partition   node link  optional   -
+//	linkslow    node link  mandatory  factor F > 1: each traversal takes F× as long
+//	linkloss    node link  mandatory  probability P in (0, 1): each traversal drops
+//
+// A partition target N cuts both legs of node N's link; fe|N cuts only
+// the front-end→node leg and N|fe only the node's responses
+// (partition=2|fe@300ms:100ms). The node and link classes act in
+// cluster runs only; a single server ignores them. An empty spec
+// returns the zero Config.
 func ParseSpec(spec string) (Config, error) {
 	var c Config
 	spec = strings.TrimSpace(spec)
@@ -657,17 +553,12 @@ func ParseSpec(spec string) (Config, error) {
 		if !ok {
 			return c, fmt.Errorf("faults: %q is not key=value", part)
 		}
-		// Hard-fault keys are repeatable (one scheduled fault each);
-		// every scalar knob may be set only once.
-		switch key {
-		case "corecrash", "queuestall", "nodecrash", "nodeslow",
-			"partition", "linkslow", "linkloss":
-		default:
-			if seen[key] {
-				return c, fmt.Errorf("faults: duplicate key %q in %q", key, part)
-			}
-			seen[key] = true
+		// Only the scalar knobs are single-use.
+		k := classNamed(key)
+		if k == nil && seen[key] {
+			return c, fmt.Errorf("faults: duplicate key %q in %q", key, part)
 		}
+		seen[key] = true
 		var err error
 		switch key {
 		case "loss":
@@ -680,22 +571,11 @@ func ParseSpec(spec string) (Config, error) {
 			c.DMAJitter, err = parseNonNegDur(val)
 		case "throttle":
 			err = c.parseThrottle(val)
-		case "corecrash":
-			err = c.parseCoreCrash(val)
-		case "queuestall":
-			err = c.parseQueueStall(val)
-		case "nodecrash":
-			err = c.parseNodeCrash(val)
-		case "nodeslow":
-			err = c.parseNodeSlow(val)
-		case "partition":
-			err = c.parsePartition(val)
-		case "linkslow":
-			err = c.parseLinkSlow(val)
-		case "linkloss":
-			err = c.parseLinkLoss(val)
 		default:
-			return c, fmt.Errorf("faults: unknown key %q (want loss, irqloss, irqjitter, dmajitter, throttle, corecrash, queuestall, nodecrash, nodeslow, partition, linkslow, linkloss)", key)
+			if k == nil {
+				return c, fmt.Errorf("faults: unknown key %q (want loss, irqloss, irqjitter, dmajitter, throttle, corecrash, queuestall, nodecrash, nodeslow, partition, linkslow, linkloss)", key)
+			}
+			err = k.parse(&c, val)
 		}
 		if err != nil {
 			return c, fmt.Errorf("faults: bad %s value %q: %v", key, val, err)
@@ -730,262 +610,180 @@ func parseNonNegDur(val string) (sim.Duration, error) {
 	return d, nil
 }
 
-// parseCoreCrash parses "CORE@T" or "CORE@T:D" and appends the fault.
-func (c *Config) parseCoreCrash(val string) error {
-	coreStr, when, ok := strings.Cut(val, "@")
-	if !ok {
-		return fmt.Errorf("want CORE@TIME or CORE@TIME:DUR")
+// class describes one scheduled fault class. All seven share the shape
+// TARGET@TIME[:DUR][:PARAM]; a class fixes the spec key, what TARGET
+// names, whether DUR may be left out, and the trailing PARAM, if any.
+type class struct {
+	key       string                // spec key, e.g. "corecrash"
+	noun      string                // what TARGET names: "core", "queue" or "node"
+	form      string                // the spec shape, quoted by parse errors
+	window    string                // what DUR measures, quoted by parse errors
+	permanent bool                  // DUR may be left out: the fault then holds for good
+	param     string                // the trailing PARAM's name, "" for none
+	lo, hi    float64               // PARAM must exceed lo and, when hi > 0, stay below hi
+	list      func(*Config) []entry // the class's faults in a Config
+	add       func(*Config, entry)  // appends one fault to a Config
+}
+
+// entry is one scheduled fault in class-neutral form.
+type entry struct {
+	target  int
+	dir     LinkDir // partitions only
+	at, dur sim.Duration
+	param   float64
+}
+
+func (f CoreCrash) entry() entry  { return entry{target: f.Core, at: f.At, dur: f.Duration} }
+func (f QueueStall) entry() entry { return entry{target: f.Queue, at: f.At, dur: f.Duration} }
+func (f NodeCrash) entry() entry  { return entry{target: f.Node, at: f.At, dur: f.Duration} }
+func (f NodeSlow) entry() entry {
+	return entry{target: f.Node, at: f.At, dur: f.Duration, param: f.Factor}
+}
+func (f Partition) entry() entry { return entry{target: f.Node, dir: f.Dir, at: f.At, dur: f.Duration} }
+func (f LinkSlow) entry() entry {
+	return entry{target: f.Node, at: f.At, dur: f.Duration, param: f.Factor}
+}
+func (f LinkLoss) entry() entry {
+	return entry{target: f.Node, at: f.At, dur: f.Duration, param: f.Prob}
+}
+
+// entries converts one Config slice to class-neutral form.
+func entries[F interface{ entry() entry }](fs []F) []entry {
+	es := make([]entry, len(fs))
+	for n, f := range fs {
+		es[n] = f.entry()
 	}
-	core, err := strconv.Atoi(coreStr)
-	if err != nil {
-		return err
-	}
-	if core < 0 {
-		return fmt.Errorf("negative core %d", core)
-	}
-	cc := CoreCrash{Core: core}
-	atStr, durStr, timed := strings.Cut(when, ":")
-	if cc.At, err = parseNonNegDur(atStr); err != nil {
-		return err
-	}
-	if timed {
-		if cc.Duration, err = parseDur(durStr); err != nil {
-			return err
+	return es
+}
+
+// The seven scheduled fault classes, in Config declaration order. The
+// typed literals in add are positional: TARGET, [Dir,] At, Duration[, PARAM].
+var (
+	coreCrashes = &class{key: "corecrash", noun: "core", form: "CORE@TIME or CORE@TIME:DUR", window: "recovery",
+		permanent: true, list: func(c *Config) []entry { return entries(c.CoreCrashes) },
+		add: func(c *Config, e entry) { c.CoreCrashes = append(c.CoreCrashes, CoreCrash{e.target, e.at, e.dur}) }}
+	queueStalls = &class{key: "queuestall", noun: "queue", form: "Q@TIME:DUR", window: "stall",
+		list: func(c *Config) []entry { return entries(c.QueueStalls) },
+		add:  func(c *Config, e entry) { c.QueueStalls = append(c.QueueStalls, QueueStall{e.target, e.at, e.dur}) }}
+	nodeCrashes = &class{key: "nodecrash", noun: "node", form: "NODE@TIME or NODE@TIME:DUR", window: "reboot",
+		permanent: true, list: func(c *Config) []entry { return entries(c.NodeCrashes) },
+		add: func(c *Config, e entry) { c.NodeCrashes = append(c.NodeCrashes, NodeCrash{e.target, e.at, e.dur}) }}
+	nodeSlows = &class{key: "nodeslow", noun: "node", form: "NODE@TIME:DUR:FACTOR", window: "slowdown",
+		param: "factor", lo: 1, list: func(c *Config) []entry { return entries(c.NodeSlows) },
+		add: func(c *Config, e entry) { c.NodeSlows = append(c.NodeSlows, NodeSlow{e.target, e.at, e.dur, e.param}) }}
+	partitions = &class{key: "partition", noun: "node", form: "A|B@TIME[:DUR] or NODE@TIME[:DUR]", window: "heal",
+		permanent: true, list: func(c *Config) []entry { return entries(c.Partitions) },
+		add: func(c *Config, e entry) { c.Partitions = append(c.Partitions, Partition{e.target, e.dir, e.at, e.dur}) }}
+	linkSlows = &class{key: "linkslow", noun: "node", form: "NODE@TIME:DUR:FACTOR", window: "degradation",
+		param: "factor", lo: 1, list: func(c *Config) []entry { return entries(c.LinkSlows) },
+		add: func(c *Config, e entry) { c.LinkSlows = append(c.LinkSlows, LinkSlow{e.target, e.at, e.dur, e.param}) }}
+	linkLosses = &class{key: "linkloss", noun: "node", form: "NODE@TIME:DUR:PROB", window: "loss-window",
+		param: "probability", lo: 0, hi: 1, list: func(c *Config) []entry { return entries(c.LinkLosses) },
+		add: func(c *Config, e entry) {
+			c.LinkLosses = append(c.LinkLosses, LinkLoss{e.target, e.at, e.dur, e.param})
+		}}
+	classes = []*class{coreCrashes, queueStalls, nodeCrashes, nodeSlows, partitions, linkSlows, linkLosses}
+)
+
+// classNamed returns the scheduled fault class spelled key, or nil.
+func classNamed(key string) *class {
+	for _, k := range classes {
+		if k.key == key {
+			return k
 		}
-		if cc.Duration <= 0 {
-			return fmt.Errorf("recovery duration must be positive, got %v", cc.Duration)
-		}
 	}
-	c.CoreCrashes = append(c.CoreCrashes, cc)
 	return nil
 }
 
-// parseQueueStall parses "Q@T:D" and appends the fault.
-func (c *Config) parseQueueStall(val string) error {
-	qStr, when, ok := strings.Cut(val, "@")
+// parse parses one TARGET@TIME[:DUR][:PARAM] value and appends the fault.
+func (k *class) parse(c *Config, val string) error {
+	target, when, ok := strings.Cut(val, "@")
 	if !ok {
-		return fmt.Errorf("want Q@TIME:DUR")
+		return fmt.Errorf("want %s", k.form)
 	}
-	q, err := strconv.Atoi(qStr)
-	if err != nil {
-		return err
-	}
-	if q < 0 {
-		return fmt.Errorf("negative queue %d", q)
-	}
-	atStr, durStr, ok := strings.Cut(when, ":")
-	if !ok {
-		return fmt.Errorf("want Q@TIME:DUR (the stall window is mandatory)")
-	}
-	qs := QueueStall{Queue: q}
-	if qs.At, err = parseNonNegDur(atStr); err != nil {
-		return err
-	}
-	if qs.Duration, err = parseDur(durStr); err != nil {
-		return err
-	}
-	if qs.Duration <= 0 {
-		return fmt.Errorf("stall duration must be positive, got %v", qs.Duration)
-	}
-	c.QueueStalls = append(c.QueueStalls, qs)
-	return nil
-}
-
-// parseNodeCrash parses "NODE@T" or "NODE@T:D" and appends the fault.
-func (c *Config) parseNodeCrash(val string) error {
-	nodeStr, when, ok := strings.Cut(val, "@")
-	if !ok {
-		return fmt.Errorf("want NODE@TIME or NODE@TIME:DUR")
-	}
-	node, err := strconv.Atoi(nodeStr)
-	if err != nil {
-		return err
-	}
-	if node < 0 {
-		return fmt.Errorf("negative node %d", node)
-	}
-	nc := NodeCrash{Node: node}
-	atStr, durStr, timed := strings.Cut(when, ":")
-	if nc.At, err = parseNonNegDur(atStr); err != nil {
-		return err
-	}
-	if timed {
-		if nc.Duration, err = parseDur(durStr); err != nil {
-			return err
-		}
-		if nc.Duration <= 0 {
-			return fmt.Errorf("reboot duration must be positive, got %v", nc.Duration)
-		}
-	}
-	c.NodeCrashes = append(c.NodeCrashes, nc)
-	return nil
-}
-
-// parseNodeSlow parses "NODE@T:D:F" and appends the fault.
-func (c *Config) parseNodeSlow(val string) error {
-	nodeStr, when, ok := strings.Cut(val, "@")
-	if !ok {
-		return fmt.Errorf("want NODE@TIME:DUR:FACTOR")
-	}
-	node, err := strconv.Atoi(nodeStr)
-	if err != nil {
-		return err
-	}
-	if node < 0 {
-		return fmt.Errorf("negative node %d", node)
-	}
-	atStr, rest, ok := strings.Cut(when, ":")
-	if !ok {
-		return fmt.Errorf("want NODE@TIME:DUR:FACTOR (the window and factor are mandatory)")
-	}
-	durStr, facStr, ok := strings.Cut(rest, ":")
-	if !ok {
-		return fmt.Errorf("want NODE@TIME:DUR:FACTOR (the factor is mandatory)")
-	}
-	ns := NodeSlow{Node: node}
-	if ns.At, err = parseNonNegDur(atStr); err != nil {
-		return err
-	}
-	if ns.Duration, err = parseDur(durStr); err != nil {
-		return err
-	}
-	if ns.Duration <= 0 {
-		return fmt.Errorf("slowdown duration must be positive, got %v", ns.Duration)
-	}
-	if ns.Factor, err = strconv.ParseFloat(facStr, 64); err != nil {
-		return err
-	}
-	if ns.Factor <= 1 {
-		return fmt.Errorf("factor must be > 1, got %g", ns.Factor)
-	}
-	c.NodeSlows = append(c.NodeSlows, ns)
-	return nil
-}
-
-// parsePartition parses "A|B@T[:D]" (one endpoint spelled fe for a
-// one-way cut) or "NODE@T[:D]" (both legs) and appends the fault.
-func (c *Config) parsePartition(val string) error {
-	ends, when, ok := strings.Cut(val, "@")
-	if !ok {
-		return fmt.Errorf("want A|B@TIME[:DUR] or NODE@TIME[:DUR]")
-	}
-	p := Partition{Dir: LinkBoth}
-	var nodeStr string
-	if a, b, oneWay := strings.Cut(ends, "|"); oneWay {
+	var e entry
+	if a, b, oneWay := strings.Cut(target, "|"); oneWay && k == partitions {
 		switch {
 		case a == "fe":
-			p.Dir, nodeStr = LinkTx, b
+			e.dir, target = LinkTx, b
 		case b == "fe":
-			p.Dir, nodeStr = LinkRx, a
+			e.dir, target = LinkRx, a
 		default:
-			return fmt.Errorf("one endpoint of %q must be the front end, spelled fe", ends)
+			return fmt.Errorf("one endpoint of %q must be the front end, spelled fe", target)
 		}
-	} else {
-		nodeStr = ends
 	}
-	node, err := strconv.Atoi(nodeStr)
-	if err != nil {
+	var err error
+	if e.target, err = strconv.Atoi(target); err != nil {
 		return err
 	}
-	if node < 0 {
-		return fmt.Errorf("negative node %d", node)
+	if e.target < 0 {
+		return fmt.Errorf("negative %s %d", k.noun, e.target)
 	}
-	p.Node = node
 	atStr, durStr, timed := strings.Cut(when, ":")
-	if p.At, err = parseNonNegDur(atStr); err != nil {
+	switch {
+	case !timed && !k.permanent && k.param == "":
+		return fmt.Errorf("want %s (the %s window is mandatory)", k.form, k.window)
+	case !timed && !k.permanent:
+		return fmt.Errorf("want %s (the window and %s are mandatory)", k.form, k.param)
+	}
+	var paramStr string
+	if k.param != "" {
+		if durStr, paramStr, ok = strings.Cut(durStr, ":"); !ok {
+			return fmt.Errorf("want %s (the %s is mandatory)", k.form, k.param)
+		}
+	}
+	if e.at, err = parseNonNegDur(atStr); err != nil {
 		return err
 	}
 	if timed {
-		if p.Duration, err = parseDur(durStr); err != nil {
+		if e.dur, err = parseDur(durStr); err != nil {
 			return err
 		}
-		if p.Duration <= 0 {
-			return fmt.Errorf("heal duration must be positive, got %v", p.Duration)
+		if e.dur <= 0 {
+			return fmt.Errorf("%s duration must be positive, got %v", k.window, e.dur)
 		}
 	}
-	c.Partitions = append(c.Partitions, p)
+	if k.param != "" {
+		if e.param, err = strconv.ParseFloat(paramStr, 64); err != nil {
+			return err
+		}
+	}
+	if err = k.checkParam(e.param); err != nil {
+		return err
+	}
+	k.add(c, e)
 	return nil
 }
 
-// parseLinkSlow parses "NODE@T:D:F" and appends the fault.
-func (c *Config) parseLinkSlow(val string) error {
-	nodeStr, when, ok := strings.Cut(val, "@")
-	if !ok {
-		return fmt.Errorf("want NODE@TIME:DUR:FACTOR")
+// check validates one fault of the class for Config.Validate.
+func (k *class) check(e entry) error {
+	switch {
+	case e.target < 0:
+		return fmt.Errorf("faults: negative %s %s %d", k.key, k.noun, e.target)
+	case e.dir > LinkRx:
+		return fmt.Errorf("faults: unknown %s direction %d", k.key, e.dir)
+	case e.at < 0:
+		return fmt.Errorf("faults: negative %s time %v", k.key, e.at)
+	case k.permanent && e.dur < 0:
+		return fmt.Errorf("faults: negative %s duration %v", k.key, e.dur)
+	case !k.permanent && e.dur <= 0:
+		return fmt.Errorf("faults: %s needs a positive duration, got %v", k.key, e.dur)
 	}
-	node, err := strconv.Atoi(nodeStr)
-	if err != nil {
-		return err
+	if err := k.checkParam(e.param); err != nil {
+		return fmt.Errorf("faults: %s %v", k.key, err)
 	}
-	if node < 0 {
-		return fmt.Errorf("negative node %d", node)
-	}
-	atStr, rest, ok := strings.Cut(when, ":")
-	if !ok {
-		return fmt.Errorf("want NODE@TIME:DUR:FACTOR (the window and factor are mandatory)")
-	}
-	durStr, facStr, ok := strings.Cut(rest, ":")
-	if !ok {
-		return fmt.Errorf("want NODE@TIME:DUR:FACTOR (the factor is mandatory)")
-	}
-	ls := LinkSlow{Node: node}
-	if ls.At, err = parseNonNegDur(atStr); err != nil {
-		return err
-	}
-	if ls.Duration, err = parseDur(durStr); err != nil {
-		return err
-	}
-	if ls.Duration <= 0 {
-		return fmt.Errorf("degradation duration must be positive, got %v", ls.Duration)
-	}
-	if ls.Factor, err = strconv.ParseFloat(facStr, 64); err != nil {
-		return err
-	}
-	if ls.Factor <= 1 {
-		return fmt.Errorf("factor must be > 1, got %g", ls.Factor)
-	}
-	c.LinkSlows = append(c.LinkSlows, ls)
 	return nil
 }
 
-// parseLinkLoss parses "NODE@T:D:P" and appends the fault.
-func (c *Config) parseLinkLoss(val string) error {
-	nodeStr, when, ok := strings.Cut(val, "@")
-	if !ok {
-		return fmt.Errorf("want NODE@TIME:DUR:PROB")
+// checkParam range-checks a PARAM value (a no-op for a class without one).
+func (k *class) checkParam(v float64) error {
+	switch {
+	case k.param == "":
+	case k.hi == 0 && v <= k.lo:
+		return fmt.Errorf("%s must be > %g, got %g", k.param, k.lo, v)
+	case k.hi > 0 && (v <= k.lo || v >= k.hi):
+		return fmt.Errorf("%s %g outside (%g, %g)", k.param, v, k.lo, k.hi)
 	}
-	node, err := strconv.Atoi(nodeStr)
-	if err != nil {
-		return err
-	}
-	if node < 0 {
-		return fmt.Errorf("negative node %d", node)
-	}
-	atStr, rest, ok := strings.Cut(when, ":")
-	if !ok {
-		return fmt.Errorf("want NODE@TIME:DUR:PROB (the window and probability are mandatory)")
-	}
-	durStr, probStr, ok := strings.Cut(rest, ":")
-	if !ok {
-		return fmt.Errorf("want NODE@TIME:DUR:PROB (the probability is mandatory)")
-	}
-	ll := LinkLoss{Node: node}
-	if ll.At, err = parseNonNegDur(atStr); err != nil {
-		return err
-	}
-	if ll.Duration, err = parseDur(durStr); err != nil {
-		return err
-	}
-	if ll.Duration <= 0 {
-		return fmt.Errorf("loss-window duration must be positive, got %v", ll.Duration)
-	}
-	if ll.Prob, err = strconv.ParseFloat(probStr, 64); err != nil {
-		return err
-	}
-	if ll.Prob <= 0 || ll.Prob >= 1 {
-		return fmt.Errorf("probability %g outside (0, 1)", ll.Prob)
-	}
-	c.LinkLosses = append(c.LinkLosses, ll)
 	return nil
 }
 

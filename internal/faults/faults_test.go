@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -223,6 +224,29 @@ func TestStartHardFaultsSchedule(t *testing.T) {
 	if st.CoreCrashes != 2 || st.CoreRecoveries != 1 || st.QueueStalls != 1 {
 		t.Fatalf("stats = %+v, want 2 crashes, 1 recovery, 1 stall", st)
 	}
+
+	// Faults sharing one instant fire in declaration order — every
+	// CoreCrash before any QueueStall, each class in slice order — and so
+	// do their ends. That order is the engine's tie-break sequence.
+	eng = sim.NewEngine()
+	inj = New(Config{
+		QueueStalls: []QueueStall{{Queue: 0, At: 5 * sim.Millisecond, Duration: 5 * sim.Millisecond}},
+		CoreCrashes: []CoreCrash{
+			{Core: 2, At: 5 * sim.Millisecond, Duration: 5 * sim.Millisecond},
+			{Core: 1, At: 5 * sim.Millisecond, Duration: 5 * sim.Millisecond},
+		},
+	}, sim.NewRNG(1))
+	log = nil
+	inj.StartHardFaults(eng,
+		func(core int) bool { add(fmt.Sprint("crash", core), eng.Now()); return true },
+		func(core int) bool { add(fmt.Sprint("restore", core), eng.Now()); return true },
+		func(q int) bool { add(fmt.Sprint("stall", q), eng.Now()); return true },
+		func(q int) { add(fmt.Sprint("unstall", q), eng.Now()) })
+	eng.Run(sim.Time(100 * sim.Millisecond))
+	want = []string{"crash2@5ms", "crash1@5ms", "stall0@5ms", "restore2@10ms", "restore1@10ms", "unstall0@10ms"}
+	if !reflect.DeepEqual(log, want) {
+		t.Fatalf("same-instant hard-fault order = %v, want %v", log, want)
+	}
 }
 
 func TestValidate(t *testing.T) {
@@ -347,5 +371,24 @@ func TestStartNodeFaultsSchedule(t *testing.T) {
 	st := inj.Stats()
 	if st.NodeCrashes != 2 || st.NodeRecoveries != 1 || st.NodeSlows != 1 {
 		t.Fatalf("stats = %+v, want 2 node crashes, 1 recovery, 1 slow", st)
+	}
+
+	// Faults sharing one instant fire in declaration order: every
+	// NodeCrash before any NodeSlow, and their ends likewise.
+	eng = sim.NewEngine()
+	inj = New(Config{
+		NodeSlows:   []NodeSlow{{Node: 0, At: 5 * sim.Millisecond, Duration: 5 * sim.Millisecond, Factor: 2}},
+		NodeCrashes: []NodeCrash{{Node: 1, At: 5 * sim.Millisecond, Duration: 5 * sim.Millisecond}},
+	}, sim.NewRNG(1))
+	log = nil
+	inj.StartNodeFaults(eng,
+		func(node int) bool { add("crash", eng.Now()); return true },
+		func(node int) bool { add("reboot", eng.Now()); return true },
+		func(node int, factor float64) bool { add("slow", eng.Now()); return true },
+		func(node int) { add("unslow", eng.Now()) })
+	eng.Run(sim.Time(100 * sim.Millisecond))
+	want = []string{"crash@5ms", "slow@5ms", "reboot@10ms", "unslow@10ms"}
+	if !reflect.DeepEqual(log, want) {
+		t.Fatalf("same-instant node-fault order = %v, want %v", log, want)
 	}
 }

@@ -146,4 +146,26 @@ func TestStartLinkFaultsSchedule(t *testing.T) {
 	if st.Partitions != 2 || st.PartitionHeals != 1 || st.LinkSlows != 1 || st.LinkLosses != 1 {
 		t.Fatalf("stats = %+v, want 2 partitions, 1 heal, 1 slow, 1 lossy window", st)
 	}
+
+	// Faults sharing one instant fire in declaration order — Partitions,
+	// then LinkSlows, then LinkLosses — and so do their ends.
+	eng = sim.NewEngine()
+	inj = New(Config{
+		LinkLosses: []LinkLoss{{Node: 0, At: 5 * sim.Millisecond, Duration: 5 * sim.Millisecond, Prob: 0.25}},
+		LinkSlows:  []LinkSlow{{Node: 1, At: 5 * sim.Millisecond, Duration: 5 * sim.Millisecond, Factor: 8}},
+		Partitions: []Partition{{Node: 2, At: 5 * sim.Millisecond, Duration: 5 * sim.Millisecond}},
+	}, sim.NewRNG(1))
+	log = nil
+	inj.StartLinkFaults(eng,
+		func(node int, dir LinkDir) bool { add("cut", eng.Now()); return true },
+		func(node int, dir LinkDir) { add("heal", eng.Now()) },
+		func(node int, factor float64) bool { add("slow", eng.Now()); return true },
+		func(node int) { add("unslow", eng.Now()) },
+		func(node int, p float64) bool { add("loss-on", eng.Now()); return true },
+		func(node int) { add("loss-off", eng.Now()) })
+	eng.Run(sim.Time(100 * sim.Millisecond))
+	want = []string{"cut@5ms", "slow@5ms", "loss-on@5ms", "heal@10ms", "unslow@10ms", "loss-off@10ms"}
+	if !reflect.DeepEqual(log, want) {
+		t.Fatalf("same-instant link-fault order = %v, want %v", log, want)
+	}
 }

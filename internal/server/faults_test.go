@@ -3,9 +3,12 @@ package server
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
+	"nmapsim/internal/cpu"
 	"nmapsim/internal/faults"
 	"nmapsim/internal/governor"
 	"nmapsim/internal/sim"
@@ -243,5 +246,48 @@ func TestConfigValidateRejectsBadKnobs(t *testing.T) {
 	good := quickCfg(workload.Low, 1)
 	if err := good.Validate(); err != nil {
 		t.Errorf("Validate rejected a good config: %v", err)
+	}
+}
+
+// TestConfigValidateCoreCrashTargets checks the per-server fault targets.
+// Permanent crashes count per distinct core: crashCore skips a dead core,
+// so NumCores permanent crashes of core 1 kill one core, not the chip.
+// Crashing every core for good and targets past the chip are rejected;
+// node-level targets are the cluster's to check.
+func TestConfigValidateCoreCrashTargets(t *testing.T) {
+	m := cpu.XeonGold6134
+	var same, every []faults.CoreCrash
+	for k := 0; k < m.NumCores; k++ {
+		at := sim.Duration(250+k) * sim.Millisecond
+		same = append(same, faults.CoreCrash{Core: 1, At: at})
+		every = append(every, faults.CoreCrash{Core: k, At: at})
+	}
+	cases := []struct {
+		name    string
+		f       faults.Config
+		wantErr string // empty = accept
+	}{
+		{"repeated permanent crashes of one core", faults.Config{CoreCrashes: same}, ""},
+		{"node target past the chip", faults.Config{NodeCrashes: []faults.NodeCrash{{Node: 99}}}, ""},
+		{"every core permanently", faults.Config{CoreCrashes: every},
+			fmt.Sprintf("%d permanent core crashes would kill all %d cores of %s", m.NumCores, m.NumCores, m.Name)},
+		{"core past the chip", faults.Config{CoreCrashes: []faults.CoreCrash{{Core: m.NumCores}}},
+			fmt.Sprintf("corecrash core %d out of range", m.NumCores)},
+		{"queue past the chip", faults.Config{QueueStalls: []faults.QueueStall{{Queue: m.NumCores, Duration: sim.Millisecond}}},
+			fmt.Sprintf("queuestall queue %d out of range", m.NumCores)},
+	}
+	for _, tc := range cases {
+		cfg := quickCfg(workload.Low, 1)
+		cfg.Faults = tc.f
+		err := cfg.Validate()
+		if tc.wantErr == "" {
+			if err != nil {
+				t.Errorf("%s: Validate rejected it: %v", tc.name, err)
+			}
+			continue
+		}
+		if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+			t.Errorf("%s: Validate error %v, want substring %q", tc.name, err, tc.wantErr)
+		}
 	}
 }

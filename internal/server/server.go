@@ -210,25 +210,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("server: throttle P-state %d out of range for %s (max P%d)",
 			c.Faults.ThrottlePState, c.Model.Name, c.Model.MaxP())
 	}
-	permanent := 0
-	for _, cc := range c.Faults.CoreCrashes {
-		if cc.Core >= c.Model.NumCores {
-			return fmt.Errorf("server: corecrash core %d out of range for %s (%d cores)",
-				cc.Core, c.Model.Name, c.Model.NumCores)
-		}
-		if cc.Duration == 0 {
-			permanent++
-		}
-	}
-	if permanent >= c.Model.NumCores {
-		return fmt.Errorf("server: %d permanent core crashes would kill all %d cores of %s",
-			permanent, c.Model.NumCores, c.Model.Name)
-	}
-	for _, qs := range c.Faults.QueueStalls {
-		if qs.Queue >= c.Model.NumCores {
-			return fmt.Errorf("server: queuestall queue %d out of range for %s (%d queues)",
-				qs.Queue, c.Model.Name, c.Model.NumCores)
-		}
+	if err := c.Faults.CheckTargets(c.Model.NumCores, 0); err != nil {
+		return fmt.Errorf("server: %w of %s", err, c.Model.Name)
 	}
 	return c.Retry.Validate()
 }
