@@ -115,9 +115,10 @@ profile:
 	@echo "wrote cpu.prof and mem.prof (view with: go tool pprof cpu.prof)"
 
 # Fuzz smoke: replay the checked-in corpus, let the native fuzzers mutate
-# for a few seconds each (the auditor's configurations, then the calendar
-# queue against the reference binary heap), then push 200 fresh random
-# configurations through the auditor with cmd/nmapfuzz. Any
+# for a few seconds each (the auditor's configurations, the calendar
+# queue against the reference binary heap, then the NIC's lazy Tx
+# completions against the per-segment reference NIC), then push 200
+# fresh random configurations through the auditor with cmd/nmapfuzz. Any
 # invariant violation or firing-order divergence fails the build and
 # leaves a minimized reproducer in fuzz-failures/ or the package's
 # testdata/fuzz.
@@ -125,6 +126,7 @@ fuzz-smoke:
 	$(GO) test -count=1 -run 'TestSeedCorpusClean|FuzzAuditInvariants' ./internal/fuzzer/
 	$(GO) test -run '^$$' -fuzz FuzzAuditInvariants -fuzztime 10s ./internal/fuzzer/
 	$(GO) test -run '^$$' -fuzz FuzzSchedulerEquivalence -fuzztime 10s ./internal/sim/
+	$(GO) test -run '^$$' -fuzz FuzzTxElisionEquivalence -fuzztime 10s ./internal/nic/
 	$(GO) run ./cmd/nmapfuzz -n 200 -seed 1
 
 # Record a fresh PGO profile from the representative fig12-quick run.
@@ -140,7 +142,9 @@ pgo:
 # Golden byte gate, built both ways: TestGolden re-renders the committed
 # corpus under internal/experiments/testdata/golden (table1, faulted
 # fig9 with and without the auditor, fig-resilience, fig-cluster,
-# fig-grayfail and an nmapreport matrix) serially and on 4 workers,
+# fig-grayfail, an nmapreport matrix and an audited nginx nmapreport
+# matrix under a core crash, a queue stall and lost IRQs) serially and
+# on 4 workers,
 # and every byte must match — once with -pgo=off and once with the
 # committed profile, so profile-guided codegen can never drift physics
 # either.

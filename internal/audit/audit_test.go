@@ -23,7 +23,8 @@ func TestNilAuditorHooksAreNoOps(t *testing.T) {
 	a.RingDrop()
 	a.Polled(3)
 	a.TxStart(2)
-	a.TxSegment()
+	a.TxSegments(2)
+	_ = a.TxLedger()
 	a.TxCleaned(1)
 	a.SockEnq(0)
 	a.SockDrop(0)

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"nmapsim/internal/faults"
@@ -14,7 +15,8 @@ import (
 	"nmapsim/internal/workload"
 )
 
-var update = flag.Bool("update", false, "rewrite the golden files under testdata/golden")
+var update = flag.Bool("update", false,
+	"rewrite the golden files under testdata/golden, logging per file what changed (see it with -v)")
 
 // goldenCase is one CLI invocation of the golden corpus: the run
 // conditions its flags set and the stdout it prints, rendered through the
@@ -63,28 +65,48 @@ var goldenCases = []goldenCase{
 	}},
 	// nmapreport -seeds 1 -dur 100
 	{file: "nmapreport-seeds1-dur100.json", stdout: func(h *Harness) (string, error) {
-		var specs []Spec
-		for _, prof := range workload.Profiles() {
-			for _, lvl := range workload.Levels {
-				for _, pol := range []string{"ondemand", "performance", "nmap"} {
-					specs = append(specs, Spec{Policy: pol, Idle: "menu", Cfg: server.Config{
-						Seed: 42, Profile: prof, Level: lvl,
-						Warmup: 200 * sim.Millisecond, Duration: 100 * sim.Millisecond,
-					}})
-				}
+		return reportMatrix(h, workload.Profiles())
+	}},
+	// nmapreport -app nginx -seeds 1 -dur 100 -audit -faults corecrash=1@250ms:40ms,queuestall=2@260ms:20ms,irqloss=0.001
+	//
+	// nginx's 48-segment responses are in flight on the NIC while a core
+	// crash offlines its queue, a queue stall wedges another, and lost
+	// interrupts leave queues unmasked.
+	{
+		file:   "nmapreport-nginx-faults-audit-seeds1-dur100.json",
+		faults: "corecrash=1@250ms:40ms,queuestall=2@260ms:20ms,irqloss=0.001",
+		audit:  true,
+		stdout: func(h *Harness) (string, error) {
+			nginx, _ := workload.ProfileByName("nginx")
+			return reportMatrix(h, []*workload.Profile{nginx})
+		},
+	},
+}
+
+// reportMatrix renders nmapreport's JSON for one seed and a 100 ms window
+// over profs × every load level × ondemand/performance/nmap.
+func reportMatrix(h *Harness, profs []*workload.Profile) (string, error) {
+	var specs []Spec
+	for _, prof := range profs {
+		for _, lvl := range workload.Levels {
+			for _, pol := range []string{"ondemand", "performance", "nmap"} {
+				specs = append(specs, Spec{Policy: pol, Idle: "menu", Cfg: server.Config{
+					Seed: 42, Profile: prof, Level: lvl,
+					Warmup: 200 * sim.Millisecond, Duration: 100 * sim.Millisecond,
+				}})
 			}
 		}
-		results, err := h.RunSpecs(specs)
-		records := make([]Record, len(specs))
-		for i, res := range results {
-			records[i] = NewRecord(specs[i], res, false)
-		}
-		var b bytes.Buffer
-		if err == nil {
-			err = WriteJSON(&b, records)
-		}
-		return b.String(), err
-	}},
+	}
+	results, err := h.RunSpecs(specs)
+	records := make([]Record, len(specs))
+	for i, res := range results {
+		records[i] = NewRecord(specs[i], res, false)
+	}
+	var b bytes.Buffer
+	if err == nil {
+		err = WriteJSON(&b, records)
+	}
+	return b.String(), err
 }
 
 // TestGolden is the byte gate of the harness: every figure in the corpus
@@ -113,12 +135,14 @@ func TestGolden(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				want, err := os.ReadFile(path)
 				if *update {
+					t.Logf("%s: %s", c.file, diffSummary(string(want), got))
 					if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
 						t.Fatal(err)
 					}
+					want, err = []byte(got), nil
 				}
-				want, err := os.ReadFile(path)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -127,6 +151,48 @@ func TestGolden(t *testing.T) {
 						c.file, got, want)
 				}
 			})
+		}
+	}
+}
+
+// diffSummary describes how -update changes a golden file: "unchanged",
+// or the size of the differing region (the lines left once the common
+// leading and trailing lines are set aside, counted on the longer side)
+// and its first line on each side.
+func diffSummary(before, after string) string {
+	if before == after {
+		return "unchanged"
+	}
+	a, b := strings.Split(before, "\n"), strings.Split(after, "\n")
+	pre := 0
+	for pre < len(a) && pre < len(b) && a[pre] == b[pre] {
+		pre++
+	}
+	suf := 0
+	for suf < len(a)-pre && suf < len(b)-pre && a[len(a)-1-suf] == b[len(b)-1-suf] {
+		suf++
+	}
+	line := func(ls []string) string {
+		if pre < len(ls)-suf {
+			return fmt.Sprintf("%q", ls[pre])
+		}
+		return "(nothing)"
+	}
+	return fmt.Sprintf("%d line(s) changed; first at line %d: was %s, now %s",
+		max(len(a), len(b))-pre-suf, pre+1, line(a), line(b))
+}
+
+func TestDiffSummary(t *testing.T) {
+	cases := []struct{ before, after, want string }{
+		{"a\nb\n", "a\nb\n", "unchanged"},
+		{"a\nb\nc\n", "a\nB\nC\n", `2 line(s) changed; first at line 2: was "b", now "B"`},
+		{"a\n", "a\nb\n", `1 line(s) changed; first at line 2: was (nothing), now "b"`},
+		{"a\nb\n", "b\n", `1 line(s) changed; first at line 1: was "a", now (nothing)`},
+		{"", "x", `1 line(s) changed; first at line 1: was "", now "x"`},
+	}
+	for _, c := range cases {
+		if got := diffSummary(c.before, c.after); got != c.want {
+			t.Errorf("diffSummary(%q, %q) = %s, want %s", c.before, c.after, got, c.want)
 		}
 	}
 }

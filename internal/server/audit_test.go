@@ -3,6 +3,8 @@ package server
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
+	"hash/fnv"
 	"testing"
 
 	"nmapsim/internal/audit"
@@ -164,6 +166,47 @@ func TestAuditLedgerHoldsUnderWatchdogAbort(t *testing.T) {
 		}
 		if !res.Reqs.Consistent() {
 			t.Fatalf("maxEvents=%d: ledger identity broken: %+v", maxEvents, res.Reqs)
+		}
+	}
+}
+
+// TestWatchdogPinsMultiSegmentTx aborts an audited nginx run (48 Tx
+// segments per response) mid-burst and pins the exact watchdog text and a
+// digest of the partial Result, audit tallies included. A transmit cut
+// mid-burst must leave the same fired count, clock, pending-event count
+// and counters however the NIC schedules its Tx completions.
+func TestWatchdogPinsMultiSegmentTx(t *testing.T) {
+	nginx, _ := workload.ProfileByName("nginx")
+	cases := []struct {
+		maxEvents uint64
+		err       string
+		digest    string
+	}{
+		{5_000, "sim: watchdog tripped: 5000 events dispatched without the run completing (now=1.683ms, 224 events still pending)", "23f106574abfad7c"},
+		{50_000, "sim: watchdog tripped: 50000 events dispatched without the run completing (now=10.313ms, 1303 events still pending)", "b5a40a6fe641c4d1"},
+	}
+	for _, c := range cases {
+		cfg := auditCfg(7)
+		cfg.Profile = nginx
+		cfg.Level = workload.Medium
+		cfg.MaxEvents = c.maxEvents
+		res, err := runAudited(t, cfg)
+		if !errors.Is(err, sim.ErrWatchdog) {
+			t.Fatalf("maxEvents=%d: expected a watchdog abort, got %v", c.maxEvents, err)
+		}
+		if res.Audit.Failed() {
+			t.Fatalf("maxEvents=%d: invariants torn by the abort:\n%s", c.maxEvents, res.Audit)
+		}
+		res.Hist = nil
+		b, jerr := json.Marshal(res)
+		if jerr != nil {
+			t.Fatal(jerr)
+		}
+		h := fnv.New64a()
+		h.Write(b)
+		digest := fmt.Sprintf("%016x", h.Sum64())
+		if err.Error() != c.err || digest != c.digest {
+			t.Errorf("maxEvents=%d:\n got %q digest %s\nwant %q digest %s", c.maxEvents, err, digest, c.err, c.digest)
 		}
 	}
 }

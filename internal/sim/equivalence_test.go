@@ -139,6 +139,19 @@ func (r *refHeap) schedule(at Time, id int, chain bool) refHandle {
 	return refHandle{ev: ev, gen: ev.gen}
 }
 
+// scheduleSeq queues id at an explicit, previously reserved seq.
+func (r *refHeap) scheduleSeq(at Time, seq uint64, id int) refHandle {
+	ev := r.alloc()
+	ev.at = at
+	ev.seq = seq
+	ev.id = id
+	ev.chain = false
+	ev.idx = int32(len(r.heap))
+	r.heap = append(r.heap, ev)
+	r.siftUp(int(ev.idx))
+	return refHandle{ev: ev, gen: ev.gen}
+}
+
 func (r *refHeap) cancel(h refHandle) bool {
 	if !h.pending() {
 		return false

@@ -16,6 +16,10 @@ import (
 //	2 cancel     i               the i-th live event (mod the live count)
 //	3 advance    c, m16          Run to now + m<<(c%31)
 //	4 run-to-N   n16             run until n%8192+1 more events fired
+//	5 reserve    c, m16, k, b    reserve k%48+1 seqs; slot i goes at
+//	                             (i+1)·(m<<(c%31)) ns out with its
+//	                             reserved seq if bit i%8 of b is set, and
+//	                             the last slot always (the NIC's lazy Tx)
 //
 // Chains keep the rebuild paths busy: a long run of equal short
 // horizons drags the horizon EWMA, and with it the calendar geometry,
@@ -28,11 +32,14 @@ func FuzzSchedulerEquivalence(f *testing.F) {
 	// Same-instant batch, cancels, a far event and interleaved advances.
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 2, 1, 0, 20, 0, 3, 3, 10, 0, 4, 4, 0, 5})
 	f.Add([]byte{1, 4, 0, 70, 1, 0, 1, 10, 0, 100, 0, 255, 3, 12, 255, 255, 4, 0, 200, 2, 7})
+	// Reserved blocks: a 48-slot block 1.2µs apart with a sparse mask
+	// between ordinary events, a same-instant block, a cancel and runs.
+	f.Add([]byte{5, 0, 4, 176, 47, 0x11, 0, 0, 0, 100, 5, 0, 0, 0, 9, 0xff, 2, 3, 3, 12, 0, 200, 4, 0, 30})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fz := newFuzzTrial(t)
 		const maxOps = 256
 		for op := 0; op < maxOps && len(data) > 0; op++ {
-			code := data[0] % 5
+			code := data[0] % 6
 			data = data[1:]
 			switch code {
 			case 0, 1:
@@ -67,6 +74,13 @@ func FuzzSchedulerEquivalence(f *testing.F) {
 					return
 				}
 				fz.runN(int(n%8192) + 1)
+			case 5:
+				d, ok := fuzzDelay(&data)
+				if !ok || len(data) < 2 {
+					return
+				}
+				fz.reserve(d, int(data[0]%48)+1, data[1])
+				data = data[2:]
 			}
 		}
 		fz.advance(Time(1) << 62)
@@ -152,6 +166,29 @@ func (fz *fuzzTrial) schedule(gap Duration, n int) {
 	fz.evs[id] = fz.eng.AtArg(at, fz.fn, id)
 	fz.rhs[id] = fz.ref.schedule(at, id, false)
 	fz.live = append(fz.live, id)
+	fz.check()
+}
+
+// reserve takes a block of n seqs on both sides and schedules the
+// slots mask selects, each at its explicit reserved seq.
+func (fz *fuzzTrial) reserve(gap Duration, n int, mask byte) {
+	base, rbase := fz.eng.Reserve(n), fz.ref.seq
+	fz.ref.seq += uint64(n)
+	if base != rbase {
+		fz.t.Fatalf("Reserve returned seq %d, reference %d", base, rbase)
+	}
+	for i := 0; i < n; i++ {
+		if mask&(1<<(i%8)) == 0 && i != n-1 {
+			continue
+		}
+		id := len(fz.chains)
+		fz.chains = append(fz.chains, fuzzChain{n: 1})
+		at := fz.eng.Now() + Time(i+1)*Time(gap)
+		seq := base + uint64(i)
+		fz.evs[id] = fz.eng.AtSeqArg(at, seq, fz.fn, id)
+		fz.rhs[id] = fz.ref.scheduleSeq(at, seq, id)
+		fz.live = append(fz.live, id)
+	}
 	fz.check()
 }
 
