@@ -23,6 +23,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
+	"strings"
 
 	"nmapsim/internal/audit"
 	"nmapsim/internal/faults"
@@ -317,15 +319,26 @@ func New(cfg Config, setup NodeSetup) (*Cluster, error) {
 	return c, nil
 }
 
+// RoutePolicies lists the routing policies Config.Route accepts, the
+// default first ("" selects it).
+var RoutePolicies = []string{"rr", "least", "weighted", "flow"}
+
+// CheckShape rejects a fleet size or routing policy New cannot assemble,
+// so front ends can refuse them before any work starts.
+func CheckShape(nodes int, route string) error {
+	if nodes < 1 {
+		return fmt.Errorf("cluster: need at least 1 node, got %d", nodes)
+	}
+	if route != "" && !slices.Contains(RoutePolicies, route) {
+		return fmt.Errorf("cluster: unknown route policy %q (want %s)", route, strings.Join(RoutePolicies, ", "))
+	}
+	return nil
+}
+
 // validate rejects configurations New cannot assemble.
 func validate(cfg Config) error {
-	if cfg.Nodes < 1 {
-		return fmt.Errorf("cluster: need at least 1 node, got %d", cfg.Nodes)
-	}
-	switch cfg.Route {
-	case "", "rr", "least", "weighted", "flow":
-	default:
-		return fmt.Errorf("cluster: unknown route policy %q (want rr, least, weighted, flow)", cfg.Route)
+	if err := CheckShape(cfg.Nodes, cfg.Route); err != nil {
+		return err
 	}
 	if len(cfg.Weights) > 0 {
 		if len(cfg.Weights) != cfg.Nodes {

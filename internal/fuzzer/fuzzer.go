@@ -144,7 +144,7 @@ var (
 	// the exercised variant, not the default; slowFactors reaches the
 	// gray extreme (50x) where hedging decides outcomes.
 	nodeCounts    = []int{0, 0, 0, 0, 0, 2, 2, 3}
-	clusterRoutes = []string{"rr", "least", "weighted", "flow"}
+	clusterRoutes = cluster.RoutePolicies
 	flapHolds     = []int{0, 0, 5, 10}
 	fabricBases   = []int{0, 2, 10}
 	fabricServes  = []int{0, 200, 1000}

@@ -447,3 +447,30 @@ func TestTotalOutageDeliveries(t *testing.T) {
 		})
 	}
 }
+
+// benchmarkTransmit drives back-to-back transmits of the given size
+// through one queue whose interrupt handler cleans the completions and
+// unmasks, as the NAPI poll routine does.
+func benchmarkTransmit(b *testing.B, segments int) {
+	eng, n := testNIC(1)
+	n.SetHandler(0, func() {
+		n.TxClean(0, 64)
+		if !n.HasWork(0) {
+			n.EnableIRQ(0)
+		}
+	})
+	p := &Packet{}
+	done := func(*Packet) {}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		n.Transmit(0, p, segments, done)
+		eng.RunAll()
+	}
+}
+
+// BenchmarkTransmitSingleSegment is memcached's Tx path: every transmit
+// is one segment event.
+func BenchmarkTransmitSingleSegment(b *testing.B) { benchmarkTransmit(b, 1) }
+
+// BenchmarkTransmit48Segments is nginx's Tx path.
+func BenchmarkTransmit48Segments(b *testing.B) { benchmarkTransmit(b, 48) }
