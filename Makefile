@@ -11,7 +11,7 @@ GO ?= go
 PGO = default.pgo
 PGOFLAG = $(if $(wildcard $(PGO)),-pgo=$(PGO),)
 
-.PHONY: ci vet govulncheck build test race fault-smoke failover-smoke cluster-smoke gray-smoke fuzz-smoke checkpoint-smoke chaos-smoke pgo pgo-smoke profile clean
+.PHONY: ci vet govulncheck build test race fault-smoke failover-smoke cluster-smoke gray-smoke fuzz-smoke checkpoint-smoke chaos-smoke pgo pgo-smoke profile thresholds clean
 
 # Performance is measured by the same-host A/B benchmark under
 # benchmark/ (`bash benchmark/run.sh`, see benchmark/README.md), not by
@@ -151,6 +151,13 @@ pgo:
 pgo-smoke:
 	$(GO) test -count=1 -pgo=off -run TestGolden ./internal/experiments/
 	$(GO) test -count=1 $(PGOFLAG) -run TestGolden ./internal/experiments/
+
+# Rewrite the committed §4.2 threshold table of the built-in profiles
+# (internal/experiments/thresholds_table.go) after a change that moves
+# their profiling run; TestBuiltinThresholds fails until it is rerun.
+# Each entry the rewrite changed is logged.
+thresholds:
+	$(GO) test -count=1 -run '^TestBuiltinThresholds$$' -v ./internal/experiments/ -update
 
 vet:
 	$(GO) vet ./...

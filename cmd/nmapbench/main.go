@@ -363,12 +363,6 @@ func main() {
 		workers = runtime.GOMAXPROCS(0)
 	}
 
-	// Warm the NMAP threshold cache so both timings measure the matrix
-	// itself, not the one-off offline profiling.
-	for _, prof := range workload.Profiles() {
-		experiments.ProfiledThresholds(prof, 1002)
-	}
-
 	b := baseline{
 		GOOS:       runtime.GOOS,
 		GOARCH:     runtime.GOARCH,

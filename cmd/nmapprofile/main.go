@@ -1,5 +1,8 @@
-// Command nmapprofile runs the offline NMAP threshold profiling of §4.2
-// for a workload profile and prints the derived NI_TH and CU_TH.
+// Command nmapprofile prints the NI_TH and CU_TH that the offline NMAP
+// threshold profiling of §4.2 derives for a workload profile. The
+// profiling seeds the harness uses, 1000–1003, are read from the
+// committed table in internal/experiments (regenerate it with `make
+// thresholds`); any other seed runs the profiling.
 //
 // Usage:
 //

@@ -456,10 +456,17 @@ func (h *Harness) perRequestArms(cfg server.Config) ([]AblationCell, error) {
 }
 
 // AblationThresholds sweeps NI_TH around the profiled value to show the
-// detection-latency/energy trade-off.
+// detection-latency/energy trade-off. The base thresholds are the ones a
+// plain NMAP cell of the same seed profiles, so the ×1 arm is that cell.
 func (h *Harness) AblationThresholds(q Quality) ([]AblationCell, error) {
+	names, specs := thresholdArms(q)
+	return h.ablate(names, specCells(specs))
+}
+
+// thresholdArms returns AblationThresholds' row names and specs.
+func thresholdArms(q Quality) ([]string, []Spec) {
 	prof := workload.Memcached()
-	base := ProfiledThresholds(prof, 1042)
+	base := ProfiledThresholds(prof, thresholdSeed(defaultSeed))
 	mults := []float64{0.25, 0.5, 1, 2, 4}
 	names := make([]string, len(mults))
 	specs := make([]Spec, len(mults))
@@ -477,7 +484,7 @@ func (h *Harness) AblationThresholds(q Quality) ([]AblationCell, error) {
 			},
 		}
 	}
-	return h.ablate(names, specCells(specs))
+	return names, specs
 }
 
 // AblationChipWide contrasts per-core NMAP with a chip-wide variant

@@ -16,7 +16,8 @@ import (
 )
 
 var update = flag.Bool("update", false,
-	"rewrite the golden files under testdata/golden, logging per file what changed (see it with -v)")
+	"rewrite the golden files under testdata/golden (TestGolden) or the built-in threshold table "+
+		"(TestBuiltinThresholds), logging what changed (see it with -v)")
 
 // goldenCase is one CLI invocation of the golden corpus: the run
 // conditions its flags set and the stdout it prints, rendered through the

@@ -7,6 +7,7 @@ package experiments
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"sync"
 
 	"nmapsim/internal/baselines"
@@ -37,12 +38,71 @@ type Spec struct {
 	Thresholds core.Thresholds
 }
 
-// thresholdCache memoises the §4.2 profiling per (profile, seed) so the
-// big evaluation matrices don't re-profile for every cell. Entries carry
-// a sync.Once so that when the parallel harness races many NMAP cells at
-// once, exactly one goroutine runs the profiling and the rest wait for
-// its result (the profiling itself is a deterministic seeded run, so any
-// winner computes the same thresholds).
+// thresholdSeed is the §4.2 profiling seed of a cell seeded with seed.
+// Cells share a profiling run per application and seed class: four
+// seeds, not one per cell.
+func thresholdSeed(seed uint64) uint64 { return 1000 + seed%4 }
+
+// thresholdEntry is one row of the committed threshold table
+// (thresholds_table.go): the §4.2 thresholds of built-in profile app at
+// profiling seed seed.
+type thresholdEntry struct {
+	app  string
+	seed uint64
+	th   core.Thresholds
+}
+
+// builtinThresholds serves profile's thresholds at seed from the
+// committed table, if profile is the built-in of its name and the table
+// holds the seed. TestBuiltinThresholds re-profiles every entry and
+// requires bit equality.
+func builtinThresholds(profile *workload.Profile, seed uint64) (core.Thresholds, bool) {
+	for _, e := range thresholdTable {
+		if e.app != profile.Name || e.seed != seed {
+			continue
+		}
+		if ref, ok := workload.ProfileByName(e.app); ok && sameProfile(profile, ref) {
+			return e.th, true
+		}
+		return core.Thresholds{}, false
+	}
+	return core.Thresholds{}, false
+}
+
+// sampleFingerprint is how many service costs sameProfile draws from
+// each sampler, on a stream seeded with sampleFingerprintSeed.
+const (
+	sampleFingerprint     = 8
+	sampleFingerprintSeed = 0x6e6d6170
+)
+
+// sameProfile reports whether p is ref: every field but the sampler
+// equal, and the sampler drawing the same first values from a
+// fixed-seed stream. Func values are not compared: inlining a profile's
+// constructor clones its sampler closure, so one sampler can have
+// several addresses.
+func sameProfile(p, ref *workload.Profile) bool {
+	a, b := *p, *ref
+	a.SampleAppCycles, b.SampleAppCycles = nil, nil
+	if p.SampleAppCycles == nil || !reflect.DeepEqual(a, b) {
+		return false
+	}
+	rp, rr := sim.NewRNG(sampleFingerprintSeed), sim.NewRNG(sampleFingerprintSeed)
+	for range sampleFingerprint {
+		if math.Float64bits(p.SampleAppCycles(rp)) != math.Float64bits(ref.SampleAppCycles(rr)) {
+			return false
+		}
+	}
+	return true
+}
+
+// thresholdCache memoises the §4.2 profiling per (profile, seed) for
+// the profiles the table does not cover, so the big evaluation matrices
+// don't re-profile for every cell. Entries carry a sync.Once so that
+// when the parallel harness races many NMAP cells at once, exactly one
+// goroutine runs the profiling and the rest wait for its result (the
+// profiling itself is a deterministic seeded run, so any winner computes
+// the same thresholds).
 type thEntry struct {
 	once sync.Once
 	th   core.Thresholds
@@ -53,13 +113,15 @@ var (
 	thCache = map[string]*thEntry{}
 )
 
-// ProfiledThresholds runs the offline profiling of §4.2 for a workload
-// profile: the server runs at the load used to set the SLO (the high
-// load level — the latency-load inflection point), a Profiler listens
-// to the NAPI events over a few bursts, and the thresholds are derived
-// from the first 100 interrupts of each burst (NI_TH) and the per-burst
-// polling-to-interrupt ratio (CU_TH).
+// ProfiledThresholds returns the §4.2 NMAP thresholds of a workload
+// profile at a profiling seed. A built-in profile (workload.Memcached
+// or workload.Nginx, unmodified) at a seed thresholdSeed returns is
+// served from the committed table; anything else is profiled once per
+// process, memoised per (name, seed), by profileThresholds.
 func ProfiledThresholds(profile *workload.Profile, seed uint64) core.Thresholds {
+	if th, ok := builtinThresholds(profile, seed); ok {
+		return th
+	}
 	key := fmt.Sprintf("%s/%d", profile.Name, seed)
 	thMu.Lock()
 	ent, ok := thCache[key]
@@ -69,34 +131,42 @@ func ProfiledThresholds(profile *workload.Profile, seed uint64) core.Thresholds 
 	}
 	thMu.Unlock()
 
-	ent.once.Do(func() {
-		cfg := server.Config{
-			Seed:     seed,
-			Profile:  profile,
-			Level:    workload.High,
-			Warmup:   0,
-			Duration: 400 * sim.Millisecond, // four bursts
-		}
-		idle, _ := governor.NewIdlePolicy("menu")
-		s := server.New(cfg, idle)
-		// Profiling runs at the SLO-setting load under the system's default
-		// governor (ondemand, as deployed before NMAP takes over): the
-		// first 100 interrupts of each burst then capture the polling
-		// intensity of a burst's early part *before* the load reaches the
-		// peak, which is exactly the boost trigger NMAP needs (§4.2).
-		s.AttachPolicy(governor.NewStack(s.Eng, s.Proc, governor.Ondemand{Model: s.Cfg.Model}, 0))
-		prof := core.NewProfiler(s.Eng)
-		s.AddListener(prof)
-		// No harness condition reaches this run — least of all a cell's
-		// wall-clock budget: thresholds from a cut-short profile would be
-		// cached for every later NMAP cell of the process. Unguarded and
-		// unaudited, the run cannot fail short of a model bug.
-		if _, err := s.Run(); err != nil {
-			panic(fmt.Sprintf("experiments: §4.2 profiling run failed: %v", err))
-		}
-		ent.th = prof.Thresholds()
-	})
+	ent.once.Do(func() { ent.th = profileThresholds(profile, seed) })
 	return ent.th
+}
+
+// profileThresholds runs the offline profiling of §4.2, uncached: the
+// server runs at the load used to set the SLO (the high load level —
+// the latency-load inflection point), a Profiler listens to the NAPI
+// events over a few bursts, and the thresholds are derived from the
+// first 100 interrupts of each burst (NI_TH) and the per-burst
+// polling-to-interrupt ratio (CU_TH).
+func profileThresholds(profile *workload.Profile, seed uint64) core.Thresholds {
+	cfg := server.Config{
+		Seed:     seed,
+		Profile:  profile,
+		Level:    workload.High,
+		Warmup:   0,
+		Duration: 400 * sim.Millisecond, // four bursts
+	}
+	idle, _ := governor.NewIdlePolicy("menu")
+	s := server.New(cfg, idle)
+	// Profiling runs at the SLO-setting load under the system's default
+	// governor (ondemand, as deployed before NMAP takes over): the
+	// first 100 interrupts of each burst then capture the polling
+	// intensity of a burst's early part *before* the load reaches the
+	// peak, which is exactly the boost trigger NMAP needs (§4.2).
+	s.AttachPolicy(governor.NewStack(s.Eng, s.Proc, governor.Ondemand{Model: s.Cfg.Model}, 0))
+	prof := core.NewProfiler(s.Eng)
+	s.AddListener(prof)
+	// No harness condition reaches this run — least of all a cell's
+	// wall-clock budget: thresholds from a cut-short profile would be
+	// cached for every later NMAP cell of the process. Unguarded and
+	// unaudited, the run cannot fail short of a model bug.
+	if _, err := s.Run(); err != nil {
+		panic(fmt.Sprintf("experiments: §4.2 profiling run failed: %v", err))
+	}
+	return prof.Thresholds()
 }
 
 // Build assembles the server and its policy without running it, so
@@ -160,6 +230,21 @@ func BuildOn(spec Spec, eng *sim.Engine) (*server.Server, error) {
 	newStack := func(g governor.CPUGovernor) *governor.Stack {
 		return governor.NewStack(s.Eng, s.Proc, g, 10*sim.Millisecond)
 	}
+	// thresholds are the spec's override, or §4.2's profile of the
+	// application: the spec's own profile, not s.Cfg.Profile — a Flows
+	// override clones that under the same name, and the memo, keyed by
+	// name, would then hand whichever variant profiled first to every
+	// later cell of the application.
+	thresholds := func() core.Thresholds {
+		if spec.Thresholds != (core.Thresholds{}) {
+			return spec.Thresholds
+		}
+		app := spec.Cfg.Profile
+		if app == nil {
+			app = workload.Memcached()
+		}
+		return ProfiledThresholds(app, thresholdSeed(spec.Cfg.Seed))
+	}
 
 	switch spec.Policy {
 	case "performance":
@@ -177,10 +262,7 @@ func BuildOn(spec Spec, eng *sim.Engine) (*server.Server, error) {
 	case "schedutil":
 		s.AttachPolicy(newStack(&governor.Schedutil{Model: m}))
 	case "nmap":
-		th := spec.Thresholds
-		if th == (core.Thresholds{}) {
-			th = ProfiledThresholds(s.Cfg.Profile, 1000+s.Cfg.Seed%4)
-		}
+		th := thresholds()
 		n := core.NewNMAP(s.Eng, s.Proc, newStack(governor.Ondemand{Model: m}), th, 10*sim.Millisecond)
 		s.AddListener(n)
 		s.AttachPolicy(n)
@@ -201,10 +283,7 @@ func BuildOn(spec Spec, eng *sim.Engine) (*server.Server, error) {
 		// Extension (§8 future work): NMAP with sleep-state integration
 		// — deep sleep is disabled while any core is in Network
 		// Intensive Mode.
-		th := spec.Thresholds
-		if th == (core.Thresholds{}) {
-			th = ProfiledThresholds(s.Cfg.Profile, 1000+s.Cfg.Seed%4)
-		}
+		th := thresholds()
 		n := core.NewNMAP(s.Eng, s.Proc, newStack(governor.Ondemand{Model: m}), th, 10*sim.Millisecond)
 		n.IntegrateSleep(sw)
 		s.AddListener(n)

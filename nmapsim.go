@@ -168,8 +168,11 @@ func (s Scenario) Run() (Result, error) {
 // users tuning their own workloads).
 type Thresholds = core.Thresholds
 
-// ProfileThresholds runs the paper's offline profiling for the given
-// app ("memcached" or "nginx") and returns the derived NMAP thresholds.
+// ProfileThresholds returns the NMAP thresholds the paper's offline
+// profiling (§4.2) derives for the given app ("memcached" or "nginx")
+// at a profiling seed (0 means 1001). Seeds 1000–1003 are served from a
+// committed table, checked bit for bit against the profiling run by the
+// experiments tests; any other seed runs the profiling once per process.
 func ProfileThresholds(app string, seed uint64) (Thresholds, error) {
 	s := Scenario{App: app}
 	prof, err := s.profile()
