@@ -142,7 +142,8 @@ pgo:
 # Golden byte gate, built both ways: TestGolden re-renders the committed
 # corpus under internal/experiments/testdata/golden (table1, faulted
 # fig9 with and without the auditor, fig-resilience, fig-cluster,
-# fig-grayfail, an nmapreport matrix and an audited nginx nmapreport
+# fig-cluster with hedging and a 20ms client RTO, fig-grayfail, an
+# nmapreport matrix and an audited nginx nmapreport
 # matrix under a core crash, a queue stall and lost IRQs) serially and
 # on 4 workers,
 # and every byte must match — once with -pgo=off and once with the

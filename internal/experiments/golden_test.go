@@ -59,6 +59,21 @@ var goldenCases = []goldenCase{
 		fig, err := h.FigCluster(Quick, 3, "rr", false)
 		return RenderCluster(fig) + "\n", err
 	}},
+	// nmapsim -quick -audit -nodes 3 -hedge -rto 20ms fig-cluster
+	//
+	// Hedge timers and client RTO timers on a fleet: nearly every RTO
+	// timer is cancelled microseconds after it is armed, and the crashed
+	// node's requests retransmit, so the calendar's geometry runs far
+	// from the plain fig-cluster case's.
+	{
+		file:  "fig-cluster-audit-hedge-rto-nodes3.txt",
+		retry: workload.RetryConfig{Timeout: 20 * sim.Millisecond},
+		audit: true,
+		stdout: func(h *Harness) (string, error) {
+			fig, err := h.FigCluster(Quick, 3, "rr", true)
+			return RenderCluster(fig) + "\n", err
+		},
+	},
 	// nmapsim -quick -audit -nodes 3 fig-grayfail
 	{file: "fig-grayfail-audit-nodes3.txt", audit: true, stdout: func(h *Harness) (string, error) {
 		fig, err := h.FigGrayFail(Quick, 3, "rr")

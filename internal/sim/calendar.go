@@ -34,21 +34,31 @@ package sim
 // a burst of simultaneous events never touches the cursor, the window or
 // the overflow ladder.
 //
-// Calibration: the queue sizes itself to the observed event-horizon
-// distribution. Enqueues feed an integer EWMA of the scheduling horizon
-// (ev.at - now); the rung width tracks the average inter-event gap
-// (horizon over live count) and the rung count tracks rungsPerEvent
-// times the live count, so the insert window spans ~rungsPerEvent mean
-// horizons. The window must cover the horizon distribution's tail, not
-// its mean: a response's 48 Tx segments land 2–58µs out, and a window of
-// two mean horizons pushed 20–29% of all fired events through the
-// overflow ladder and back. Most rungs are empty at this operating point, which
-// costs one bit each in the occupancy scan. A rebuild anchors the window
-// at the earliest pending event, so the cached minimum is always
-// rung-resident. Recalibration triggers on occupancy bounds (4x either
-// side of the target) and on horizon drift, rebuilds in O(n), and is
-// driven purely by queue state — never by wall clock — so it is
-// deterministic and replay-safe.
+// Calibration: the queue sizes itself to what it dispatches, not to
+// what models schedule. The rung width tracks the mean gap between
+// dispatched events, measured at the periodic drift check as the clock's
+// advance over the last 4096 fires (the largest power of two not above
+// it); the rung count tracks rungsPerEvent
+// times the pending count, overflow ladder included, so the insert
+// window spans ~rungsPerEvent mean residence times. Sizing from
+// dispatches makes the width immune to events that are scheduled and
+// then cancelled: a client RTO arms a 20ms timer per request and
+// cancels it microseconds later, and the enqueue-horizon EWMA this
+// replaced read those timers as a 64x wider mean gap, so every pop
+// scanned ~40 rung residents. The window must cover the horizon
+// distribution's tail, not its mean: a response's 48 Tx segments land
+// 2–58µs out, and a window of two mean horizons pushed 20–29% of all
+// fired events through the overflow ladder and back. Most rungs are
+// empty at this operating point, which costs one bit each in the
+// occupancy scan. The rebuild band (4x either side of the target)
+// counts the same population the target does — every pending event:
+// when it counted only rung residents, a queue whose events sat mostly
+// in the ladder read "too sparse" right after every rebuild, and each
+// cancel rebuilt and re-pushed the whole ladder. A rebuild anchors the
+// window at the earliest pending event, so the cached minimum is always
+// rung-resident. Recalibration triggers on the band and on width drift,
+// rebuilds in O(n), and is driven purely by queue state and the virtual
+// clock — never by wall clock — so it is deterministic and replay-safe.
 //
 // Occupancy bitmap: one uint64 word summarizes 64 rungs (bit set ⇔ rung
 // list non-empty), maintained by the O(1) rung link/unlink paths. The
@@ -57,11 +67,16 @@ package sim
 // calibration rebuild collects residents by iterating set bits, so both
 // scans skip empty rungs in O(1) per word instead of O(1) per rung. The
 // invariants: (1) occ bit p is set iff buckets[p] != nil, restored
-// before every return from the mutating paths; (2) the bitmap indexes
-// physical rungs, not virtual buckets — during a cursor-pullback
-// transient (window span > rung count) a set bit may point at a rung
-// whose residents all belong to a later lap, which the year check in
-// rungMin filters exactly as it did for the probed walk.
+// before every return from the mutating paths; (2) the window never
+// spans more than one lap of the circular array (winEnd-curVb <= nb)
+// and no rung resident lies behind the cursor, so physical rung p holds
+// exactly one virtual bucket and the first set bit at or after the
+// cursor names the rung of the minimum. A schedule behind the cursor
+// pulls the cursor back; one that would stretch the window past a lap
+// rebuilds instead. A stretched window used to cost a lap walk: with
+// the cursor pulled far behind a window anchored at a distant event,
+// each step found only later-lap residents, and reaching the far event
+// took one step per lap — 50s of CPU on one scheduler fuzz input.
 
 import "math/bits"
 
@@ -74,20 +89,18 @@ const (
 	// Rung-width bounds, as log2 nanoseconds: 16ns to ~4.2ms.
 	minShift = 4
 	maxShift = 22
-	// Horizon samples are clamped to ~67ms so a lone watchdog scheduled
-	// seconds out cannot yank the EWMA (and with it the rung width) away
-	// from the microsecond-scale steady state.
-	maxHorizonSample = 1 << 26
-	// recalPeriod masks the fired counter for the periodic drift check.
-	recalPeriod = 1<<12 - 1
-	// rungsPerEvent is the calibrated rung count per live event (see
+	// recalPeriod masks the fired counter for the periodic drift check;
+	// the check also measures the dispatch gap over the recalPeriod+1
+	// fires since the last one (recalLog is its log2).
+	recalLog    = 12
+	recalPeriod = 1<<recalLog - 1
+	// rungsPerEvent is the calibrated rung count per pending event (see
 	// Calibration above). 8 and 16 tie on wall time; 16 leaves 0.05% of
 	// high-load memcached's events in the overflow ladder, 8 leaves
 	// 1.5%.
 	rungsPerEvent = 16
 	// rebuildBand is the rung-count hysteresis: a rebuild runs once the
-	// rung-resident count drifts this factor either side of
-	// nb/rungsPerEvent.
+	// pending count drifts this factor either side of nb/rungsPerEvent.
 	rebuildBand = 4
 )
 
@@ -98,8 +111,9 @@ const (
 )
 
 // initCalendar sets the queue to its startup geometry: 256 rungs of
-// 2.048µs (a 524µs window) and a 32µs horizon prior, which fits the
-// NIC/softirq tick pattern before the first calibration has data.
+// 2.048µs (a 524µs window), which fits the NIC/softirq tick pattern
+// before the first drift check has measured the dispatch gap. Until
+// then the gap reads 0, so a rebuild forced by a burst errs narrow.
 func (e *Engine) initCalendar() {
 	e.allRungs = make([]*event, minBuckets)
 	e.allOcc = make([]uint64, minBuckets/64)
@@ -107,14 +121,13 @@ func (e *Engine) initCalendar() {
 	e.occ = e.allOcc
 	e.mask = minBuckets - 1
 	e.shift = 11
-	e.ewmaH = 32 << 10
 	e.curVb = 0
 	e.winEnd = minBuckets
 }
 
 // enqueue places a filled event record into the calendar (or the
-// overflow ladder) and maintains the cached minimum and the horizon
-// EWMA. O(1) outside calibration.
+// overflow ladder) and maintains the cached minimum. O(1) outside
+// calibration.
 func (e *Engine) enqueue(ev *event) {
 	if e.buckets == nil {
 		e.initCalendar()
@@ -126,11 +139,12 @@ func (e *Engine) enqueue(ev *event) {
 		// can never precede one.
 		e.overPush(ev)
 	} else {
-		if vb < e.curVb {
-			// Scheduling behind the cursor (possible between Run calls,
-			// after the cursor walked ahead to a far next event): pull
-			// the cursor back. The year checks in the scans keep rung
-			// sharing during this transient exact.
+		pulled := vb < e.curVb
+		if pulled {
+			// Scheduling behind the cursor (between Run calls, after the
+			// cursor walked ahead to a far next event, or after a rebuild
+			// anchored at one): pull the cursor back. If that stretches
+			// the window past one lap, the rebuild below re-anchors it.
 			e.curVb = vb
 		}
 		e.bucketPut(ev, vb)
@@ -145,21 +159,9 @@ func (e *Engine) enqueue(ev *event) {
 			// scan.
 			e.minEv = ev
 		}
-		if e.tooFull() {
+		if e.tooFull() || pulled && e.winEnd-vb > int64(len(e.buckets)) {
 			e.calibrate()
 		}
-	}
-	// Horizon EWMA, sampled every 8th event: the drift check only reads
-	// it every 4096 fires, so a 1-in-8 systematic sample (seq-keyed —
-	// a pure function of the event stream, hence deterministic) tracks
-	// the distribution just as well at an eighth of the per-enqueue
-	// cost.
-	if ev.seq&7 == 0 {
-		h := int64(ev.at - e.now)
-		if h > maxHorizonSample {
-			h = maxHorizonSample
-		}
-		e.ewmaH += (h - e.ewmaH) >> 4
 	}
 }
 
@@ -244,12 +246,9 @@ func (e *Engine) peekMin() *event {
 			continue
 		}
 		// Jump the cursor to the next occupied rung via the occupancy
-		// bitmap. Rung-resident events all have curVb <= vb < winEnd, so
-		// with the window spanning at most one lap the jump target is
-		// exactly the next virtual bucket holding events; during a
-		// cursor-pullback transient (span > one lap) the rung may hold
-		// only later-lap residents, which rungMin filters — the cursor
-		// then steps past and rescans.
+		// bitmap. Rung-resident events all have curVb <= vb < winEnd and
+		// the window spans at most one lap, so the jump target is
+		// exactly the next virtual bucket holding events.
 		d := e.occNext(e.curVb & e.mask)
 		if d < 0 {
 			// No rung is occupied: everything pending lives in the
@@ -258,15 +257,9 @@ func (e *Engine) peekMin() *event {
 			e.advanceWindow()
 			continue
 		}
-		vb := e.curVb + d
-		if x := e.buckets[int32(vb&e.mask)]; x != nil {
-			if best := e.rungMin(x, vb); best != nil {
-				e.curVb = vb
-				e.minEv = best
-				return best
-			}
-		}
-		e.curVb = vb + 1
+		e.curVb += d
+		e.minEv = e.rungMin(e.buckets[int32(e.curVb&e.mask)])
+		return e.minEv
 	}
 }
 
@@ -294,29 +287,19 @@ func (e *Engine) occNext(p int64) int64 {
 }
 
 // rungMin returns the (at, seq) minimum among the events in rung list x
-// that belong to virtual bucket vb, or nil if every resident is foreign.
-// The year check per event is only needed while a cursor pullback has
-// stretched the span beyond one lap of the circular array (winEnd-curVb
-// > nb) — in the steady state each rung holds a single virtual bucket
-// and the scan is a plain list minimum.
-func (e *Engine) rungMin(x *event, vb int64) *event {
+// (nil for an empty rung). The window spans at most one lap, so every
+// resident of a rung belongs to the same virtual bucket and the scan is
+// a plain list minimum.
+func (e *Engine) rungMin(x *event) *event {
 	var best *event
-	if e.winEnd-e.curVb <= int64(len(e.buckets)) {
-		for ; x != nil; x = x.next {
-			if best == nil || less(x, best) {
-				best = x
-			}
-		}
-		return best
-	}
+	var n uint64
 	for ; x != nil; x = x.next {
-		if int64(x.at)>>e.shift != vb {
-			continue // foreign year sharing the rung (cursor-pullback transient)
-		}
+		n++
 		if best == nil || less(x, best) {
 			best = x
 		}
 	}
+	e.rungScans += n
 	return best
 }
 
@@ -334,17 +317,16 @@ func (e *Engine) advanceWindow() {
 	}
 }
 
-// maybeRecalibrate is the periodic drift check (every 4096 fires): a
-// rebuild runs when the rung count is far off its target or
-// the rung width is ≥4x off the horizon EWMA's ideal. Pure queue state,
-// no wall clock — deterministic.
+// maybeRecalibrate is the periodic drift check (every 4096 fires). It
+// measures the mean dispatch gap over those fires — the clock's advance
+// divided by their count, so events cancelled before they fire never
+// enter it — and rebuilds when the rung width is ≥4x off that gap or
+// the pending count has left the rebuild band. Pure queue state and
+// virtual clock, no wall clock — deterministic.
 func (e *Engine) maybeRecalibrate() {
-	nb := len(e.buckets)
-	if nb == 0 {
-		return
-	}
-	ideal := int(e.idealShift(int64(e.nshort + len(e.over))))
-	d := ideal - int(e.shift)
+	e.gap = int64(e.now-e.lastCheck) >> recalLog
+	e.lastCheck = e.now
+	d := int(e.idealShift()) - int(e.shift)
 	if d < 0 {
 		d = -d
 	}
@@ -353,48 +335,46 @@ func (e *Engine) maybeRecalibrate() {
 	}
 }
 
-// tooFull reports whether the rung-resident count has grown past the
-// rebuild band (and the rung count can still grow).
+// tooFull reports whether the pending count has grown past the rebuild
+// band (and the rung count can still grow). It counts the overflow
+// ladder too, as calibrate's rung-count target does.
 func (e *Engine) tooFull() bool {
 	nb := len(e.buckets)
-	return nb < maxBuckets && rungsPerEvent*e.nshort > rebuildBand*nb
+	return nb < maxBuckets && rungsPerEvent*e.Pending() > rebuildBand*nb
 }
 
-// tooSparse reports whether the rung-resident count has fallen below
-// the rebuild band (and the rung count can still shrink).
+// tooSparse reports whether the pending count has fallen below the
+// rebuild band (and the rung count can still shrink).
 func (e *Engine) tooSparse() bool {
 	nb := len(e.buckets)
-	return nb > minBuckets && rebuildBand*rungsPerEvent*e.nshort < nb
+	return nb > minBuckets && rebuildBand*rungsPerEvent*e.Pending() < nb
 }
 
-// idealShift picks the rung width (log2 ns) tracking the average
-// inter-event gap (horizon EWMA over live count), the classic
-// calendar-queue operating point: ~1 event per occupied rung. The
-// balance is asymmetric — visiting an empty rung is one head load and a
-// nil test, while every event resident in a scanned rung costs a
-// pointer chase plus a year check — so the width must err narrow, but
-// not so narrow that pops walk long runs of empties (sizing against the
-// rung count with its 256 floor did exactly that: a near-empty queue
-// got rungs gap/64 wide and every pop walked dozens of them).
-func (e *Engine) idealShift(n int64) uint {
-	if n < 1 {
-		n = 1
-	}
-	want := e.ewmaH
+// idealShift picks the rung width (log2 ns): the largest power of two
+// not above the measured dispatch gap, the classic calendar-queue
+// operating point of ~1 event per occupied rung, erring narrow. The
+// balance is asymmetric — visiting an empty rung is one bit in the
+// occupancy scan, while every event resident in a scanned rung costs a
+// pointer chase plus an (at, seq) compare. Against the next power of
+// two up, same-host A/B on a 2-vCPU x86-64 host: mc-high-nmap 0.83 →
+// 0.93 sim-s/s (9/10 pairs), the other workloads level or better.
+func (e *Engine) idealShift() uint {
 	s := uint(minShift)
-	for s < maxShift && n<<s < want {
+	for s < maxShift && int64(2)<<s <= e.gap {
 		s++
 	}
 	return s
 }
 
 // calibrate rebuilds the calendar to the current event population:
-// rung count tracking rungsPerEvent times the live count, width from
-// the horizon EWMA, the window anchored at the earliest pending event.
+// rung count tracking rungsPerEvent times the pending count, width from
+// the measured dispatch gap, the window anchored at the earliest pending
+// event.
 // O(n); event records are relinked in place and the rung-head array
 // only grows past its high-water mark, so steady-state rebuilds never
 // allocate.
 func (e *Engine) calibrate() {
+	e.rebuilds++
 	all := e.scratch[:0]
 	// The occupancy bitmap names exactly the non-empty rungs, so the
 	// collection pass touches one word per 64 rungs plus one probe per
@@ -432,7 +412,7 @@ func (e *Engine) calibrate() {
 	e.buckets = e.allRungs[:nb] // shrink is a reslice of the high-water backing
 	e.occ = e.allOcc[:nb/64]
 	e.mask = int64(nb - 1)
-	e.shift = e.idealShift(int64(len(all)))
+	e.shift = e.idealShift()
 
 	// Anchor at the earliest pending event, not at the clock: a window
 	// anchored at now can leave every pending event beyond winEnd, and

@@ -176,25 +176,31 @@ type Engine struct {
 	// dispatch cursor, winEnd the virtual bucket where the insert window
 	// ends, nshort the number of rung-resident events, and minEv caches
 	// the queue minimum between operations. over is the overflow ladder
-	// for events beyond the window; ewmaH the integer EWMA of the
-	// scheduling horizon that drives calibration; scratch a reusable
-	// buffer for rebuilds.
-	buckets  []*event // the live rung heads: allRungs[:nb]
-	allRungs []*event // high-water backing so recalibration never allocates in steady state
-	occ      []uint64 // rung occupancy bitmap: bit p set iff buckets[p] != nil; allOcc[:nb/64]
-	allOcc   []uint64 // high-water backing for occ, grown in lockstep with allRungs
-	mask     int64
-	shift    uint
-	curVb    int64
-	winEnd   int64
-	nshort   int
-	minEv    *event
-	over     []*event
-	ewmaH    int64
-	scratch  []*event
+	// for events beyond the window; gap the mean dispatch gap (ns)
+	// measured at the last drift check, which sets the rung width, and
+	// lastCheck the clock at that check; scratch a reusable buffer for
+	// rebuilds.
+	buckets   []*event // the live rung heads: allRungs[:nb]
+	allRungs  []*event // high-water backing so recalibration never allocates in steady state
+	occ       []uint64 // rung occupancy bitmap: bit p set iff buckets[p] != nil; allOcc[:nb/64]
+	allOcc    []uint64 // high-water backing for occ, grown in lockstep with allRungs
+	mask      int64
+	shift     uint
+	curVb     int64
+	winEnd    int64
+	nshort    int
+	minEv     *event
+	over      []*event
+	gap       int64
+	lastCheck Time
+	scratch   []*event
 	// overPushes counts pushes onto the overflow ladder, rebuilds
 	// included: the ladder traffic the window sizing exists to avoid.
+	// rungScans counts the rung residents the minimum scans visit (the
+	// cost the rung width exists to bound), rebuilds the calibrations.
 	overPushes uint64
+	rungScans  uint64
+	rebuilds   uint64
 
 	free []*event
 
@@ -432,8 +438,8 @@ func (e *Engine) watchdogTripped(next *event) bool {
 // rung scan — events at the same timestamp always share a virtual rung,
 // so a batch of simultaneous events drains through this scan alone, no
 // cursor walk, window motion or overflow traffic between the callbacks;
-// the periodic drift check keeps the calendar's geometry matched to the
-// event-horizon distribution.
+// the periodic drift check keeps the rung width matched to the measured
+// dispatch gap.
 func (e *Engine) fire() {
 	next := e.minEv
 	vb := int64(next.at) >> e.shift
@@ -442,7 +448,7 @@ func (e *Engine) fire() {
 	// Resolve the successor: global minimum, since every earlier rung is
 	// already dry.
 	if x := e.buckets[int32(vb&e.mask)]; x != nil {
-		e.minEv = e.rungMin(x, vb)
+		e.minEv = e.rungMin(x)
 	} else {
 		e.minEv = nil
 	}

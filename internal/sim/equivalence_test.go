@@ -301,7 +301,14 @@ func (tr *eqTrial) checkPending() {
 }
 
 func TestSchedulerEquivalence(t *testing.T) {
-	for _, seed := range []int64{1, 2, 7, 42, 1337} {
+	// parked is the number of events parked 1–2s out before the op
+	// stream starts: far beyond any window, they sit in the overflow
+	// ladder through every rebuild the stream triggers.
+	for _, trial := range []struct {
+		seed   int64
+		parked int
+	}{{1, 0}, {2, 0}, {7, 0}, {42, 0}, {1337, 0}, {4096, 3000}} {
+		seed := trial.seed
 		rng := rand.New(rand.NewSource(seed))
 		tr := &eqTrial{
 			t:    t,
@@ -312,9 +319,12 @@ func TestSchedulerEquivalence(t *testing.T) {
 		tr.argFn = func(a any) { tr.got = append(tr.got, a.(int)) }
 
 		nextID := 0
+		for ; nextID < trial.parked; nextID++ {
+			tr.schedule(Time(Second)+Time(rng.Int63n(int64(Second))), nextID, false)
+		}
 		const ops = 8000
 		for i := 0; i < ops; i++ {
-			switch op := rng.Intn(16); {
+			switch op := rng.Intn(17); {
 			case op < 9: // schedule with a mixed-horizon delta
 				var d int64
 				switch rng.Intn(9) {
@@ -376,8 +386,19 @@ func TestSchedulerEquivalence(t *testing.T) {
 				if p.rhSet && p.rh.pending() {
 					t.Fatalf("stale reference handle reports pending")
 				}
-			default: // advance virtual time, firing everything due
+			case op < 16: // advance virtual time, firing everything due
 				tr.advance(tr.eng.Now() + Time(rng.Int63n(1<<20)))
+			default: // RTO timer: armed 1–32ms out, cancelled a few µs on
+				id := nextID
+				nextID++
+				tr.schedule(tr.eng.Now()+Time(Millisecond)+Time(rng.Int63n(int64(31*Millisecond))), id, false)
+				tr.advance(tr.eng.Now() + Time(rng.Int63n(int64(50*Microsecond))))
+				p := tr.live[id]
+				if ec, rc := p.ev.Cancel(), tr.ref.cancel(p.rh); !ec || !rc {
+					t.Fatalf("cancel of timer id %d: engine=%v reference=%v", id, ec, rc)
+				}
+				tr.liveDrop(id)
+				tr.checkPending()
 			}
 		}
 

@@ -20,10 +20,15 @@ import (
 //	                             (i+1)·(m<<(c%31)) ns out with its
 //	                             reserved seq if bit i%8 of b is set, and
 //	                             the last slot always (the NIC's lazy Tx)
+//	6 timer      m, a            one event m%32+1 ms out; Run a%64+1 µs
+//	                             on, then cancel it (a client RTO that
+//	                             its response disarms)
 //
-// Chains keep the rebuild paths busy: a long run of equal short
-// horizons drags the horizon EWMA, and with it the calendar geometry,
-// away from whatever else is pending. The stream ends with a full drain.
+// Chains keep the rebuild paths busy: a long run of equal short gaps
+// drags the measured dispatch gap, and with it the calendar geometry,
+// away from whatever else is pending. Timers are the opposite: scheduled
+// far out and cancelled unfired, they load the queue without ever
+// reaching the dispatch-gap estimate. The stream ends with a full drain.
 func FuzzSchedulerEquivalence(f *testing.F) {
 	// The calibrate anchor reproduction: one event ~1s out, then a 10ns
 	// chain that stops exactly at the 4096th fire, where the drift check
@@ -35,11 +40,24 @@ func FuzzSchedulerEquivalence(f *testing.F) {
 	// Reserved blocks: a 48-slot block 1.2µs apart with a sparse mask
 	// between ordinary events, a same-instant block, a cancel and runs.
 	f.Add([]byte{5, 0, 4, 176, 47, 0x11, 0, 0, 0, 100, 5, 0, 0, 0, 9, 0xff, 2, 3, 3, 12, 0, 200, 4, 0, 30})
+	// Parked timers: two reserved blocks park 96 events 1–78s out in
+	// the overflow ladder while a 256ns chain runs past the 4096-fire
+	// drift check (whose rebuild re-pushes them), RTO-style timers are
+	// armed and cancelled around it, and cancels thin the queue.
+	f.Add([]byte{5, 30, 0, 1, 47, 0xff, 5, 29, 0, 3, 47, 0xff,
+		1, 8, 0, 1, 0x10, 0x68, 6, 19, 3, 4, 0x10, 0x00, 6, 7, 40, 2, 6, 2, 100,
+		4, 0x10, 0x00, 6, 31, 63, 2, 0, 2, 1, 4, 0x01, 0x00})
+	// A lap walk: a reserved slot ~24 days out, an advance of ~4s
+	// and a 2ms chain, then timers and cancels. Scheduling behind a
+	// cursor parked at a distant event once stretched the window over
+	// millions of laps of the rung array, and the walk back to the far
+	// event stepped through them one lap at a time (50s of CPU).
+	f.Add([]byte("\x05\x1e\xff\x05\x1d\x00\x03/\xff\x01\x15\x00\x01\x10h\x06\x13\x03\x04\x10\x00\x06\a(\x02\x06\x02d\x04\x10\x00\x06\x1f\x1f"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fz := newFuzzTrial(t)
 		const maxOps = 256
 		for op := 0; op < maxOps && len(data) > 0; op++ {
-			code := data[0] % 6
+			code := data[0] % 7
 			data = data[1:]
 			switch code {
 			case 0, 1:
@@ -80,6 +98,12 @@ func FuzzSchedulerEquivalence(f *testing.F) {
 					return
 				}
 				fz.reserve(d, int(data[0]%48)+1, data[1])
+				data = data[2:]
+			case 6:
+				if len(data) < 2 {
+					return
+				}
+				fz.timer(Duration(data[0]%32+1)*Millisecond, Duration(data[1]%64+1)*Microsecond)
 				data = data[2:]
 			}
 		}
@@ -205,6 +229,21 @@ func (fz *fuzzTrial) cancel(i int) {
 	delete(fz.rhs, id)
 	fz.live = append(fz.live[:i], fz.live[i+1:]...)
 	fz.check()
+}
+
+// timer arms one event timeout out, runs adv on and cancels it while
+// still pending (adv is always shorter than timeout).
+func (fz *fuzzTrial) timer(timeout, adv Duration) {
+	fz.schedule(timeout, 1)
+	id := len(fz.chains) - 1
+	fz.advance(fz.eng.Now() + Time(adv))
+	for i, l := range fz.live {
+		if l == id {
+			fz.cancel(i)
+			return
+		}
+	}
+	fz.t.Fatalf("timer id %#x fired %v before its %v timeout", id, adv, timeout)
 }
 
 // refFire pops the reference minimum and mirrors the engine callback.
