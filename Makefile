@@ -116,8 +116,9 @@ profile:
 
 # Fuzz smoke: replay the checked-in corpus, let the native fuzzers mutate
 # for a few seconds each (the auditor's configurations, the calendar
-# queue against the reference binary heap, then the NIC's lazy Tx
-# completions against the per-segment reference NIC), then push 200
+# queue against the reference binary heap, the NIC's lazy Tx
+# completions against the per-segment reference NIC, then the exact
+# latency recorder against a sorted []int64), then push 200
 # fresh random configurations through the auditor with cmd/nmapfuzz. Any
 # invariant violation or firing-order divergence fails the build and
 # leaves a minimized reproducer in fuzz-failures/ or the package's
@@ -127,6 +128,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzAuditInvariants -fuzztime 10s ./internal/fuzzer/
 	$(GO) test -run '^$$' -fuzz FuzzSchedulerEquivalence -fuzztime 10s ./internal/sim/
 	$(GO) test -run '^$$' -fuzz FuzzTxElisionEquivalence -fuzztime 10s ./internal/nic/
+	$(GO) test -run '^$$' -fuzz FuzzHistExact -fuzztime 10s ./internal/stats/
 	$(GO) run ./cmd/nmapfuzz -n 200 -seed 1
 
 # Record a fresh PGO profile from the representative fig12-quick run.
@@ -143,9 +145,10 @@ pgo:
 # corpus under internal/experiments/testdata/golden (table1, faulted
 # fig9 with and without the auditor, fig-resilience, fig-cluster,
 # fig-cluster with hedging and a 20ms client RTO, fig-grayfail, an
-# nmapreport matrix and an audited nginx nmapreport
-# matrix under a core crash, a queue stall and lost IRQs) serially and
-# on 4 workers,
+# nmapreport matrix, an audited nginx nmapreport
+# matrix under a core crash, a queue stall and lost IRQs, a memcached
+# nmapreport matrix with -cdf from the exact recorder and again with
+# -stream, and fig11's percentile lines) serially and on 4 workers,
 # and every byte must match — once with -pgo=off and once with the
 # committed profile, so profile-guided codegen can never drift physics
 # either.

@@ -72,7 +72,7 @@ func (p *Parties) Current() int { return p.cur }
 func (p *Parties) tick() {
 	p99 := p.window.P(0.99)
 	n := p.window.N()
-	p.window = stats.NewHist(4096)
+	p.window.Reset()
 	if n == 0 {
 		// No traffic: drift down one step.
 		if p.cur < p.proc.Model.MaxP() {

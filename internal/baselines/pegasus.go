@@ -67,7 +67,7 @@ func (p *Pegasus) Current() int { return p.cur }
 func (p *Pegasus) tick() {
 	p99 := p.window.P(0.99)
 	n := p.window.N()
-	p.window = stats.NewHist(8192)
+	p.window.Reset()
 	switch {
 	case n == 0:
 		if p.cur < p.proc.Model.MaxP() {

@@ -314,7 +314,7 @@ func New(cfg Config, setup NodeSetup) (*Cluster, error) {
 	if scfg.StreamingHist {
 		c.hist = stats.NewStreamingHist()
 	} else {
-		c.hist = stats.NewHist(int(server.EstimatedHistBytes(scfg) / 8))
+		c.hist = stats.NewHist(server.HistCapacity(scfg))
 	}
 	return c, nil
 }

@@ -27,6 +27,7 @@ type goldenCase struct {
 	faults string
 	retry  workload.RetryConfig
 	audit  bool
+	stream bool
 	// auditToo also renders the case under Audit: the auditor is a pure
 	// observer and may not change a byte.
 	auditToo bool
@@ -81,7 +82,26 @@ var goldenCases = []goldenCase{
 	}},
 	// nmapreport -seeds 1 -dur 100
 	{file: "nmapreport-seeds1-dur100.json", stdout: func(h *Harness) (string, error) {
-		return reportMatrix(h, workload.Profiles())
+		return reportMatrix(h, workload.Profiles(), false)
+	}},
+	// nmapreport -app memcached -seeds 1 -dur 100 -cdf
+	//
+	// 51-point latency CDFs per cell, read from the exact recorder.
+	{file: "nmapreport-memcached-cdf-seeds1-dur100.json", stdout: func(h *Harness) (string, error) {
+		return reportMatrix(h, []*workload.Profile{workload.Memcached()}, true)
+	}},
+	// nmapreport -app memcached -seeds 1 -dur 100 -cdf -stream
+	//
+	// The same CDFs from the bounded streaming recorder.
+	{file: "nmapreport-memcached-cdf-stream-seeds1-dur100.json", stream: true, stdout: func(h *Harness) (string, error) {
+		return reportMatrix(h, []*workload.Profile{workload.Memcached()}, true)
+	}},
+	// nmapsim -quick fig11
+	//
+	// P50–P99.9 response-time lines from the exact recorder.
+	{file: "fig11.txt", stdout: func(h *Harness) (string, error) {
+		figs, err := h.Fig10And11(Quick)
+		return RenderLatencyFigures("Figs 10+11: NMAP, high load", figs) + "\n", err
 	}},
 	// nmapreport -app nginx -seeds 1 -dur 100 -audit -faults corecrash=1@250ms:40ms,queuestall=2@260ms:20ms,irqloss=0.001
 	//
@@ -94,14 +114,15 @@ var goldenCases = []goldenCase{
 		audit:  true,
 		stdout: func(h *Harness) (string, error) {
 			nginx, _ := workload.ProfileByName("nginx")
-			return reportMatrix(h, []*workload.Profile{nginx})
+			return reportMatrix(h, []*workload.Profile{nginx}, false)
 		},
 	},
 }
 
 // reportMatrix renders nmapreport's JSON for one seed and a 100 ms window
-// over profs × every load level × ondemand/performance/nmap.
-func reportMatrix(h *Harness, profs []*workload.Profile) (string, error) {
+// over profs × every load level × ondemand/performance/nmap, with the
+// latency CDFs when withCDF is set (-cdf).
+func reportMatrix(h *Harness, profs []*workload.Profile, withCDF bool) (string, error) {
 	var specs []Spec
 	for _, prof := range profs {
 		for _, lvl := range workload.Levels {
@@ -116,7 +137,7 @@ func reportMatrix(h *Harness, profs []*workload.Profile) (string, error) {
 	results, err := h.RunSpecs(specs)
 	records := make([]Record, len(specs))
 	for i, res := range results {
-		records[i] = NewRecord(specs[i], res, false)
+		records[i] = NewRecord(specs[i], res, withCDF)
 	}
 	var b bytes.Buffer
 	if err == nil {
@@ -147,7 +168,7 @@ func TestGolden(t *testing.T) {
 		path := filepath.Join("testdata", "golden", c.file)
 		for _, r := range runs {
 			t.Run(fmt.Sprintf("%s/parallel=%d/audit=%v", c.file, r.parallel, r.audit), func(t *testing.T) {
-				got, err := c.stdout(&Harness{Parallel: r.parallel, Faults: inj, Retry: c.retry, Audit: r.audit})
+				got, err := c.stdout(&Harness{Parallel: r.parallel, Faults: inj, Retry: c.retry, Audit: r.audit, Streaming: c.stream})
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -422,7 +422,7 @@ func NewOnEngine(cfg Config, idle kernel.IdlePolicy, eng *sim.Engine) *Server {
 	if cfg.StreamingHist {
 		s.Hist = stats.NewStreamingHist()
 	} else {
-		s.Hist = stats.NewHist(histCapacity(cfg))
+		s.Hist = stats.NewHist(HistCapacity(cfg))
 	}
 	s.Proc = cpu.NewProcessor(cfg.Model, eng, rng.Fork())
 	s.Proc.ForceChipWide = cfg.ForceChipWide
@@ -499,12 +499,13 @@ func NewOnEngine(cfg Config, idle kernel.IdlePolicy, eng *sim.Engine) *Server {
 	return s
 }
 
-// histCapacity sizes the exact recorder's sample buffer from the run
-// horizon — offered load × measured window plus headroom for the tail —
-// so steady-state recording never regrows the slice. Capacity is
-// physics-neutral: it changes when the backing array is allocated,
+// HistCapacity is the sample count the exact recorder of one run of cfg
+// is preallocated for: offered load × measured window plus headroom for
+// the tail, so steady-state recording never regrows the store. Capacity
+// is physics-neutral: it changes when the backing array is allocated,
 // never what is recorded in it.
-func histCapacity(cfg Config) int {
+func HistCapacity(cfg Config) int {
+	cfg = cfg.withDefaults()
 	rps := cfg.RPS
 	for _, l := range cfg.VariableLevels {
 		if l > rps {
@@ -523,14 +524,18 @@ func histCapacity(cfg Config) int {
 
 // EstimatedHistBytes projects the exact-mode recorder's backing-array
 // footprint for one run of cfg — the dominant per-cell allocation of a
-// big sweep (a 4M-sample cell holds 32MB of raw samples). The harness
-// memory watermark compares this projection, scaled by its worker
-// count, against its soft budget to decide when to downgrade fresh
-// cells to the bounded streaming recorder. The projection depends only
-// on the configuration, never on allocator state, so the decision is
-// deterministic and a resumed sweep makes the same one.
+// big sweep. The harness memory watermark compares this projection,
+// scaled by its worker count, against its soft budget to decide when to
+// downgrade fresh cells to the bounded streaming recorder. It charges
+// 8 bytes per sample, the worst case: a recorder keeps 4-byte samples
+// until one falls outside [0, 2^32) ns and widens to 8 bytes only then
+// (a 4M-sample cell holds 16MB, or 32MB widened). Charging the worst
+// case keeps the watermark's decisions independent of the store width.
+// The projection depends only on the configuration, never on allocator
+// state, so the decision is deterministic and a resumed sweep makes the
+// same one.
 func EstimatedHistBytes(cfg Config) int64 {
-	return int64(histCapacity(cfg.withDefaults())) * 8
+	return int64(HistCapacity(cfg)) * 8
 }
 
 // appCost is the kernel's service-cost hook: the request carries its

@@ -156,3 +156,29 @@ func TestDifferentProcessorModel(t *testing.T) {
 		t.Fatal("no results on the E5 model")
 	}
 }
+
+// The memory watermark charges 8 bytes per preallocated sample, the
+// widened recorder's worst case, so it downgrades the same sweep cells
+// to streaming whatever width a recorder ends up with.
+func TestEstimatedHistBytes(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		cfg  Config
+		want int
+	}{
+		{"memcached high 2s", Config{Level: workload.High, Duration: 2 * sim.Second}, 1_875_000},
+		{"memcached low default 1s", Config{Level: workload.Low}, 37_500},
+		{"nginx medium 8s", Config{Profile: workload.Nginx(), Level: workload.Medium, Duration: 8 * sim.Second}, 480_000},
+		{"floor", Config{Level: workload.Low, Duration: 10 * sim.Millisecond}, 1 << 12},
+		{"ceiling", Config{Level: workload.High, Duration: 10 * sim.Second}, 1 << 22},
+		{"variable levels", Config{VariableLevels: []float64{30_000, 750_000, 290_000}}, 937_500},
+		{"explicit rps", Config{RPS: 100_000, Duration: 500 * sim.Millisecond}, 62_500},
+	} {
+		if got := HistCapacity(c.cfg); got != c.want {
+			t.Errorf("%s: HistCapacity = %d, want %d", c.name, got, c.want)
+		}
+		if got := EstimatedHistBytes(c.cfg); got != int64(c.want)*8 {
+			t.Errorf("%s: EstimatedHistBytes = %d, want %d", c.name, got, int64(c.want)*8)
+		}
+	}
+}

@@ -20,11 +20,15 @@ import (
 //   - Exact (NewHist): samples are kept verbatim in a slice preallocated
 //     from the capacity hint, so recording is a single append — O(1),
 //     allocation-free once the hint covers the run — and every query is
-//     exact. Sorting happens lazily on the first query and is memoized:
-//     a Summarize (five quantiles plus Max) pays for one sort, and
-//     repeated queries on an unchanged histogram are pure index math.
-//     Min, max and the running sum are tracked incrementally at Add time,
-//     so Max() never forces a sort.
+//     exact. While every sample lies in [0, 2^32) ns (up to 4.29 s) the
+//     slice holds 4-byte words; the first sample outside that range
+//     copies the store once into 8-byte words of the same capacity, and
+//     the recorder stays wide from then on, through Reset too. Sorting
+//     happens lazily on the first query and is memoized: a Summarize
+//     (five quantiles plus Max) pays for one sort — an in-place radix
+//     sort for the 4-byte store — and repeated queries on an unchanged
+//     histogram are pure index math. Min, max and the running sum are
+//     tracked incrementally at Add time, so Max() never forces a sort.
 //
 //   - Streaming (NewStreamingHist): samples land in a fixed 16K-bucket
 //     log-linear histogram (HdrHistogram-style: 1ns-exact below 1µs, 512
@@ -36,19 +40,29 @@ import (
 //     typical. Count, sum (hence Mean), min and max stay exact.
 //
 // The exact mode is the default everywhere and is byte-identical to the
-// pre-streaming recorder; streaming is opt-in for sweeps that don't need
-// exact bytes (see server.Config.StreamingHist). Both modes survive a
-// checkpoint-journal round trip through MarshalJSON/UnmarshalJSON with
-// full fidelity for their mode: a resumed sweep computes identical
-// results from the journal whichever recorder produced it.
+// pre-streaming recorder whatever its store width; streaming is opt-in
+// for sweeps that don't need exact bytes (see server.Config.StreamingHist).
+// Both modes survive a checkpoint-journal round trip through
+// MarshalJSON/UnmarshalJSON with full fidelity for their mode: a resumed
+// sweep computes identical results from the journal whichever recorder
+// produced it.
 type Hist struct {
-	samples []int64 // exact mode; nil in streaming mode
-	counts  []uint32
-	n       uint64
-	sorted  bool
-	sum     float64
-	min     int64 // valid when n > 0
-	max     int64
+	// Exact mode keeps its samples in narrow until one falls outside
+	// [0, 2^32), and in wide from then on; both are nil in streaming
+	// mode, and both nil in exact mode marshals as null.
+	narrow []uint32
+	wide   []int64
+	// narrowEnd is 2^32 while Add appends to narrow and 0 otherwise, so
+	// one unsigned compare both range-checks a sample (a negative one
+	// wraps above 2^32) and routes a wide or streaming recorder to
+	// addSlow.
+	narrowEnd uint64
+	counts    []uint32
+	n         uint64
+	sorted    bool
+	sum       float64
+	min       int64 // valid when n > 0
+	max       int64
 }
 
 // Streaming-mode geometry: values below 2^subBits count in 1ns-wide
@@ -75,7 +89,7 @@ func NewHist(capacity int) *Hist {
 	if capacity < 0 {
 		capacity = 0
 	}
-	return &Hist{samples: make([]int64, 0, capacity)}
+	return &Hist{narrow: make([]uint32, 0, capacity), narrowEnd: 1 << 32}
 }
 
 // NewStreamingHist returns an empty streaming-mode histogram: fixed
@@ -130,16 +144,34 @@ func (h *Hist) Add(d sim.Duration) {
 	}
 	h.n++
 	h.sum += float64(v)
-	if h.counts != nil {
-		c := v
-		if c < 0 {
-			c = 0
-		}
-		h.counts[streamBucketOf(c)]++
+	h.sorted = false
+	if uint64(v) < h.narrowEnd {
+		h.narrow = append(h.narrow, uint32(v))
 		return
 	}
-	h.samples = append(h.samples, v)
-	h.sorted = false
+	h.addSlow(v)
+}
+
+// addSlow records a sample the narrow store does not take: into the
+// streaming buckets, into the wide store, or — for a zero Hist, which
+// starts with narrowEnd 0 — into a fresh narrow store.
+func (h *Hist) addSlow(v int64) {
+	switch {
+	case h.counts != nil:
+		h.counts[streamBucketOf(max(v, 0))]++
+		return
+	case h.wide == nil && uint64(v) <= math.MaxUint32:
+		h.narrowEnd = 1 << 32
+		h.narrow = append(h.narrow, uint32(v))
+		return
+	case h.wide == nil:
+		h.wide = make([]int64, len(h.narrow), cap(h.narrow))
+		for i, x := range h.narrow {
+			h.wide[i] = int64(x)
+		}
+		h.narrow, h.narrowEnd = nil, 0
+	}
+	h.wide = append(h.wide, v)
 }
 
 // N returns the number of samples.
@@ -147,9 +179,11 @@ func (h *Hist) N() int { return int(h.n) }
 
 // Reset empties the histogram in place, keeping its mode and allocated
 // capacity, so a harness can reuse one recorder across runs without
-// reallocating.
+// reallocating. A widened exact recorder keeps its 8-byte store: going
+// back to 4-byte words would allocate.
 func (h *Hist) Reset() {
-	h.samples = h.samples[:0]
+	h.narrow = h.narrow[:0]
+	h.wide = h.wide[:0]
 	for i := range h.counts {
 		h.counts[i] = 0
 	}
@@ -176,7 +210,11 @@ type histJSON struct {
 // streaming mode writes its bucket counts and exact scalars.
 func (h *Hist) MarshalJSON() ([]byte, error) {
 	if h.counts == nil {
-		return json.Marshal(h.samples)
+		// []uint32 and []int64 encode the same values to the same bytes.
+		if h.wide != nil {
+			return json.Marshal(h.wide)
+		}
+		return json.Marshal(h.narrow)
 	}
 	j := histJSON{Stream: true, N: h.n, Sum: h.sum, Min: h.min, Max: h.max}
 	for i, c := range h.counts {
@@ -206,7 +244,7 @@ func (h *Hist) UnmarshalJSON(b []byte) error {
 			if !j.Stream {
 				return fmt.Errorf("stats: histogram object without stream marker")
 			}
-			h.samples = nil
+			h.narrow, h.wide, h.narrowEnd = nil, nil, 0
 			h.counts = make([]uint32, streamBuckets)
 			for i := 0; i+1 < len(j.Counts); i += 2 {
 				idx := j.Counts[i]
@@ -220,15 +258,21 @@ func (h *Hist) UnmarshalJSON(b []byte) error {
 		}
 		break
 	}
-	h.samples = h.samples[:0]
-	if err := json.Unmarshal(b, &h.samples); err != nil {
-		return err
-	}
+	// Decode into the 4-byte store, and only when a value does not fit
+	// (or the input is malformed) into the 8-byte one.
 	h.counts = nil
+	h.narrow, h.wide, h.narrowEnd = h.narrow[:0], nil, 1<<32
+	if err := json.Unmarshal(b, &h.narrow); err != nil {
+		h.narrow, h.narrowEnd = nil, 0
+		if err := json.Unmarshal(b, &h.wide); err != nil {
+			return err
+		}
+	}
 	h.sorted = false
 	h.sum = 0
-	h.n = uint64(len(h.samples))
-	for i, v := range h.samples {
+	h.n = uint64(h.len())
+	for i := range h.len() {
+		v := h.at(i)
 		h.sum += float64(v)
 		if i == 0 {
 			h.min, h.max = v, v
@@ -249,15 +293,93 @@ func (h *Hist) Mean() sim.Duration {
 	return sim.Duration(h.sum / float64(h.n))
 }
 
-// sortSamples lazily sorts the exact-mode sample slice. slices.Sort
-// specializes the comparison to int64 (no interface closure per
-// element, unlike sort.Slice) and the result is memoized, so a
-// Summarize — five quantiles plus Max — pays for at most one sort and
-// every later query on an unchanged histogram is pure index math.
+// len and at read the exact-mode samples whatever the store width; every
+// query goes through them.
+func (h *Hist) len() int {
+	if h.wide != nil {
+		return len(h.wide)
+	}
+	return len(h.narrow)
+}
+
+func (h *Hist) at(i int) int64 {
+	if h.wide != nil {
+		return h.wide[i]
+	}
+	return int64(h.narrow[i])
+}
+
+// sortSamples lazily sorts the exact-mode samples: the 4-byte store with
+// an in-place radix sort, the widened one with slices.Sort. The result
+// is memoized, so a Summarize — five quantiles plus Max — pays for at
+// most one sort and every later query on an unchanged histogram is pure
+// index math.
 func (h *Hist) sortSamples() {
 	if !h.sorted {
-		slices.Sort(h.samples)
+		if h.wide != nil {
+			slices.Sort(h.wide)
+		} else {
+			radixSort(h.narrow)
+		}
 		h.sorted = true
+	}
+}
+
+// radixSortCutoff is the bucket size at or below which radixSort hands
+// over to slices.Sort: a 256-way pass costs more than it saves there.
+const radixSortCutoff = 64
+
+// radixSort sorts a in place with an MSD "American flag" radix sort over
+// 8-bit digits, starting at the highest digit any key uses. It allocates
+// nothing: each pass permutes keys into their buckets by cycle-leading
+// swaps, then recurses into every bucket on the next digit down.
+func radixSort(a []uint32) {
+	var or uint32
+	for _, v := range a {
+		or |= v
+	}
+	if or == 0 {
+		return
+	}
+	radixPass(a, uint(bits.Len32(or)-1)/8*8)
+}
+
+func radixPass(a []uint32, shift uint) {
+	if len(a) <= radixSortCutoff {
+		slices.Sort(a)
+		return
+	}
+	var count, next [256]int
+	for _, v := range a {
+		count[v>>shift&0xff]++
+	}
+	end := 0
+	for d, c := range count {
+		next[d] = end
+		end += c
+	}
+	// Bucket d begins at start[d]; next[d] is its first slot not yet
+	// holding one of its keys.
+	start := next
+	for d := range next {
+		stop := start[d] + count[d]
+		for next[d] < stop {
+			v := a[next[d]]
+			for k := v >> shift & 0xff; k != uint32(d); k = v >> shift & 0xff {
+				v, a[next[k]] = a[next[k]], v
+				next[k]++
+			}
+			a[next[d]] = v
+			next[d]++
+		}
+	}
+	if shift == 0 {
+		return
+	}
+	for d, c := range count {
+		if c > 1 {
+			radixPass(a[start[d]:start[d]+c], shift-8)
+		}
 	}
 }
 
@@ -316,7 +438,7 @@ func (h *Hist) P(q float64) sim.Duration {
 		return h.streamValueAtRank(rank)
 	}
 	h.sortSamples()
-	return sim.Duration(h.samples[rankIndex(q, len(h.samples))])
+	return sim.Duration(h.at(rankIndex(q, h.len())))
 }
 
 // FracLE returns the fraction of samples <= d (the CDF at d). Exact mode
@@ -338,8 +460,9 @@ func (h *Hist) FracLE(d sim.Duration) float64 {
 		return float64(cum) / float64(h.n)
 	}
 	h.sortSamples()
-	idx := sort.Search(len(h.samples), func(i int) bool { return h.samples[i] > int64(d) })
-	return float64(idx) / float64(len(h.samples))
+	ns := h.len()
+	idx := sort.Search(ns, func(i int) bool { return h.at(i) > int64(d) })
+	return float64(idx) / float64(ns)
 }
 
 // Min returns the smallest sample (exact in both modes).
@@ -423,17 +546,17 @@ func (h *Hist) CDF(n int) []CDFPoint {
 		return pts
 	}
 	h.sortSamples()
-	ns := len(h.samples)
+	ns := h.len()
 	for i := 0; i < n; i++ {
 		q := float64(i) / float64(n-1)
 		var v int64
 		switch {
 		case i == 0:
-			v = h.samples[0]
+			v = h.at(0)
 		case i == n-1:
-			v = h.samples[ns-1]
+			v = h.at(ns - 1)
 		default:
-			v = h.samples[rankIndex(q, ns)]
+			v = h.at(rankIndex(q, ns))
 		}
 		pts = append(pts, CDFPoint{Lat: sim.Duration(v), Frac: q})
 	}

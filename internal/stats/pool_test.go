@@ -71,6 +71,25 @@ func TestHistResetExactMode(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("Reset+refill allocates %.1f per run, want 0", allocs)
 	}
+
+	// A recorder widened by a 5s sample before Reset refills without
+	// allocating too, and still matches the fresh one.
+	reused.Add(5 * sim.Second)
+	allocs = testing.AllocsPerRun(10, func() {
+		reused.Reset()
+		for _, s := range samples {
+			reused.Add(s)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Reset+refill of a widened recorder allocates %.1f per run, want 0", allocs)
+	}
+	if got, err = json.Marshal(reused); err != nil || !bytes.Equal(want, got) {
+		t.Fatalf("reused widened histogram diverged from a fresh one (%v)", err)
+	}
+	if g, w := reused.Summarize(), wantSum; g != w {
+		t.Fatalf("summary diverged after widened reuse: %+v vs %+v", g, w)
+	}
 }
 
 // TestStreamingHistPool pins the satellite contract: a pooled streaming
