@@ -141,20 +141,20 @@ pgo:
 	rm -f .pgo-nmapsim
 	@echo "wrote $(PGO); commit it so make ci builds with it"
 
-# Golden byte gate, built both ways: TestGolden re-renders the committed
-# corpus under internal/experiments/testdata/golden (table1, faulted
-# fig9 with and without the auditor, fig-resilience, fig-cluster,
-# fig-cluster with hedging and a 20ms client RTO, fig-grayfail, an
-# nmapreport matrix, an audited nginx nmapreport
-# matrix under a core crash, a queue stall and lost IRQs, a memcached
-# nmapreport matrix with -cdf from the exact recorder and again with
-# -stream, and fig11's percentile lines) serially and on 4 workers,
-# and every byte must match — once with -pgo=off and once with the
-# committed profile, so profile-guided codegen can never drift physics
-# either.
+# Golden byte gate, built both ways: TestGolden runs the command lines
+# of the committed corpus under internal/cli/testdata/golden through the
+# CLI bodies in internal/cli (nmapsim: table1, faulted fig9 with and
+# without -audit-report, fig-resilience, fig-cluster, fig-cluster with
+# hedging and a 20ms client RTO, fig-grayfail and fig11's percentile
+# lines; nmapreport: a matrix, an audited nginx matrix under a core
+# crash, a queue stall and lost IRQs, and a memcached matrix with -cdf
+# from the exact recorder and again with -stream; an nmapsweep curve)
+# serially and on 4 workers, and every stdout byte must match — once
+# with -pgo=off and once with the committed profile, so profile-guided
+# codegen can never drift physics either.
 pgo-smoke:
-	$(GO) test -count=1 -pgo=off -run TestGolden ./internal/experiments/
-	$(GO) test -count=1 $(PGOFLAG) -run TestGolden ./internal/experiments/
+	$(GO) test -count=1 -pgo=off -run TestGolden ./internal/cli/
+	$(GO) test -count=1 $(PGOFLAG) -run TestGolden ./internal/cli/
 
 # Rewrite the committed §4.2 threshold table of the built-in profiles
 # (internal/experiments/thresholds_table.go) after a change that moves

@@ -459,17 +459,6 @@ func (c *Cluster) OfflineNodes() int {
 	return down
 }
 
-// RoutableNodes counts nodes the router would currently dispatch to.
-func (c *Cluster) RoutableNodes() int {
-	up := 0
-	for i := range c.Nodes {
-		if c.routable(i) {
-			up++
-		}
-	}
-	return up
-}
-
 // routable reports whether the router may dispatch to node i: the
 // health prober has not marked it down (half-open counts as routable —
 // that is the trial traffic that closes the circuit).

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"flag"
 	"fmt"
 	"math"
 	"os"
@@ -15,6 +16,9 @@ import (
 	"nmapsim/internal/sim"
 	"nmapsim/internal/workload"
 )
+
+var update = flag.Bool("update", false,
+	"rewrite the built-in threshold table (TestBuiltinThresholds), logging each changed entry (see it with -v)")
 
 // thresholdTableFile is the committed table TestBuiltinThresholds checks
 // and, with -update, rewrites.

@@ -62,9 +62,6 @@ func NewStack(eng *sim.Engine, proc *cpu.Processor, gov CPUGovernor, interval si
 	}
 }
 
-// Governor returns the wrapped cpufreq governor.
-func (s *Stack) Governor() CPUGovernor { return s.gov }
-
 // Interval returns the sampling interval.
 func (s *Stack) Interval() sim.Duration { return s.interval }
 

@@ -290,7 +290,11 @@ func TestChaosENOSPC(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cells, err := (&experiments.Harness{Journal: j}).RunSpecsCtx(context.Background(), specs)
+	// One worker journals the cells in spec order, so the first record
+	// written is the one the probe measured and the budget runs out
+	// inside the second; on a wider pool a larger cell may finish first
+	// and overrun the budget on its own.
+	cells, err := (&experiments.Harness{Journal: j, Parallel: 1}).RunSpecsCtx(context.Background(), specs)
 	j.Close()
 	if !errors.Is(err, experiments.ErrJournalWrite) {
 		t.Fatalf("full disk not surfaced as ErrJournalWrite: %v", err)

@@ -1096,10 +1096,6 @@ func (s *Server) Collect() Result {
 // warmup completes).
 func (s *Server) MeasuredFrom() sim.Time { return s.measFrom }
 
-// Measuring reports whether the warmup window has elapsed and responses
-// are being recorded into the histogram.
-func (s *Server) Measuring() bool { return s.measuring }
-
 // RequestPoolSize returns the number of idle pooled request records —
 // bounded by the peak number of requests simultaneously in flight.
 func (s *Server) RequestPoolSize() int { return s.reqPool.Size() }

@@ -171,8 +171,7 @@ func BenchmarkHistCDF(b *testing.B) {
 	}
 }
 
-// BenchmarkHistPercentile is the warm single-quantile query (the same
-// probe cmd/nmapbench records as HistPercentile).
+// BenchmarkHistPercentile is the warm single-quantile query.
 func BenchmarkHistPercentile(b *testing.B) {
 	h := fillExact(100_000)
 	h.P(0.5)

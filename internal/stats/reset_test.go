@@ -91,63 +91,3 @@ func TestHistResetExactMode(t *testing.T) {
 		t.Fatalf("summary diverged after widened reuse: %+v vs %+v", g, w)
 	}
 }
-
-// TestStreamingHistPool pins the satellite contract: a pooled streaming
-// recorder is byte-identical to a fresh one after reuse, and the
-// Get→record→Put cycle is allocation-free once the pool is warm.
-func TestStreamingHistPool(t *testing.T) {
-	samples := sampleStream(8192)
-	fresh := NewStreamingHist()
-	fill(fresh, samples)
-	want, err := json.Marshal(fresh)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	pool := NewStreamingHistPool()
-	dirty := pool.Get()
-	fill(dirty, sampleStream(500))
-	pool.Put(dirty)
-
-	reused := pool.Get()
-	if reused.N() != 0 {
-		t.Fatalf("pool handed out a non-empty recorder (n=%d)", reused.N())
-	}
-	fill(reused, samples)
-	got, err := json.Marshal(reused)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(want, got) {
-		t.Fatal("pooled streaming histogram diverged from a fresh one")
-	}
-	if fresh.P(0.99) != reused.P(0.99) || fresh.Mean() != reused.Mean() || fresh.Max() != reused.Max() {
-		t.Fatal("pooled streaming histogram answers different queries")
-	}
-	pool.Put(reused)
-
-	allocs := testing.AllocsPerRun(10, func() {
-		h := pool.Get()
-		for _, s := range samples {
-			h.Add(s)
-		}
-		pool.Put(h)
-	})
-	if allocs != 0 {
-		t.Fatalf("warm Get/record/Put cycle allocates %.1f per run, want 0", allocs)
-	}
-}
-
-// TestStreamingHistPoolRejectsExact: an exact-mode recorder must never
-// enter the pool (its footprint is run-sized, not bounded).
-func TestStreamingHistPoolRejectsExact(t *testing.T) {
-	pool := NewStreamingHistPool()
-	exact := NewHist(16)
-	exact.Add(5)
-	pool.Put(exact) // ignored
-	pool.Put(nil)   // ignored
-	h := pool.Get()
-	if !h.Streaming() {
-		t.Fatal("pool handed back an exact-mode histogram")
-	}
-}

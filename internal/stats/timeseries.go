@@ -29,9 +29,6 @@ func (c *Counter) Add(t sim.Time, v float64) {
 	c.bins[idx] += v
 }
 
-// BinWidth returns the bin width.
-func (c *Counter) BinWidth() sim.Duration { return c.binW }
-
 // Bins returns the accumulated bins (index i covers [i·binW, (i+1)·binW)).
 func (c *Counter) Bins() []float64 { return c.bins }
 
