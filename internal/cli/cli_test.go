@@ -13,66 +13,82 @@ import (
 // command line must exit 2 before any cell runs, with an error naming
 // the offending flag. An accepted command line ends on a bad positional
 // argument or -app instead, so it too exits 2 without running a cell,
-// but only after every flag passed.
+// but only after every flag passed. The cases are grouped by the
+// command (and, for nmapsim's -faults/-rto/-retries, the fault-injection
+// parse) they check.
 func TestValidateFlags(t *testing.T) {
 	const (
 		simOK    = "unknown experiment" // nmapsim ... bogus
 		appOK    = "unknown app"        // nmapsweep/nmapreport ... -app bogus
 		sweepApp = "-app bogus"
 	)
-	cases := []struct {
-		name, argv, want string
+	type flagCase struct{ name, argv, want string }
+	groups := []struct {
+		name  string
+		cases []flagCase
 	}{
-		{"defaults accepted", "nmapsim bogus", simOK},
-		{"serial with budget accepted", "nmapsim -parallel 1 -cell-timeout 1m bogus", simOK},
-		{"negative parallel", "nmapsim -parallel -3 bogus", "-parallel"},
-		{"negative cell-timeout", "nmapsim -cell-timeout -1ms bogus", "-cell-timeout"},
-		{"fleet knobs accepted", "nmapsim -nodes 1 -route flow -rto 20ms bogus", simOK},
-		{"negative rto", "nmapsim -rto -5ms bogus", "-rto"},
-		{"zero nodes", "nmapsim -nodes 0 bogus", "-nodes"},
-		{"unknown route", "nmapsim -route bogus bogus", "-route"},
-		{"empty route is the default", "nmapsim -route= bogus", simOK},
-		{"faults with retry loop", "nmapsim -faults corecrash=1@250ms,queuestall=2@300ms:40ms -rto 20ms -retries 2 bogus", simOK},
-		{"malformed spec", "nmapsim -faults corecrash=1 bogus", "CORE@TIME"},
-		{"unknown key", "nmapsim -faults bogus=1 bogus", "unknown key"},
-		{"retries without rto", "nmapsim -retries 3 bogus", "-retries needs -rto"},
-		{"negative retries", "nmapsim -rto 20ms -retries -1 bogus", "negative retry budget"},
-
-		{"defaults accepted", "nmapsweep " + sweepApp, appOK},
-		{"retry knobs accepted", "nmapsweep -cell-retries 3 -cell-retry-backoff 10ms -cell-deadline 1m -mem-budget-mb 64 " + sweepApp, appOK},
-		{"zero points", "nmapsweep -points 0", "-points"},
-		{"negative points", "nmapsweep -points -4", "-points"},
-		{"zero duration", "nmapsweep -dur 0", "-dur"},
-		{"negative parallel", "nmapsweep -parallel -1", "-parallel"},
-		{"negative retries", "nmapsweep -cell-retries -1", "-cell-retries"},
-		{"negative backoff", "nmapsweep -cell-retry-backoff -1s", "-cell-retry-backoff"},
-		{"negative deadline", "nmapsweep -cell-deadline -1m", "-cell-deadline"},
-		{"negative mem budget", "nmapsweep -mem-budget-mb -1", "-mem-budget-mb"},
-		{"fsck without checkpoint", "nmapsweep -fsck", "-checkpoint"},
-
-		{"defaults accepted", "nmapreport " + sweepApp, appOK},
-		{"retry knobs accepted", "nmapreport -cell-retries 2 -cell-retry-backoff 50ms -cell-deadline 30s " + sweepApp, appOK},
-		{"zero seeds", "nmapreport -seeds 0", "-seeds"},
-		{"negative seeds", "nmapreport -seeds -2", "-seeds"},
-		{"zero duration", "nmapreport -dur 0", "-dur"},
-		{"negative parallel", "nmapreport -parallel -3", "-parallel"},
-		{"negative retries", "nmapreport -cell-retries -1", "-cell-retries"},
-		{"negative backoff", "nmapreport -cell-retry-backoff -1ms", "-cell-retry-backoff"},
-		{"negative deadline", "nmapreport -cell-deadline -1s", "-cell-deadline"},
-		{"malformed faults", "nmapreport -faults corecrash=1", "CORE@TIME"},
+		{"nmapsim", []flagCase{
+			{"defaults accepted", "nmapsim bogus", simOK},
+			{"serial with budget accepted", "nmapsim -parallel 1 -cell-timeout 1m bogus", simOK},
+			{"negative parallel", "nmapsim -parallel -3 bogus", "-parallel"},
+			{"negative cell-timeout", "nmapsim -cell-timeout -1ms bogus", "-cell-timeout"},
+			{"fleet knobs accepted", "nmapsim -nodes 1 -route flow -rto 20ms bogus", simOK},
+			{"negative rto", "nmapsim -rto -5ms bogus", "-rto"},
+			{"zero nodes", "nmapsim -nodes 0 bogus", "-nodes"},
+			{"unknown route", "nmapsim -route bogus bogus", "-route"},
+			{"empty route is the default", "nmapsim -route= bogus", simOK},
+		}},
+		// nmapsim's fault injection and retry loop: -faults, -rto, -retries.
+		{"nmapsim-injection", []flagCase{
+			{"defaults accepted", "nmapsim bogus", simOK},
+			{"faults with retry loop", "nmapsim -faults corecrash=1@250ms,queuestall=2@300ms:40ms -rto 20ms -retries 2 bogus", simOK},
+			{"malformed spec", "nmapsim -faults corecrash=1 bogus", "CORE@TIME"},
+			{"unknown key", "nmapsim -faults bogus=1 bogus", "unknown key"},
+			{"retries without rto", "nmapsim -retries 3 bogus", "-retries needs -rto"},
+			{"negative retries", "nmapsim -rto 20ms -retries -1 bogus", "negative retry budget"},
+		}},
+		{"nmapsweep", []flagCase{
+			{"defaults accepted", "nmapsweep " + sweepApp, appOK},
+			{"retry knobs accepted", "nmapsweep -cell-retries 3 -cell-retry-backoff 10ms -cell-deadline 1m -mem-budget-mb 64 " + sweepApp, appOK},
+			{"zero points", "nmapsweep -points 0", "-points"},
+			{"negative points", "nmapsweep -points -4", "-points"},
+			{"zero duration", "nmapsweep -dur 0", "-dur"},
+			{"negative parallel", "nmapsweep -parallel -1", "-parallel"},
+			{"negative retries", "nmapsweep -cell-retries -1", "-cell-retries"},
+			{"negative backoff", "nmapsweep -cell-retry-backoff -1s", "-cell-retry-backoff"},
+			{"negative deadline", "nmapsweep -cell-deadline -1m", "-cell-deadline"},
+			{"negative mem budget", "nmapsweep -mem-budget-mb -1", "-mem-budget-mb"},
+			{"fsck without checkpoint", "nmapsweep -fsck", "-checkpoint"},
+		}},
+		{"nmapreport", []flagCase{
+			{"defaults accepted", "nmapreport " + sweepApp, appOK},
+			{"retry knobs accepted", "nmapreport -cell-retries 2 -cell-retry-backoff 50ms -cell-deadline 30s " + sweepApp, appOK},
+			{"zero seeds", "nmapreport -seeds 0", "-seeds"},
+			{"negative seeds", "nmapreport -seeds -2", "-seeds"},
+			{"zero duration", "nmapreport -dur 0", "-dur"},
+			{"negative parallel", "nmapreport -parallel -3", "-parallel"},
+			{"negative retries", "nmapreport -cell-retries -1", "-cell-retries"},
+			{"negative backoff", "nmapreport -cell-retry-backoff -1ms", "-cell-retry-backoff"},
+			{"negative deadline", "nmapreport -cell-deadline -1s", "-cell-deadline"},
+			{"malformed faults", "nmapreport -faults corecrash=1", "CORE@TIME"},
+		}},
 	}
-	for _, tc := range cases {
-		argv := strings.Fields(tc.argv)
-		t.Run(argv[0]+"/"+tc.name, func(t *testing.T) {
-			code, stdout, stderr := run(t, argv)
-			if code != 2 {
-				t.Fatalf("%s exited %d, want 2 (stderr %q)", tc.argv, code, stderr)
-			}
-			if stdout != "" {
-				t.Errorf("%s printed %q on stdout", tc.argv, stdout)
-			}
-			if !strings.Contains(stderr, tc.want) {
-				t.Fatalf("%s: stderr %q does not name %s", tc.argv, stderr, tc.want)
+	for _, g := range groups {
+		t.Run(g.name, func(t *testing.T) {
+			for _, tc := range g.cases {
+				argv := strings.Fields(tc.argv)
+				t.Run(tc.name, func(t *testing.T) {
+					code, stdout, stderr := run(t, argv)
+					if code != 2 {
+						t.Fatalf("%s exited %d, want 2 (stderr %q)", tc.argv, code, stderr)
+					}
+					if stdout != "" {
+						t.Errorf("%s printed %q on stdout", tc.argv, stdout)
+					}
+					if !strings.Contains(stderr, tc.want) {
+						t.Fatalf("%s: stderr %q does not name %s", tc.argv, stderr, tc.want)
+					}
+				})
 			}
 		})
 	}
