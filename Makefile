@@ -119,7 +119,8 @@ profile:
 # queue against the reference binary heap, the NIC's lazy Tx
 # completions against the per-segment reference NIC, then the exact
 # latency recorder against a sorted []int64), then push 200
-# fresh random configurations through the auditor with cmd/nmapfuzz. Any
+# fresh random configurations through the auditor as harness cells
+# with cmd/nmapfuzz. Any
 # invariant violation or firing-order divergence fails the build and
 # leaves a minimized reproducer in fuzz-failures/ or the package's
 # testdata/fuzz.
@@ -148,8 +149,9 @@ pgo:
 # hedging and a 20ms client RTO, fig-grayfail and fig11's percentile
 # lines; nmapreport: a matrix, an audited nginx matrix under a core
 # crash, a queue stall and lost IRQs, and a memcached matrix with -cdf
-# from the exact recorder and again with -stream; an nmapsweep curve)
-# serially and on 4 workers, and every stdout byte must match — once
+# from the exact recorder and again with -stream; an nmapsweep curve;
+# 60 nmapfuzz configurations with -v) serially and on 4 workers, plus
+# nginx's nmapprofile thresholds once, and every stdout byte must match — once
 # with -pgo=off and once with the committed profile, so profile-guided
 # codegen can never drift physics either.
 pgo-smoke:

@@ -1,5 +1,5 @@
-// Package cli holds the bodies of the nmapsim, nmapsweep and nmapreport
-// commands. Each command is a function of its argument list and output
+// Package cli holds the bodies of the nmapsim, nmapsweep, nmapreport,
+// nmapfuzz and nmapprofile commands. Each command is a function of its argument list and output
 // streams that returns the process exit code, so a test runs exactly the
 // command line a user types and reads the bytes it prints; cmd/*/main.go
 // only hands it os.Args, os.Stdout and os.Stderr.
@@ -9,8 +9,9 @@
 // -quarantine, -mem-budget-mb) are registered, validated and turned into
 // an experiments.Harness in one place, harnessFlags.
 //
-// Exit codes: 0 success, 1 a run or I/O failure, 2 a usage error (bad
-// flag value, unknown experiment or app), 3 an nmapsweep whose
+// Exit codes: 0 success, 1 a run or I/O failure (for nmapfuzz, an
+// invariant violation), 2 a usage error (bad flag value, unknown
+// experiment or app, unreadable reproducer), 3 an nmapsweep whose
 // -quarantine left holes in the table.
 package cli
 

@@ -19,8 +19,10 @@ import (
 func TestValidateFlags(t *testing.T) {
 	const (
 		simOK    = "unknown experiment" // nmapsim ... bogus
-		appOK    = "unknown app"        // nmapsweep/nmapreport ... -app bogus
+		appOK    = "unknown app"        // nmapsweep/nmapreport/nmapprofile ... -app bogus
 		sweepApp = "-app bogus"
+		fuzzOK   = "no such file" // nmapfuzz ... -repro of a missing file
+		noRepro  = "-repro testdata/missing.json"
 	)
 	type flagCase struct{ name, argv, want string }
 	groups := []struct {
@@ -71,6 +73,19 @@ func TestValidateFlags(t *testing.T) {
 			{"negative backoff", "nmapreport -cell-retry-backoff -1ms", "-cell-retry-backoff"},
 			{"negative deadline", "nmapreport -cell-deadline -1s", "-cell-deadline"},
 			{"malformed faults", "nmapreport -faults corecrash=1", "CORE@TIME"},
+		}},
+		{"nmapfuzz", []flagCase{
+			{"defaults accepted", "nmapfuzz " + noRepro, fuzzOK},
+			{"zero runs accepted", "nmapfuzz -n 0 " + noRepro, fuzzOK},
+			{"negative n", "nmapfuzz -n -1", "-n"},
+			{"negative parallel", "nmapfuzz -parallel -3", "-parallel"},
+			{"serial with one shrink accepted", "nmapfuzz -parallel 1 -shrink 1 " + noRepro, fuzzOK},
+			{"zero shrink", "nmapfuzz -shrink 0", "-shrink"},
+			{"negative shrink", "nmapfuzz -shrink -5", "-shrink"},
+		}},
+		{"nmapprofile", []flagCase{
+			{"unknown app", "nmapprofile -app bogus", appOK},
+			{"negative seed", "nmapprofile -seed -1", "-seed"},
 		}},
 	}
 	for _, g := range groups {

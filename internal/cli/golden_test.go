@@ -17,9 +17,11 @@ var update = flag.Bool("update", false,
 // commands maps a command name to its body, so a test runs a command
 // line as typed.
 var commands = map[string]func(args []string, stdout, stderr io.Writer) int{
-	"nmapsim":    Sim,
-	"nmapsweep":  Sweep,
-	"nmapreport": Report,
+	"nmapsim":     Sim,
+	"nmapsweep":   Sweep,
+	"nmapreport":  Report,
+	"nmapfuzz":    Fuzz,
+	"nmapprofile": Profile,
 }
 
 // run executes one command line and returns its exit code and output.
@@ -41,6 +43,9 @@ var goldenCases = []struct {
 	// auditToo also runs the command with -audit-report: the auditor is
 	// a pure observer and may not change a stdout byte.
 	auditToo bool
+	// once runs the command line as it stands, without the -parallel
+	// legs, for a command that has no worker pool.
+	once bool
 }{
 	{file: "table1.txt", argv: "nmapsim -quick table1"},
 	{
@@ -72,29 +77,44 @@ var goldenCases = []struct {
 	},
 	// The latency-load sweep table over three load points.
 	{file: "nmapsweep-points3-dur100.txt", argv: "nmapsweep -points 3 -dur 100"},
+	// 60 fuzzed single-server and fleet configurations checked under the
+	// auditor; every spec line is printed in input order.
+	{file: "nmapfuzz-v-n60-seed1.txt", argv: "nmapfuzz -v -n 60 -seed 1"},
+	// nginx's §4.2 thresholds from the committed table.
+	{file: "nmapprofile-app-nginx.txt", argv: "nmapprofile -app nginx", once: true},
 }
 
 // TestGolden is the byte gate of the CLIs: every command line in the
 // corpus must print exactly the bytes the file holds, serially and on a
-// 4-worker pool. Any drift in flag handling, physics, fan-out
-// determinism, fault choreography or rendering fails it. Run with
-// -update to rewrite the files after an intended output change.
+// 4-worker pool (a command with no pool, once). Any drift in flag
+// handling, physics, fan-out determinism, fault choreography or
+// rendering fails it. Run with -update to rewrite the files after an
+// intended output change.
 func TestGolden(t *testing.T) {
 	for _, c := range goldenCases {
 		argv := strings.Fields(c.argv)
 		audit := strings.Contains(c.argv, " -audit ")
 		type leg struct {
-			parallel    int
+			parallel    int // 0: no -parallel flag
 			auditReport bool
 		}
 		legs := []leg{{1, false}, {4, false}}
+		if c.once {
+			legs = []leg{{0, false}}
+		}
 		if c.auditToo {
 			legs = append(legs, leg{4, true})
 		}
 		for _, l := range legs {
 			name := fmt.Sprintf("%s/parallel=%d/audit=%v", c.file, l.parallel, audit || l.auditReport)
+			if c.once {
+				name = c.file
+			}
 			t.Run(name, func(t *testing.T) {
-				args := []string{argv[0], "-parallel", fmt.Sprint(l.parallel)}
+				args := argv[:1:1]
+				if l.parallel > 0 {
+					args = append(args, "-parallel", fmt.Sprint(l.parallel))
+				}
 				if l.auditReport {
 					args = append(args, "-audit-report")
 				}

@@ -20,7 +20,6 @@
 package cluster
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"slices"
@@ -399,20 +398,11 @@ func (c *Cluster) Start() {
 }
 
 // Run executes warmup + measurement on the shared engine and returns
-// the cluster result. ctx cancellation aborts the run at the next
-// simulated millisecond (the abort ticker reads only the context, so
-// an uncancelled run's physics are untouched); the Result is valid
-// either way — a cancelled run summarises every node as of the abort
-// instant, in node order.
-func (c *Cluster) Run(ctx context.Context) (Result, error) {
+// the cluster result. The Result is valid even when the engine was
+// aborted (by a watchdog, or a ticker the caller armed on Eng): it then
+// summarises every node as of the abort instant, in node order.
+func (c *Cluster) Run() (Result, error) {
 	c.Start()
-	if ctx != nil && ctx.Done() != nil {
-		c.Eng.Ticker(sim.Millisecond, func() {
-			if ctx.Err() != nil {
-				c.Eng.Abort(fmt.Errorf("cluster: run canceled at %v: %w", c.Eng.Now(), ctx.Err()))
-			}
-		})
-	}
 	scfg := c.Nodes[0].Srv.Cfg
 	c.Eng.Run(sim.Time(scfg.Warmup))
 	c.BeginMeasurement()

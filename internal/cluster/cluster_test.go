@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"strings"
 	"testing"
@@ -37,7 +36,7 @@ func TestSingleNodeClusterByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cres, err := cl.Run(nil)
+	cres, err := cl.Run()
 	if err != nil {
 		t.Fatalf("cluster run: %v", err)
 	}
@@ -78,7 +77,7 @@ func TestClusterConservationUnderNodeCrash(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := cl.Run(nil)
+	res, err := cl.Run()
 	if err != nil {
 		t.Fatalf("audited cluster run under nodecrash: %v", err)
 	}
@@ -123,7 +122,7 @@ func TestTotalFleetOutage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := cl.Run(nil)
+	res, err := cl.Run()
 	if err != nil {
 		t.Fatalf("audited total-outage run: %v", err)
 	}
@@ -152,7 +151,7 @@ func TestNodeSlowDegradesVictim(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := cl.Run(nil)
+	res, err := cl.Run()
 	if err != nil {
 		t.Fatalf("audited nodeslow run: %v", err)
 	}
@@ -161,29 +160,6 @@ func TestNodeSlowDegradesVictim(t *testing.T) {
 	}
 	if slow, fast := res.Nodes[1].Summary.Mean, res.Nodes[0].Summary.Mean; slow <= fast {
 		t.Fatalf("slowed node mean %v not worse than peer %v", slow, fast)
-	}
-}
-
-// Cancelling the context aborts a cluster run at the next simulated
-// millisecond; the Result is still valid and carries every node in
-// input order.
-func TestCtxCancelAbortsRun(t *testing.T) {
-	cfg := baseNode()
-	cl, err := New(Config{Nodes: 3, Node: cfg}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	res, err := cl.Run(ctx)
-	if err == nil || !strings.Contains(err.Error(), "canceled") {
-		t.Fatalf("cancelled run returned err=%v", err)
-	}
-	if len(res.Nodes) != 3 {
-		t.Fatalf("cancelled result has %d node entries, want all 3 in input order", len(res.Nodes))
-	}
-	if got := sim.Duration(cl.Eng.Now()); got > 2*sim.Millisecond {
-		t.Fatalf("engine ran to %v after immediate cancel", got)
 	}
 }
 
@@ -312,7 +288,7 @@ func TestFleetPowerCap(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := cl.Run(nil)
+		res, err := cl.Run()
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -24,7 +24,7 @@ func TestLinkFaultPastHorizonByteIdentical(t *testing.T) {
 	if plain.fabric != nil {
 		t.Fatal("fabric armed on a zero-fabric config")
 	}
-	resA, err := plain.Run(nil)
+	resA, err := plain.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +39,7 @@ func TestLinkFaultPastHorizonByteIdentical(t *testing.T) {
 	if armed.fabric == nil {
 		t.Fatal("scheduled link fault did not arm the fabric")
 	}
-	resB, err := armed.Run(nil)
+	resB, err := armed.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestFabricAddsLatency(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := cl.Run(nil)
+		res, err := cl.Run()
 		if err != nil {
 			t.Fatalf("audited fabric run: %v", err)
 		}
@@ -103,7 +103,7 @@ func TestFullPartitionConservation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := cl.Run(nil)
+	res, err := cl.Run()
 	if err != nil {
 		t.Fatalf("audited full-partition run: %v", err)
 	}
@@ -144,7 +144,7 @@ func TestOneWayPartitionOrphans(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := cl.Run(nil)
+	res, err := cl.Run()
 	if err != nil {
 		t.Fatalf("audited one-way-partition run: %v", err)
 	}
@@ -182,7 +182,7 @@ func TestLinkLossConservation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := cl.Run(nil)
+	res, err := cl.Run()
 	if err != nil {
 		t.Fatalf("audited lossy-link run: %v", err)
 	}

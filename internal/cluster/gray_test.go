@@ -41,7 +41,7 @@ func TestFlapDampingReducesTransitions(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := cl.Run(nil)
+		res, err := cl.Run()
 		if err != nil {
 			t.Fatalf("audited flap run (hold %v): %v", hold, err)
 		}
@@ -91,7 +91,7 @@ func TestHedgingLowersTailUnderGrayLink(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := cl.Run(nil)
+		res, err := cl.Run()
 		if err != nil {
 			t.Fatalf("audited gray-link run (hedge=%v): %v", hedge.Enabled, err)
 		}
@@ -141,7 +141,7 @@ func TestRecrashDuringProbationAbsorbed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := cl.Run(nil)
+	res, err := cl.Run()
 	if err != nil {
 		t.Fatalf("audited re-crash run: %v", err)
 	}
@@ -184,7 +184,7 @@ func TestMarkDownDuringActiveHedge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := cl.Run(nil)
+	res, err := cl.Run()
 	if err != nil {
 		t.Fatalf("audited hedge-under-crash run: %v", err)
 	}

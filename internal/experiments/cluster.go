@@ -140,37 +140,30 @@ func (h *Harness) FigClusterCtx(ctx context.Context, q Quality, nodes int, route
 	capped := uncapped
 	capped.FleetPowerCapW = clusterCapFrac * float64(nodes) * cpu.XeonGold6134.MaxPowerW()
 	var err error
-	fig.Arms, err = h.runFleetArms(ctx, []fleetArm{
-		{"nmap-per-node", "nmap", uncapped},
-		{"ondemand+fleet-cap", "ondemand", capped},
-	}, ncfg, bucket)
+	fig.Arms, err = h.runFleetArms(ctx, []string{"nmap-per-node", "ondemand+fleet-cap"}, []Spec{
+		{Policy: "nmap", Idle: "menu", Cfg: ncfg, Fleet: &uncapped},
+		{Policy: "ondemand", Idle: "menu", Cfg: ncfg, Fleet: &capped},
+	}, bucket)
 	return fig, err
 }
 
-// fleetArm is one arm of a fleet figure: a name, the policy every node
-// runs, and the cluster topology (its Node template is ignored).
-type fleetArm struct {
-	name, policy string
-	ccfg         cluster.Config
-}
-
-// runFleetArms runs a fleet figure's arms as cells on the worker pool,
-// each with a timeline observer bucketing front-end completions and
-// sampling the resteer/offline-node counters; ncfg is the node template.
-// Results land by index, so the arm order is the input order at any
-// parallelism. An arm the context cut off before it started is absent
-// (nothing ran, nothing is fabricated); an arm cut short mid-run is
-// kept with Done false and its Result as of the abort instant. The
-// error is ctx.Err() if the run was cut short, else the first arm error.
-func (h *Harness) runFleetArms(ctx context.Context, arms []fleetArm, ncfg server.Config, bucket sim.Duration) ([]ClusterArm, error) {
-	cells := make([]cell, len(arms))
-	tls := make([]*timeline, len(arms))
-	for i, a := range arms {
+// runFleetArms runs a fleet figure's arms, named names and run as the
+// fleet specs specs, as cells on the worker pool, each with a timeline
+// observer bucketing front-end completions and sampling the
+// resteer/offline-node counters. Results land by index, so the arm
+// order is the input order at any parallelism. An arm the context cut
+// off before it started is absent (nothing ran, nothing is fabricated);
+// an arm cut short mid-run is kept with Done false and its Result as of
+// the abort instant. The error is ctx.Err() if the run was cut short,
+// else the first arm error.
+func (h *Harness) runFleetArms(ctx context.Context, names []string, specs []Spec, bucket sim.Duration) ([]ClusterArm, error) {
+	cells := make([]cell, len(specs))
+	tls := make([]*timeline, len(specs))
+	for i, spec := range specs {
 		cells[i] = cell{
-			spec:  Spec{Policy: a.policy, Idle: "menu", Cfg: ncfg},
-			fleet: &a.ccfg,
+			spec: spec,
 			observeFleet: func(cl *cluster.Cluster) {
-				tls[i] = newTimeline(cl.Eng, ncfg.Warmup+ncfg.Duration, bucket, func() (uint64, int) {
+				tls[i] = newTimeline(cl.Eng, spec.Cfg.Warmup+spec.Cfg.Duration, bucket, func() (uint64, int) {
 					return cl.Accounting().Resteers, cl.OfflineNodes()
 				})
 				cl.OnDone = tls[i].record
@@ -183,7 +176,7 @@ func (h *Harness) runFleetArms(ctx context.Context, arms []fleetArm, ncfg server
 		if c.Attempts == 0 {
 			continue
 		}
-		arm := ClusterArm{Name: arms[i].name, CapW: arms[i].ccfg.FleetPowerCapW, Result: c.Fleet, Done: c.Done}
+		arm := ClusterArm{Name: names[i], CapW: specs[i].Fleet.FleetPowerCapW, Result: c.Fleet, Done: c.Done}
 		if tls[i] != nil {
 			for _, tb := range tls[i].buckets(c.Fleet.Front.Resteers) {
 				arm.Buckets = append(arm.Buckets, ClusterBucket{

@@ -6,7 +6,37 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"nmapsim/internal/cluster"
+	"nmapsim/internal/sim"
 )
+
+// Cancelling the context aborts a fleet cell at the next simulated
+// millisecond: the harness guard is the only cancel path, and the
+// partial Result still carries every node in input order.
+func TestFleetCellCtxCancelAbortsRun(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	spec := Spec{Policy: "ondemand", Idle: "menu", Cfg: quickCfg(), Fleet: &cluster.Config{Nodes: 3}}
+	var eng *sim.Engine
+	outs, err := new(Harness).runCells(ctx, []cell{{spec: spec, observeFleet: func(cl *cluster.Cluster) {
+		eng = cl.Eng
+		cancel() // the cell has started, so only its guard can stop it
+	}}})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("run err = %v, want context.Canceled", err)
+	}
+	c := outs[0]
+	if c.Done || !errors.Is(c.Err, context.Canceled) || !strings.Contains(c.Err.Error(), "canceled") {
+		t.Fatalf("cancelled cell: done=%v err=%v", c.Done, c.Err)
+	}
+	if len(c.Fleet.Nodes) != 3 {
+		t.Fatalf("cancelled result has %d node entries, want all 3 in input order", len(c.Fleet.Nodes))
+	}
+	if got := sim.Duration(eng.Now()); got > sim.Millisecond {
+		t.Fatalf("engine ran to %v after the cancel", got)
+	}
+}
 
 // Interrupting fig-cluster mid-run checkpoints what is in hand: the
 // in-flight arm is kept as a partial result with every node's summary

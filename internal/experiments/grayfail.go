@@ -129,11 +129,11 @@ func (h *Harness) FigGrayFailCtx(ctx context.Context, q Quality, nodes int, rout
 	hedged := damped
 	hedged.Hedge = cluster.HedgeConfig{Enabled: true}
 	var err error
-	fig.Arms, err = h.runFleetArms(ctx, []fleetArm{
-		{"health-naive", "nmap", naive},
-		{"flap-damped", "nmap", damped},
-		{"flap-damped+hedged", "nmap", hedged},
-	}, ncfg, bucket)
+	fig.Arms, err = h.runFleetArms(ctx, []string{"health-naive", "flap-damped", "flap-damped+hedged"}, []Spec{
+		{Policy: "nmap", Idle: "menu", Cfg: ncfg, Fleet: &naive},
+		{Policy: "nmap", Idle: "menu", Cfg: ncfg, Fleet: &damped},
+		{Policy: "nmap", Idle: "menu", Cfg: ncfg, Fleet: &hedged},
+	}, bucket)
 	return fig, err
 }
 

@@ -63,15 +63,13 @@ func forEach(workers, n int, fn func(i int)) {
 	}
 }
 
-// cell is one simulation of the harness: a single server built from
-// spec, or — with fleet set — a cluster whose every node is spec.Policy
-// over spec.Idle, built from spec.Cfg as the node template (fleet.Node is
-// ignored). observe / observeFleet attach a figure's observers to the
-// built server or cluster before it runs; an observed cell or a fleet
-// cell is never served from the checkpoint journal.
+// cell is one simulation of the harness: its spec (a single server, or
+// a fleet when spec.Fleet is set) and a figure's observers, which
+// observe / observeFleet attach to the built server or cluster before
+// it runs. An observed cell or a fleet cell is never served from the
+// checkpoint journal.
 type cell struct {
 	spec         Spec
-	fleet        *cluster.Config
 	observe      func(*server.Server)
 	observeFleet func(*cluster.Cluster)
 }
@@ -80,7 +78,7 @@ type cell struct {
 // the cell: only a plain single-server run is a pure function of its
 // spec.
 func (c cell) journaled() bool {
-	return c.fleet == nil && c.observe == nil
+	return c.spec.Fleet == nil && c.observe == nil
 }
 
 // specCells wraps plain specs as cells.
@@ -101,7 +99,7 @@ func specCells(specs []Spec) []cell {
 // identical cell cannot fix it.
 func (h *Harness) runCell(ctx context.Context, c cell) (out CellResult, permanent bool) {
 	spec := h.withDefaults(c.spec)
-	if c.fleet == nil {
+	if spec.Fleet == nil {
 		s, err := Build(spec)
 		if err != nil {
 			return CellResult{Err: err}, true
@@ -113,7 +111,7 @@ func (h *Harness) runCell(ctx context.Context, c cell) (out CellResult, permanen
 		out.Result, out.Err = s.Run()
 		h.recordAudit(out.Result.Audit)
 	} else {
-		ccfg := *c.fleet
+		ccfg := *spec.Fleet
 		ccfg.Node = spec.Cfg
 		cl, err := cluster.New(ccfg, func(_ int, ncfg server.Config, eng *sim.Engine) (*server.Server, error) {
 			node := spec
@@ -127,7 +125,7 @@ func (h *Harness) runCell(ctx context.Context, c cell) (out CellResult, permanen
 			c.observeFleet(cl)
 		}
 		h.guard(ctx, cl.Eng)
-		out.Fleet, out.Err = cl.Run(ctx)
+		out.Fleet, out.Err = cl.Run()
 		h.recordAudit(out.Fleet.Audit)
 	}
 	out.Done = out.Err == nil

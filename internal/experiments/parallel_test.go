@@ -56,32 +56,6 @@ func TestRunMatrixParallelDeterminism(t *testing.T) {
 	}
 }
 
-// TestRunSeedsParallelDeterminism pins the seeded-aggregate path: the
-// per-seed runs land back in seed order and the mean/stdev aggregation
-// sees them in exactly the serial order.
-func TestRunSeedsParallelDeterminism(t *testing.T) {
-	spec := Spec{
-		Policy: "ondemand",
-		Idle:   "menu",
-		Cfg:    quickCfg(),
-	}
-
-	var serial, parallel []byte
-	for _, run := range []struct {
-		workers int
-		out     *[]byte
-	}{{1, &serial}, {8, &parallel}} {
-		res, err := (&Harness{Parallel: run.workers}).RunSeeds(spec, 42, 6)
-		if err != nil {
-			t.Fatal(err)
-		}
-		*run.out = encode(t, res)
-	}
-	if !bytes.Equal(serial, parallel) {
-		t.Fatal("RunSeeds output differs between serial and 8-way parallel runs")
-	}
-}
-
 // TestRunSpecsOrderAndErrors checks ordered collection and the error
 // path: results come back in input order, and a bad spec surfaces as an
 // error rather than a panic.

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"bytes"
-	"math"
 	"testing"
 
 	"nmapsim/internal/core"
@@ -10,52 +9,6 @@ import (
 	"nmapsim/internal/sim"
 	"nmapsim/internal/workload"
 )
-
-func TestRunSeedsAggregates(t *testing.T) {
-	spec := quickSpec("ondemand")
-	agg, err := new(Harness).RunSeeds(spec, 100, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if agg.P99Ms.N != 3 || len(agg.Runs) != 3 {
-		t.Fatalf("N = %d", agg.P99Ms.N)
-	}
-	if agg.P99Ms.Mean <= 0 || agg.EnergyJ.Mean <= 0 {
-		t.Fatalf("empty stats: %+v", agg)
-	}
-	// Different seeds must actually differ a little.
-	if agg.P99Ms.Stdev == 0 && agg.EnergyJ.Stdev == 0 {
-		t.Fatal("zero variance across seeds is implausible")
-	}
-}
-
-func TestStatOf(t *testing.T) {
-	s := statOf([]float64{2, 4, 6})
-	if s.Mean != 4 || s.N != 3 {
-		t.Fatalf("stat = %+v", s)
-	}
-	if math.Abs(s.Stdev-2) > 1e-9 {
-		t.Fatalf("stdev = %f, want 2 (sample)", s.Stdev)
-	}
-	if z := statOf(nil); z.N != 0 || z.Mean != 0 {
-		t.Fatalf("empty stat = %+v", z)
-	}
-}
-
-func TestRelativeEnergy(t *testing.T) {
-	a := SeededResult{EnergyJ: Stat{Mean: 50, Stdev: 1, N: 3}}
-	b := SeededResult{EnergyJ: Stat{Mean: 100, Stdev: 2, N: 3}}
-	r := RelativeEnergy(a, b)
-	if math.Abs(r.Mean-0.5) > 1e-9 {
-		t.Fatalf("ratio = %f", r.Mean)
-	}
-	if r.Stdev <= 0 || r.Stdev > 0.05 {
-		t.Fatalf("propagated stdev = %f", r.Stdev)
-	}
-	if z := RelativeEnergy(a, SeededResult{}); z.Mean != 0 {
-		t.Fatal("zero denominator must yield zero stat")
-	}
-}
 
 func TestRecordRoundTrip(t *testing.T) {
 	spec := quickSpec("nmap")

@@ -11,6 +11,7 @@ import (
 	"sync"
 
 	"nmapsim/internal/baselines"
+	"nmapsim/internal/cluster"
 	"nmapsim/internal/core"
 	"nmapsim/internal/cpu"
 	"nmapsim/internal/governor"
@@ -36,6 +37,11 @@ type Spec struct {
 	UserspaceP int
 	// Thresholds overrides the profiled NMAP thresholds when non-zero.
 	Thresholds core.Thresholds
+	// Fleet, when set, runs the spec as a fleet of that topology: every
+	// node runs Policy over Idle and is built from Cfg as the node
+	// template (Fleet.Node is ignored). Its outcome is CellResult.Fleet.
+	// nil runs one server.
+	Fleet *cluster.Config
 }
 
 // thresholdSeed is the §4.2 profiling seed of a cell seeded with seed.

@@ -24,7 +24,7 @@ func fleetResult(t *testing.T, f faults.Config) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := cl.Run(nil)
+	res, err := cl.Run()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -111,8 +111,13 @@ func TestFromWordsAlwaysValid(t *testing.T) {
 		if es.Cfg.Validate() != nil {
 			return false
 		}
-		if sp.Nodes >= 2 {
-			cl, err := cluster.New(sp.ClusterConfig(es.Cfg), nil)
+		if (sp.Nodes >= 2) != (es.Fleet != nil) {
+			return false
+		}
+		if es.Fleet != nil {
+			topo := *es.Fleet
+			topo.Node = es.Cfg
+			cl, err := cluster.New(topo, nil)
 			return err == nil && cl != nil
 		}
 		return true

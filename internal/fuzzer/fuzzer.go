@@ -1,6 +1,7 @@
-// Package fuzzer generates random-but-valid server configurations, runs
-// them under the invariant auditor (package audit), and shrinks any
-// violating configuration to a minimal reproducer. It backs both the
+// Package fuzzer generates random-but-valid server and fleet
+// configurations, runs them under the invariant auditor (package audit)
+// as cells of the experiment harness, and shrinks any violating
+// configuration to a minimal reproducer. It backs both the
 // native `go test -fuzz=FuzzAuditInvariants` target and the standalone
 // cmd/nmapfuzz driver.
 //
@@ -12,6 +13,7 @@
 package fuzzer
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -276,8 +278,10 @@ func findLevel(name string) (workload.Level, bool) {
 }
 
 // Experiment lowers the Spec to a runnable experiments.Spec with the
-// auditor enabled. Unknown names (possible in a hand-edited reproducer)
-// surface as errors.
+// auditor enabled: a fleet spec (Nodes >= 2) to one whose Fleet carries
+// the front end and whose node template schedules the link and node
+// faults. Unknown names (possible in a hand-edited reproducer) surface
+// as errors.
 func (sp Spec) Experiment() (experiments.Spec, error) {
 	m := findModel(sp.Model)
 	if sp.Model != "" && m == nil {
@@ -293,6 +297,9 @@ func (sp Spec) Experiment() (experiments.Spec, error) {
 	}
 	cfg := serverConfig(sp, m, p, lvl)
 	es := experiments.Spec{Policy: sp.Policy, Idle: sp.Idle, Cfg: cfg}
+	if sp.Nodes >= 2 {
+		es.Fleet = sp.fleet(&es.Cfg.Faults)
+	}
 	if sp.Policy == "userspace" {
 		mm := m
 		if mm == nil {
@@ -363,15 +370,14 @@ func serverConfig(sp Spec, m *cpu.Model, p *workload.Profile, lvl workload.Level
 	return cfg
 }
 
-// ClusterConfig lowers the fleet dimensions of the Spec onto a built
-// node config: the scheduled link/node faults land in the node config's
-// fault schedule (the cluster, not the node, arms those classes) and
-// the front-end knobs land in the cluster config. Meaningful only for
-// Nodes >= 2. Indices are clamped like the per-core faults so
-// hand-edited reproducers stay runnable.
-func (sp Spec) ClusterConfig(node server.Config) cluster.Config {
+// fleet lowers the fleet dimensions of the Spec: the scheduled
+// link/node faults land in the node template's fault schedule f (the
+// cluster, not the node, arms those classes) and the front-end knobs in
+// the returned topology. Indices are clamped like the per-core faults
+// so hand-edited reproducers stay runnable.
+func (sp Spec) fleet(f *faults.Config) *cluster.Config {
 	if sp.PartitionAtMs > 0 {
-		node.Faults.Partitions = []faults.Partition{{
+		f.Partitions = []faults.Partition{{
 			Node:     clampIndex(sp.PartitionNode, sp.Nodes),
 			Dir:      faults.LinkDir(clampIndex(sp.PartitionDir, 3)),
 			At:       sim.Duration(sp.PartitionAtMs) * sim.Millisecond,
@@ -379,7 +385,7 @@ func (sp Spec) ClusterConfig(node server.Config) cluster.Config {
 		}}
 	}
 	if sp.LinkSlowAtMs > 0 {
-		node.Faults.LinkSlows = []faults.LinkSlow{{
+		f.LinkSlows = []faults.LinkSlow{{
 			Node:     clampIndex(sp.LinkSlowNode, sp.Nodes),
 			At:       sim.Duration(sp.LinkSlowAtMs) * sim.Millisecond,
 			Duration: sim.Duration(max(sp.LinkSlowDurMs, 1)) * sim.Millisecond,
@@ -387,7 +393,7 @@ func (sp Spec) ClusterConfig(node server.Config) cluster.Config {
 		}}
 	}
 	if sp.LinkLossAtMs > 0 {
-		node.Faults.LinkLosses = []faults.LinkLoss{{
+		f.LinkLosses = []faults.LinkLoss{{
 			Node:     clampIndex(sp.LinkLossNode, sp.Nodes),
 			At:       sim.Duration(sp.LinkLossAtMs) * sim.Millisecond,
 			Duration: sim.Duration(max(sp.LinkLossDurMs, 1)) * sim.Millisecond,
@@ -395,17 +401,16 @@ func (sp Spec) ClusterConfig(node server.Config) cluster.Config {
 		}}
 	}
 	if sp.NodeCrashAtMs > 0 {
-		node.Faults.NodeCrashes = []faults.NodeCrash{{
+		f.NodeCrashes = []faults.NodeCrash{{
 			Node:     clampIndex(sp.NodeCrashNode, sp.Nodes),
 			At:       sim.Duration(sp.NodeCrashAtMs) * sim.Millisecond,
 			Duration: sim.Duration(max(sp.NodeCrashDurMs, 0)) * sim.Millisecond,
 		}}
 	}
-	ccfg := cluster.Config{
+	topo := &cluster.Config{
 		Nodes:        sp.Nodes,
 		Route:        sp.Route,
 		RouteRetries: sp.RouteRetries,
-		Node:         node,
 		Health:       cluster.HealthConfig{FlapHold: sim.Duration(sp.FlapHoldMs) * sim.Millisecond},
 		Fabric: cluster.FabricConfig{
 			Base:  sim.Duration(sp.FabricBaseUs) * sim.Microsecond,
@@ -413,9 +418,9 @@ func (sp Spec) ClusterConfig(node server.Config) cluster.Config {
 		},
 	}
 	if sp.Hedge {
-		ccfg.Hedge = cluster.HedgeConfig{Enabled: true}
+		topo.Hedge = cluster.HedgeConfig{Enabled: true}
 	}
-	return ccfg
+	return topo
 }
 
 // clampIndex folds a possibly hand-edited index into [0, n) (the word
@@ -444,67 +449,64 @@ type Outcome struct {
 // assembly failure (as opposed to clean or watchdog-aborted).
 func (o Outcome) Failed() bool { return o.Err != nil }
 
-// Check builds and runs one Spec under the auditor. Fleet specs
-// (Nodes >= 2) run the whole cluster — front end, fabric, health
-// prober, hedger — under the merged per-node + cluster-conservation
-// audit; the rest keep the single-server path.
+// Check builds and runs one Spec under the auditor, as one cell of the
+// default harness. Fleet specs (Nodes >= 2) run the whole cluster —
+// front end, fabric, health prober, hedger — under the merged per-node
+// + cluster-conservation audit; the rest run a single server.
 func Check(sp Spec) Outcome {
-	if sp.Nodes >= 2 {
-		return checkCluster(sp)
-	}
-	es, err := sp.Experiment()
-	if err != nil {
-		return Outcome{Err: err}
-	}
-	s, err := experiments.Build(es)
-	if err != nil {
-		return Outcome{Err: err}
-	}
-	res, err := s.Run()
-	out := Outcome{Report: res.Audit}
-	if errors.Is(err, sim.ErrWatchdog) {
-		out.Aborted = true
-		err = res.Audit.Err() // the abort itself is fine; violations are not
-	}
-	if err != nil {
-		out.Err = err
-		return out
-	}
-	if res.Audit == nil {
-		out.Err = errors.New("fuzzer: audited run produced no audit report")
-	} else if !res.Reqs.Consistent() {
-		out.Err = fmt.Errorf("fuzzer: ledger inconsistent without an audit violation: %+v", res.Reqs)
-	}
-	return out
+	return CheckAll(new(experiments.Harness), []Spec{sp})[0]
 }
 
-// checkCluster runs a fleet spec under the cluster front end with the
-// merged audit. Audit violations surface from cluster.Run itself.
-func checkCluster(sp Spec) Outcome {
-	es, err := sp.Experiment()
-	if err != nil {
-		return Outcome{Err: err}
+// CheckAll checks every spec as one batch of cells on h's worker pool
+// and returns the outcomes in input order. The batch runs with no
+// cancellable context, so h arms no guard ticker unless h.RunTimeout is
+// set: ticker events would count toward a spec's MaxEvents and move
+// where its watchdog aborts.
+func CheckAll(h *experiments.Harness, sps []Spec) []Outcome {
+	outs := make([]Outcome, len(sps))
+	var specs []experiments.Spec
+	var idx []int
+	for i, sp := range sps {
+		es, err := sp.Experiment()
+		if err != nil {
+			outs[i].Err = err
+			continue
+		}
+		specs = append(specs, es)
+		idx = append(idx, i)
 	}
-	cl, err := cluster.New(sp.ClusterConfig(es.Cfg), func(_ int, ncfg server.Config, eng *sim.Engine) (*server.Server, error) {
-		nes := es
-		nes.Cfg = ncfg
-		return experiments.BuildOn(nes, eng)
-	})
-	if err != nil {
-		return Outcome{Err: err}
+	// Every cell's outcome is classified below; the batch error is only
+	// the first of them.
+	cells, _ := h.RunSpecsCtx(context.Background(), specs)
+	for k, c := range cells {
+		outs[idx[k]] = classify(specs[k].Fleet != nil, c)
 	}
-	res, err := cl.Run(nil)
-	out := Outcome{Report: res.Audit}
+	return outs
+}
+
+// classify turns an audited cell, a fleet's if fleet is set, into an
+// Outcome. The watchdog abort itself is fine; violations, assembly
+// errors, a missing audit report and an inconsistent single-server
+// ledger are not (a fleet's front-end ledger is the cluster
+// conservation rule's to check).
+func classify(fleet bool, c experiments.CellResult) Outcome {
+	rep, consistent := c.Result.Audit, c.Result.Reqs.Consistent()
+	if fleet {
+		rep, consistent = c.Fleet.Audit, true
+	}
+	out := Outcome{Report: rep}
+	err := c.Err
 	if errors.Is(err, sim.ErrWatchdog) {
 		out.Aborted = true
-		err = res.Audit.Err()
+		err = rep.Err()
 	}
-	if err != nil {
+	switch {
+	case err != nil:
 		out.Err = err
-		return out
-	}
-	if res.Audit == nil {
-		out.Err = errors.New("fuzzer: audited fleet run produced no audit report")
+	case rep == nil:
+		out.Err = errors.New("fuzzer: audited run produced no audit report")
+	case !consistent:
+		out.Err = fmt.Errorf("fuzzer: ledger inconsistent without an audit violation: %+v", c.Result.Reqs)
 	}
 	return out
 }

@@ -40,26 +40,6 @@ func (c *Counter) Bin(i int) float64 {
 	return c.bins[i]
 }
 
-// Total sums all bins.
-func (c *Counter) Total() float64 {
-	var s float64
-	for _, v := range c.bins {
-		s += v
-	}
-	return s
-}
-
-// MaxBin returns the largest bin value.
-func (c *Counter) MaxBin() float64 {
-	var m float64
-	for _, v := range c.bins {
-		if v > m {
-			m = v
-		}
-	}
-	return m
-}
-
 // Gauge records a piecewise-constant signal (e.g. the P-state of a core)
 // as change points and can resample it onto a fixed grid.
 type Gauge struct {
@@ -112,26 +92,6 @@ func (g *Gauge) Sample(binW sim.Duration, horizon sim.Time) []float64 {
 	return out
 }
 
-// TimeWeightedMean integrates the gauge over [0, horizon) / horizon.
-func (g *Gauge) TimeWeightedMean(horizon sim.Time) float64 {
-	if horizon <= 0 {
-		return g.vals[0]
-	}
-	var acc float64
-	for i := range g.times {
-		start := g.times[i]
-		if start >= horizon {
-			break
-		}
-		end := horizon
-		if i+1 < len(g.times) && g.times[i+1] < horizon {
-			end = g.times[i+1]
-		}
-		acc += g.vals[i] * float64(end-start)
-	}
-	return acc / float64(horizon)
-}
-
 // Scatter records raw (time, value) points, e.g. the per-request response
 // latency dots of Figs 3, 10 and 16.
 type Scatter struct {
@@ -147,20 +107,6 @@ func (s *Scatter) Add(t sim.Time, v float64) {
 
 // N returns the number of points.
 func (s *Scatter) N() int { return len(s.Times) }
-
-// FracAbove returns the fraction of points with value > v.
-func (s *Scatter) FracAbove(v float64) float64 {
-	if len(s.Vals) == 0 {
-		return 0
-	}
-	n := 0
-	for _, x := range s.Vals {
-		if x > v {
-			n++
-		}
-	}
-	return float64(n) / float64(len(s.Vals))
-}
 
 // Window returns the points with from <= t < to.
 func (s *Scatter) Window(from, to sim.Time) *Scatter {
