@@ -144,10 +144,11 @@ pgo:
 
 # Golden byte gate, built both ways: TestGolden runs the command lines
 # of the committed corpus under internal/cli/testdata/golden through the
-# CLI bodies in internal/cli (nmapsim: table1, faulted fig9 with and
-# without -audit-report, fig-resilience, fig-cluster, fig-cluster with
-# hedging and a 20ms client RTO, fig-grayfail and fig11's percentile
-# lines; nmapreport: a matrix, an audited nginx matrix under a core
+# CLI bodies in internal/cli (nmapsim: table1, the fig2 ondemand
+# trace, fig16's NMAP vs Parties series, faulted fig9 with and without
+# -audit-report, fig-resilience, fig-cluster, fig-cluster with hedging
+# and a 20ms client RTO, fig-grayfail and fig11's percentile lines;
+# nmapreport: a matrix, an audited nginx matrix under a core
 # crash, a queue stall and lost IRQs, and a memcached matrix with -cdf
 # from the exact recorder and again with -stream; an nmapsweep curve;
 # 60 nmapfuzz configurations with -v) serially and on 4 workers, plus

@@ -48,6 +48,12 @@ var goldenCases = []struct {
 	once bool
 }{
 	{file: "table1.txt", argv: "nmapsim -quick table1"},
+	// The ondemand trace: per-millisecond packet split, ksoftirqd
+	// wakes, CC6 entries and P-state of core 0.
+	{file: "fig2.txt", argv: "nmapsim -quick fig2"},
+	// NMAP vs Parties under a switching load: Parties reads completions
+	// through OnDone beside the sampler, and both P-state series print.
+	{file: "fig16.txt", argv: "nmapsim -quick fig16"},
 	{
 		file:     "fig9-faults.txt",
 		argv:     "nmapsim -quick -faults loss=0.02,irqloss=0.001,irqjitter=2us,throttle=50/2ms@10 -rto 20ms fig9",

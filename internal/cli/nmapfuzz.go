@@ -22,7 +22,7 @@ func Fuzz(args []string, stdout, stderr io.Writer) int {
 	outDir := fs.String("out", "fuzz-failures", "directory for minimized JSON reproducers")
 	budget := fs.Int("shrink", 64, "max re-runs spent shrinking each failure")
 	repro := fs.String("repro", "", "re-run a saved reproducer spec instead of fuzzing")
-	verbose := fs.Bool("v", false, "print every spec as it runs")
+	verbose := fs.Bool("v", false, "print every spec, in input order, once the batch finishes")
 	// -parallel is the only harness flag: the batch must arm no guard
 	// ticker (see fuzzer.CheckAll).
 	hf := registerHarnessFlags(fs, map[string]string{"parallel": "worker goroutines (0 = one per CPU)"})

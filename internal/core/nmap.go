@@ -82,8 +82,9 @@ type NMAP struct {
 	cores []*nmapCore
 	stop  func()
 
-	// OnModeChange, if set, observes every mode transition (tracing).
-	OnModeChange func(coreID int, m Mode, at sim.Time)
+	// sleep, when set by IntegrateSleep, is told after every mode
+	// transition whether any core is in Network Intensive Mode.
+	sleep SleepControl
 }
 
 // NewNMAP builds the governor. stack wraps the fallback CPU-utilisation
@@ -161,9 +162,7 @@ func (n *NMAP) notify(coreID int) {
 	c.boosts++
 	n.stack.Suspend(coreID)
 	n.proc.Request(coreID, 0)
-	if n.OnModeChange != nil {
-		n.OnModeChange(coreID, NetworkIntensiveMode, n.eng.Now())
-	}
+	n.syncSleep()
 }
 
 // periodic is Algorithm 2 lines 6-13 plus Algorithm 1 lines 9-12: flush
@@ -189,9 +188,7 @@ func (n *NMAP) periodic() {
 			c.mode = CPUUtilMode
 			c.fallbacks++
 			n.stack.Resume(i)
-			if n.OnModeChange != nil {
-				n.OnModeChange(i, CPUUtilMode, n.eng.Now())
-			}
+			n.syncSleep()
 		}
 	}
 }

@@ -142,13 +142,16 @@ func TestNMAPPollOnlyTrafficStaysBoosted(t *testing.T) {
 
 func TestNMAPModeChangeCallback(t *testing.T) {
 	eng, _, n := newNMAPRig(Thresholds{NITh: 5, CUTh: 0.5})
-	var changes []Mode
-	n.OnModeChange = func(_ int, m Mode, _ sim.Time) { changes = append(changes, m) }
 	n.InterruptArrived(0)
 	n.PacketsProcessed(0, kernel.PollingMode, 10)
+	if n.Mode(0) != NetworkIntensiveMode || n.Boosts(0) != 1 || n.Fallbacks(0) != 0 {
+		t.Fatalf("after NI_TH: mode=%v boosts=%d fallbacks=%d, want network-intensive 1 0",
+			n.Mode(0), n.Boosts(0), n.Fallbacks(0))
+	}
 	eng.Run(sim.Time(50 * sim.Millisecond))
-	if len(changes) != 2 || changes[0] != NetworkIntensiveMode || changes[1] != CPUUtilMode {
-		t.Fatalf("mode changes = %v, want [network-intensive cpu-util]", changes)
+	if n.Mode(0) != CPUUtilMode || n.Boosts(0) != 1 || n.Fallbacks(0) != 1 {
+		t.Fatalf("after idle intervals: mode=%v boosts=%d fallbacks=%d, want cpu-util 1 1",
+			n.Mode(0), n.Boosts(0), n.Fallbacks(0))
 	}
 }
 

@@ -98,20 +98,18 @@ type SleepControl interface {
 // IntegrateSleep arms the §8 future-work extension on an NMAP instance:
 // entering Network Intensive Mode on ANY core forces the idle policy
 // awake (shallow); when every core is back in CPU Utilisation Mode the
-// inner idle policy is restored. The previous OnModeChange hook, if
-// set, keeps firing.
-func (n *NMAP) IntegrateSleep(ctl SleepControl) {
-	prev := n.OnModeChange
-	n.OnModeChange = func(coreID int, m Mode, at sim.Time) {
-		intense := 0
-		for _, c := range n.cores {
-			if c.mode == NetworkIntensiveMode {
-				intense++
-			}
-		}
-		ctl.ForceAwake(intense > 0)
-		if prev != nil {
-			prev(coreID, m, at)
-		}
+// inner idle policy is restored.
+func (n *NMAP) IntegrateSleep(ctl SleepControl) { n.sleep = ctl }
+
+// syncSleep tells the integrated sleep control, if any, whether any
+// core is in Network Intensive Mode.
+func (n *NMAP) syncSleep() {
+	if n.sleep == nil {
+		return
 	}
+	intense := false
+	for _, c := range n.cores {
+		intense = intense || c.mode == NetworkIntensiveMode
+	}
+	n.sleep.ForceAwake(intense)
 }

@@ -112,20 +112,6 @@ func TestIntegrateSleepForcesAwakeDuringBoost(t *testing.T) {
 	}
 }
 
-func TestIntegrateSleepChainsExistingHook(t *testing.T) {
-	eng := sim.NewEngine()
-	proc := cpu.NewProcessor(cpu.XeonGold6134, eng, sim.NewRNG(1))
-	stack := governor.NewStack(eng, proc, governor.Ondemand{Model: cpu.XeonGold6134}, 10*sim.Millisecond)
-	n := NewNMAP(eng, proc, stack, Thresholds{NITh: 8, CUTh: 0.25}, 10*sim.Millisecond)
-	calls := 0
-	n.OnModeChange = func(int, Mode, sim.Time) { calls++ }
-	n.IntegrateSleep(&fakeSleepCtl{})
-	n.PacketsProcessed(0, kernel.PollingMode, 20)
-	if calls != 1 {
-		t.Fatalf("previous OnModeChange hook fired %d times, want 1", calls)
-	}
-}
-
 type fakeSleepCtl struct{ awake bool }
 
 func (f *fakeSleepCtl) ForceAwake(v bool) { f.awake = v }

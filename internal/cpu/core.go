@@ -133,10 +133,6 @@ type Core struct {
 	cc6Entries int64
 	transCount int64
 
-	// OnPStateChange, if set, fires whenever the effective operating
-	// point changes (used by the time-series sampler).
-	OnPStateChange func(p int)
-
 	// aud is the run's invariant auditor (nil = unaudited). Hooks fire
 	// only at instants where settle() already ran, so the auditor reads
 	// the freshly settled energy without perturbing the piecewise
@@ -214,6 +210,11 @@ func (c *Core) CStateNow() CState { return c.cstate }
 
 // Busy reports whether an Exec is in flight.
 func (c *Core) Busy() bool { return c.busy }
+
+// CC6Entries returns how many times the core has entered CC6. Unlike
+// Snapshot it settles nothing, so an observer may read it at any
+// instant without moving the energy integration.
+func (c *Core) CC6Entries() int64 { return c.cc6Entries }
 
 // Transitions returns the number of P-state transitions that have taken
 // effect.
@@ -362,9 +363,6 @@ func (c *Core) SetPState(p int) sim.Duration {
 		c.aud.PStateApplied(c.ID, p, c.energyJ)
 		if c.active != nil {
 			c.active.reprice(c.FreqGHz())
-		}
-		if c.OnPStateChange != nil {
-			c.OnPStateChange(p)
 		}
 	})
 	return lat

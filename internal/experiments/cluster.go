@@ -158,15 +158,12 @@ func (h *Harness) FigClusterCtx(ctx context.Context, q Quality, nodes int, route
 // else the first arm error.
 func (h *Harness) runFleetArms(ctx context.Context, names []string, specs []Spec, bucket sim.Duration) ([]ClusterArm, error) {
 	cells := make([]cell, len(specs))
-	tls := make([]*timeline, len(specs))
+	sms := make([]*sampler, len(specs))
 	for i, spec := range specs {
 		cells[i] = cell{
 			spec: spec,
 			observeFleet: func(cl *cluster.Cluster) {
-				tls[i] = newTimeline(cl.Eng, spec.Cfg.Warmup+spec.Cfg.Duration, bucket, func() (uint64, int) {
-					return cl.Accounting().Resteers, cl.OfflineNodes()
-				})
-				cl.OnDone = tls[i].record
+				sms[i] = sampleFleet(cl, spec.Cfg.Warmup+spec.Cfg.Duration, bucket)
 			},
 		}
 	}
@@ -177,8 +174,8 @@ func (h *Harness) runFleetArms(ctx context.Context, names []string, specs []Spec
 			continue
 		}
 		arm := ClusterArm{Name: names[i], CapW: specs[i].Fleet.FleetPowerCapW, Result: c.Fleet, Done: c.Done}
-		if tls[i] != nil {
-			for _, tb := range tls[i].buckets(c.Fleet.Front.Resteers) {
+		if sms[i] != nil {
+			for _, tb := range sms[i].timeline() {
 				arm.Buckets = append(arm.Buckets, ClusterBucket{
 					FromMs:   int(tb.from / sim.Millisecond),
 					Done:     tb.done,

@@ -70,16 +70,16 @@ func tracedSpec(q Quality, dur sim.Duration, profile *workload.Profile, level wo
 	}
 }
 
-// runTraced runs each spec as one cell on the worker pool with a Trace
-// attached to the built server, and reads each run into its row, in
-// input order.
-func runTraced[T any](h *Harness, specs []Spec, read func(spec Spec, tr *Trace, res server.Result) T) ([]T, error) {
+// runTraced runs each spec as one cell on the worker pool with a
+// sampler on core 0 of the built server, and reads each run into its
+// row, in input order.
+func runTraced[T any](h *Harness, specs []Spec, read func(spec Spec, sm *sampler, res server.Result) T) ([]T, error) {
 	cells := make([]cell, len(specs))
-	trs := make([]*Trace, len(specs))
+	sms := make([]*sampler, len(specs))
 	for i, spec := range specs {
-		cells[i] = cell{spec: spec, observe: func(s *server.Server) { trs[i] = NewTrace(s, 0) }}
+		cells[i] = cell{spec: spec, observe: func(s *server.Server) { sms[i] = sampleCore(s, 0) }}
 	}
-	return runRows(h, cells, func(i int, c CellResult) T { return read(specs[i], trs[i], c.Result) })
+	return runRows(h, cells, func(i int, c CellResult) T { return read(specs[i], sms[i], c.Result) })
 }
 
 // RunTrace runs one traced configuration and samples the window
@@ -97,26 +97,18 @@ func (h *Harness) RunTrace(profile *workload.Profile, level workload.Level, poli
 func (h *Harness) traceSet(q Quality, window sim.Duration, specs ...Spec) ([]TraceFigure, error) {
 	from := int(q.warmup() / sim.Millisecond)
 	n := int(window / sim.Millisecond)
-	return runTraced(h, specs, func(spec Spec, tr *Trace, res server.Result) TraceFigure {
-		slice := func(c *stats.Counter) []float64 {
-			out := make([]float64, n)
-			for i := 0; i < n; i++ {
-				out[i] = c.Bin(from + i)
-			}
-			return out
-		}
-		ps := tr.PStateSeries(sim.Time(q.warmup() + window))
+	return runTraced(h, specs, func(spec Spec, sm *sampler, res server.Result) TraceFigure {
 		return TraceFigure{
 			App:     spec.Cfg.Profile.Name,
 			Policy:  spec.Policy,
 			Idle:    spec.Idle,
 			Level:   spec.Cfg.Level,
 			Ms:      n,
-			PktIntr: slice(tr.PktIntr),
-			PktPoll: slice(tr.PktPoll),
-			KsWakes: slice(tr.KsWakes),
-			CC6:     slice(tr.CC6Entry),
-			PState:  ps[from:],
+			PktIntr: sm.series(from, n, func(r *reading) uint64 { return r.pktIntr }),
+			PktPoll: sm.series(from, n, func(r *reading) uint64 { return r.pktPoll }),
+			KsWakes: sm.series(from, n, func(r *reading) uint64 { return r.ksWakes }),
+			CC6:     sm.series(from, n, func(r *reading) uint64 { return r.cc6 }),
+			PState:  sm.pstates(from),
 			Result:  res,
 		}
 	})
@@ -175,14 +167,14 @@ func (h *Harness) latencySet(q Quality, policies ...string) ([]LatencyFigure, er
 		}
 	}
 	from := sim.Time(q.warmup())
-	return runTraced(h, specs, func(spec Spec, tr *Trace, res server.Result) LatencyFigure {
+	return runTraced(h, specs, func(spec Spec, sm *sampler, res server.Result) LatencyFigure {
 		slo := spec.Cfg.Profile.SLO
 		return LatencyFigure{
 			App:       spec.Cfg.Profile.Name,
 			Policy:    spec.Policy,
 			Level:     spec.Cfg.Level,
 			SLO:       slo,
-			Scatter:   tr.Lat.Window(from, from+sim.Time(500*sim.Millisecond)),
+			Scatter:   sm.scatter(from, from+sim.Time(500*sim.Millisecond)),
 			CDF:       res.Hist.CDF(101),
 			FracUnder: res.Hist.FracLE(slo),
 			Result:    res,
@@ -382,13 +374,12 @@ func (h *Harness) Fig16(q Quality) ([]Fig16Result, error) {
 		})
 	}
 	from := sim.Time(q.warmup())
-	return runTraced(h, specs, func(spec Spec, tr *Trace, res server.Result) Fig16Result {
-		ps := tr.PStateSeries(from + sim.Time(dur))
+	return runTraced(h, specs, func(spec Spec, sm *sampler, res server.Result) Fig16Result {
 		return Fig16Result{
 			Policy:      spec.Policy,
 			FracOverSLO: res.FracOverSLO,
-			PState:      ps[int(from/sim.Time(sim.Millisecond)):],
-			Scatter:     tr.Lat.Window(from, from+sim.Time(dur)),
+			PState:      sm.pstates(int(from / sim.Time(sim.Millisecond))),
+			Scatter:     sm.scatter(from, from+sim.Time(dur)),
 			Result:      res,
 		}
 	})

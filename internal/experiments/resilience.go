@@ -84,12 +84,10 @@ func (h *Harness) FigResilience(q Quality) (ResilienceFigure, error) {
 		RecoverAtMs: int((crash.At + crash.Duration) / sim.Millisecond),
 		BucketMs:    int(bucket / sim.Millisecond),
 	}
-	total := warm + dur
 	crashEnd := crash.At + crash.Duration
 	sheds := []float64{0, resilienceShedMultiple}
 	cells := make([]cell, len(sheds))
-	tls := make([]*timeline, len(sheds))
-	crashLats := make([][]sim.Duration, len(sheds))
+	sms := make([]*sampler, len(sheds))
 	for i, shed := range sheds {
 		cells[i] = cell{
 			spec: Spec{
@@ -106,26 +104,19 @@ func (h *Harness) FigResilience(q Quality) (ResilienceFigure, error) {
 				},
 			},
 			observe: func(s *server.Server) {
-				tl := newTimeline(s.Eng, total, bucket, func() (uint64, int) {
-					return s.Accounting().Shed, s.Proc.OfflineCount()
+				sms[i] = sampleServer(s, bucket, func(r *reading) {
+					r.count, r.offline = s.Accounting().Shed, s.Proc.OfflineCount()
 				})
-				tls[i], crashLats[i] = tl, nil
-				s.OnDone = func(r *workload.Request) {
-					tl.record(r)
-					if at := sim.Duration(r.Done); at >= crash.At && at < crashEnd {
-						crashLats[i] = append(crashLats[i], r.Latency())
-					}
-				}
 			},
 		}
 	}
 	runs, err := runRows(h, cells, func(i int, c CellResult) ResilienceRun {
 		run := ResilienceRun{Name: "shed-off", ShedSLOMultiple: sheds[i], Result: c.Result,
-			CrashP99: p99Of(crashLats[i])}
+			CrashP99: sms[i].p99Between(sim.Time(crash.At), sim.Time(crashEnd))}
 		if sheds[i] > 0 {
 			run.Name = fmt.Sprintf("shed@%gxSLO", sheds[i])
 		}
-		for _, tb := range tls[i].buckets(c.Result.Reqs.Shed) {
+		for _, tb := range sms[i].timeline() {
 			if tb.from >= crash.At && tb.from < crashEnd {
 				run.CrashShed += tb.delta
 			}

@@ -26,22 +26,6 @@ func (t *Table) Row(cells ...string) {
 	t.rows = append(t.rows, cells)
 }
 
-// Rowf appends one row built from formatted values.
-func (t *Table) Rowf(cells ...any) {
-	row := make([]string, len(cells))
-	for i, c := range cells {
-		switch v := c.(type) {
-		case string:
-			row[i] = v
-		case float64:
-			row[i] = fmt.Sprintf("%.3f", v)
-		default:
-			row[i] = fmt.Sprint(v)
-		}
-	}
-	t.rows = append(t.rows, row)
-}
-
 // String renders the table.
 func (t *Table) String() string {
 	widths := make([]int, len(t.headers))

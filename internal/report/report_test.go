@@ -25,18 +25,6 @@ func TestTableAlignment(t *testing.T) {
 	}
 }
 
-func TestRowfFormatsFloats(t *testing.T) {
-	tb := NewTable("", "x")
-	tb.Rowf(1.23456)
-	if !strings.Contains(tb.String(), "1.235") {
-		t.Fatalf("float not formatted: %s", tb.String())
-	}
-	tb.Rowf(7)
-	if !strings.Contains(tb.String(), "7") {
-		t.Fatal("int row missing")
-	}
-}
-
 func TestSparkline(t *testing.T) {
 	s := Sparkline([]float64{0, 1, 2, 3, 4, 5, 6, 7, 8}, 9)
 	if len([]rune(s)) != 9 {

@@ -125,49 +125,6 @@ func TestHistCDFMonotoneProperty(t *testing.T) {
 	}
 }
 
-func TestCounterBinning(t *testing.T) {
-	c := NewCounter(sim.Millisecond)
-	c.Add(sim.Time(0), 1)
-	c.Add(sim.Time(999_999), 1)
-	c.Add(sim.Time(1_000_000), 5)
-	c.Add(sim.Time(2_500_000), 2)
-	if c.Bin(0) != 2 || c.Bin(1) != 5 || c.Bin(2) != 2 {
-		t.Fatalf("bins = %v", c.Bins())
-	}
-	if c.Bin(99) != 0 {
-		t.Fatal("untouched bin must read 0")
-	}
-}
-
-func TestGaugeAtAndSample(t *testing.T) {
-	g := NewGauge(15)
-	g.Set(100, 0)
-	g.Set(200, 8)
-	if g.At(50) != 15 || g.At(100) != 0 || g.At(150) != 0 || g.At(200) != 8 || g.At(999) != 8 {
-		t.Fatal("gauge At lookup wrong")
-	}
-	s := g.Sample(100, 400)
-	want := []float64{15, 0, 8, 8}
-	for i := range want {
-		if s[i] != want[i] {
-			t.Fatalf("sample = %v, want %v", s, want)
-		}
-	}
-}
-
-func TestGaugeOutOfOrderIgnored(t *testing.T) {
-	g := NewGauge(1)
-	g.Set(100, 2)
-	g.Set(50, 3) // ignored
-	if g.At(75) != 1 {
-		t.Fatal("out-of-order set was not ignored")
-	}
-	g.Set(100, 4) // same-instant overwrite
-	if g.At(100) != 4 {
-		t.Fatal("same-instant set must overwrite")
-	}
-}
-
 func TestScatter(t *testing.T) {
 	s := &Scatter{}
 	s.Add(10, 1.0)
