@@ -12,24 +12,12 @@ import (
 // invoke them unconditionally, relying on this.
 func TestNilAuditorHooksAreNoOps(t *testing.T) {
 	var a *Auditor
-	a.ClientSend()
-	a.WireDropReq()
-	a.WireDropResp()
-	a.TxDone()
-	a.RespSched()
-	a.RespArrived()
-	a.NICDeliver()
-	a.RingAccept()
-	a.RingDrop()
-	a.Polled(3)
+	for leg := Leg(0); leg < numLegs; leg++ {
+		a.Count(leg, 1)
+	}
 	a.TxStart(2)
 	a.TxSegments(2)
 	_ = a.TxLedger()
-	a.TxCleaned(1)
-	a.SockEnq(0)
-	a.SockDrop(0)
-	a.AppStart(0)
-	a.AppDone(0)
 	a.NAPISchedule(0)
 	a.NAPIFold(0)
 	a.NAPIPoll(0)

@@ -123,9 +123,9 @@ func TestRingOutageFailIdentity(t *testing.T) {
 	drive := func() (*Auditor, Final) {
 		a := New(sim.NewEngine(), 2, 15, 100)
 		for i := 0; i < 3; i++ {
-			a.ClientSend()
-			a.NICDeliver()
-			a.RingOutageFail()
+			a.Count(ClientSend, 1)
+			a.Count(NICDeliver, 1)
+			a.Count(RingOutageFail, 1)
 		}
 		fin := Final{
 			CoreBusyNs: []int64{0, 0}, CoreCC0Ns: []int64{0, 0},

@@ -82,10 +82,10 @@ func TestFailureDomainOfflineLegality(t *testing.T) {
 func TestFailureDomainShedConservation(t *testing.T) {
 	a := newFailureAuditor()
 	for i := 0; i < 3; i++ {
-		a.ClientSend()
+		a.Count(ClientSend, 1)
 	}
 	for i := 0; i < 2; i++ {
-		a.ShedReq()
+		a.Count(Shed, 1)
 	}
 	fin := Final{
 		CoreBusyNs: []int64{0, 0}, CoreCC0Ns: []int64{0, 0},
@@ -100,10 +100,10 @@ func TestFailureDomainShedConservation(t *testing.T) {
 	// A torn shed count (audited 2, ledger claims 1) must be caught.
 	b := newFailureAuditor()
 	for i := 0; i < 4; i++ {
-		b.ClientSend()
+		b.Count(ClientSend, 1)
 	}
-	b.ShedReq()
-	b.ShedReq()
+	b.Count(Shed, 1)
+	b.Count(Shed, 1)
 	torn := fin
 	torn.Lost, torn.Shed = 4, 1
 	rep := b.Finalize(torn)

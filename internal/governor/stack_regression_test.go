@@ -120,9 +120,9 @@ func TestStackLegalUnderLostIRQsWithCC6(t *testing.T) {
 			p := dev.GetPacket()
 			p.ID, p.Flow, p.Payload = r.ID, r.Flow, r
 			dev.Transmit(dev.QueueFor(r.Flow), p, 1, func(p *nic.Packet) {
-				aud.TxDone()
-				aud.RespSched()
-				aud.RespArrived()
+				aud.Count(audit.TxDone, 1)
+				aud.Count(audit.RespSched, 1)
+				aud.Count(audit.RespArrived, 1)
 				dev.PutPacket(p)
 				completed++
 			})
@@ -141,7 +141,7 @@ func TestStackLegalUnderLostIRQsWithCC6(t *testing.T) {
 		at := sim.Time(wave) * sim.Time(5*sim.Millisecond)
 		eng.At(at, func() {
 			for i := 0; i < 64; i++ {
-				aud.ClientSend()
+				aud.Count(audit.ClientSend, 1)
 				p := dev.GetPacket()
 				p.ID, p.Flow = issued, issued
 				p.Payload = &workload.Request{ID: issued, Flow: issued, AppCycles: 3200 * 2}

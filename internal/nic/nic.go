@@ -329,7 +329,7 @@ func (n *NIC) SetAuditor(a *audit.Auditor) { n.aud = a }
 // any injected jitter) it lands in the RSS-selected ring (or is dropped
 // if the ring is full) and the queue's interrupt logic runs.
 func (n *NIC) Deliver(p *Packet) {
-	n.aud.NICDeliver()
+	n.aud.Count(audit.NICDeliver, 1)
 	n.eng.ScheduleArg(n.cfg.DMALatency+n.inj.DMAJitter(), n.dmaFn, p)
 }
 
@@ -348,7 +348,7 @@ func (n *NIC) dmaLand(a any) {
 		// recovery machinery (RTO, or a cluster router's resteer) sees
 		// honest loss, never a silent disappearance.
 		qu.outageFails++
-		n.aud.RingOutageFail()
+		n.aud.Count(audit.RingOutageFail, 1)
 		if n.OnRxDrop != nil {
 			n.OnRxDrop(p)
 		}
@@ -357,7 +357,7 @@ func (n *NIC) dmaLand(a any) {
 	}
 	if qu.ring.Len() >= n.cfg.RingSize {
 		qu.drops++
-		n.aud.RingDrop()
+		n.aud.Count(audit.RingDrop, 1)
 		if n.OnRxDrop != nil {
 			n.OnRxDrop(p)
 		}
@@ -365,7 +365,7 @@ func (n *NIC) dmaLand(a any) {
 		return
 	}
 	p.Arrived = n.eng.Now()
-	n.aud.RingAccept()
+	n.aud.Count(audit.RingAccept, 1)
 	qu.ring.Push(p)
 	n.maybeInterrupt(q)
 	n.plan(q)
@@ -416,7 +416,7 @@ func (n *NIC) Poll(q, max int) []*Packet {
 		return qu.batch[:0]
 	}
 	max = min(max, qu.ring.Len())
-	n.aud.Polled(max)
+	n.aud.Count(audit.Polled, max)
 	qu.batch = qu.ring.PopN(qu.batch[:0], max)
 	return qu.batch
 }
@@ -648,7 +648,7 @@ func (n *NIC) TxClean(q, max int) int {
 	if max > qu.txPending {
 		max = qu.txPending
 	}
-	n.aud.TxCleaned(max)
+	n.aud.Count(audit.TxCleaned, max)
 	qu.txPending -= max
 	return max
 }
@@ -682,7 +682,7 @@ func (n *NIC) OfflineQueue(q int) {
 	for qu.ring.Len() > 0 {
 		p := qu.ring.Pop()
 		qu.crashFails++
-		n.aud.RingCrashFail()
+		n.aud.Count(audit.RingCrashFail, 1)
 		if n.OnRxDrop != nil {
 			n.OnRxDrop(p)
 		}

@@ -62,18 +62,18 @@ func (n *refNIC) queueFor(flow uint64) int {
 }
 
 func (n *refNIC) Deliver(p *Packet) {
-	n.aud.NICDeliver()
+	n.aud.Count(audit.NICDeliver, 1)
 	n.eng.Schedule(n.cfg.DMALatency, func() {
 		q := n.queueFor(p.Flow)
 		qu := n.qs[q]
 		switch {
 		case qu.offline:
-			n.aud.RingOutageFail()
+			n.aud.Count(audit.RingOutageFail, 1)
 		case qu.ring.Len() >= n.cfg.RingSize:
-			n.aud.RingDrop()
+			n.aud.Count(audit.RingDrop, 1)
 		default:
 			p.Arrived = n.eng.Now()
-			n.aud.RingAccept()
+			n.aud.Count(audit.RingAccept, 1)
 			qu.ring.Push(p)
 			n.maybeInterrupt(q)
 		}
@@ -111,7 +111,7 @@ func (n *refNIC) Poll(q, max int) []*Packet {
 		return qu.batch[:0]
 	}
 	max = min(max, qu.ring.Len())
-	n.aud.Polled(max)
+	n.aud.Count(audit.Polled, max)
 	qu.batch = qu.ring.PopN(qu.batch[:0], max)
 	return qu.batch
 }
@@ -158,7 +158,7 @@ func (n *refNIC) TxClean(q, max int) int {
 		return 0
 	}
 	max = min(max, qu.txPending)
-	n.aud.TxCleaned(max)
+	n.aud.Count(audit.TxCleaned, max)
 	qu.txPending -= max
 	return max
 }
@@ -181,7 +181,7 @@ func (n *refNIC) OfflineQueue(q int) {
 	qu.irqTimer.Cancel()
 	for qu.ring.Len() > 0 {
 		qu.ring.Pop()
-		n.aud.RingCrashFail()
+		n.aud.Count(audit.RingCrashFail, 1)
 	}
 }
 
