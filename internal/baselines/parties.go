@@ -28,8 +28,6 @@ type Parties struct {
 	window *stats.Hist
 	cur    int
 	stop   func()
-	// OnDecision, if set, observes each decision (for tracing).
-	OnDecision func(t sim.Time, p int, p99 sim.Duration)
 }
 
 // NewParties builds the controller. Wire Observe into the server's
@@ -97,7 +95,4 @@ func (p *Parties) tick() {
 		}
 	}
 	p.proc.RequestAll(p.cur)
-	if p.OnDecision != nil {
-		p.OnDecision(p.eng.Now(), p.cur, p99)
-	}
 }

@@ -130,9 +130,8 @@ func TestScatter(t *testing.T) {
 	s.Add(10, 1.0)
 	s.Add(20, 5.0)
 	s.Add(30, 2.0)
-	w := s.Window(15, 30)
-	if w.N() != 1 || w.Vals[0] != 5.0 {
-		t.Fatalf("window = %+v", w)
+	if s.N() != 3 || s.Times[1] != 20 || s.Vals[1] != 5.0 {
+		t.Fatalf("scatter = %+v", s)
 	}
 }
 

@@ -19,14 +19,3 @@ func (s *Scatter) Add(t sim.Time, v float64) {
 
 // N returns the number of points.
 func (s *Scatter) N() int { return len(s.Times) }
-
-// Window returns the points with from <= t < to.
-func (s *Scatter) Window(from, to sim.Time) *Scatter {
-	out := &Scatter{}
-	for i, t := range s.Times {
-		if t >= from && t < to {
-			out.Add(t, s.Vals[i])
-		}
-	}
-	return out
-}
