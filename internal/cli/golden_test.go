@@ -83,6 +83,12 @@ var goldenCases = []struct {
 	{file: "nmapreport-memcached-cdf-stream-seeds1-dur100.json", argv: "nmapreport -app memcached -seeds 1 -dur 100 -cdf -stream"},
 	// P50–P99.9 response-time lines from the exact recorder.
 	{file: "fig11.txt", argv: "nmapsim -quick fig11"},
+	// The policies no figure case prints a number for: conservative,
+	// intel_powersave, schedutil, per-request DVFS and NCAP.
+	{
+		file: "nmapreport-memcached-policies-seeds1-dur100.json",
+		argv: "nmapreport -app memcached -seeds 1 -dur 100 -policies conservative,intel_powersave,schedutil,perrequest,ncap",
+	},
 	// nginx's 48-segment responses are in flight on the NIC while a core
 	// crash offlines its queue, a queue stall wedges another, and lost
 	// interrupts leave queues unmasked.
