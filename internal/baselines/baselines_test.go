@@ -66,7 +66,7 @@ func TestNCAPStepsDownGradually(t *testing.T) {
 	}
 	// Traffic stops: NCAP holds P0 for its hold-off, then steps the
 	// chip-wide state down one per period rather than jumping.
-	hold := sim.Duration(n.HoldPeriods) * n.Period
+	hold := sim.Duration(ncapHoldPeriods) * ncapPeriod
 	eng.Run(sim.Time(1100*sim.Microsecond + hold))
 	if proc.Cores[0].PState() != 0 {
 		t.Fatalf("NCAP left P0 during its hold-off (at P%d)", proc.Cores[0].PState())

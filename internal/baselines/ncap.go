@@ -9,7 +9,8 @@
 //     down as the rate subsides.
 //   - Parties (Chen et al., ASPLOS'19): a long-term feedback controller
 //     that adjusts the V/F state every 500ms from the measured tail
-//     latency slack.
+//     latency slack. Pegasus (Lo et al., ISCA'14) runs the same
+//     feedback loop every second with a harsher step rule.
 //   - PerRequest: a Rubik/µDPM-style per-request DVFS policy used for
 //     the §5.1 ablation — it retargets the V/F on every poll batch and
 //     therefore runs head-first into the re-transition latency.
@@ -25,29 +26,29 @@ import (
 // SwitchableIdle wraps an idle policy so NCAP can disable sleep states
 // while boosted (the original NCAP behaviour) and restore them after.
 type SwitchableIdle struct {
-	Inner      kernel.IdlePolicy
+	inner      kernel.IdlePolicy
 	forceAwake bool
 }
 
 // NewSwitchableIdle wraps inner.
 func NewSwitchableIdle(inner kernel.IdlePolicy) *SwitchableIdle {
-	return &SwitchableIdle{Inner: inner}
+	return &SwitchableIdle{inner: inner}
 }
 
 // Name implements kernel.IdlePolicy.
-func (s *SwitchableIdle) Name() string { return s.Inner.Name() + "+switchable" }
+func (s *SwitchableIdle) Name() string { return s.inner.Name() + "+switchable" }
 
 // SelectState implements kernel.IdlePolicy.
 func (s *SwitchableIdle) SelectState(coreID int) cpu.CState {
 	if s.forceAwake {
 		return cpu.CC0
 	}
-	return s.Inner.SelectState(coreID)
+	return s.inner.SelectState(coreID)
 }
 
 // IdleEnded implements kernel.IdlePolicy.
 func (s *SwitchableIdle) IdleEnded(coreID int, d sim.Duration) {
-	s.Inner.IdleEnded(coreID, d)
+	s.inner.IdleEnded(coreID, d)
 }
 
 // ForceAwake switches sleep states off (true) or back to the inner
@@ -62,21 +63,12 @@ type NCAP struct {
 	eng   *sim.Engine
 	proc  *cpu.Processor
 	stack *governor.Stack
-	// Period is the software monitoring period (1ms; "slightly longer
-	// than the hardware implementation").
-	Period sim.Duration
-	// ThresholdRPS is the NIC-wide packet rate that triggers the boost,
+	// thresholdRPS is the NIC-wide packet rate that triggers the boost,
 	// tuned per §6.3 to satisfy the SLO at each application's high load.
-	ThresholdRPS float64
-	// Idle, if non-nil, is forced awake while boosted (plain NCAP).
-	// Leave nil for the NCAP-menu variant.
-	Idle *SwitchableIdle
-	// HoldPeriods keeps the package at P0 for this many quiet monitor
-	// periods before the gradual step-down begins; the software NCAP is
-	// tuned conservatively so the SLO holds at each application's high
-	// load (§6.3), which costs energy relative to NMAP's per-core
-	// fallback.
-	HoldPeriods int
+	thresholdRPS float64
+	// idle, if non-nil, is forced awake while boosted (plain NCAP); nil
+	// for the NCAP-menu variant.
+	idle *SwitchableIdle
 
 	pkts    float64
 	boosted bool
@@ -87,23 +79,27 @@ type NCAP struct {
 	BoostCount int64
 }
 
+// ncapPeriod is the software monitoring period ("slightly longer than
+// the hardware implementation").
+const ncapPeriod = sim.Millisecond
+
+// ncapHoldPeriods keeps the package at P0 for this many quiet monitor
+// periods before the gradual step-down begins; the software NCAP is
+// tuned conservatively so the SLO holds at each application's high load
+// (§6.3), which costs energy relative to NMAP's per-core fallback.
+const ncapHoldPeriods = 8
+
 // NewNCAP builds the baseline over a fallback governor stack (ondemand).
+// idle, if non-nil, is forced awake while boosted (plain NCAP); pass nil
+// for the NCAP-menu variant.
 func NewNCAP(eng *sim.Engine, proc *cpu.Processor, stack *governor.Stack, thresholdRPS float64, idle *SwitchableIdle) *NCAP {
-	return &NCAP{
-		eng:          eng,
-		proc:         proc,
-		stack:        stack,
-		Period:       sim.Millisecond,
-		ThresholdRPS: thresholdRPS,
-		Idle:         idle,
-		HoldPeriods:  8,
-	}
+	return &NCAP{eng: eng, proc: proc, stack: stack, thresholdRPS: thresholdRPS, idle: idle}
 }
 
 // Start launches the fallback stack and the periodic monitor.
 func (n *NCAP) Start() {
 	n.stack.Start()
-	n.stop = n.eng.Ticker(n.Period, n.tick)
+	n.stop = n.eng.Ticker(ncapPeriod, n.tick)
 }
 
 // Stop halts the monitor and the fallback stack.
@@ -134,17 +130,17 @@ func (n *NCAP) KsoftirqdWake(int) {}
 func (n *NCAP) KsoftirqdSleep(int) {}
 
 func (n *NCAP) tick() {
-	rate := n.pkts / n.Period.Seconds()
+	rate := n.pkts / ncapPeriod.Seconds()
 	n.pkts = 0
-	if rate > n.ThresholdRPS {
+	if rate > n.thresholdRPS {
 		if !n.boosted {
 			n.boosted = true
 			n.BoostCount++
 			for i := range n.proc.Cores {
 				n.stack.Suspend(i)
 			}
-			if n.Idle != nil {
-				n.Idle.ForceAwake(true)
+			if n.idle != nil {
+				n.idle.ForceAwake(true)
 			}
 		}
 		n.stepP = 0
@@ -159,14 +155,14 @@ func (n *NCAP) tick() {
 	// decrease the chip-wide V/F; hand the cores back to the
 	// utilisation governor at the bottom.
 	n.quiet++
-	if n.quiet <= n.HoldPeriods {
+	if n.quiet <= ncapHoldPeriods {
 		return
 	}
 	n.stepP++
 	if n.stepP >= n.proc.Model.MaxP() {
 		n.boosted = false
-		if n.Idle != nil {
-			n.Idle.ForceAwake(false)
+		if n.idle != nil {
+			n.idle.ForceAwake(false)
 		}
 		for i := range n.proc.Cores {
 			n.stack.Resume(i)

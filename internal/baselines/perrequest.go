@@ -18,10 +18,6 @@ type PerRequest struct {
 	eng     *sim.Engine
 	proc    *cpu.Processor
 	kernels []*kernel.CoreKernel
-	// QueuePerStep maps standing-queue depth to speed: the target
-	// P-state is Pmin - depth/QueuePerStep (clamped), so deeper queues
-	// demand faster states. Defaults to 2.
-	QueuePerStep int
 	// Requests counts the V/F targets issued (attempted register
 	// writes). Compare with the cores' effected transition counts: on
 	// hardware with a ~520µs re-transition latency, back-to-back writes
@@ -30,9 +26,14 @@ type PerRequest struct {
 	Requests int64
 }
 
+// queuePerStep maps standing-queue depth to speed: the target P-state
+// is Pmin - depth/queuePerStep (clamped), so deeper queues demand
+// faster states.
+const queuePerStep = 2
+
 // NewPerRequest builds the ablation policy.
 func NewPerRequest(eng *sim.Engine, proc *cpu.Processor, kernels []*kernel.CoreKernel) *PerRequest {
-	return &PerRequest{eng: eng, proc: proc, kernels: kernels, QueuePerStep: 2}
+	return &PerRequest{eng: eng, proc: proc, kernels: kernels}
 }
 
 // Start applies the initial floor state.
@@ -43,7 +44,7 @@ func (p *PerRequest) Stop() {}
 
 func (p *PerRequest) retarget(coreID int) {
 	depth := p.kernels[coreID].SockQLen() + 1
-	target := p.proc.Model.MaxP() - depth/p.QueuePerStep
+	target := p.proc.Model.MaxP() - depth/queuePerStep
 	if target < 0 {
 		target = 0
 	}

@@ -73,6 +73,8 @@ func TestValidateFlags(t *testing.T) {
 			{"negative backoff", "nmapreport -cell-retry-backoff -1ms", "-cell-retry-backoff"},
 			{"negative deadline", "nmapreport -cell-deadline -1s", "-cell-deadline"},
 			{"malformed faults", "nmapreport -faults corecrash=1", "CORE@TIME"},
+			{"unknown policy", "nmapreport -seeds 1 -dur 300 -policies nmap,bogus", `unknown policy "bogus"`},
+			{"unknown idle", "nmapreport -idle bogus", `unknown idle policy "bogus"`},
 		}},
 		{"nmapfuzz", []flagCase{
 			{"defaults accepted", "nmapfuzz " + noRepro, fuzzOK},

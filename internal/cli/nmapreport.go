@@ -4,9 +4,11 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strings"
 
 	"nmapsim/internal/experiments"
+	"nmapsim/internal/governor"
 	"nmapsim/internal/server"
 	"nmapsim/internal/sim"
 	"nmapsim/internal/workload"
@@ -59,6 +61,17 @@ func Report(args []string, stdout, stderr io.Writer) int {
 		}
 		profs = []*workload.Profile{prof}
 	}
+	pols := strings.Split(*policies, ",")
+	for i, pol := range pols {
+		pols[i] = strings.TrimSpace(pol)
+		if !slices.Contains(experiments.PolicyNames, pols[i]) {
+			return c.exit(2, fmt.Errorf("unknown policy %q (want %s)", pols[i], strings.Join(experiments.PolicyNames, ", ")))
+		}
+	}
+	// An empty name is the experiments default, menu.
+	if _, ok := governor.NewIdlePolicy(*idle); !ok && *idle != "" {
+		return c.exit(2, fmt.Errorf("unknown idle policy %q (want menu, disable or c6only)", *idle))
+	}
 	if err := hf.openJournal(c, h); err != nil {
 		return c.exit(1, err)
 	}
@@ -69,8 +82,7 @@ func Report(args []string, stdout, stderr io.Writer) int {
 	var specs []experiments.Spec
 	for _, prof := range profs {
 		for _, lvl := range workload.Levels {
-			for _, pol := range strings.Split(*policies, ",") {
-				pol = strings.TrimSpace(pol)
+			for _, pol := range pols {
 				for s := 0; s < *seeds; s++ {
 					specs = append(specs, experiments.Spec{
 						Policy: pol,

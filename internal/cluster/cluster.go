@@ -39,17 +39,15 @@ type Config struct {
 	Nodes int
 	// Route selects the front-end policy: "rr" (round-robin, the
 	// default), "least" (least-loaded), "weighted" (smooth weighted
-	// round-robin over Weights), or "flow" (flow-affine with failover).
+	// round-robin, every node of weight 1), or "flow" (flow-affine with
+	// failover).
 	Route string
-	// Weights are the per-node weights for the weighted policy (empty =
-	// all ones; otherwise one positive weight per node).
-	Weights []float64
 	// RouteRetries is the router's retry budget per request: how many
 	// times a terminally failed request is resubmitted to a surviving
 	// node before the front end declares it failed. Zero (the default)
 	// disables resteering — the single-node seed behaviour.
 	RouteRetries int
-	// Health parameterises the prober (zero values take defaults).
+	// Health parameterises the prober.
 	Health HealthConfig
 	// Node is the per-node server configuration. Every node runs it
 	// with a distinct derived seed (node 0 keeps Node.Seed unchanged).
@@ -67,24 +65,16 @@ type Config struct {
 	Hedge HedgeConfig
 	// FleetPowerCapW, when positive, arms the fleet power-cap
 	// coordinator: a deterministic controller that measures fleet power
-	// every CapPeriod and clamps all nodes' cores one P-state further
+	// every 10ms and clamps all nodes' cores one P-state further
 	// for each period over budget (releasing below 90% of it). Zero
 	// leaves every node to its own governor.
 	FleetPowerCapW float64
-	// CapPeriod is the coordinator's control period (default 10ms).
-	CapPeriod sim.Duration
 }
 
-// HealthConfig parameterises the deterministic health prober.
+// HealthConfig parameterises the deterministic health prober. It probes
+// every node every 5ms, marks a node down after 2 consecutive failed
+// probes, and takes a half-open node back up at its first completion.
 type HealthConfig struct {
-	// ProbeEvery is the probe interval (default 5ms).
-	ProbeEvery sim.Duration
-	// MarkDownAfter is how many consecutive failed probes mark a node
-	// down (default 2).
-	MarkDownAfter int
-	// HalfOpenSuccess is how many completions a half-open (recovering)
-	// node must serve before it is fully up again (default 1).
-	HalfOpenSuccess int
 	// ProbeTimeout, when positive, makes a probe fail when the fabric's
 	// deterministic one-way delay estimate for the node's link exceeds
 	// it (and always when the link is cut) — gray link degradation then
@@ -94,27 +84,9 @@ type HealthConfig struct {
 	// FlapHold, when positive, arms flap damping: after each mark-down
 	// the node is held out of rotation for the current hold-off even
 	// once probes pass again, and the hold-off doubles on every
-	// successive mark-down (capped at FlapMaxHold, never decaying
+	// successive mark-down (capped at 16×FlapHold, never decaying
 	// within a run). Zero disables damping — the naive prober.
 	FlapHold sim.Duration
-	// FlapMaxHold caps the exponential hold-off (default 16×FlapHold).
-	FlapMaxHold sim.Duration
-}
-
-func (h HealthConfig) withDefaults() HealthConfig {
-	if h.ProbeEvery == 0 {
-		h.ProbeEvery = 5 * sim.Millisecond
-	}
-	if h.MarkDownAfter == 0 {
-		h.MarkDownAfter = 2
-	}
-	if h.HalfOpenSuccess == 0 {
-		h.HalfOpenSuccess = 1
-	}
-	if h.FlapHold > 0 && h.FlapMaxHold == 0 {
-		h.FlapMaxHold = 16 * h.FlapHold
-	}
-	return h
 }
 
 // NodeSetup builds one node's server on the shared engine — the seam
@@ -238,10 +210,6 @@ func New(cfg Config, setup NodeSetup) (*Cluster, error) {
 	if err := validate(cfg); err != nil {
 		return nil, err
 	}
-	cfg.Health = cfg.Health.withDefaults()
-	if cfg.CapPeriod == 0 {
-		cfg.CapPeriod = 10 * sim.Millisecond
-	}
 	if setup == nil {
 		setup = func(_ int, ncfg server.Config, eng *sim.Engine) (*server.Server, error) {
 			return server.NewOnEngine(ncfg, nil, eng), nil
@@ -272,21 +240,14 @@ func New(cfg Config, setup NodeSetup) (*Cluster, error) {
 	if cfg.Fabric.Enabled() || cfg.Node.Faults.LinkFaults() {
 		c.fabric = newFabric(c, cfg.Fabric)
 	}
-	if cfg.Hedge.Enabled {
-		// Hedge defaults are SLO-relative, resolved against the built
-		// node config (the profile default lives in the server assembly).
-		slo := c.Nodes[0].Srv.Cfg.Profile.SLO
-		if c.Cfg.Hedge.Quantile == 0 {
-			c.Cfg.Hedge.Quantile = 0.95
-		}
-		if c.Cfg.Hedge.Min == 0 {
-			c.Cfg.Hedge.Min = slo / 2
-		}
-		if c.Cfg.Hedge.Max == 0 {
-			c.Cfg.Hedge.Max = 4 * slo
-		}
-	}
 	c.router = newRouter(c)
+	if cfg.Hedge.Enabled {
+		// The hedge delay bounds are SLO-relative, resolved against the
+		// built node config (the profile default lives in the server
+		// assembly).
+		slo := c.Nodes[0].Srv.Cfg.Profile.SLO
+		c.router.h = newHedger(c.router, slo/2, 4*slo)
+	}
 	c.health = newHealth(c)
 	if cfg.FleetPowerCapW > 0 {
 		c.cap = &powerCap{c: c, capW: cfg.FleetPowerCapW}
@@ -339,39 +300,17 @@ func validate(cfg Config) error {
 	if err := CheckShape(cfg.Nodes, cfg.Route); err != nil {
 		return err
 	}
-	if len(cfg.Weights) > 0 {
-		if len(cfg.Weights) != cfg.Nodes {
-			return fmt.Errorf("cluster: %d weights for %d nodes", len(cfg.Weights), cfg.Nodes)
-		}
-		for i, w := range cfg.Weights {
-			if w <= 0 {
-				return fmt.Errorf("cluster: non-positive weight %g for node %d", w, i)
-			}
-		}
-	}
 	if cfg.RouteRetries < 0 {
 		return fmt.Errorf("cluster: negative route retry budget %d", cfg.RouteRetries)
 	}
 	if cfg.FleetPowerCapW < 0 {
 		return fmt.Errorf("cluster: negative fleet power cap %g W", cfg.FleetPowerCapW)
 	}
-	if cfg.Health.ProbeEvery < 0 || cfg.Health.MarkDownAfter < 0 || cfg.Health.HalfOpenSuccess < 0 ||
-		cfg.Health.ProbeTimeout < 0 || cfg.Health.FlapHold < 0 || cfg.Health.FlapMaxHold < 0 {
+	if cfg.Health.ProbeTimeout < 0 || cfg.Health.FlapHold < 0 {
 		return fmt.Errorf("cluster: negative health parameter in %+v", cfg.Health)
 	}
-	if cfg.Fabric.Base < 0 || cfg.Fabric.Serve < 0 || cfg.Fabric.Jitter < 0 || cfg.Fabric.MaxQueue < 0 {
+	if cfg.Fabric.Base < 0 || cfg.Fabric.Serve < 0 || cfg.Fabric.Jitter < 0 {
 		return fmt.Errorf("cluster: negative fabric parameter in %+v", cfg.Fabric)
-	}
-	if cfg.Hedge.Enabled {
-		if cfg.Hedge.Quantile < 0 || cfg.Hedge.Quantile >= 1 {
-			return fmt.Errorf("cluster: hedge quantile %g outside [0, 1)", cfg.Hedge.Quantile)
-		}
-		if cfg.Hedge.Min < 0 || cfg.Hedge.Max < 0 {
-			return fmt.Errorf("cluster: negative hedge delay bound in %+v", cfg.Hedge)
-		}
-		if cfg.Hedge.Min > 0 && cfg.Hedge.Max > 0 && cfg.Hedge.Min > cfg.Hedge.Max {
-			return fmt.Errorf("cluster: hedge Min %v exceeds Max %v", cfg.Hedge.Min, cfg.Hedge.Max)
-		}
 	}
 	if err := cfg.Node.Faults.CheckTargets(0, cfg.Nodes); err != nil {
 		return fmt.Errorf("cluster: %w", err)

@@ -165,8 +165,8 @@ func TestNodeSlowDegradesVictim(t *testing.T) {
 
 // The router's pick covers all four policies deterministically.
 func TestRouterPick(t *testing.T) {
-	newFleet := func(route string, weights []float64) *Cluster {
-		c, err := New(Config{Nodes: 4, Route: route, Weights: weights, Node: baseNode()}, nil)
+	newFleet := func(route string) *Cluster {
+		c, err := New(Config{Nodes: 4, Route: route, Node: baseNode()}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -174,7 +174,7 @@ func TestRouterPick(t *testing.T) {
 	}
 
 	t.Run("rr", func(t *testing.T) {
-		c := newFleet("rr", nil)
+		c := newFleet("rr")
 		for i, want := range []int{0, 1, 2, 3, 0, 1} {
 			if got := c.router.pick(0, -1); got != want {
 				t.Fatalf("pick %d = node %d, want %d", i, got, want)
@@ -188,7 +188,7 @@ func TestRouterPick(t *testing.T) {
 	})
 
 	t.Run("least", func(t *testing.T) {
-		c := newFleet("least", nil)
+		c := newFleet("least")
 		c.Nodes[0].live, c.Nodes[1].live, c.Nodes[2].live, c.Nodes[3].live = 5, 2, 2, 9
 		if got := c.router.pick(0, -1); got != 1 {
 			t.Fatalf("least picked %d, want 1 (lowest index among ties)", got)
@@ -199,18 +199,27 @@ func TestRouterPick(t *testing.T) {
 	})
 
 	t.Run("weighted", func(t *testing.T) {
-		c := newFleet("weighted", []float64{3, 1, 1, 1})
+		c := newFleet("weighted")
 		counts := make([]int, 4)
 		for i := 0; i < 12; i++ {
 			counts[c.router.pick(0, -1)]++
 		}
-		if counts[0] != 6 || counts[1] != 2 || counts[2] != 2 || counts[3] != 2 {
-			t.Fatalf("weighted 3:1:1:1 over 12 picks = %v", counts)
+		if counts[0] != 3 || counts[1] != 3 || counts[2] != 3 || counts[3] != 3 {
+			t.Fatalf("equal weights over 12 picks = %v", counts)
+		}
+		// A down node earns no credit: the survivors share its turns.
+		c.health.phase[1] = phaseDown
+		counts = make([]int, 4)
+		for i := 0; i < 12; i++ {
+			counts[c.router.pick(0, -1)]++
+		}
+		if counts[0] != 4 || counts[1] != 0 || counts[2] != 4 || counts[3] != 4 {
+			t.Fatalf("equal weights with node 1 down over 12 picks = %v", counts)
 		}
 	})
 
 	t.Run("flow", func(t *testing.T) {
-		c := newFleet("flow", nil)
+		c := newFleet("flow")
 		if got := c.router.pick(5, -1); got != 1 {
 			t.Fatalf("flow 5 homed to %d, want 1", got)
 		}
@@ -221,7 +230,7 @@ func TestRouterPick(t *testing.T) {
 	})
 
 	t.Run("outage", func(t *testing.T) {
-		c := newFleet("rr", nil)
+		c := newFleet("rr")
 		for i := range c.Nodes {
 			c.health.phase[i] = phaseDown
 		}
@@ -240,12 +249,12 @@ func TestRouterPick(t *testing.T) {
 // (on recovery) → Up (after the success quota) — and a half-open
 // failure reopens the circuit immediately.
 func TestHealthTransitions(t *testing.T) {
-	cfg := Config{Nodes: 2, Health: HealthConfig{MarkDownAfter: 2, HalfOpenSuccess: 2}, Node: baseNode()}
-	c, err := New(cfg, nil)
+	c, err := New(Config{Nodes: 2, Node: baseNode()}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	h := c.health
+	h.halfOpenSuccess = 2
 	c.Nodes[1].Srv.CrashNode()
 	h.probe()
 	if !h.routable(1) {
@@ -313,8 +322,6 @@ func TestValidateRejects(t *testing.T) {
 	}{
 		{"zero nodes", Config{Nodes: 0, Node: node}, "at least 1 node"},
 		{"bad route", Config{Nodes: 2, Route: "bogus", Node: node}, "unknown route"},
-		{"weight count", Config{Nodes: 2, Weights: []float64{1}, Node: node}, "1 weights for 2 nodes"},
-		{"weight sign", Config{Nodes: 2, Weights: []float64{1, -1}, Node: node}, "non-positive weight"},
 		{"negative retries", Config{Nodes: 2, RouteRetries: -1, Node: node}, "retry budget"},
 		{"negative cap", Config{Nodes: 2, FleetPowerCapW: -5, Node: node}, "power cap"},
 	}

@@ -30,10 +30,8 @@ type FabricConfig struct {
 	Base sim.Duration
 	// Serve is the per-copy serialisation time of the queueing term: a
 	// leg with q copies already in transit delays the next copy by an
-	// extra Serve×min(q, MaxQueue) — a bounded M/D/1-style backlog.
+	// extra Serve×min(q, maxQueue) — a bounded M/D/1-style backlog.
 	Serve sim.Duration
-	// MaxQueue bounds the queueing term (default 64 when Serve > 0).
-	MaxQueue int
 	// Jitter is the mean of an exponential extra delay per traversal,
 	// drawn from the fabric's own seeded side stream.
 	Jitter sim.Duration
@@ -65,6 +63,9 @@ type transit struct {
 	r    *workload.Request
 }
 
+// maxQueue bounds the queueing term of a leg's delay.
+const maxQueue = 64
+
 // fabricSeedMix derives the fabric's PRNG side stream from the node
 // seed. Distinct from the fault injector's golden-ratio mix so the two
 // streams never collide.
@@ -91,9 +92,6 @@ type fabric struct {
 }
 
 func newFabric(c *Cluster, cfg FabricConfig) *fabric {
-	if cfg.Serve > 0 && cfg.MaxQueue == 0 {
-		cfg.MaxQueue = 64
-	}
 	n := c.Cfg.Nodes
 	f := &fabric{
 		c: c, cfg: cfg,
@@ -115,13 +113,7 @@ func newFabric(c *Cluster, cfg FabricConfig) *fabric {
 // linkslow in effect. No PRNG touched — the health prober reuses it as
 // its delay estimate.
 func (f *fabric) legDelay(node, q int) sim.Duration {
-	d := f.cfg.Base
-	if f.cfg.Serve > 0 {
-		if q > f.cfg.MaxQueue {
-			q = f.cfg.MaxQueue
-		}
-		d += f.cfg.Serve * sim.Duration(q)
-	}
+	d := f.cfg.Base + f.cfg.Serve*sim.Duration(min(q, maxQueue))
 	if s := f.slowF[node]; s != 1 {
 		d = sim.Duration(float64(d) * s)
 	}

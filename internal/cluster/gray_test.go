@@ -68,13 +68,21 @@ func TestFlapDampingReducesTransitions(t *testing.T) {
 	}
 }
 
+// pinHedgeDelay fixes a built cluster's hedge delay at d in place of the
+// SLO-relative bounds, so a test can place hedges against a known round
+// trip.
+func pinHedgeDelay(c *Cluster, d sim.Duration) {
+	h := c.router.h
+	h.min, h.max, h.track.est = d, d, d
+}
+
 // The hedging acceptance pin: with one node's link grossly slowed (and
 // the prober blind to it — no probe timeout, so the gray node stays in
 // rotation), tail-latency hedging strictly lowers the front-end P99 at
 // an equal completed-request count, every duplicate honestly accounted
 // and both arms audit-clean.
 func TestHedgingLowersTailUnderGrayLink(t *testing.T) {
-	run := func(hedge HedgeConfig) Result {
+	run := func(hedge bool) Result {
 		cfg := baseNode()
 		cfg.Audit = true
 		// Slow node 1's link ×50 across the first two measured bursts:
@@ -85,20 +93,23 @@ func TestHedgingLowersTailUnderGrayLink(t *testing.T) {
 		cl, err := New(Config{
 			Nodes:  2,
 			Node:   cfg,
-			Hedge:  hedge,
+			Hedge:  HedgeConfig{Enabled: hedge},
 			Fabric: FabricConfig{Base: 10 * sim.Microsecond},
 		}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
+		if hedge {
+			pinHedgeDelay(cl, 300*sim.Microsecond)
+		}
 		res, err := cl.Run()
 		if err != nil {
-			t.Fatalf("audited gray-link run (hedge=%v): %v", hedge.Enabled, err)
+			t.Fatalf("audited gray-link run (hedge=%v): %v", hedge, err)
 		}
 		return res
 	}
-	plain := run(HedgeConfig{})
-	hedged := run(HedgeConfig{Enabled: true, Min: 300 * sim.Microsecond, Max: 300 * sim.Microsecond})
+	plain := run(false)
+	hedged := run(true)
 
 	// Both arms drain fully (the last burst ends before the horizon), so
 	// the completed-request counts are comparable — and must be equal.
@@ -178,12 +189,13 @@ func TestMarkDownDuringActiveHedge(t *testing.T) {
 		Nodes:        2,
 		RouteRetries: 2,
 		Node:         cfg,
-		Hedge:        HedgeConfig{Enabled: true, Min: 300 * sim.Microsecond, Max: 300 * sim.Microsecond},
+		Hedge:        HedgeConfig{Enabled: true},
 		Fabric:       FabricConfig{Base: 10 * sim.Microsecond},
 	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	pinHedgeDelay(cl, 300*sim.Microsecond)
 	res, err := cl.Run()
 	if err != nil {
 		t.Fatalf("audited hedge-under-crash run: %v", err)
@@ -199,7 +211,7 @@ func TestMarkDownDuringActiveHedge(t *testing.T) {
 	}
 }
 
-// The new configuration surface is validated with descriptive errors.
+// The fabric and health surface is validated with descriptive errors.
 func TestValidateRejectsLinkAndHedge(t *testing.T) {
 	node := baseNode()
 	cases := []struct {
@@ -213,10 +225,6 @@ func TestValidateRejectsLinkAndHedge(t *testing.T) {
 			Health: HealthConfig{ProbeTimeout: -1}}, "negative health"},
 		{"negative flap hold", Config{Nodes: 2, Node: node,
 			Health: HealthConfig{FlapHold: -1}}, "negative health"},
-		{"hedge quantile", Config{Nodes: 2, Node: node,
-			Hedge: HedgeConfig{Enabled: true, Quantile: 1.5}}, "quantile"},
-		{"hedge bounds inverted", Config{Nodes: 2, Node: node,
-			Hedge: HedgeConfig{Enabled: true, Min: 5 * sim.Millisecond, Max: sim.Millisecond}}, "exceeds"},
 	}
 	part := node
 	part.Faults.Partitions = []faults.Partition{{Node: 7, At: sim.Millisecond}}

@@ -17,11 +17,18 @@ const (
 	phaseDown
 )
 
+// The prober's fixed parameters: the probe interval, and how many
+// consecutive failed probes mark a node down.
+const (
+	probeEvery    = 5 * sim.Millisecond
+	markDownAfter = 2
+)
+
 // health is the cluster's deterministic health model: a probe tick per
 // interval per node (asking only node state and — when the fabric is
 // modeled — the link's deterministic delay estimate: no packets, no
-// RNG, no physics), mark-down after MarkDownAfter consecutive failed
-// probes, and half-open recovery requiring HalfOpenSuccess completions
+// RNG, no physics), mark-down after markDownAfter consecutive failed
+// probes, and half-open recovery requiring halfOpenSuccess completions
 // before the node counts as fully up. With FlapHold set, every
 // mark-down also arms an exponentially growing hold-off that keeps the
 // node down even once probes pass again — flap damping, so an
@@ -30,16 +37,19 @@ const (
 // read node and fabric state and touch only router-side bookkeeping, so
 // a fault-free run's physics are byte-identical with the prober on.
 type health struct {
-	c     *Cluster
-	cfg   HealthConfig
-	phase []nodePhase
+	c   *Cluster
+	cfg HealthConfig
+	// halfOpenSuccess is how many completions a half-open (recovering)
+	// node must serve before it is fully up again.
+	halfOpenSuccess int
+	phase           []nodePhase
 	// fails counts consecutive failed probes; okRun counts completions
 	// observed while half-open.
 	fails, okRun []int
 	// holdUntil / penalty are the flap-damping state: the instant before
 	// which a marked-down node may not re-enter half-open, and the
 	// current per-node hold-off (doubling on every mark-down, capped at
-	// FlapMaxHold, never decaying within a run).
+	// 16×FlapHold, never decaying within a run).
 	holdUntil          []sim.Time
 	penalty            []sim.Duration
 	markDowns, markUps uint64
@@ -47,11 +57,12 @@ type health struct {
 
 func newHealth(c *Cluster) *health {
 	h := &health{
-		c:     c,
-		cfg:   c.Cfg.Health,
-		phase: make([]nodePhase, c.Cfg.Nodes),
-		fails: make([]int, c.Cfg.Nodes),
-		okRun: make([]int, c.Cfg.Nodes),
+		c:               c,
+		cfg:             c.Cfg.Health,
+		halfOpenSuccess: 1,
+		phase:           make([]nodePhase, c.Cfg.Nodes),
+		fails:           make([]int, c.Cfg.Nodes),
+		okRun:           make([]int, c.Cfg.Nodes),
 	}
 	if h.cfg.FlapHold > 0 {
 		h.holdUntil = make([]sim.Time, c.Cfg.Nodes)
@@ -61,7 +72,7 @@ func newHealth(c *Cluster) *health {
 }
 
 func (h *health) start() {
-	h.c.Eng.Ticker(h.cfg.ProbeEvery, h.probe)
+	h.c.Eng.Ticker(probeEvery, h.probe)
 }
 
 // probeFails is one probe's verdict on node i: the node itself is down,
@@ -90,7 +101,7 @@ func (h *health) probe() {
 		if h.probeFails(i) {
 			h.fails[i]++
 			h.okRun[i] = 0
-			if h.phase[i] != phaseDown && h.fails[i] >= h.cfg.MarkDownAfter {
+			if h.phase[i] != phaseDown && h.fails[i] >= markDownAfter {
 				h.markDown(i)
 			}
 			continue
@@ -111,13 +122,7 @@ func (h *health) markDown(i int) {
 	h.okRun[i] = 0
 	h.markDowns++
 	if h.cfg.FlapHold > 0 {
-		p := h.penalty[i] * 2
-		if p < h.cfg.FlapHold {
-			p = h.cfg.FlapHold
-		}
-		if p > h.cfg.FlapMaxHold {
-			p = h.cfg.FlapMaxHold
-		}
+		p := min(max(h.penalty[i]*2, h.cfg.FlapHold), 16*h.cfg.FlapHold)
 		h.penalty[i] = p
 		h.holdUntil[i] = h.c.Eng.Now() + sim.Time(p)
 	}
@@ -139,7 +144,7 @@ func (h *health) observeSuccess(i int) {
 		return
 	}
 	h.okRun[i]++
-	if h.okRun[i] >= h.cfg.HalfOpenSuccess {
+	if h.okRun[i] >= h.halfOpenSuccess {
 		h.phase[i] = phaseUp
 		h.okRun[i] = 0
 		h.markUps++

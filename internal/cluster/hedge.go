@@ -19,14 +19,14 @@ import (
 // value keeps the single-copy router (byte-identical to a build without
 // hedging).
 type HedgeConfig struct {
-	// Enabled turns hedging on.
+	// Enabled turns hedging on: the hedge delay tracks the P95 of the
+	// observed per-attempt latency, clamped to [SLO/2, 4×SLO].
 	Enabled bool
-	// Quantile of the observed per-attempt latency the hedge delay
-	// tracks (default 0.95).
-	Quantile float64
-	// Min / Max clamp the tracked delay. Defaults: SLO/2 and 4×SLO.
-	Min, Max sim.Duration
 }
+
+// hedgeQuantile is the quantile of the per-attempt latency the hedge
+// delay tracks.
+const hedgeQuantile = 0.95
 
 // quantileTracker is a deterministic O(1) streaming quantile estimator
 // (stochastic approximation with a multiplicative step): each sample
@@ -73,34 +73,28 @@ type hedgeState struct {
 }
 
 type hedger struct {
-	rt     *router
-	cfg    HedgeConfig
-	track  quantileTracker
-	live   map[uint64]*hedgeState
-	free   []*hedgeState
-	fireFn func(any)
+	rt *router
+	// min / max clamp the tracked delay.
+	min, max sim.Duration
+	track    quantileTracker
+	live     map[uint64]*hedgeState
+	free     []*hedgeState
+	fireFn   func(any)
 }
 
-func newHedger(rt *router, cfg HedgeConfig) *hedger {
-	h := &hedger{rt: rt, cfg: cfg, live: make(map[uint64]*hedgeState)}
-	h.track.q = cfg.Quantile
+func newHedger(rt *router, lo, hi sim.Duration) *hedger {
+	h := &hedger{rt: rt, min: lo, max: hi, live: make(map[uint64]*hedgeState)}
+	h.track.q = hedgeQuantile
 	// Start conservative: no hedge fires before real samples pull the
 	// estimate down from the ceiling.
-	h.track.est = cfg.Max
+	h.track.est = hi
 	h.fireFn = h.fire
 	return h
 }
 
 // delay is the current hedge delay: the tracked quantile, clamped.
 func (h *hedger) delay() sim.Duration {
-	d := h.track.est
-	if d < h.cfg.Min {
-		d = h.cfg.Min
-	}
-	if d > h.cfg.Max {
-		d = h.cfg.Max
-	}
-	return d
+	return min(max(h.track.est, h.min), h.max)
 }
 
 // observe feeds one per-attempt latency sample (landing − Dispatched)

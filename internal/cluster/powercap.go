@@ -1,5 +1,10 @@
 package cluster
 
+import "nmapsim/internal/sim"
+
+// capPeriod is the fleet power-cap coordinator's control period.
+const capPeriod = 10 * sim.Millisecond
+
 // powerCap is the fleet-level power coordinator: a deterministic
 // integral controller that measures fleet package power once per
 // control period and clamps every node's cores one P-state deeper for
@@ -22,12 +27,12 @@ type powerCap struct {
 
 func (pc *powerCap) start() {
 	pc.lastE = pc.c.totalEnergyJ()
-	pc.c.Eng.Ticker(pc.c.Cfg.CapPeriod, pc.tick)
+	pc.c.Eng.Ticker(capPeriod, pc.tick)
 }
 
 func (pc *powerCap) tick() {
 	e := pc.c.totalEnergyJ()
-	w := (e - pc.lastE) / (float64(pc.c.Cfg.CapPeriod) / 1e9)
+	w := (e - pc.lastE) / (float64(capPeriod) / 1e9)
 	pc.lastE = e
 	maxP := pc.c.Nodes[0].Srv.Cfg.Model.MaxP()
 	switch {

@@ -25,16 +25,13 @@ type router struct {
 	// rrNext is the round-robin cursor; wcur is the smooth-WRR credit
 	// vector (weighted policy only).
 	rrNext int
-	wcur   []float64
+	wcur   []int
 }
 
 func newRouter(c *Cluster) *router {
 	rt := &router{c: c, attempts: make(map[uint64]int)}
 	if c.Cfg.Route == "weighted" {
-		rt.wcur = make([]float64, c.Cfg.Nodes)
-	}
-	if c.Cfg.Hedge.Enabled {
-		rt.h = newHedger(rt, c.Cfg.Hedge)
+		rt.wcur = make([]int, c.Cfg.Nodes)
 	}
 	return rt
 }
@@ -157,23 +154,17 @@ func (rt *router) pick(flow uint64, exclude int) int {
 		}
 		return best
 	case "weighted":
-		// Smooth weighted round-robin over the eligible set: every
-		// eligible node earns its weight in credit, the richest serves
-		// and pays back the round's total. Deterministic ties break to
-		// the lowest index.
-		weight := func(i int) float64 {
-			if len(rt.c.Cfg.Weights) == 0 {
-				return 1
-			}
-			return rt.c.Cfg.Weights[i]
-		}
-		best, total := -1, 0.0
+		// Smooth weighted round-robin over the eligible set, every node
+		// of weight 1: every eligible node earns one credit, the richest
+		// serves and pays back the round's total. Deterministic ties
+		// break to the lowest index.
+		best, total := -1, 0
 		for i := 0; i < n; i++ {
 			if !ok(i) {
 				continue
 			}
-			rt.wcur[i] += weight(i)
-			total += weight(i)
+			rt.wcur[i]++
+			total++
 			if best < 0 || rt.wcur[i] > rt.wcur[best] {
 				best = i
 			}

@@ -234,7 +234,7 @@ func TestProfilerNoPollingYieldsDefaults(t *testing.T) {
 func TestProfilerEarlyWindowOnly(t *testing.T) {
 	eng := sim.NewEngine()
 	p := NewProfiler(eng)
-	p.EarlyInterrupts = 2
+	p.earlyInterrupts = 2
 	p.InterruptArrived(0)
 	p.PacketsProcessed(0, kernel.PollingMode, 10)
 	p.InterruptArrived(0)

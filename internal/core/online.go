@@ -27,38 +27,33 @@ func (n *NMAP) SetThresholds(th Thresholds) { n.th = th }
 func (n *NMAP) CurrentThresholds() Thresholds { return n.th }
 
 // OnlineTuner wraps a continuously running Profiler and re-derives the
-// NMAP thresholds after every AdjustEvery completed bursts. Attach it as
-// a NAPI listener alongside the NMAP it tunes.
+// NMAP thresholds after every 4 completed bursts. Attach it as a NAPI
+// listener alongside the NMAP it tunes.
 type OnlineTuner struct {
 	nmap *NMAP
 	prof *Profiler
-	// AdjustEvery is the number of completed bursts between threshold
-	// updates (default 4).
-	AdjustEvery int
-	// Blend is the EWMA weight of the freshly derived thresholds
-	// against the current ones (default 0.5), damping burst-to-burst
-	// noise.
-	Blend float64
+	// adjustEvery is the number of completed bursts between threshold
+	// updates.
+	adjustEvery int
 
 	lastBursts int
 	// Updates counts threshold adjustments applied.
 	Updates int64
 }
 
+// tunerBlend is the EWMA weight of freshly derived thresholds against
+// the current ones, damping burst-to-burst noise.
+const tunerBlend = 0.5
+
 // NewOnlineTuner builds a tuner for the given NMAP instance.
 func NewOnlineTuner(eng *sim.Engine, n *NMAP) *OnlineTuner {
-	return &OnlineTuner{
-		nmap:        n,
-		prof:        NewProfiler(eng),
-		AdjustEvery: 4,
-		Blend:       0.5,
-	}
+	return &OnlineTuner{nmap: n, prof: NewProfiler(eng), adjustEvery: 4}
 }
 
 // InterruptArrived implements kernel.NAPIListener.
 func (t *OnlineTuner) InterruptArrived(coreID int) {
 	t.prof.InterruptArrived(coreID)
-	if t.prof.Bursts() >= t.lastBursts+t.AdjustEvery {
+	if t.prof.Bursts() >= t.lastBursts+t.adjustEvery {
 		t.lastBursts = t.prof.Bursts()
 		t.apply()
 	}
@@ -81,7 +76,7 @@ func (t *OnlineTuner) apply() {
 		return
 	}
 	cur := t.nmap.CurrentThresholds()
-	b := t.Blend
+	const b = tunerBlend
 	t.nmap.SetThresholds(Thresholds{
 		NITh: (1-b)*cur.NITh + b*fresh.NITh,
 		CUTh: (1-b)*cur.CUTh + b*fresh.CUTh,

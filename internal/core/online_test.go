@@ -31,7 +31,7 @@ func TestOnlineTunerAdaptsThresholds(t *testing.T) {
 	stack := governor.NewStack(eng, proc, governor.Ondemand{Model: cpu.XeonGold6134}, 10*sim.Millisecond)
 	n := NewNMAP(eng, proc, stack, DefaultThresholds(), 10*sim.Millisecond)
 	tuner := NewOnlineTuner(eng, n)
-	tuner.AdjustEvery = 2
+	tuner.adjustEvery = 2
 
 	start := n.CurrentThresholds()
 	// Feed six bursts with a polling-heavy signature very different
@@ -59,8 +59,7 @@ func TestOnlineTunerBlendDamps(t *testing.T) {
 	stack := governor.NewStack(eng, proc, governor.Ondemand{Model: cpu.XeonGold6134}, 10*sim.Millisecond)
 	n := NewNMAP(eng, proc, stack, Thresholds{NITh: 100, CUTh: 1.0}, 10*sim.Millisecond)
 	tuner := NewOnlineTuner(eng, n)
-	tuner.AdjustEvery = 1
-	tuner.Blend = 0.5
+	tuner.adjustEvery = 1
 	feedBurst(eng, tuner, 100, 900)
 	feedBurst(eng, tuner, 100, 900) // the first burst only closes at this one's first interrupt
 	got := n.CurrentThresholds()

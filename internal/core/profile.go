@@ -17,18 +17,16 @@ import (
 //   - CU_TH: the average polling-to-interrupt packet ratio over a whole
 //     request burst.
 //
-// A burst start is detected as an interrupt following at least QuietGap
-// of interrupt silence.
+// A burst start is detected as an interrupt following at least 5ms of
+// interrupt silence.
 type Profiler struct {
 	eng *sim.Engine
-	// QuietGap separates bursts; defaults to 5ms.
-	QuietGap sim.Duration
-	// EarlyInterrupts is the §4.2 observation window. The paper
+	// earlyInterrupts is the §4.2 observation window. The paper
 	// observes the first 100 interrupts of a burst; with this model's
 	// interrupt-throttle texture (~100 interrupts/ms) that covers only
-	// ~1ms, so the default widens to 500 to span the burst's early
+	// ~1ms, so NewProfiler widens it to 500 to span the burst's early
 	// (pre-peak) ramp.
-	EarlyInterrupts int
+	earlyInterrupts int
 
 	lastIntr      sim.Time
 	seenIntr      bool
@@ -43,22 +41,21 @@ type Profiler struct {
 	ratios    []float64
 }
 
+// profileQuietGap is the interrupt silence that separates bursts.
+const profileQuietGap = 5 * sim.Millisecond
+
 // NewProfiler builds a profiler attached to the engine's clock.
 func NewProfiler(eng *sim.Engine) *Profiler {
-	return &Profiler{
-		eng:             eng,
-		QuietGap:        5 * sim.Millisecond,
-		EarlyInterrupts: 500,
-	}
+	return &Profiler{eng: eng, earlyInterrupts: 500}
 }
 
 // InterruptArrived implements kernel.NAPIListener.
 func (p *Profiler) InterruptArrived(int) {
 	now := p.eng.Now()
-	if p.seenIntr && sim.Duration(now-p.lastIntr) >= p.QuietGap {
+	if p.seenIntr && sim.Duration(now-p.lastIntr) >= profileQuietGap {
 		p.endBurst()
 	}
-	if p.seenIntr && p.intrInBurst > 0 && p.intrInBurst <= p.EarlyInterrupts {
+	if p.seenIntr && p.intrInBurst > 0 && p.intrInBurst <= p.earlyInterrupts {
 		p.earlyWindows = append(p.earlyWindows, p.pollSinceIntr)
 	}
 	p.seenIntr = true

@@ -70,11 +70,6 @@ const clusterLoadFrac = 0.7
 // fraction of the fleet's aggregate TDP.
 const clusterCapFrac = 0.45
 
-// FigCluster runs the fleet scenario to completion (no cancellation).
-func (h *Harness) FigCluster(q Quality, nodes int, route string, hedge bool) (ClusterFigure, error) {
-	return h.FigClusterCtx(context.Background(), q, nodes, route, hedge)
-}
-
 // FigClusterCtx runs memcached across a cluster of NMAP nodes behind
 // the routing front end, kills node 1 mid-run (unless h.Faults already
 // schedules node faults), and plots the per-bucket cluster P99 /

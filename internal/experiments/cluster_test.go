@@ -85,11 +85,11 @@ func TestFigClusterCtxPreCancelled(t *testing.T) {
 // identical bytes, and the default scenario actually exercises the
 // resteer path.
 func TestFigClusterDeterministic(t *testing.T) {
-	a, err := new(Harness).FigCluster(Quick, 2, "rr", false)
+	a, err := new(Harness).FigClusterCtx(context.Background(), Quick, 2, "rr", false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := new(Harness).FigCluster(Quick, 2, "rr", false)
+	b, err := new(Harness).FigClusterCtx(context.Background(), Quick, 2, "rr", false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,10 +114,10 @@ func TestFigClusterDeterministic(t *testing.T) {
 // and surfaces as the figure's error instead of being ignored.
 func TestFleetFiguresHonourRunTimeout(t *testing.T) {
 	h := &Harness{RunTimeout: time.Nanosecond}
-	if _, err := h.FigCluster(Quick, 2, "rr", false); err == nil || !strings.Contains(err.Error(), "wall-clock budget") {
+	if _, err := h.FigClusterCtx(context.Background(), Quick, 2, "rr", false); err == nil || !strings.Contains(err.Error(), "wall-clock budget") {
 		t.Fatalf("fig-cluster err = %v, want the wall-clock budget error", err)
 	}
-	if _, err := h.FigGrayFail(Quick, 2, "rr"); err == nil || !strings.Contains(err.Error(), "wall-clock budget") {
+	if _, err := h.FigGrayFailCtx(context.Background(), Quick, 2, "rr"); err == nil || !strings.Contains(err.Error(), "wall-clock budget") {
 		t.Fatalf("fig-grayfail err = %v, want the wall-clock budget error", err)
 	}
 }

@@ -50,11 +50,6 @@ func grayFabric() cluster.FabricConfig {
 	}
 }
 
-// FigGrayFail runs the gray-failure scenario to completion.
-func (h *Harness) FigGrayFail(q Quality, nodes int, route string) (GrayFigure, error) {
-	return h.FigGrayFailCtx(context.Background(), q, nodes, route)
-}
-
 // FigGrayFailCtx runs memcached across a cluster whose node-1 link goes
 // gray mid-run: three linkslow windows (factor 8) across the first half
 // of the measured window, a one-way return-leg partition at 5/8 of the

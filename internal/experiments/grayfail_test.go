@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
@@ -11,11 +12,11 @@ import (
 // mechanisms visibly engage (the damped arm flaps less than the naive
 // one, the hedged arm dispatches hedges).
 func TestFigGrayFailDeterministicAcrossParallelism(t *testing.T) {
-	serial, err := (&Harness{Parallel: 1}).FigGrayFail(Quick, 3, "rr")
+	serial, err := (&Harness{Parallel: 1}).FigGrayFailCtx(context.Background(), Quick, 3, "rr")
 	if err != nil {
 		t.Fatal(err)
 	}
-	wide, err := (&Harness{Parallel: 4}).FigGrayFail(Quick, 3, "rr")
+	wide, err := (&Harness{Parallel: 4}).FigGrayFailCtx(context.Background(), Quick, 3, "rr")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +56,7 @@ func TestFigGrayFailDeterministicAcrossParallelism(t *testing.T) {
 // fig-grayfail refuses a single-node fleet: a gray link needs a peer to
 // steer around.
 func TestFigGrayFailRejectsSingleNode(t *testing.T) {
-	if _, err := new(Harness).FigGrayFail(Quick, 1, "rr"); err == nil ||
+	if _, err := new(Harness).FigGrayFailCtx(context.Background(), Quick, 1, "rr"); err == nil ||
 		!strings.Contains(err.Error(), "at least 2 nodes") {
 		t.Fatalf("err = %v, want the 2-node floor", err)
 	}
@@ -64,11 +65,11 @@ func TestFigGrayFailRejectsSingleNode(t *testing.T) {
 // fig-cluster is byte-identical across worker-pool widths too — the
 // hedged variant included, so the hedge ledger itself is replay-stable.
 func TestFigClusterParallelismByteIdentical(t *testing.T) {
-	serial, err := (&Harness{Parallel: 1}).FigCluster(Quick, 2, "rr", true)
+	serial, err := (&Harness{Parallel: 1}).FigClusterCtx(context.Background(), Quick, 2, "rr", true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wide, err := (&Harness{Parallel: 4}).FigCluster(Quick, 2, "rr", true)
+	wide, err := (&Harness{Parallel: 4}).FigClusterCtx(context.Background(), Quick, 2, "rr", true)
 	if err != nil {
 		t.Fatal(err)
 	}

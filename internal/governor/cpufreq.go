@@ -36,10 +36,25 @@ func (g Userspace) Name() string { return fmt.Sprintf("userspace(P%d)", g.P) }
 // Decide implements CPUGovernor.
 func (g Userspace) Decide(int, UtilSample) int { return g.P }
 
+// upThreshold is the busy fraction at and above which ondemand,
+// conservative and intel_powersave ask for P0 (the kernel's 80%).
+const upThreshold = 0.80
+
+// conservativeDownThreshold is the busy fraction below which the
+// conservative governor steps one state slower.
+const conservativeDownThreshold = 0.20
+
+// intel_powersave's EWMA weights: a sample above the current estimate
+// moves it by alphaUp, one below it by alphaDown.
+const (
+	alphaUp   = 0.2
+	alphaDown = 0.6
+)
+
 // utilToPState maps a utilisation to the slowest P-state whose frequency
 // still covers util/upThreshold of the maximum frequency — the classic
 // ondemand frequency ladder.
-func utilToPState(m *cpu.Model, util, upThreshold float64) int {
+func utilToPState(m *cpu.Model, util float64) int {
 	if util >= upThreshold {
 		return 0
 	}
@@ -60,23 +75,14 @@ func utilToPState(m *cpu.Model, util, upThreshold float64) int {
 // frequency proportionally to utilisation (§2.2).
 type Ondemand struct {
 	Model *cpu.Model
-	// UpThreshold defaults to 0.80 when zero.
-	UpThreshold float64
 }
 
 // Name implements CPUGovernor.
 func (Ondemand) Name() string { return "ondemand" }
 
-func (g Ondemand) up() float64 {
-	if g.UpThreshold == 0 {
-		return 0.80
-	}
-	return g.UpThreshold
-}
-
 // Decide implements CPUGovernor.
 func (g Ondemand) Decide(_ int, u UtilSample) int {
-	return utilToPState(g.Model, u.Busy, g.up())
+	return utilToPState(g.Model, u.Busy)
 }
 
 // Conservative steps the P-state gradually toward the load instead of
@@ -84,8 +90,6 @@ func (g Ondemand) Decide(_ int, u UtilSample) int {
 // to a value near the current V/F state").
 type Conservative struct {
 	Model *cpu.Model
-	// UpThreshold / DownThreshold default to 0.80 / 0.20.
-	UpThreshold, DownThreshold float64
 
 	cur []int
 }
@@ -95,13 +99,6 @@ func (*Conservative) Name() string { return "conservative" }
 
 // Decide implements CPUGovernor.
 func (g *Conservative) Decide(coreID int, u UtilSample) int {
-	up, down := g.UpThreshold, g.DownThreshold
-	if up == 0 {
-		up = 0.80
-	}
-	if down == 0 {
-		down = 0.20
-	}
 	if g.cur == nil {
 		g.cur = make([]int, g.Model.NumCores)
 		for i := range g.cur {
@@ -110,9 +107,9 @@ func (g *Conservative) Decide(coreID int, u UtilSample) int {
 	}
 	c := g.cur[coreID]
 	switch {
-	case u.Busy > up && c > 0:
+	case u.Busy > upThreshold && c > 0:
 		c--
-	case u.Busy < down && c < g.Model.MaxP():
+	case u.Busy < conservativeDownThreshold && c < g.Model.MaxP():
 		c++
 	}
 	g.cur[coreID] = c
@@ -128,12 +125,6 @@ func (g *Conservative) Decide(coreID int, u UtilSample) int {
 // ondemand in Figs 12/14.
 type IntelPowersave struct {
 	Model *cpu.Model
-	// AlphaUp is the EWMA weight of a sample above the current estimate
-	// (defaults to 0.2); AlphaDown applies when the sample is below it
-	// (defaults to 0.6).
-	AlphaUp, AlphaDown float64
-	// UpThreshold defaults to 0.80.
-	UpThreshold float64
 
 	ewma []float64
 }
@@ -143,24 +134,13 @@ func (*IntelPowersave) Name() string { return "intel_powersave" }
 
 // Decide implements CPUGovernor.
 func (g *IntelPowersave) Decide(coreID int, u UtilSample) int {
-	up := g.UpThreshold
-	if up == 0 {
-		up = 0.80
-	}
-	aUp, aDown := g.AlphaUp, g.AlphaDown
-	if aUp == 0 {
-		aUp = 0.2
-	}
-	if aDown == 0 {
-		aDown = 0.6
-	}
 	if g.ewma == nil {
 		g.ewma = make([]float64, g.Model.NumCores)
 	}
-	a := aUp
+	a := alphaUp
 	if u.CC0 < g.ewma[coreID] {
-		a = aDown
+		a = alphaDown
 	}
 	g.ewma[coreID] = (1-a)*g.ewma[coreID] + a*u.CC0
-	return utilToPState(g.Model, g.ewma[coreID], up)
+	return utilToPState(g.Model, g.ewma[coreID])
 }

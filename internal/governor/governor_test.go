@@ -234,7 +234,7 @@ func TestDisableAndC6OnlyPolicies(t *testing.T) {
 func TestUtilToPStateCoversTarget(t *testing.T) {
 	m := cpu.XeonGold6134
 	for u := 0.0; u <= 1.0; u += 0.01 {
-		p := utilToPState(m, u, 0.8)
+		p := utilToPState(m, u)
 		if u < 0.8 {
 			fmin := m.PStates[m.MaxP()].FreqGHz
 			fmax := m.PStates[0].FreqGHz

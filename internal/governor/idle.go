@@ -36,15 +36,16 @@ func (C6Only) IdleEnded(int, sim.Duration) {}
 // interval from the recent idle history of each core and picks the
 // deepest C-state whose break-even residency the prediction covers.
 type Menu struct {
-	// CC6Breakeven is the minimum predicted idle interval that makes
-	// CC6 worthwhile (wake latency + flush penalty amortisation);
-	// defaults to 200µs.
-	CC6Breakeven sim.Duration
-	// CC1Breakeven defaults to 2µs.
-	CC1Breakeven sim.Duration
-
 	hist map[int]*menuHist
 }
+
+// The menu governor's break-even residencies: the minimum predicted
+// idle interval that makes CC6 (wake latency + flush penalty
+// amortisation) or CC1 worthwhile.
+const (
+	menuCC6Breakeven = 200 * sim.Microsecond
+	menuCC1Breakeven = 2 * sim.Microsecond
+)
 
 const menuHistLen = 8
 
@@ -87,14 +88,6 @@ func (*Menu) Name() string { return "menu" }
 
 // SelectState implements kernel.IdlePolicy.
 func (m *Menu) SelectState(coreID int) cpu.CState {
-	cc6 := m.CC6Breakeven
-	if cc6 == 0 {
-		cc6 = 200 * sim.Microsecond
-	}
-	cc1 := m.CC1Breakeven
-	if cc1 == 0 {
-		cc1 = 2 * sim.Microsecond
-	}
 	if m.hist == nil {
 		m.hist = make(map[int]*menuHist)
 	}
@@ -108,9 +101,9 @@ func (m *Menu) SelectState(coreID int) cpu.CState {
 	case h.n == 0:
 		// No history yet: be shallow.
 		return cpu.CC1
-	case p >= cc6:
+	case p >= menuCC6Breakeven:
 		return cpu.CC6
-	case p >= cc1:
+	case p >= menuCC1Breakeven:
 		return cpu.CC1
 	default:
 		return cpu.CC0

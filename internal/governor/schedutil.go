@@ -4,6 +4,14 @@ import (
 	"nmapsim/internal/cpu"
 )
 
+// schedutilHeadroom is the kernel's 1.25 frequency headroom, and
+// schedutilHoldTicks the number of consecutive samples a lower target
+// must persist before the frequency drops.
+const (
+	schedutilHeadroom  = 1.25
+	schedutilHoldTicks = 2
+)
+
 // Schedutil models the modern Linux default governor (not part of the
 // paper's comparison, provided as an extension): it maps utilisation to
 // frequency with the kernel's 1.25 headroom formula
@@ -11,15 +19,10 @@ import (
 //	f_target = 1.25 · f_max · util
 //
 // and applies a rate limit — downward moves are held off until the
-// utilisation has been below the current level for HoldTicks samples,
-// which suppresses the flapping ondemand shows around the threshold.
+// utilisation has been below the current level for two samples, which
+// suppresses the flapping ondemand shows around the threshold.
 type Schedutil struct {
 	Model *cpu.Model
-	// Headroom defaults to 1.25 (the kernel's C constant).
-	Headroom float64
-	// HoldTicks is the number of consecutive samples a lower target
-	// must persist before the frequency drops (default 2).
-	HoldTicks int
 
 	cur  []int
 	hold []int
@@ -30,14 +33,6 @@ func (*Schedutil) Name() string { return "schedutil" }
 
 // Decide implements CPUGovernor.
 func (g *Schedutil) Decide(coreID int, u UtilSample) int {
-	headroom := g.Headroom
-	if headroom == 0 {
-		headroom = 1.25
-	}
-	holdN := g.HoldTicks
-	if holdN == 0 {
-		holdN = 2
-	}
 	if g.cur == nil {
 		g.cur = make([]int, g.Model.NumCores)
 		g.hold = make([]int, g.Model.NumCores)
@@ -46,7 +41,7 @@ func (g *Schedutil) Decide(coreID int, u UtilSample) int {
 		}
 	}
 	fmax := g.Model.PStates[0].FreqGHz
-	target := headroom * fmax * u.Busy
+	target := schedutilHeadroom * fmax * u.Busy
 	// Slowest state whose frequency covers the target.
 	next := 0
 	for p := g.Model.MaxP(); p >= 0; p-- {
@@ -63,7 +58,7 @@ func (g *Schedutil) Decide(coreID int, u UtilSample) int {
 	case next > g.cur[coreID]:
 		// Downward: require persistence.
 		g.hold[coreID]++
-		if g.hold[coreID] >= holdN {
+		if g.hold[coreID] >= schedutilHoldTicks {
 			g.cur[coreID] = next
 			g.hold[coreID] = 0
 		}

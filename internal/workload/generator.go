@@ -123,8 +123,6 @@ type Generator struct {
 	// random member every SwitchPeriod (the Fig 16 workload).
 	VariableLevels []float64
 	SwitchPeriod   sim.Duration
-	// LevelChanged, if set, is informed of each switch (for tracing).
-	LevelChanged func(t sim.Time, rps float64)
 
 	// DisableBatching forces the unbatched per-arrival path even for
 	// fixed-level runs — the debug knob the determinism tests use to
@@ -172,9 +170,6 @@ func (g *Generator) Stop() { g.stopped = true }
 
 func (g *Generator) switchLevel() {
 	g.curRPS = g.VariableLevels[g.RNG.Intn(len(g.VariableLevels))]
-	if g.LevelChanged != nil {
-		g.LevelChanged(g.Eng.Now(), g.curRPS)
-	}
 	g.Eng.Schedule(g.SwitchPeriod, func() {
 		if !g.stopped {
 			g.switchFn()

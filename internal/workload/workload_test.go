@@ -187,9 +187,15 @@ func TestVariableLoadSwitches(t *testing.T) {
 		VariableLevels: []float64{30_000, 290_000, 750_000},
 		SwitchPeriod:   500 * sim.Millisecond,
 		Deliver:        func(*Request) {},
-		LevelChanged:   func(_ sim.Time, rps float64) { levels = append(levels, rps) },
 	}
 	g.Start()
+	// Record the level Start drew, then each switch as it fires.
+	levels = append(levels, g.curRPS)
+	next := g.switchFn
+	g.switchFn = func() {
+		next()
+		levels = append(levels, g.curRPS)
+	}
 	eng.Run(sim.Time(3 * sim.Second))
 	if len(levels) != 7 { // t=0 plus 6 switches
 		t.Fatalf("level switches = %d, want 7", len(levels))
