@@ -43,8 +43,8 @@ func TestNCAPBoostsAboveThreshold(t *testing.T) {
 			t.Fatalf("core %d at P%d while boosted, want P0 (chip-wide)", c.ID, c.PState())
 		}
 	}
-	if n.BoostCount != 1 {
-		t.Fatalf("boost count %d, want 1", n.BoostCount)
+	if n.boostCount != 1 {
+		t.Fatalf("boost count %d, want 1", n.boostCount)
 	}
 }
 

@@ -75,8 +75,8 @@ type NCAP struct {
 	quiet   int
 	stepP   int
 	stop    func()
-	// BoostCount counts boost episodes (for ablation reporting).
-	BoostCount int64
+	// boostCount counts boost episodes (for ablation reporting).
+	boostCount int64
 }
 
 // ncapPeriod is the software monitoring period ("slightly longer than
@@ -135,7 +135,7 @@ func (n *NCAP) tick() {
 	if rate > n.thresholdRPS {
 		if !n.boosted {
 			n.boosted = true
-			n.BoostCount++
+			n.boostCount++
 			for i := range n.proc.Cores {
 				n.stack.Suspend(i)
 			}

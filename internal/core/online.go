@@ -37,8 +37,8 @@ type OnlineTuner struct {
 	adjustEvery int
 
 	lastBursts int
-	// Updates counts threshold adjustments applied.
-	Updates int64
+	// updates counts threshold adjustments applied.
+	updates int64
 }
 
 // tunerBlend is the EWMA weight of freshly derived thresholds against
@@ -81,7 +81,7 @@ func (t *OnlineTuner) apply() {
 		NITh: (1-b)*cur.NITh + b*fresh.NITh,
 		CUTh: (1-b)*cur.CUTh + b*fresh.CUTh,
 	})
-	t.Updates++
+	t.updates++
 }
 
 // SleepControl lets an NMAP flavour force a core's sleep states off

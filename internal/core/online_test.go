@@ -39,7 +39,7 @@ func TestOnlineTunerAdaptsThresholds(t *testing.T) {
 	for b := 0; b < 6; b++ {
 		feedBurst(eng, tuner, 100, 900)
 	}
-	if tuner.Updates == 0 {
+	if tuner.updates == 0 {
 		t.Fatal("tuner never updated the thresholds")
 	}
 	got := n.CurrentThresholds()

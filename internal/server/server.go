@@ -526,9 +526,9 @@ func HistCapacity(cfg Config) int {
 // big sweep. The harness memory watermark compares this projection,
 // scaled by its worker count, against its soft budget to decide when to
 // downgrade fresh cells to the bounded streaming recorder. It charges
-// 8 bytes per sample, the worst case: a recorder keeps 4-byte samples
+// 8 bytes per sample, the worst case: a recorder keeps 2-byte samples
 // until one falls outside [0, 2^32) ns and widens to 8 bytes only then
-// (a 4M-sample cell holds 16MB, or 32MB widened). Charging the worst
+// (a 4M-sample cell holds 8MB, or 32MB widened). Charging the worst
 // case keeps the watermark's decisions independent of the store width.
 // The projection depends only on the configuration, never on allocator
 // state, so the decision is deterministic and a resumed sweep makes the

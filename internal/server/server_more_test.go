@@ -1,12 +1,14 @@
 package server
 
 import (
+	"runtime"
 	"testing"
 
 	"nmapsim/internal/cpu"
 	"nmapsim/internal/governor"
 	"nmapsim/internal/kernel"
 	"nmapsim/internal/sim"
+	"nmapsim/internal/stats"
 	"nmapsim/internal/workload"
 )
 
@@ -180,5 +182,22 @@ func TestEstimatedHistBytes(t *testing.T) {
 		if got := EstimatedHistBytes(c.cfg); got != int64(c.want)*8 {
 			t.Errorf("%s: EstimatedHistBytes = %d, want %d", c.name, got, int64(c.want)*8)
 		}
+	}
+}
+
+// The exact recorder the mc-high configuration (memcached at 750k RPS
+// for 2 s) preallocates costs 2 bytes per HistCapacity slot, plus a
+// 2-byte key per 256-slot page and a few KB of open pages and
+// directory: a return to 4-byte samples doubles it.
+func TestHistCapacityBytesPerSlot(t *testing.T) {
+	slots := HistCapacity(Config{Level: workload.High, Duration: 2 * sim.Second})
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	h := stats.NewHist(slots)
+	runtime.ReadMemStats(&m1)
+	runtime.KeepAlive(h)
+	got := m1.TotalAlloc - m0.TotalAlloc
+	if limit := uint64(2*slots + 2*slots/256 + 16<<10); got > limit {
+		t.Fatalf("NewHist(%d) allocates %d bytes (%.3f B/slot), want ≤ %d", slots, got, float64(got)/float64(slots), limit)
 	}
 }

@@ -250,10 +250,29 @@ func TestRNGNormalMoments(t *testing.T) {
 
 func TestRNGBoundedParetoRange(t *testing.T) {
 	r := NewRNG(11)
+	p := NewBoundedPareto(1, 1000, 1.3)
 	for i := 0; i < 100000; i++ {
-		v := r.BoundedPareto(1, 1000, 1.3)
+		v := p.Sample(r)
 		if v < 1-1e-9 || v > 1000+1e-9 {
 			t.Fatalf("BoundedPareto out of range: %v", v)
+		}
+	}
+}
+
+// The sampler with its powers precomputed draws bit for bit what the
+// per-draw formula draws, from the same stream, over 1M draws of the
+// nginx profile's distribution and one with a heavier tail.
+func TestBoundedParetoBitExact(t *testing.T) {
+	for _, c := range []struct{ lo, hi, alpha float64 }{{0.4, 8, 1.5}, {1, 1000, 1.3}} {
+		p := NewBoundedPareto(c.lo, c.hi, c.alpha)
+		r, ref := NewRNG(7), NewRNG(7)
+		for i := 0; i < 1_000_000; i++ {
+			u := ref.Float64()
+			la, ha := math.Pow(c.lo, c.alpha), math.Pow(c.hi, c.alpha)
+			want := math.Pow(-(u*ha-u*la-ha)/(ha*la), -1/c.alpha)
+			if got := p.Sample(r); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%+v draw %d: %v (%#x), want %v (%#x)", c, i, got, math.Float64bits(got), want, math.Float64bits(want))
+			}
 		}
 	}
 }

@@ -107,14 +107,26 @@ func (r *RNG) LogNormal(mu, sigma float64) float64 {
 	return math.Exp(r.Normal(mu, sigma))
 }
 
-// BoundedPareto returns a bounded Pareto sample in [lo, hi] with tail
-// index alpha. Used for nginx-like response-size distributions.
-func (r *RNG) BoundedPareto(lo, hi, alpha float64) float64 {
+// BoundedPareto samples a bounded Pareto distribution on [lo, hi] with
+// tail index alpha, used for nginx-like response sizes. Build it once with
+// NewBoundedPareto: the powers of the bounds are computed there, not per
+// draw, and each Sample draws exactly one Float64.
+type BoundedPareto struct {
+	la, ha, laha, exp float64
+}
+
+// NewBoundedPareto returns the sampler for [lo, hi] with tail index
+// alpha. It panics unless 0 < lo < hi.
+func NewBoundedPareto(lo, hi, alpha float64) BoundedPareto {
 	if lo <= 0 || hi <= lo {
 		panic("sim: invalid bounded pareto range")
 	}
+	la, ha := math.Pow(lo, alpha), math.Pow(hi, alpha)
+	return BoundedPareto{la: la, ha: ha, laha: ha * la, exp: -1 / alpha}
+}
+
+// Sample draws one value by inverting the CDF at one uniform draw from r.
+func (p BoundedPareto) Sample(r *RNG) float64 {
 	u := r.Float64()
-	la := math.Pow(lo, alpha)
-	ha := math.Pow(hi, alpha)
-	return math.Pow(-(u*ha-u*la-ha)/(ha*la), -1/alpha)
+	return math.Pow(-(u*p.ha-u*p.la-p.ha)/p.laha, p.exp)
 }

@@ -7,13 +7,13 @@ import (
 	"math"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"nmapsim/internal/sim"
 )
 
 // refHist is the exact recorder's reference: a plain []int64 that sorts
-// itself on every query, as the recorder did before it had a 4-byte
-// store. It shares no code with Hist.
+// itself on every query. It shares no code with Hist.
 type refHist struct {
 	s   []int64
 	sum float64
@@ -107,13 +107,16 @@ func checkRef(t *testing.T, h *Hist, r *refHist) {
 	checkJSON(t, h, r.s)
 }
 
-// checkJSON requires h to encode to exactly the bytes of the []int64 want.
+// checkJSON requires h to encode to exactly the bytes of the []int64
+// want in ascending order.
 func checkJSON(t *testing.T, h *Hist, want []int64) {
 	t.Helper()
 	got, err := json.Marshal(h)
 	if err != nil {
 		t.Fatal(err)
 	}
+	want = slices.Clone(want)
+	slices.Sort(want)
 	wantB, err := json.Marshal(want)
 	if err != nil {
 		t.Fatal(err)
@@ -123,19 +126,31 @@ func checkJSON(t *testing.T, h *Hist, want []int64) {
 	}
 }
 
-// The wire form is the []int64 one: arrival order until a query sorts
-// the samples, the sorted prefix plus later arrivals after it.
+// The wire form is the []int64 one in ascending order, before the
+// first query as after it, and with samples added after a query.
 func TestHistJSONMatchesInt64Slice(t *testing.T) {
 	h, r := NewHist(64), newRef()
-	rng := sim.NewRNG(5)
-	for i := 0; i < 40; i++ {
-		v := int64(rng.Exp(300_000))
+	pin := func(want string) {
+		t.Helper()
+		got, err := json.Marshal(h)
+		if err != nil || string(got) != want {
+			t.Fatalf("JSON = %s (%v), want %s", got, err, want)
+		}
+	}
+	for _, v := range []int64{984_127, 37_794, 65_536, 3, 65_535, 812_345} {
 		h.Add(sim.Duration(v))
 		r.add(v)
 	}
-	checkJSON(t, h, r.s)
+	pin("[3,37794,65535,65536,812345,984127]")
 	checkRef(t, h, r)
-	for _, v := range []int64{7, 1_000_000, 3} {
+	for _, v := range []int64{7, 1_000_000, 65_536} {
+		h.Add(sim.Duration(v))
+		r.add(v)
+	}
+	pin("[3,7,37794,65535,65536,65536,812345,984127,1000000]")
+	rng := sim.NewRNG(5)
+	for i := 0; i < 40; i++ {
+		v := int64(rng.Exp(300_000))
 		h.Add(sim.Duration(v))
 		r.add(v)
 	}
@@ -213,12 +228,13 @@ func TestHistWidened(t *testing.T) {
 	}
 }
 
-// Journals written by the []int64 recorder decode and re-encode to the
-// same bytes; they narrow to the 4-byte store when every value fits.
+// Journals written by the []int64 recorder in any order decode and
+// re-encode to the same samples in ascending order; they load into the
+// paged store when every value fits.
 func TestHistLegacyJournal(t *testing.T) {
 	for _, c := range []struct {
 		samples []int64
-		narrow  bool
+		paged   bool
 	}{
 		{[]int64{812_345, 37_794, 984_127, 0, math.MaxUint32}, true},
 		{[]int64{812_345, 1 << 32, 37_794}, false},
@@ -232,8 +248,8 @@ func TestHistLegacyJournal(t *testing.T) {
 		if err := json.Unmarshal(legacy, &h); err != nil {
 			t.Fatal(err)
 		}
-		if narrow := h.wide == nil; narrow != c.narrow {
-			t.Fatalf("%s decoded narrow=%v, want %v", legacy, narrow, c.narrow)
+		if paged := h.wide == nil; paged != c.paged {
+			t.Fatalf("%s decoded paged=%v, want %v", legacy, paged, c.paged)
 		}
 		r := newRef()
 		for _, v := range c.samples {
@@ -248,35 +264,36 @@ func TestHistLegacyJournal(t *testing.T) {
 	}
 }
 
-// The in-place radix sort orders every key width, bucket shape and
-// size around the hand-over to slices.Sort exactly as slices.Sort does.
+// The in-place two-pass radix sort orders every value width, bucket
+// shape and size around the hand-over to slices.Sort exactly as
+// slices.Sort does.
 func TestRadixSortMatchesSlicesSort(t *testing.T) {
 	rng := sim.NewRNG(11)
 	for _, n := range []int{0, 1, 2, 63, 64, 65, 200, 5000, 70_000} {
-		for _, bitsWide := range []uint{1, 8, 9, 17, 20, 24, 25, 32} {
-			a := make([]uint32, n)
+		for _, bitsWide := range []uint{1, 7, 8, 9, 12, 15, 16} {
+			a := make([]uint16, n)
 			for i := range a {
-				a[i] = uint32(rng.Uint64() >> (64 - bitsWide))
+				a[i] = uint16(rng.Uint64() >> (64 - bitsWide))
 			}
 			if n > 3 {
-				a[n/3] = math.MaxUint32 >> (32 - bitsWide)
+				a[n/3] = math.MaxUint16 >> (16 - bitsWide)
 			}
 			want := slices.Clone(a)
 			slices.Sort(want)
-			radixSort(a)
+			sortLows(a)
 			if !slices.Equal(a, want) {
-				t.Fatalf("n=%d bits=%d: radixSort disagrees with slices.Sort", n, bitsWide)
+				t.Fatalf("n=%d bits=%d: sortLows disagrees with slices.Sort", n, bitsWide)
 			}
 		}
 	}
-	same := make([]uint32, 1000)
+	same := make([]uint16, 1000)
 	for i := range same {
-		same[i] = 1 << 20
+		same[i] = 1 << 12
 	}
-	radixSort(same)
+	sortLows(same)
 	for _, v := range same {
-		if v != 1<<20 {
-			t.Fatal("radixSort changed a constant slice")
+		if v != 1<<12 {
+			t.Fatal("sortLows changed a constant slice")
 		}
 	}
 }
@@ -287,20 +304,31 @@ func TestRadixSortMatchesSlicesSort(t *testing.T) {
 // op byte followed by its operands:
 //
 //	0 small   u16        a latency of u16·16 ns
-//	1 top     i8         2^32 + i8 ns: straddles the 4-byte limit
+//	1 top     i8         2^32 + i8 ns: straddles the paged store's limit
 //	2 zero    i8         i8 ns: straddles 0
 //	3 any     8 bytes    an arbitrary int64 shifted into ±2^48 ns
 //	4 check              every query against the reference
 //	5 reset              Reset both
 //	6 journal            round-trip through JSON into a fresh recorder
+//	7 spread  u8 u8      300 samples over up to 256 keys of 65,536 ns,
+//	                     starting at key u8 and striding by u8|1: more
+//	                     than a page per op, so pages fill and open mid-run
 func FuzzHistExact(f *testing.F) {
 	f.Add([]byte{0, 1, 0, 0, 0, 2, 4, 2, 0xff, 4, 0, 9, 9, 4})
-	// Widens mid-stream: narrow samples and a query, then 2^32+5 ns,
-	// more narrow samples, a query, a journal round trip and a reset.
+	// Widens mid-stream: paged samples and a query, then 2^32+5 ns,
+	// more samples, a query, a journal round trip and a reset.
 	f.Add([]byte{0, 0x10, 0, 0, 0x80, 0x01, 2, 3, 4, 1, 5, 0, 0x22, 0x22, 2, 0,
 		4, 6, 0, 1, 1, 4, 5, 0, 2, 0, 4})
 	// Widens through a negative sample right after a journal round trip.
 	f.Add([]byte{0, 5, 5, 6, 2, 0x80, 0, 7, 7, 4, 3, 1, 2, 3, 4, 5, 6, 7, 8, 4})
+	// Adds after a query: spread, query, more samples into the open and
+	// new pages of the same and other keys, query again.
+	f.Add([]byte{7, 3, 5, 4, 0, 0x34, 0x12, 7, 3, 7, 7, 200, 9, 4, 0, 1, 0, 4})
+	// Reset then refill: spread, query, reset, a different spread.
+	f.Add([]byte{7, 0, 1, 7, 40, 3, 4, 5, 7, 1, 2, 0, 9, 0, 4, 6, 4})
+	// Widens after paging: two spreads, a query, then 2^32-3 ns (still
+	// paged) and 2^32+1 ns, a query, a journal round trip and more samples.
+	f.Add([]byte{7, 250, 17, 7, 0, 1, 4, 1, 0xfd, 1, 1, 4, 6, 4, 7, 2, 2, 0, 5, 5, 4})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		h, r := NewHist(8), newRef()
 		add := func(v int64) {
@@ -308,7 +336,7 @@ func FuzzHistExact(f *testing.F) {
 			r.add(v)
 		}
 		for op := 0; op < 512 && len(data) > 0; op++ {
-			code := data[0] % 7
+			code := data[0] % 8
 			data = data[1:]
 			switch code {
 			case 0:
@@ -347,13 +375,62 @@ func FuzzHistExact(f *testing.F) {
 				if err := json.Unmarshal(b, h); err != nil {
 					t.Fatal(err)
 				}
-				// A decoded journal sums its samples in stored order.
+				// A decoded journal sums its samples in stored order,
+				// which is ascending.
+				slices.Sort(r.s)
 				r.sum = 0
 				for _, v := range r.s {
 					r.sum += float64(v)
 				}
+			case 7:
+				if len(data) < 2 {
+					return
+				}
+				key, stride := int64(data[0]), int64(data[1]|1)
+				for i := int64(0); i < 300; i++ {
+					add((key+i*stride)%256<<16 | i*40_503%65_536)
+				}
+				data = data[2:]
 			}
 		}
 		checkRef(t, h, r)
 	})
+}
+
+// storeBytes is the exact store's backing footprint: the capacity of
+// every array it holds.
+func storeBytes(h *Hist) int {
+	return 2*cap(h.lows) + 2*cap(h.pageKey) + 4*cap(h.dir) +
+		int(unsafe.Sizeof(keyRun{}))*cap(h.runs) + 8*cap(h.wide)
+}
+
+// The footprint gate: N in-range samples over K keys of 65,536 ns cost
+// 2 bytes each, plus a 2-byte key per page, at most one partly filled
+// page per key, and a small constant — sorted and queried, because the
+// sort must not allocate a second copy. A hint of N covers the open
+// pages of histSlackKeys keys; beyond that the hint carries them.
+func TestHistStoreFootprint(t *testing.T) {
+	for _, c := range []struct{ n, keys, hint int }{
+		{100_000, 1, 100_000},
+		{1_000_000, 4, 1_000_000},
+		{1_500_000, 16, 1_500_000},
+		{300_000, 200, 300_000 + 200*histPage},
+	} {
+		h := NewHist(c.hint)
+		rng := sim.NewRNG(3)
+		for i := 0; i < c.n; i++ {
+			h.Add(sim.Duration(int64(rng.Intn(c.keys))<<16 | int64(rng.Intn(1<<16))))
+		}
+		h.Summarize()
+		if h.wide != nil || len(h.runs) != c.keys {
+			t.Fatalf("%+v: %d keys sorted, wide=%v", c, len(h.runs), h.wide != nil)
+		}
+		// Per key: an open page and its directory and run entries.
+		perKey := 2*histPage + 64
+		limit := 2*c.n + 2*c.n/histPage + (c.keys+histSlackKeys)*perKey + 1024
+		if got := storeBytes(h); got > limit {
+			t.Errorf("%+v: store holds %d bytes (%.3f B/sample), want ≤ %d",
+				c, got, float64(got)/float64(c.n), limit)
+		}
+	}
 }

@@ -10,6 +10,7 @@ import (
 	"math/bits"
 	"slices"
 	"sort"
+	"strconv"
 
 	"nmapsim/internal/sim"
 )
@@ -17,18 +18,22 @@ import (
 // Hist collects latency samples (nanoseconds) and answers percentile and
 // CDF queries. It runs in one of two modes, fixed at construction:
 //
-//   - Exact (NewHist): samples are kept verbatim in a slice preallocated
-//     from the capacity hint, so recording is a single append — O(1),
-//     allocation-free once the hint covers the run — and every query is
-//     exact. While every sample lies in [0, 2^32) ns (up to 4.29 s) the
-//     slice holds 4-byte words; the first sample outside that range
-//     copies the store once into 8-byte words of the same capacity, and
-//     the recorder stays wide from then on, through Reset too. Sorting
-//     happens lazily on the first query and is memoized: a Summarize
-//     (five quantiles plus Max) pays for one sort — an in-place radix
-//     sort for the 4-byte store — and repeated queries on an unchanged
-//     histogram are pure index math. Min, max and the running sum are
-//     tracked incrementally at Add time, so Max() never forces a sort.
+//   - Exact (NewHist): every sample is kept, so every query is exact.
+//     While every sample lies in [0, 2^32) ns (up to 4.29 s) a sample
+//     costs 2 bytes: it splits into a key v>>16 and a 16-bit low half,
+//     and the low half is written into its key's open page of histPage
+//     slots. Pages are cut in the order they open from one arena
+//     preallocated from the capacity hint, so recording is O(1) and
+//     allocation-free once the hint covers the run. The first sample
+//     outside [0, 2^32) copies the store once into 8-byte words, and the
+//     recorder stays wide from then on, through Reset too. Sorting
+//     happens lazily on the first query and is memoized: the pages are
+//     permuted in place into key order, then each key's run of low
+//     halves is radix-sorted in place (slices.Sort once widened), so a
+//     Summarize (five quantiles plus Max) pays for one sort and repeated
+//     queries on an unchanged histogram are pure index math. Min, max
+//     and the running sum are tracked incrementally at Add time, so
+//     Max() never forces a sort.
 //
 //   - Streaming (NewStreamingHist): samples land in a fixed 16K-bucket
 //     log-linear histogram (HdrHistogram-style: 1ns-exact below 1µs, 512
@@ -39,30 +44,57 @@ import (
 //     a ≤2⁻⁹-wide bucket: relative error ≤0.2% worst case, ~0.1%
 //     typical. Count, sum (hence Mean), min and max stay exact.
 //
-// The exact mode is the default everywhere and is byte-identical to the
-// pre-streaming recorder whatever its store width; streaming is opt-in
+// The exact mode is the default everywhere and answers every query as
+// the pre-streaming recorder did whatever its store; streaming is opt-in
 // for sweeps that don't need exact bytes (see server.Config.StreamingHist).
 // Both modes survive a checkpoint-journal round trip through
 // MarshalJSON/UnmarshalJSON with full fidelity for their mode: a resumed
 // sweep computes identical results from the journal whichever recorder
 // produced it.
 type Hist struct {
-	// Exact mode keeps its samples in narrow until one falls outside
-	// [0, 2^32), and in wide from then on; both are nil in streaming
-	// mode, and both nil in exact mode marshals as null.
-	narrow []uint32
+	// The paged store, in use while every sample lies in [0, 2^32):
+	// lows is the arena of low halves, cut into pages of histPage slots;
+	// pageKey[p] is the key of page p; dir[k] is the arena slot the next
+	// low half of key k goes to, a multiple of histPage when key k has
+	// no page with room left (a uint32 slot: the arena stays below 2^32
+	// slots, 8 GB). All are nil in streaming mode, once wide, and in a
+	// zero Hist, which marshals as null. dir has at most 2^16 entries,
+	// so one bounds check on a sample's key also range-checks the
+	// sample (a negative one wraps above 2^32) and routes a wide,
+	// streaming or zero recorder to addSlow.
+	lows    []uint16
+	pageKey []uint16
+	dir     []uint32
+	// runs locates each key's sorted samples; valid while sorted.
+	runs []keyRun
+	// wide holds every sample once one falls outside [0, 2^32); its
+	// capacity is the hint's.
 	wide   []int64
-	// narrowEnd is 2^32 while Add appends to narrow and 0 otherwise, so
-	// one unsigned compare both range-checks a sample (a negative one
-	// wraps above 2^32) and routes a wide or streaming recorder to
-	// addSlow.
-	narrowEnd uint64
-	counts    []uint32
-	n         uint64
-	sorted    bool
-	sum       float64
-	min       int64 // valid when n > 0
-	max       int64
+	hint   int
+	counts []uint32
+	n      uint64
+	sorted bool
+	sum    float64
+	min    int64 // valid when n > 0
+	max    int64
+}
+
+// histPage is the number of low halves in one page of the paged store:
+// each key holds at most one partly filled page, so the slack is under
+// 2·histPage bytes per key in use.
+const histPage = 256
+
+// histSlackKeys is how many keys' open pages NewHist preallocates beyond
+// the hint, and how many keys its directory starts with: samples below
+// 2^20 ns (1.05 ms), mc-high's whole range, record allocation-free
+// within the hint.
+const histSlackKeys = 16
+
+// keyRun is one key's samples in the sorted paged store: the low halves
+// in lows[start:end], ranked from cum.
+type keyRun struct {
+	key             int64
+	start, end, cum int
 }
 
 // Streaming-mode geometry: values below 2^subBits count in 1ns-wide
@@ -84,12 +116,16 @@ const (
 
 // NewHist returns an empty exact-mode histogram with the given capacity
 // hint. Size the hint from the run horizon (expected samples over the
-// measured window) so steady-state recording never grows the slice.
+// measured window) so steady-state recording never grows the store.
 func NewHist(capacity int) *Hist {
-	if capacity < 0 {
-		capacity = 0
+	capacity = max(capacity, 0)
+	pages := (capacity+histPage-1)/histPage + histSlackKeys
+	return &Hist{
+		lows:    make([]uint16, 0, pages*histPage),
+		pageKey: make([]uint16, 0, pages),
+		dir:     make([]uint32, histSlackKeys),
+		hint:    capacity,
 	}
-	return &Hist{narrow: make([]uint32, 0, capacity), narrowEnd: 1 << 32}
 }
 
 // NewStreamingHist returns an empty streaming-mode histogram: fixed
@@ -145,33 +181,66 @@ func (h *Hist) Add(d sim.Duration) {
 	h.n++
 	h.sum += float64(v)
 	h.sorted = false
-	if uint64(v) < h.narrowEnd {
-		h.narrow = append(h.narrow, uint32(v))
-		return
+	if dir, k := h.dir, uint64(v)>>16; k < uint64(len(dir)) {
+		if w := dir[k]; w%histPage != 0 {
+			h.lows[w] = uint16(v)
+			dir[k] = w + 1
+			return
+		}
 	}
 	h.addSlow(v)
 }
 
-// addSlow records a sample the narrow store does not take: into the
-// streaming buckets, into the wide store, or — for a zero Hist, which
-// starts with narrowEnd 0 — into a fresh narrow store.
+// addSlow records a sample the open pages do not take: into the
+// streaming buckets, into the wide store, or into a fresh page of the
+// paged store, which a zero Hist begins here.
 func (h *Hist) addSlow(v int64) {
 	switch {
 	case h.counts != nil:
 		h.counts[streamBucketOf(max(v, 0))]++
 		return
 	case h.wide == nil && uint64(v) <= math.MaxUint32:
-		h.narrowEnd = 1 << 32
-		h.narrow = append(h.narrow, uint32(v))
+		h.openPage(uint32(v))
 		return
 	case h.wide == nil:
-		h.wide = make([]int64, len(h.narrow), cap(h.narrow))
-		for i, x := range h.narrow {
-			h.wide[i] = int64(x)
-		}
-		h.narrow, h.narrowEnd = nil, 0
+		h.widen()
 	}
 	h.wide = append(h.wide, v)
+}
+
+// openPage cuts a page for v's key from the end of the arena, growing the
+// directory to the key if need be, and writes v's low half into it.
+func (h *Hist) openPage(v uint32) {
+	k := int(v >> 16)
+	if k >= len(h.dir) {
+		h.dir = append(h.dir, make([]uint32, k+1-len(h.dir))...)
+	}
+	p := len(h.lows)
+	h.lows = slices.Grow(h.lows, histPage)[:p+histPage]
+	h.lows[p] = uint16(v)
+	h.pageKey = append(h.pageKey, uint16(k))
+	h.dir[k] = uint32(p + 1)
+}
+
+// pageLen is the number of low halves page p holds: histPage unless it
+// is its key's open page.
+func (h *Hist) pageLen(p int) int {
+	if w := int(h.dir[h.pageKey[p]]); w%histPage != 0 && w/histPage == p {
+		return w - p*histPage
+	}
+	return histPage
+}
+
+// widen copies the paged store into 8-byte words, of the hint's capacity
+// or more, and releases it.
+func (h *Hist) widen() {
+	h.wide = make([]int64, 0, max(h.hint, int(h.n)))
+	for p, k := range h.pageKey {
+		for _, lo := range h.lows[p*histPage : p*histPage+h.pageLen(p)] {
+			h.wide = append(h.wide, int64(k)<<16|int64(lo))
+		}
+	}
+	h.lows, h.pageKey, h.dir, h.runs = nil, nil, nil, nil
 }
 
 // N returns the number of samples.
@@ -180,13 +249,14 @@ func (h *Hist) N() int { return int(h.n) }
 // Reset empties the histogram in place, keeping its mode and allocated
 // capacity, so a harness can reuse one recorder across runs without
 // reallocating. A widened exact recorder keeps its 8-byte store: going
-// back to 4-byte words would allocate.
+// back to pages would allocate.
 func (h *Hist) Reset() {
-	h.narrow = h.narrow[:0]
+	h.lows = h.lows[:0]
+	h.pageKey = h.pageKey[:0]
+	clear(h.dir)
+	h.runs = h.runs[:0]
 	h.wide = h.wide[:0]
-	for i := range h.counts {
-		h.counts[i] = 0
-	}
+	clear(h.counts)
 	h.n, h.sum, h.min, h.max = 0, 0, 0, 0
 	h.sorted = false
 }
@@ -206,15 +276,32 @@ type histJSON struct {
 
 // MarshalJSON encodes the histogram so it survives a checkpoint-journal
 // round trip with full fidelity for its mode: the exact mode writes the
-// raw sample array (exact percentiles, not a lossy digest), the
-// streaming mode writes its bucket counts and exact scalars.
+// raw sample array in ascending order (exact percentiles, not a lossy
+// digest), the streaming mode writes its bucket counts and exact
+// scalars.
 func (h *Hist) MarshalJSON() ([]byte, error) {
 	if h.counts == nil {
-		// []uint32 and []int64 encode the same values to the same bytes.
-		if h.wide != nil {
-			return json.Marshal(h.wide)
+		if h.lows == nil && h.wide == nil {
+			return []byte("null"), nil
 		}
-		return json.Marshal(h.narrow)
+		h.sortSamples()
+		b := make([]byte, 0, 2+8*h.n)
+		b = append(b, '[')
+		for i, v := range h.wide {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = strconv.AppendInt(b, v, 10)
+		}
+		for i, r := range h.runs {
+			for j, lo := range h.lows[r.start:r.end] {
+				if i > 0 || j > 0 {
+					b = append(b, ',')
+				}
+				b = strconv.AppendInt(b, r.key<<16|int64(lo), 10)
+			}
+		}
+		return append(b, ']'), nil
 	}
 	j := histJSON{Stream: true, N: h.n, Sum: h.sum, Min: h.min, Max: h.max}
 	for i, c := range h.counts {
@@ -227,10 +314,10 @@ func (h *Hist) MarshalJSON() ([]byte, error) {
 
 // UnmarshalJSON restores a histogram written by MarshalJSON, detecting
 // the mode from the wire form ('[' = exact raw samples, '{' =
-// streaming buckets). The exact mode rebuilds its running sum by
-// accumulating in stored sample order, so any journal decodes to the
-// same histogram byte for byte — every resumed run computes identical
-// percentiles and means from identical state.
+// streaming buckets). The exact mode records the samples again in
+// stored order, so any journal decodes to the same histogram byte for
+// byte — every resumed run computes identical percentiles and means
+// from identical state.
 func (h *Hist) UnmarshalJSON(b []byte) error {
 	for _, c := range b {
 		if c == ' ' || c == '\t' || c == '\n' || c == '\r' {
@@ -244,43 +331,28 @@ func (h *Hist) UnmarshalJSON(b []byte) error {
 			if !j.Stream {
 				return fmt.Errorf("stats: histogram object without stream marker")
 			}
-			h.narrow, h.wide, h.narrowEnd = nil, nil, 0
-			h.counts = make([]uint32, streamBuckets)
+			*h = Hist{counts: make([]uint32, streamBuckets), n: j.N, sum: j.Sum, min: j.Min, max: j.Max}
 			for i := 0; i+1 < len(j.Counts); i += 2 {
 				idx := j.Counts[i]
 				if idx < streamBuckets {
 					h.counts[idx] = uint32(j.Counts[i+1])
 				}
 			}
-			h.n, h.sum, h.min, h.max = j.N, j.Sum, j.Min, j.Max
-			h.sorted = false
 			return nil
 		}
 		break
 	}
-	// Decode into the 4-byte store, and only when a value does not fit
-	// (or the input is malformed) into the 8-byte one.
-	h.counts = nil
-	h.narrow, h.wide, h.narrowEnd = h.narrow[:0], nil, 1<<32
-	if err := json.Unmarshal(b, &h.narrow); err != nil {
-		h.narrow, h.narrowEnd = nil, 0
-		if err := json.Unmarshal(b, &h.wide); err != nil {
-			return err
-		}
+	var samples []int64
+	if err := json.Unmarshal(b, &samples); err != nil {
+		return err
 	}
-	h.sorted = false
-	h.sum = 0
-	h.n = uint64(h.len())
-	for i := range h.len() {
-		v := h.at(i)
-		h.sum += float64(v)
-		if i == 0 {
-			h.min, h.max = v, v
-		} else if v < h.min {
-			h.min = v
-		} else if v > h.max {
-			h.max = v
-		}
+	if samples == nil {
+		*h = Hist{}
+		return nil
+	}
+	*h = *NewHist(len(samples))
+	for _, v := range samples {
+		h.Add(sim.Duration(v))
 	}
 	return nil
 }
@@ -293,65 +365,117 @@ func (h *Hist) Mean() sim.Duration {
 	return sim.Duration(h.sum / float64(h.n))
 }
 
-// len and at read the exact-mode samples whatever the store width; every
-// query goes through them.
-func (h *Hist) len() int {
-	if h.wide != nil {
-		return len(h.wide)
-	}
-	return len(h.narrow)
-}
-
+// at returns the exact-mode sample of rank i; every query reads the
+// sorted samples through it.
 func (h *Hist) at(i int) int64 {
 	if h.wide != nil {
 		return h.wide[i]
 	}
-	return int64(h.narrow[i])
+	j := sort.Search(len(h.runs), func(j int) bool { return h.runs[j].cum > i }) - 1
+	r := h.runs[j]
+	return r.key<<16 | int64(h.lows[r.start+i-r.cum])
 }
 
-// sortSamples lazily sorts the exact-mode samples: the 4-byte store with
-// an in-place radix sort, the widened one with slices.Sort. The result
-// is memoized, so a Summarize — five quantiles plus Max — pays for at
-// most one sort and every later query on an unchanged histogram is pure
-// index math.
+// sortSamples lazily sorts the exact-mode samples: the paged store by
+// grouping its pages into key order and radix-sorting each key's run of
+// low halves, the widened one with slices.Sort. The result is memoized,
+// so a Summarize — five quantiles plus Max — pays for at most one sort
+// and every later query on an unchanged histogram is pure index math.
 func (h *Hist) sortSamples() {
-	if !h.sorted {
-		if h.wide != nil {
-			slices.Sort(h.wide)
-		} else {
-			radixSort(h.narrow)
+	if h.sorted {
+		return
+	}
+	h.sorted = true
+	if h.wide != nil {
+		slices.Sort(h.wide)
+		return
+	}
+	first := h.groupPages()
+	h.runs = slices.Grow(h.runs[:0], min(len(h.dir), len(h.pageKey)))
+	cum := 0
+	for k := range h.dir {
+		if first[k] == first[k+1] {
+			continue
 		}
-		h.sorted = true
+		last := first[k+1] - 1
+		r := keyRun{key: int64(k), start: first[k] * histPage, end: last*histPage + h.pageLen(last), cum: cum}
+		if run := h.lows[r.start:r.end]; !slices.IsSorted(run) {
+			sortLows(run)
+		}
+		h.runs = append(h.runs, r)
+		cum += r.end - r.start
 	}
 }
 
-// radixSortCutoff is the bucket size at or below which radixSort hands
+// groupPages permutes the pages in place into key order, with each key's
+// open page last, so that every key's low halves lie in one contiguous
+// run, and returns the groups: key k's pages are [first[k], first[k+1]).
+// It is an American-flag sort over pages: each swap moves a page into
+// its key's group for good.
+func (h *Hist) groupPages() (first []int) {
+	first = make([]int, len(h.dir)+1)
+	for _, k := range h.pageKey {
+		first[int(k)+1]++
+	}
+	for k := range h.dir {
+		first[k+1] += first[k]
+	}
+	// next[k] is the first page of group k not yet known to hold key k.
+	next := slices.Clone(first[:len(h.dir)])
+	for k := range next {
+		for next[k] < first[k+1] {
+			p := next[k]
+			if j := h.pageKey[p]; int(j) != k {
+				h.swapPages(p, next[j])
+				next[j]++
+			} else {
+				next[k]++
+			}
+		}
+	}
+	for k, w := range h.dir {
+		if last := first[k+1] - 1; w%histPage != 0 && int(w)/histPage != last {
+			h.swapPages(int(w)/histPage, last)
+		}
+	}
+	return first
+}
+
+// swapPages exchanges pages p and q through one page of scratch, and
+// moves a directory entry that points into either with it.
+func (h *Hist) swapPages(p, q int) {
+	var tmp [histPage]uint16
+	a, b := h.lows[p*histPage:(p+1)*histPage], h.lows[q*histPage:(q+1)*histPage]
+	copy(tmp[:], a)
+	copy(a, b)
+	copy(b, tmp[:])
+	ka, kb := h.pageKey[p], h.pageKey[q]
+	h.pageKey[p], h.pageKey[q] = kb, ka
+	wa, wb := h.dir[ka], h.dir[kb]
+	if wa%histPage != 0 && int(wa)/histPage == p {
+		h.dir[ka] = uint32(q*histPage) + wa%histPage
+	}
+	if wb%histPage != 0 && int(wb)/histPage == q {
+		h.dir[kb] = uint32(p*histPage) + wb%histPage
+	}
+}
+
+// radixSortCutoff is the bucket size at or below which sortLows hands
 // over to slices.Sort: a 256-way pass costs more than it saves there.
 const radixSortCutoff = 64
 
-// radixSort sorts a in place with an MSD "American flag" radix sort over
-// 8-bit digits, starting at the highest digit any key uses. It allocates
-// nothing: each pass permutes keys into their buckets by cycle-leading
-// swaps, then recurses into every bucket on the next digit down.
-func radixSort(a []uint32) {
-	var or uint32
-	for _, v := range a {
-		or |= v
-	}
-	if or == 0 {
-		return
-	}
-	radixPass(a, uint(bits.Len32(or)-1)/8*8)
-}
-
-func radixPass(a []uint32, shift uint) {
+// sortLows sorts one key's low halves in place in two 8-bit passes,
+// allocating nothing: an American-flag pass permutes the values into
+// buckets by their high byte with cycle-leading swaps, then each bucket
+// is rewritten from a count of its low bytes.
+func sortLows(a []uint16) {
 	if len(a) <= radixSortCutoff {
 		slices.Sort(a)
 		return
 	}
 	var count, next [256]int
 	for _, v := range a {
-		count[v>>shift&0xff]++
+		count[v>>8]++
 	}
 	end := 0
 	for d, c := range count {
@@ -359,13 +483,13 @@ func radixPass(a []uint32, shift uint) {
 		end += c
 	}
 	// Bucket d begins at start[d]; next[d] is its first slot not yet
-	// holding one of its keys.
+	// holding one of its values.
 	start := next
 	for d := range next {
 		stop := start[d] + count[d]
 		for next[d] < stop {
 			v := a[next[d]]
-			for k := v >> shift & 0xff; k != uint32(d); k = v >> shift & 0xff {
+			for k := v >> 8; k != uint16(d); k = v >> 8 {
 				v, a[next[k]] = a[next[k]], v
 				next[k]++
 			}
@@ -373,12 +497,22 @@ func radixPass(a []uint32, shift uint) {
 			next[d]++
 		}
 	}
-	if shift == 0 {
-		return
-	}
 	for d, c := range count {
-		if c > 1 {
-			radixPass(a[start[d]:start[d]+c], shift-8)
+		b := a[start[d] : start[d]+c]
+		if c <= radixSortCutoff {
+			slices.Sort(b)
+			continue
+		}
+		var low [256]int
+		for _, v := range b {
+			low[v&0xff]++
+		}
+		i := 0
+		for l, n := range low {
+			for ; n > 0; n-- {
+				b[i] = uint16(d<<8 | l)
+				i++
+			}
 		}
 	}
 }
@@ -438,7 +572,7 @@ func (h *Hist) P(q float64) sim.Duration {
 		return h.streamValueAtRank(rank)
 	}
 	h.sortSamples()
-	return sim.Duration(h.at(rankIndex(q, h.len())))
+	return sim.Duration(h.at(rankIndex(q, int(h.n))))
 }
 
 // FracLE returns the fraction of samples <= d (the CDF at d). Exact mode
@@ -460,7 +594,7 @@ func (h *Hist) FracLE(d sim.Duration) float64 {
 		return float64(cum) / float64(h.n)
 	}
 	h.sortSamples()
-	ns := h.len()
+	ns := int(h.n)
 	idx := sort.Search(ns, func(i int) bool { return h.at(i) > int64(d) })
 	return float64(idx) / float64(ns)
 }
@@ -546,7 +680,7 @@ func (h *Hist) CDF(n int) []CDFPoint {
 		return pts
 	}
 	h.sortSamples()
-	ns := h.len()
+	ns := int(h.n)
 	for i := 0; i < n; i++ {
 		q := float64(i) / float64(n-1)
 		var v int64

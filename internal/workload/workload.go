@@ -208,6 +208,9 @@ func Memcached() *Profile {
 // 85µs at P15.
 func Nginx() *Profile {
 	const mean = 60_000
+	// Bounded Pareto on [0.4, 8]× the base with alpha 1.5 has mean
+	// ≈ 0.942; SampleAppCycles normalises so the profile mean holds.
+	size := sim.NewBoundedPareto(0.4, 8, 1.5)
 	return &Profile{
 		Name:          "nginx",
 		SLO:           5 * sim.Millisecond,
@@ -216,10 +219,7 @@ func Nginx() *Profile {
 		HighRPS:       56_000,
 		MeanAppCycles: mean,
 		SampleAppCycles: func(rng *sim.RNG) float64 {
-			// Bounded Pareto on [0.4, 8]× the base with alpha 1.5 has
-			// mean ≈ 0.942; normalise so the profile mean holds.
-			v := rng.BoundedPareto(0.4, 8, 1.5)
-			return mean * v / 0.942
+			return mean * size.Sample(rng) / 0.942
 		},
 		TxSegments: 48,
 		Burst:      BurstPattern{Period: 100 * sim.Millisecond, BurstFrac: 0.25, Ramp: 5 * sim.Millisecond},
