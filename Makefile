@@ -153,11 +153,14 @@ pgo:
 # from the exact recorder and again with -stream; an nmapsweep curve;
 # 60 nmapfuzz configurations with -v) serially and on 4 workers, plus
 # nginx's nmapprofile thresholds once, and every stdout byte must match — once
-# with -pgo=off and once with the committed profile, so profile-guided
-# codegen can never drift physics either.
+# with -pgo=off, once with the committed profile, so profile-guided
+# codegen can never drift physics either, and once more with the
+# profile under GODEBUG=cpu.fma=off, so amd64's run-time choice of
+# math.Exp's FMA kernel can never reach an output byte.
 pgo-smoke:
 	$(GO) test -count=1 -pgo=off -run TestGolden ./internal/cli/
 	$(GO) test -count=1 $(PGOFLAG) -run TestGolden ./internal/cli/
+	GODEBUG=cpu.fma=off $(GO) test -count=1 $(PGOFLAG) -run TestGolden ./internal/cli/
 
 # Rewrite the committed §4.2 threshold table of the built-in profiles
 # (internal/experiments/thresholds_table.go) after a change that moves

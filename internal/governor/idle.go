@@ -36,7 +36,7 @@ func (C6Only) IdleEnded(int, sim.Duration) {}
 // interval from the recent idle history of each core and picks the
 // deepest C-state whose break-even residency the prediction covers.
 type Menu struct {
-	hist map[int]*menuHist
+	hist []menuHist // indexed by core ID, grown on first sight
 }
 
 // The menu governor's break-even residencies: the minimum predicted
@@ -88,14 +88,7 @@ func (*Menu) Name() string { return "menu" }
 
 // SelectState implements kernel.IdlePolicy.
 func (m *Menu) SelectState(coreID int) cpu.CState {
-	if m.hist == nil {
-		m.hist = make(map[int]*menuHist)
-	}
-	h := m.hist[coreID]
-	if h == nil {
-		h = &menuHist{}
-		m.hist[coreID] = h
-	}
+	h := m.core(coreID)
 	p := h.predict()
 	switch {
 	case h.n == 0:
@@ -112,15 +105,16 @@ func (m *Menu) SelectState(coreID int) cpu.CState {
 
 // IdleEnded implements kernel.IdlePolicy.
 func (m *Menu) IdleEnded(coreID int, d sim.Duration) {
-	if m.hist == nil {
-		m.hist = make(map[int]*menuHist)
+	m.core(coreID).add(d)
+}
+
+// core returns coreID's idle history, growing the table to it on first
+// sight.
+func (m *Menu) core(coreID int) *menuHist {
+	if coreID >= len(m.hist) {
+		m.hist = append(m.hist, make([]menuHist, coreID+1-len(m.hist))...)
 	}
-	h := m.hist[coreID]
-	if h == nil {
-		h = &menuHist{}
-		m.hist[coreID] = h
-	}
-	h.add(d)
+	return &m.hist[coreID]
 }
 
 // NewIdlePolicy returns the idle policy with the given name: "menu",

@@ -528,8 +528,13 @@ func HistCapacity(cfg Config) int {
 // downgrade fresh cells to the bounded streaming recorder. It charges
 // 8 bytes per sample, the worst case: a recorder keeps 2-byte samples
 // until one falls outside [0, 2^32) ns and widens to 8 bytes only then
-// (a 4M-sample cell holds 8MB, or 32MB widened). Charging the worst
-// case keeps the watermark's decisions independent of the store width.
+// (a 4M-sample cell holds at most 8MB, or 32MB widened). The real cost
+// is lower still: a key past 32,768 samples turns into a table of
+// per-nanosecond counts in the same 64 KB, so a cell whose latencies
+// crowd a few 65.5 µs keys holds a few hundred KB whatever its sample
+// count. Charging the worst case keeps
+// the watermark's decisions independent of the store's form; what to
+// charge instead is an open item (ROADMAP item 8).
 // The projection depends only on the configuration, never on allocator
 // state, so the decision is deterministic and a resumed sweep makes the
 // same one.

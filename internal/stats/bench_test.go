@@ -52,6 +52,27 @@ func BenchmarkHistAdd(b *testing.B) {
 	}
 }
 
+// BenchmarkHistAddCounted is the recording cost when nearly every sample
+// lands in one counted key, as a lightly loaded memcached's do (below
+// 65.5 µs): the key turns counted after its first 32,768 samples, and
+// every later one is a counter increment.
+func BenchmarkHistAddCounted(b *testing.B) {
+	h := NewHist(benchSamples)
+	r := sim.NewRNG(42)
+	vals := make([]sim.Duration, 8192)
+	for i := range vals {
+		vals[i] = sim.Duration(15_000+r.Exp(8_000)) % 65_536
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if h.N() == benchSamples {
+			h.Reset()
+		}
+		h.Add(vals[i&8191])
+	}
+}
+
 // BenchmarkStreamHistAdd is the streaming-mode equivalent: pure integer
 // bucket math, fixed footprint.
 func BenchmarkStreamHistAdd(b *testing.B) {

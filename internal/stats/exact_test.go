@@ -313,6 +313,14 @@ func TestRadixSortMatchesSlicesSort(t *testing.T) {
 //	7 spread  u8 u8      300 samples over up to 256 keys of 65,536 ns,
 //	                     starting at key u8 and striding by u8|1: more
 //	                     than a page per op, so pages fill and open mid-run
+//	8 burst   k s        4,096 samples into key k%8, at the low halves
+//	                     i·s mod 65,536: eight bursts fill the pages at
+//	                     which a key turns counted, a ninth converts it
+//	9 copies  k u16      4,096 copies of one value, key k%8 and low u16:
+//	                     its count passes 255 within the op
+//
+// Decoding stops once an input has added 2^17 samples, which bounds how
+// long the checks of one input take.
 func FuzzHistExact(f *testing.F) {
 	f.Add([]byte{0, 1, 0, 0, 0, 2, 4, 2, 0xff, 4, 0, 9, 9, 4})
 	// Widens mid-stream: paged samples and a query, then 2^32+5 ns,
@@ -329,14 +337,31 @@ func FuzzHistExact(f *testing.F) {
 	// Widens after paging: two spreads, a query, then 2^32-3 ns (still
 	// paged) and 2^32+1 ns, a query, a journal round trip and more samples.
 	f.Add([]byte{7, 250, 17, 7, 0, 1, 4, 1, 0xfd, 1, 1, 4, 6, 4, 7, 2, 2, 0, 5, 5, 4})
+	burst := func(n int, key, stride byte) []byte {
+		return bytes.Repeat([]byte{8, key, stride}, n)
+	}
+	seed := func(parts ...[]byte) { f.Add(bytes.Join(parts, nil)) }
+	// Converts, queries, adds more to the counted key, to a paged key
+	// and to the counted key's values past 255, and queries again.
+	seed(burst(9, 3, 7), []byte{4}, burst(2, 3, 64), []byte{0, 0x10, 0, 9, 3, 5, 0, 4})
+	// Converts two keys, resets, refills other keys past conversion.
+	seed(burst(9, 1, 3), burst(9, 2, 0x80), []byte{4, 5}, burst(10, 5, 11), []byte{4})
+	// Converts, then widens through 2^32+9 ns and a negative sample.
+	seed(burst(9, 0, 1), []byte{4, 1, 9, 4, 9, 0, 0xff, 0xff, 2, 0xf0, 4})
+	// Converts, round-trips the journal, adds more and queries.
+	seed(burst(9, 6, 0x31), []byte{6, 4}, burst(1, 6, 2), []byte{4})
+	// 73,728 samples of one value: its count passes 255 and 65,535.
+	seed(bytes.Repeat([]byte{9, 4, 0x21, 0x43}, 18), []byte{4, 6, 4})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		h, r := NewHist(8), newRef()
+		added := 0
 		add := func(v int64) {
 			h.Add(sim.Duration(v))
 			r.add(v)
+			added++
 		}
-		for op := 0; op < 512 && len(data) > 0; op++ {
-			code := data[0] % 8
+		for op := 0; op < 512 && len(data) > 0 && added < 1<<17; op++ {
+			code := data[0] % 10
 			data = data[1:]
 			switch code {
 			case 0:
@@ -391,30 +416,86 @@ func FuzzHistExact(f *testing.F) {
 					add((key+i*stride)%256<<16 | i*40_503%65_536)
 				}
 				data = data[2:]
+			case 8:
+				if len(data) < 2 {
+					return
+				}
+				key, stride := int64(data[0]%8), int64(data[1])
+				for i := int64(0); i < 4096; i++ {
+					add(key<<16 | i*stride%65_536)
+				}
+				data = data[2:]
+			case 9:
+				if len(data) < 3 {
+					return
+				}
+				v := int64(data[0]%8)<<16 | int64(binary.LittleEndian.Uint16(data[1:]))
+				for i := 0; i < 4096; i++ {
+					add(v)
+				}
+				data = data[3:]
 			}
 		}
 		checkRef(t, h, r)
 	})
 }
 
+// tableBytes is what a count table costs beyond the arena pages that
+// hold its counts: its descriptor, carries within its buffer.
+const tableBytes = int(unsafe.Sizeof(countTable{}))
+
 // storeBytes is the exact store's backing footprint: the capacity of
-// every array it holds.
+// every array it holds, count table descriptors and their carries
+// included.
 func storeBytes(h *Hist) int {
-	return 2*cap(h.lows) + 2*cap(h.pageKey) + 4*cap(h.dir) +
-		int(unsafe.Sizeof(keyRun{}))*cap(h.runs) + 8*cap(h.wide)
+	b := 2*cap(h.lows) + 2*cap(h.pageKey) + int(unsafe.Sizeof(keyDir{}))*cap(h.dir) +
+		8*cap(h.spare) + int(unsafe.Sizeof(keyRun{}))*cap(h.runs) + 8*cap(h.wide)
+	table := func(t *countTable) {
+		b += tableBytes
+		if cap(t.carry) > len(t.buf) {
+			b += 2 * cap(t.carry)
+		}
+	}
+	for _, t := range h.spare {
+		table(t)
+	}
+	for _, e := range h.dir {
+		if e.tab != nil {
+			table(e.tab)
+		}
+	}
+	return b
+}
+
+// counted is the number of h's keys that have turned counted.
+func counted(h *Hist) int {
+	n := 0
+	for _, e := range h.dir {
+		if e.tab != nil {
+			n++
+		}
+	}
+	return n
 }
 
 // The footprint gate: N in-range samples over K keys of 65,536 ns cost
-// 2 bytes each, plus a 2-byte key per page, at most one partly filled
-// page per key, and a small constant — sorted and queried, because the
+// 2 bytes each of the hint's arena, plus a 2-byte key per page, at most
+// one partly filled page per key, a count table descriptor per key past
+// 32,768 samples and a small constant — sorted and queried, because the
 // sort must not allocate a second copy. A hint of N covers the open
-// pages of histSlackKeys keys; beyond that the hint carries them.
+// pages of histSlackKeys keys; beyond that the hint carries them. One
+// hot key needs a hint of only the countPages pages it fills before it
+// turns counted, and then holds the same bytes whatever its N.
 func TestHistStoreFootprint(t *testing.T) {
-	for _, c := range []struct{ n, keys, hint int }{
-		{100_000, 1, 100_000},
-		{1_000_000, 4, 1_000_000},
-		{1_500_000, 16, 1_500_000},
-		{300_000, 200, 300_000 + 200*histPage},
+	const oneKey = countPages * histPage
+	for _, c := range []struct{ n, keys, hint, counted int }{
+		{100_000, 1, 100_000, 1},
+		{1_000_000, 4, 1_000_000, 4},
+		{1_500_000, 16, 1_500_000, 16},
+		{300_000, 200, 300_000 + 200*histPage, 0},
+		{100_000, 1, oneKey, 1},
+		{1_200_000, 1, oneKey, 1},
+		{4_000_000, 1, oneKey, 1},
 	} {
 		h := NewHist(c.hint)
 		rng := sim.NewRNG(3)
@@ -422,15 +503,58 @@ func TestHistStoreFootprint(t *testing.T) {
 			h.Add(sim.Duration(int64(rng.Intn(c.keys))<<16 | int64(rng.Intn(1<<16))))
 		}
 		h.Summarize()
-		if h.wide != nil || len(h.runs) != c.keys {
-			t.Fatalf("%+v: %d keys sorted, wide=%v", c, len(h.runs), h.wide != nil)
+		if h.wide != nil || len(h.runs) != c.keys || counted(h) != c.counted {
+			t.Fatalf("%+v: %d keys sorted, %d counted, wide=%v", c, len(h.runs), counted(h), h.wide != nil)
 		}
 		// Per key: an open page and its directory and run entries.
 		perKey := 2*histPage + 64
-		limit := 2*c.n + 2*c.n/histPage + (c.keys+histSlackKeys)*perKey + 1024
+		arena := min(c.n, c.hint)
+		limit := 2*arena + 2*arena/histPage + (c.keys+histSlackKeys)*perKey + c.counted*tableBytes + 1024
 		if got := storeBytes(h); got > limit {
 			t.Errorf("%+v: store holds %d bytes (%.3f B/sample), want ≤ %d",
 				c, got, float64(got)/float64(c.n), limit)
 		}
 	}
+}
+
+// A key turns counted on its first sample past countPages full pages,
+// with one allocation, the table's descriptor; every later sample of it
+// is allocation-free, and so is a second conversion after a Reset.
+func TestHistCountedKeyAllocations(t *testing.T) {
+	const full = countPages * histPage
+	var h *Hist
+	fill := func(n int) func() {
+		return func() {
+			h = NewHist(full + 1)
+			for i := 0; i < n; i++ {
+				h.Add(sim.Duration(3<<16 | i*7919%65_536))
+			}
+		}
+	}
+	paged := testing.AllocsPerRun(3, fill(full))
+	if counted(h) != 0 {
+		t.Fatal("key turned counted before its first sample past its full pages")
+	}
+	if n := testing.AllocsPerRun(3, fill(full+1)) - paged; n != 1 || counted(h) != 1 {
+		t.Fatalf("turning counted allocates %.0f times, want 1 (counted keys: %d)", n, counted(h))
+	}
+	if n := testing.AllocsPerRun(10_000, func() { h.Add(3<<16 | 4242) }); n != 0 {
+		t.Fatalf("Add to a counted key allocates %.1f/op", n)
+	}
+	refill := func() {
+		h.Reset()
+		for i := 0; i <= full; i++ {
+			h.Add(sim.Duration(9<<16 | i%300))
+		}
+	}
+	if n := testing.AllocsPerRun(3, refill); n != 0 || counted(h) != 1 || len(h.spare) != 0 {
+		t.Fatalf("refilling past a conversion after Reset allocates %.0f times", n)
+	}
+	r := newRef()
+	h.Reset()
+	for i := int64(0); i <= full+5000; i++ {
+		h.Add(sim.Duration(9<<16 | i%300))
+		r.add(9<<16 | i%300)
+	}
+	checkRef(t, h, r)
 }

@@ -20,20 +20,31 @@ import (
 //
 //   - Exact (NewHist): every sample is kept, so every query is exact.
 //     While every sample lies in [0, 2^32) ns (up to 4.29 s) a sample
-//     costs 2 bytes: it splits into a key v>>16 and a 16-bit low half,
-//     and the low half is written into its key's open page of histPage
-//     slots. Pages are cut in the order they open from one arena
-//     preallocated from the capacity hint, so recording is O(1) and
-//     allocation-free once the hint covers the run. The first sample
-//     outside [0, 2^32) copies the store once into 8-byte words, and the
+//     splits into a key v>>16 and a 16-bit low half, and the key holds
+//     its low halves in one of two forms. A paged key writes each low
+//     half, 2 bytes, into its open page of histPage slots; pages are cut
+//     in the order they open from one arena preallocated from the
+//     capacity hint. A key turns counted once it holds countPages full
+//     pages (32,768 samples, 64 KB): its samples are folded once into
+//     a table of one 1-byte count per nanosecond, which takes over
+//     those same 64 KB, and every later sample of the key is one
+//     counter increment. A counted key's store stays its 64 KB (plus a
+//     2-byte carry per 256 samples of one nanosecond) whatever its N,
+//     and never more than it held paged. Recording is O(1) and
+//     allocates only a small descriptor when a key turns counted, when
+//     the pages outgrow the hint, and when a key's carries outgrow the
+//     128 (32,768 samples) its descriptor holds and then each time they
+//     double. The first sample outside
+//     [0, 2^32) copies the store once into 8-byte words, and the
 //     recorder stays wide from then on, through Reset too. Sorting
 //     happens lazily on the first query and is memoized: the pages are
-//     permuted in place into key order, then each key's run of low
-//     halves is radix-sorted in place (slices.Sort once widened), so a
-//     Summarize (five quantiles plus Max) pays for one sort and repeated
-//     queries on an unchanged histogram are pure index math. Min, max
-//     and the running sum are tracked incrementally at Add time, so
-//     Max() never forces a sort.
+//     permuted in place into key order, each paged key's run of low
+//     halves is radix-sorted in place (slices.Sort once widened), and
+//     each counted key's table is summed into per-block cumulative
+//     counts with no sort at all, so a Summarize (five quantiles plus
+//     Max) pays for one sort and repeated queries on an unchanged
+//     histogram are index math. Min, max and the running sum are
+//     tracked incrementally at Add time, so Max() never forces a sort.
 //
 //   - Streaming (NewStreamingHist): samples land in a fixed 16K-bucket
 //     log-linear histogram (HdrHistogram-style: 1ns-exact below 1µs, 512
@@ -52,19 +63,20 @@ import (
 // sweep computes identical results from the journal whichever recorder
 // produced it.
 type Hist struct {
-	// The paged store, in use while every sample lies in [0, 2^32):
+	// The keyed store, in use while every sample lies in [0, 2^32):
 	// lows is the arena of low halves, cut into pages of histPage slots;
-	// pageKey[p] is the key of page p; dir[k] is the arena slot the next
-	// low half of key k goes to, a multiple of histPage when key k has
-	// no page with room left (a uint32 slot: the arena stays below 2^32
-	// slots, 8 GB). All are nil in streaming mode, once wide, and in a
-	// zero Hist, which marshals as null. dir has at most 2^16 entries,
-	// so one bounds check on a sample's key also range-checks the
-	// sample (a negative one wraps above 2^32) and routes a wide,
-	// streaming or zero recorder to addSlow.
+	// pageKey[p] is the key of page p; dir[k] routes key k's samples to
+	// its open page or its count table. All are nil in streaming mode,
+	// once wide, and in a zero Hist, which marshals as null. dir has at
+	// most 2^16 entries, so one bounds check on a sample's key also
+	// range-checks the sample (a negative one wraps above 2^32) and
+	// routes a wide, streaming or zero recorder to addSlow.
 	lows    []uint16
 	pageKey []uint16
-	dir     []uint32
+	dir     []keyDir
+	// spare holds the count table descriptors Reset took from their keys,
+	// for the next keys that turn counted.
+	spare []*countTable
 	// runs locates each key's sorted samples; valid while sorted.
 	runs []keyRun
 	// wide holds every sample once one falls outside [0, 2^32); its
@@ -84,16 +96,56 @@ type Hist struct {
 // 2·histPage bytes per key in use.
 const histPage = 256
 
+// keyDir is one key's directory entry in the keyed store.
+type keyDir struct {
+	// w is the arena slot the key's next low half goes to, a multiple
+	// of histPage when the key has no page with room left. No key holds
+	// more than countPages pages, so the arena stays within 2^31 slots
+	// (4 GB) and a slot fits 32 bits.
+	w uint32
+	// pages is the number of pages the key holds.
+	pages uint32
+	// tab describes the key's count table once it has turned counted;
+	// w is 0 then.
+	tab *countTable
+}
+
+// countPages is the number of full pages at which a key turns counted:
+// they hold 32,768 2-byte low halves, the 64 KB that 65,536 1-byte
+// counts take.
+const countPages = 128
+
+// countTable describes a counted key's store: the number of its samples
+// at each of its 65,536 nanoseconds, modulo 256, in the key's own
+// countPages pages of the arena, with one carry for each time a count
+// wraps past 255. Page pg[j] holds the counts of nanoseconds
+// [512j, 512j+512), two to a slot: nanosecond lo's count is the low byte
+// of slot lo%512/2 when lo is even, the high byte when it is odd.
+type countTable struct {
+	// carry holds the low half of every wrap, each worth 256 samples;
+	// sorted while the recorder is sorted.
+	carry []uint16
+	pg    [countPages]uint32
+	// cum[b] is the number of samples in the blocks of 256 nanoseconds
+	// below block b, and cum[256] the key's count; valid while sorted.
+	cum [257]int
+	// buf backs carry until it outgrows it: the fold of countPages full
+	// pages wraps at most this many times.
+	buf [countPages * histPage / 256]uint16
+}
+
 // histSlackKeys is how many keys' open pages NewHist preallocates beyond
 // the hint, and how many keys its directory starts with: samples below
 // 2^20 ns (1.05 ms), mc-high's whole range, record allocation-free
 // within the hint.
 const histSlackKeys = 16
 
-// keyRun is one key's samples in the sorted paged store: the low halves
-// in lows[start:end], ranked from cum.
+// keyRun is one key's samples in the sorted keyed store, ranked from
+// cum: the low halves in lows[start:end] of a paged key, or the ranks
+// [start, end) = [0, count) of a counted key's table tab.
 type keyRun struct {
 	key             int64
+	tab             *countTable
 	start, end, cum int
 }
 
@@ -123,7 +175,7 @@ func NewHist(capacity int) *Hist {
 	return &Hist{
 		lows:    make([]uint16, 0, pages*histPage),
 		pageKey: make([]uint16, 0, pages),
-		dir:     make([]uint32, histSlackKeys),
+		dir:     make([]keyDir, histSlackKeys),
 		hint:    capacity,
 	}
 }
@@ -182,18 +234,40 @@ func (h *Hist) Add(d sim.Duration) {
 	h.sum += float64(v)
 	h.sorted = false
 	if dir, k := h.dir, uint64(v)>>16; k < uint64(len(dir)) {
-		if w := dir[k]; w%histPage != 0 {
+		e := &dir[k]
+		if w := e.w; w%histPage != 0 {
 			h.lows[w] = uint16(v)
-			dir[k] = w + 1
+			e.w = w + 1
+			return
+		}
+		if t := e.tab; t != nil {
+			h.addCounted(t, uint16(v))
 			return
 		}
 	}
 	h.addSlow(v)
 }
 
-// addSlow records a sample the open pages do not take: into the
-// streaming buckets, into the wide store, or into a fresh page of the
-// paged store, which a zero Hist begins here.
+// addCounted counts one sample at nanosecond lo of t's key.
+func (h *Hist) addCounted(t *countTable, lo uint16) {
+	i, sh := t.slot(lo)
+	if x := h.lows[i]; x>>sh&0xff != 0xff {
+		h.lows[i] = x + 1<<sh
+	} else {
+		h.lows[i] = x &^ (0xff << sh)
+		t.carry = append(t.carry, lo)
+	}
+}
+
+// slot returns the arena slot that holds nanosecond lo's count and the
+// shift of its byte in the slot.
+func (t *countTable) slot(lo uint16) (int, uint16) {
+	return int(t.pg[lo>>9])*histPage | int(lo&511)>>1, lo & 1 << 3
+}
+
+// addSlow records a sample the open pages and count tables do not take:
+// into the streaming buckets, into the wide store, or into a fresh page
+// of the keyed store, which a zero Hist begins here.
 func (h *Hist) addSlow(v int64) {
 	switch {
 	case h.counts != nil:
@@ -208,39 +282,164 @@ func (h *Hist) addSlow(v int64) {
 	h.wide = append(h.wide, v)
 }
 
-// openPage cuts a page for v's key from the end of the arena, growing the
-// directory to the key if need be, and writes v's low half into it.
+// openPage writes v's low half into a page cut for its key from the end
+// of the arena, growing the directory to the key if need be; a key with
+// countPages full pages turns counted instead.
 func (h *Hist) openPage(v uint32) {
 	k := int(v >> 16)
 	if k >= len(h.dir) {
-		h.dir = append(h.dir, make([]uint32, k+1-len(h.dir))...)
+		h.dir = append(h.dir, make([]keyDir, k+1-len(h.dir))...)
+	}
+	e := &h.dir[k]
+	if e.pages == countPages {
+		h.countKey(k)
+		h.addCounted(e.tab, uint16(v))
+		return
 	}
 	p := len(h.lows)
 	h.lows = slices.Grow(h.lows, histPage)[:p+histPage]
 	h.lows[p] = uint16(v)
 	h.pageKey = append(h.pageKey, uint16(k))
-	h.dir[k] = uint32(p + 1)
+	e.w = uint32(p + 1)
+	e.pages++
+}
+
+// countKey turns key k counted: it takes a spare descriptor, or
+// allocates one, and folds the key's samples into counts that it writes
+// over them. The counts gather in 64 KB on the stack first, since every
+// sample must be read before its page is overwritten. Finding the key's
+// pages reads every page's key once, at most keys/256 reads per sample
+// over the run.
+func (h *Hist) countKey(k int) {
+	var t *countTable
+	if n := len(h.spare); n > 0 {
+		t, h.spare = h.spare[n-1], h.spare[:n-1]
+	} else {
+		t = new(countTable)
+		t.carry = t.buf[:0]
+	}
+	var c [1 << 16]uint8
+	j := 0
+	for p, pk := range h.pageKey {
+		if int(pk) == k {
+			t.pg[j] = uint32(p)
+			j++
+			for _, lo := range h.lows[p*histPage : (p+1)*histPage] {
+				if c[lo]++; c[lo] == 0 {
+					t.carry = append(t.carry, lo)
+				}
+			}
+		}
+	}
+	for j, p := range t.pg {
+		page, counts := h.lows[int(p)*histPage:int(p+1)*histPage], c[j*512:(j+1)*512]
+		for i := range page {
+			page[i] = uint16(counts[2*i]) | uint16(counts[2*i+1])<<8
+		}
+	}
+	h.dir[k] = keyDir{pages: countPages, tab: t}
 }
 
 // pageLen is the number of low halves page p holds: histPage unless it
 // is its key's open page.
 func (h *Hist) pageLen(p int) int {
-	if w := int(h.dir[h.pageKey[p]]); w%histPage != 0 && w/histPage == p {
+	if w := int(h.dir[h.pageKey[p]].w); w%histPage != 0 && w/histPage == p {
 		return w - p*histPage
 	}
 	return histPage
 }
 
-// widen copies the paged store into 8-byte words, of the hint's capacity
+// widen copies the keyed store into 8-byte words, of the hint's capacity
 // or more, and releases it.
 func (h *Hist) widen() {
 	h.wide = make([]int64, 0, max(h.hint, int(h.n)))
 	for p, k := range h.pageKey {
-		for _, lo := range h.lows[p*histPage : p*histPage+h.pageLen(p)] {
-			h.wide = append(h.wide, int64(k)<<16|int64(lo))
+		if h.dir[k].tab == nil {
+			for _, lo := range h.lows[p*histPage : p*histPage+h.pageLen(p)] {
+				h.wide = append(h.wide, int64(k)<<16|int64(lo))
+			}
 		}
 	}
-	h.lows, h.pageKey, h.dir, h.runs = nil, nil, nil, nil
+	for k, e := range h.dir {
+		if t := e.tab; t != nil {
+			sortLows(t.carry)
+			t.each(h.lows, func(lo, n int) {
+				for ; n > 0; n-- {
+					h.wide = append(h.wide, int64(k)<<16|int64(lo))
+				}
+			})
+		}
+	}
+	h.lows, h.pageKey, h.dir, h.spare, h.runs = nil, nil, nil, nil, nil
+}
+
+// count returns the number of samples at nanosecond lo of the key, its
+// counts in the arena lows, given the index *ci of the first carry not
+// below lo in the sorted carries, which it moves past lo's carries.
+func (t *countTable) count(lows []uint16, lo int, ci *int) int {
+	i, sh := t.slot(uint16(lo))
+	n := int(lows[i] >> sh & 0xff)
+	for ; *ci < len(t.carry) && int(t.carry[*ci]) == lo; *ci++ {
+		n += 256
+	}
+	return n
+}
+
+// each calls yield with every nanosecond of the key that holds samples,
+// in ascending order, and their number. The carries must be sorted.
+func (t *countTable) each(lows []uint16, yield func(lo, n int)) {
+	ci := 0
+	for lo := 0; lo < 1<<16; lo++ {
+		if n := t.count(lows, lo, &ci); n > 0 {
+			yield(lo, n)
+		}
+	}
+}
+
+// tally sorts the carries and sums the counts by block of 256
+// nanoseconds, half a page, into cum; it returns the key's count.
+func (t *countTable) tally(lows []uint16) int {
+	sortLows(t.carry)
+	var blk [256]int
+	for j, p := range t.pg {
+		for i, x := range lows[int(p)*histPage : int(p+1)*histPage] {
+			blk[2*j+i/(histPage/2)] += int(x&0xff) + int(x>>8)
+		}
+	}
+	for _, lo := range t.carry {
+		blk[lo>>8] += 256
+	}
+	for b, n := range blk {
+		t.cum[b+1] = t.cum[b] + n
+	}
+	return t.cum[256]
+}
+
+// at returns the nanosecond of the key's sample of rank i, below its
+// count: a search of the block counts, then a walk of one block.
+func (t *countTable) at(lows []uint16, i int) int64 {
+	b := sort.Search(256, func(b int) bool { return t.cum[b+1] > i })
+	i -= t.cum[b]
+	ci, _ := slices.BinarySearch(t.carry, uint16(b<<8))
+	for lo := b << 8; ; lo++ {
+		n := t.count(lows, lo, &ci)
+		if i < n {
+			return int64(lo)
+		}
+		i -= n
+	}
+}
+
+// swapPages records that pages p and q of the arena swapped places.
+func (t *countTable) swapPages(p, q int) {
+	for j, pj := range t.pg {
+		switch int(pj) {
+		case p:
+			t.pg[j] = uint32(q)
+		case q:
+			t.pg[j] = uint32(p)
+		}
+	}
 }
 
 // N returns the number of samples.
@@ -248,9 +447,16 @@ func (h *Hist) N() int { return int(h.n) }
 
 // Reset empties the histogram in place, keeping its mode and allocated
 // capacity, so a harness can reuse one recorder across runs without
-// reallocating. A widened exact recorder keeps its 8-byte store: going
-// back to pages would allocate.
+// reallocating. Every key returns to pages; the count tables'
+// descriptors are kept for the next keys that turn counted. A widened exact recorder
+// keeps its 8-byte store: going back to pages would allocate.
 func (h *Hist) Reset() {
+	for _, e := range h.dir {
+		if t := e.tab; t != nil {
+			t.carry = t.carry[:0]
+			h.spare = append(h.spare, t)
+		}
+	}
 	h.lows = h.lows[:0]
 	h.pageKey = h.pageKey[:0]
 	clear(h.dir)
@@ -287,18 +493,20 @@ func (h *Hist) MarshalJSON() ([]byte, error) {
 		h.sortSamples()
 		b := make([]byte, 0, 2+8*h.n)
 		b = append(b, '[')
-		for i, v := range h.wide {
-			if i > 0 {
-				b = append(b, ',')
-			}
-			b = strconv.AppendInt(b, v, 10)
+		for _, v := range h.wide {
+			b = appendSample(b, v)
 		}
-		for i, r := range h.runs {
-			for j, lo := range h.lows[r.start:r.end] {
-				if i > 0 || j > 0 {
-					b = append(b, ',')
-				}
-				b = strconv.AppendInt(b, r.key<<16|int64(lo), 10)
+		for _, r := range h.runs {
+			if r.tab != nil {
+				r.tab.each(h.lows, func(lo, n int) {
+					for ; n > 0; n-- {
+						b = appendSample(b, r.key<<16|int64(lo))
+					}
+				})
+				continue
+			}
+			for _, lo := range h.lows[r.start:r.end] {
+				b = appendSample(b, r.key<<16|int64(lo))
 			}
 		}
 		return append(b, ']'), nil
@@ -310,6 +518,15 @@ func (h *Hist) MarshalJSON() ([]byte, error) {
 		}
 	}
 	return json.Marshal(j)
+}
+
+// appendSample appends v to the JSON array b, which holds '[' and the
+// samples before v.
+func appendSample(b []byte, v int64) []byte {
+	if len(b) > 1 {
+		b = append(b, ',')
+	}
+	return strconv.AppendInt(b, v, 10)
 }
 
 // UnmarshalJSON restores a histogram written by MarshalJSON, detecting
@@ -373,14 +590,18 @@ func (h *Hist) at(i int) int64 {
 	}
 	j := sort.Search(len(h.runs), func(j int) bool { return h.runs[j].cum > i }) - 1
 	r := h.runs[j]
+	if r.tab != nil {
+		return r.key<<16 | r.tab.at(h.lows, i-r.cum)
+	}
 	return r.key<<16 | int64(h.lows[r.start+i-r.cum])
 }
 
-// sortSamples lazily sorts the exact-mode samples: the paged store by
-// grouping its pages into key order and radix-sorting each key's run of
-// low halves, the widened one with slices.Sort. The result is memoized,
-// so a Summarize — five quantiles plus Max — pays for at most one sort
-// and every later query on an unchanged histogram is pure index math.
+// sortSamples lazily sorts the exact-mode samples: the keyed store by
+// grouping its pages into key order, radix-sorting each paged key's run
+// of low halves and tallying each counted key's table, the widened one
+// with slices.Sort. The result is memoized, so a Summarize — five
+// quantiles plus Max — pays for at most one sort and every later query
+// on an unchanged histogram is index math.
 func (h *Hist) sortSamples() {
 	if h.sorted {
 		return
@@ -393,14 +614,19 @@ func (h *Hist) sortSamples() {
 	first := h.groupPages()
 	h.runs = slices.Grow(h.runs[:0], min(len(h.dir), len(h.pageKey)))
 	cum := 0
-	for k := range h.dir {
+	for k, e := range h.dir {
 		if first[k] == first[k+1] {
 			continue
 		}
-		last := first[k+1] - 1
-		r := keyRun{key: int64(k), start: first[k] * histPage, end: last*histPage + h.pageLen(last), cum: cum}
-		if run := h.lows[r.start:r.end]; !slices.IsSorted(run) {
-			sortLows(run)
+		r := keyRun{key: int64(k), tab: e.tab, cum: cum}
+		if r.tab != nil {
+			r.end = r.tab.tally(h.lows)
+		} else {
+			last := first[k+1] - 1
+			r.start, r.end = first[k]*histPage, last*histPage+h.pageLen(last)
+			if run := h.lows[r.start:r.end]; !slices.IsSorted(run) {
+				sortLows(run)
+			}
 		}
 		h.runs = append(h.runs, r)
 		cum += r.end - r.start
@@ -433,8 +659,8 @@ func (h *Hist) groupPages() (first []int) {
 			}
 		}
 	}
-	for k, w := range h.dir {
-		if last := first[k+1] - 1; w%histPage != 0 && int(w)/histPage != last {
+	for k, e := range h.dir {
+		if last, w := first[k+1]-1, e.w; w%histPage != 0 && int(w)/histPage != last {
 			h.swapPages(int(w)/histPage, last)
 		}
 	}
@@ -442,7 +668,8 @@ func (h *Hist) groupPages() (first []int) {
 }
 
 // swapPages exchanges pages p and q through one page of scratch, and
-// moves a directory entry that points into either with it.
+// moves a directory entry or count table that points into either with
+// it.
 func (h *Hist) swapPages(p, q int) {
 	var tmp [histPage]uint16
 	a, b := h.lows[p*histPage:(p+1)*histPage], h.lows[q*histPage:(q+1)*histPage]
@@ -451,12 +678,19 @@ func (h *Hist) swapPages(p, q int) {
 	copy(b, tmp[:])
 	ka, kb := h.pageKey[p], h.pageKey[q]
 	h.pageKey[p], h.pageKey[q] = kb, ka
-	wa, wb := h.dir[ka], h.dir[kb]
+	wa, wb := h.dir[ka].w, h.dir[kb].w
 	if wa%histPage != 0 && int(wa)/histPage == p {
-		h.dir[ka] = uint32(q*histPage) + wa%histPage
+		h.dir[ka].w = uint32(q*histPage) + wa%histPage
 	}
 	if wb%histPage != 0 && int(wb)/histPage == q {
-		h.dir[kb] = uint32(p*histPage) + wb%histPage
+		h.dir[kb].w = uint32(p*histPage) + wb%histPage
+	}
+	ta, tb := h.dir[ka].tab, h.dir[kb].tab
+	if ta != nil {
+		ta.swapPages(p, q)
+	}
+	if tb != nil && tb != ta {
+		tb.swapPages(p, q)
 	}
 }
 
