@@ -184,7 +184,6 @@ func TestPerRequestRetargetsAndFlaps(t *testing.T) {
 	dev := nic.New(nic.DefaultConfig(8), eng, 7)
 	var kernels []*kernel.CoreKernel
 	k := kernel.NewCoreKernel(0, eng, proc.Cores[0], dev, kernel.Config{}, governor.Disable{})
-	k.AppCycles = func(*workload.Request) float64 { return 1000 }
 	kernels = append(kernels, k)
 	for i := 1; i < 8; i++ {
 		kernels = append(kernels, nil)
@@ -196,9 +195,8 @@ func TestPerRequestRetargetsAndFlaps(t *testing.T) {
 	// Slow app (10ms per request at P0) so the socket queue builds up;
 	// every NAPI event retargets the V/F from the standing depth,
 	// issuing back-to-back writes that pay the re-transition latency.
-	k.AppCycles = func(*workload.Request) float64 { return 32_000_000 }
 	for i := 0; i < 30; i++ {
-		dev.Deliver(&nic.Packet{ID: uint64(i), Flow: 0, Payload: &workload.Request{ID: uint64(i)}})
+		dev.Deliver(&nic.Packet{ID: uint64(i), Flow: 0, Payload: &workload.Request{ID: uint64(i), AppCycles: 32_000_000}})
 	}
 	eng.Run(sim.Time(20 * sim.Millisecond))
 	if p.Requests < 2 {

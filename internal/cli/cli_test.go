@@ -172,6 +172,22 @@ func TestQuarantineExitCode(t *testing.T) {
 	}
 }
 
+// TestSweepQuarantineExit runs the contract end to end: a sweep whose
+// every cell fails under -quarantine still renders its table, with one
+// QUARANTINED row per cell, names the count on stderr and exits 3.
+func TestSweepQuarantineExit(t *testing.T) {
+	code, stdout, stderr := run(t, strings.Fields("nmapsweep -points 2 -dur 50 -policy chaos-bogus -quarantine"))
+	if code != 3 {
+		t.Fatalf("exit %d, want 3 (stderr %q)", code, stderr)
+	}
+	if n := strings.Count(stdout, "QUARANTINED"); n != 2 {
+		t.Fatalf("%d QUARANTINED row(s), want one per cell:\n%s", n, stdout)
+	}
+	if !strings.Contains(stderr, "2 cell(s) quarantined") {
+		t.Fatalf("stderr does not name the quarantined cells: %q", stderr)
+	}
+}
+
 // TestTruncateErr keeps quarantine table cells one line and bounded.
 func TestTruncateErr(t *testing.T) {
 	short := errString("boom")

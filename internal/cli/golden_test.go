@@ -58,10 +58,24 @@ var goldenCases = []struct {
 	// NMAP vs Parties under a switching load: Parties reads completions
 	// through OnDone beside the sampler, and both P-state series print.
 	{file: "fig16.txt", argv: "nmapsim -quick fig16"},
+	// The ondemand trace with four fault classes armed at once: wire
+	// loss, lost and late interrupts, and thermal throttling, under a
+	// 20ms client RTO.
+	{
+		file: "fig2-faults.txt",
+		argv: "nmapsim -quick -faults loss=0.02,irqloss=0.001,irqjitter=2us,throttle=50/2ms@10 -rto 20ms fig2",
+	},
 	{
 		file:        "fig9-faults.txt",
 		argv:        "nmapsim -quick -faults loss=0.02,irqloss=0.001,irqjitter=2us,throttle=50/2ms@10 -rto 20ms fig9",
 		auditReport: "fig9-faults-audit-report.txt",
+	},
+	// A scheduled core crash and queue stall under the auditor: the
+	// failure-domain tally counts the crash path's checks.
+	{
+		file:        "fig9-crash-audit.txt",
+		argv:        "nmapsim -quick -faults corecrash=1@150ms:100ms,queuestall=2@180ms:40ms -rto 20ms -audit fig9",
+		auditReport: "fig9-crash-audit-report.txt",
 	},
 	// The shed arm drives the request-accounting tally.
 	{

@@ -112,7 +112,6 @@ func TestStackLegalUnderLostIRQsWithCC6(t *testing.T) {
 	kernels := make([]*kernel.CoreKernel, 0, m.NumCores)
 	for i, c := range proc.Cores {
 		k := kernel.NewCoreKernel(i, eng, c, dev, kernel.Config{}, C6Only{})
-		k.AppCycles = func(*workload.Request) float64 { return 3200 * 2 }
 		k.SetAuditor(aud)
 		k.OnAppComplete = func(r *workload.Request) {
 			// Close the audited loop the way the server does: transmit

@@ -6,9 +6,10 @@
 // bit-rotted lines, a cell that fails a few times before succeeding, a
 // poison cell that never succeeds, and a disk that fills up mid-sweep.
 //
-// Every injector is deterministic (no randomness, no time): the chaos
-// gate (`make chaos-smoke`) re-runs each faulted scenario and requires
-// the recovered sweep to be byte-identical to an unfaulted one.
+// Every injector is deterministic (no randomness, no time): the
+// package's tests re-run each faulted scenario and require the
+// recovered sweep to be byte-identical to an unfaulted one. One of them
+// does so end to end, killing a journaled nmapsweep process mid-run.
 package harnesschaos
 
 import (

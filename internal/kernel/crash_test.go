@@ -81,11 +81,10 @@ func TestAdoptOverflowFailsIntoLedger(t *testing.T) {
 	core := cpu.NewCore(0, cpu.XeonGold6134, eng, sim.NewRNG(1))
 	dev := newRig(3200, cpu.CC0).dev // unused transport; Adopt needs none
 	k := NewCoreKernel(0, eng, core, dev, Config{SockQCap: 4}, fixedIdle{cpu.CC0})
-	k.AppCycles = func(*workload.Request) float64 { return 3200 }
 	k.Start()
 	backlog := make([]*workload.Request, 10)
 	for i := range backlog {
-		backlog[i] = &workload.Request{ID: uint64(i)}
+		backlog[i] = &workload.Request{ID: uint64(i), AppCycles: 3200}
 	}
 	k.Adopt(backlog)
 	drain(eng)

@@ -236,10 +236,6 @@ type CoreKernel struct {
 	appDone     func()
 	wakeDone    func()
 
-	// AppCycles returns the application service cost (cycles) for one
-	// request. Set by the server assembly before the run. The typed
-	// signature (no `any` boxing) is part of the allocation-free path.
-	AppCycles func(r *workload.Request) float64
 	// OnAppComplete fires when the app thread finishes a request; the
 	// server assembly transmits the response from here.
 	OnAppComplete func(r *workload.Request)
@@ -589,10 +585,7 @@ func (k *CoreKernel) runApp() {
 		}
 		k.aud.Count(audit.AppStart, 1)
 		k.appCur = k.sockQ.Pop()
-		k.appRem = 1
-		if k.AppCycles != nil {
-			k.appRem = k.AppCycles(k.appCur)
-		}
+		k.appRem = k.appCur.AppCycles
 	}
 	k.owner = ownerApp
 	k.lastRan = ownerApp

@@ -22,7 +22,6 @@ func TestSchedulerTickMigratesToKsoftirqd(t *testing.T) {
 	dev := nic.New(nic.DefaultConfig(1), eng, 7)
 	rec := &recListener{}
 	k := NewCoreKernel(0, eng, core, dev, Config{}, fixedIdle{cpu.CC0})
-	k.AppCycles = func(*workload.Request) float64 { return 60_000 } // 50µs at P15: app always runnable
 	k.AddListener(rec)
 	k.Start()
 	// Sustained trickle: each packet's softirq work (~3µs at P15) keeps
@@ -31,7 +30,9 @@ func TestSchedulerTickMigratesToKsoftirqd(t *testing.T) {
 	for i := 0; i < 4000; i++ {
 		d := sim.Duration(i) * 3 * sim.Microsecond
 		id := uint64(i)
-		eng.Schedule(d, func() { dev.Deliver(&nic.Packet{ID: id, Flow: id, Payload: &workload.Request{ID: id}}) })
+		eng.Schedule(d, func() {
+			dev.Deliver(&nic.Packet{ID: id, Flow: id, Payload: &workload.Request{ID: id, AppCycles: 60_000}}) // 50µs at P15: app always runnable
+		})
 	}
 	eng.Run(sim.Time(14 * sim.Millisecond)) // covers 3 scheduler ticks
 	if rec.ksWakes == 0 {
@@ -52,13 +53,12 @@ func TestNoTickMigrationWithoutAppBacklog(t *testing.T) {
 	dev := nic.New(nic.DefaultConfig(1), eng, 7)
 	rec := &recListener{}
 	k := NewCoreKernel(0, eng, core, dev, Config{}, fixedIdle{cpu.CC0})
-	k.AppCycles = func(*workload.Request) float64 { return 100 }
 	k.AddListener(rec)
 	k.Start()
 	for i := 0; i < 1000; i++ {
 		d := sim.Duration(i) * 10 * sim.Microsecond
 		id := uint64(i)
-		eng.Schedule(d, func() { dev.Deliver(&nic.Packet{ID: id, Flow: id, Payload: &workload.Request{ID: id}}) })
+		eng.Schedule(d, func() { dev.Deliver(&nic.Packet{ID: id, Flow: id, Payload: &workload.Request{ID: id, AppCycles: 100}}) })
 	}
 	eng.Run(sim.Time(20 * sim.Millisecond))
 	if rec.ksWakes != 0 {
@@ -136,7 +136,9 @@ func TestBusyCoreConservesWork(t *testing.T) {
 	for i := 0; i < n; i++ {
 		d := sim.Duration(i) * 7 * sim.Microsecond
 		id := uint64(i)
-		r.eng.Schedule(d, func() { r.dev.Deliver(&nic.Packet{ID: id, Flow: id, Payload: &workload.Request{ID: id}}) })
+		r.eng.Schedule(d, func() {
+			r.dev.Deliver(&nic.Packet{ID: id, Flow: id, Payload: &workload.Request{ID: id, AppCycles: r.appCycles}})
+		})
 	}
 	drain(r.eng)
 	c := r.k.Counters()

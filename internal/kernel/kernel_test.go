@@ -34,11 +34,12 @@ func (r *recListener) KsoftirqdWake(int)  { r.ksWakes++ }
 func (r *recListener) KsoftirqdSleep(int) { r.ksSleeps++ }
 
 type rig struct {
-	eng  *sim.Engine
-	dev  *nic.NIC
-	k    *CoreKernel
-	done []sim.Time
-	rec  *recListener
+	eng       *sim.Engine
+	dev       *nic.NIC
+	k         *CoreKernel
+	done      []sim.Time
+	rec       *recListener
+	appCycles float64 // the app cost every delivered request carries
 }
 
 // drain runs the engine 10 simulated seconds past its current clock —
@@ -51,9 +52,8 @@ func newRig(appCycles float64, idle cpu.CState) *rig {
 	rng := sim.NewRNG(1)
 	core := cpu.NewCore(0, cpu.XeonGold6134, eng, rng)
 	dev := nic.New(nic.DefaultConfig(1), eng, 7)
-	r := &rig{eng: eng, dev: dev, rec: &recListener{}}
+	r := &rig{eng: eng, dev: dev, rec: &recListener{}, appCycles: appCycles}
 	k := NewCoreKernel(0, eng, core, dev, Config{}, fixedIdle{idle})
-	k.AppCycles = func(*workload.Request) float64 { return appCycles }
 	k.OnAppComplete = func(*workload.Request) { r.done = append(r.done, eng.Now()) }
 	k.AddListener(r.rec)
 	k.Start()
@@ -63,7 +63,7 @@ func newRig(appCycles float64, idle cpu.CState) *rig {
 
 func (r *rig) deliver(n int) {
 	for i := 0; i < n; i++ {
-		r.dev.Deliver(&nic.Packet{ID: uint64(i), Flow: uint64(i), Payload: &workload.Request{ID: uint64(i)}})
+		r.dev.Deliver(&nic.Packet{ID: uint64(i), Flow: uint64(i), Payload: &workload.Request{ID: uint64(i), AppCycles: r.appCycles}})
 	}
 }
 
@@ -120,11 +120,10 @@ func TestKsoftirqdMigrationAfterTenPasses(t *testing.T) {
 	dev := nic.New(ncfg, eng, 7)
 	rec := &recListener{}
 	k := NewCoreKernel(0, eng, core, dev, Config{}, fixedIdle{cpu.CC0})
-	k.AppCycles = func(*workload.Request) float64 { return 100 }
 	k.AddListener(rec)
 	k.Start()
 	for i := 0; i < 64*12; i++ {
-		dev.Deliver(&nic.Packet{ID: uint64(i), Flow: uint64(i), Payload: &workload.Request{ID: uint64(i)}})
+		dev.Deliver(&nic.Packet{ID: uint64(i), Flow: uint64(i), Payload: &workload.Request{ID: uint64(i), AppCycles: 100}})
 	}
 	drain(eng)
 	r := &rig{eng: eng, dev: dev, k: k, rec: rec}
@@ -154,7 +153,6 @@ func TestKsoftirqdSharesCoreWithApp(t *testing.T) {
 	var ksSleepAt sim.Time
 	rec := &recListener{}
 	k := NewCoreKernel(0, eng, core, dev, Config{}, fixedIdle{cpu.CC0})
-	k.AppCycles = func(*workload.Request) float64 { return 32000 } // 10µs each
 	k.OnAppComplete = func(*workload.Request) { completions = append(completions, eng.Now()) }
 	k.AddListener(rec)
 	k.Start()
@@ -162,7 +160,9 @@ func TestKsoftirqdSharesCoreWithApp(t *testing.T) {
 	for i := 0; i < 64*14; i++ {
 		d := sim.Duration(i) * 500 // one packet per 0.5µs
 		id := uint64(i)
-		eng.Schedule(d, func() { dev.Deliver(&nic.Packet{ID: id, Flow: id, Payload: &workload.Request{ID: id}}) })
+		eng.Schedule(d, func() {
+			dev.Deliver(&nic.Packet{ID: id, Flow: id, Payload: &workload.Request{ID: id, AppCycles: 32000}}) // 10µs each
+		})
 	}
 	// Capture when ksoftirqd sleeps.
 	k.AddListener(listenerFuncs{onKsSleep: func() { ksSleepAt = eng.Now() }})
@@ -294,12 +294,13 @@ func TestLowRateStaysInInterruptMode(t *testing.T) {
 	core := cpu.NewCore(0, cpu.XeonGold6134, eng, sim.NewRNG(1))
 	dev := nic.New(nic.DefaultConfig(1), eng, 7)
 	k := NewCoreKernel(0, eng, core, dev, Config{}, fixedIdle{cpu.CC1})
-	k.AppCycles = func(*workload.Request) float64 { return 3200 }
 	k.Start()
 	for i := 0; i < 50; i++ {
 		d := sim.Duration(i) * 100 * sim.Microsecond
 		id := uint64(i)
-		eng.Schedule(d, func() { dev.Deliver(&nic.Packet{ID: id, Flow: id, Payload: &workload.Request{ID: id}}) })
+		eng.Schedule(d, func() {
+			dev.Deliver(&nic.Packet{ID: id, Flow: id, Payload: &workload.Request{ID: id, AppCycles: 3200}})
+		})
 	}
 	drain(eng)
 	c := k.Counters()

@@ -469,7 +469,6 @@ func NewOnEngine(cfg Config, idle kernel.IdlePolicy, eng *sim.Engine) *Server {
 	}
 	for i, c := range s.Proc.Cores {
 		k := kernel.NewCoreKernel(i, eng, c, s.NIC, kcfg, idle)
-		k.AppCycles = appCost
 		k.OnAppComplete = s.complete
 		k.OnDrop = s.dropCopy
 		k.SetAuditor(s.aud)
@@ -541,10 +540,6 @@ func HistCapacity(cfg Config) int {
 func EstimatedHistBytes(cfg Config) int64 {
 	return int64(HistCapacity(cfg)) * 8
 }
-
-// appCost is the kernel's service-cost hook: the request carries its
-// own pre-sampled cycle count.
-func appCost(r *workload.Request) float64 { return r.AppCycles }
 
 // AttachPolicy installs the power-management policy; it will be started
 // when Run begins.

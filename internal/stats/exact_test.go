@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"math"
 	"slices"
+	"sort"
 	"testing"
 	"unsafe"
 
@@ -35,9 +36,18 @@ func (r *refHist) rank(q float64) int64 {
 	return r.s[i]
 }
 
-// checkRef compares every query of h with the reference, which it sorts
-// first, exactly as the queries sort h. It leaves both sorted.
+// checkRef compares every query of h and its JSON bytes with the
+// reference, which it sorts first, exactly as the queries sort h. It
+// leaves both sorted.
 func checkRef(t *testing.T, h *Hist, r *refHist) {
+	t.Helper()
+	checkQueries(t, h, r)
+	checkJSON(t, h, r.s)
+}
+
+// checkQueries is checkRef without the JSON bytes: N, Mean, Min, Max,
+// the quantiles, FracLE and CDF.
+func checkQueries(t *testing.T, h *Hist, r *refHist) {
 	t.Helper()
 	slices.Sort(r.s)
 	n := len(r.s)
@@ -74,12 +84,7 @@ func checkRef(t *testing.T, h *Hist, r *refHist) {
 	for _, d := range probes {
 		want := 0.0
 		if n > 0 {
-			le := 0
-			for _, v := range r.s {
-				if v <= d {
-					le++
-				}
-			}
+			le := sort.Search(n, func(i int) bool { return r.s[i] > d })
 			want = float64(le) / float64(n)
 		}
 		if got := h.FracLE(sim.Duration(d)); got != want {
@@ -104,12 +109,11 @@ func checkRef(t *testing.T, h *Hist, r *refHist) {
 			t.Fatalf("CDF(%d) has %d points", pts, len(got))
 		}
 	}
-	checkJSON(t, h, r.s)
 }
 
 // checkJSON requires h to encode to exactly the bytes of the []int64
-// want in ascending order.
-func checkJSON(t *testing.T, h *Hist, want []int64) {
+// want in ascending order, and returns them.
+func checkJSON(t *testing.T, h *Hist, want []int64) []byte {
 	t.Helper()
 	got, err := json.Marshal(h)
 	if err != nil {
@@ -124,6 +128,7 @@ func checkJSON(t *testing.T, h *Hist, want []int64) {
 	if !bytes.Equal(got, wantB) {
 		t.Fatalf("JSON = %.200s, want %.200s", got, wantB)
 	}
+	return got
 }
 
 // The wire form is the []int64 one in ascending order, before the
@@ -299,9 +304,10 @@ func TestRadixSortMatchesSlicesSort(t *testing.T) {
 }
 
 // FuzzHistExact drives the exact recorder and a []int64 reference with
-// one op stream decoded from the fuzzer's bytes, and compares every
-// query, Min/Max/Mean and the JSON bytes at each check. Each op is an
-// op byte followed by its operands:
+// one op stream decoded from the fuzzer's bytes. It compares every
+// query and Min/Max/Mean at each check, and the JSON bytes, which cost
+// O(N) to marshal, at each journal round trip and at the end of the
+// input. Each op is an op byte followed by its operands:
 //
 //	0 small   u16        a latency of u16·16 ns
 //	1 top     i8         2^32 + i8 ns: straddles the paged store's limit
@@ -309,7 +315,8 @@ func TestRadixSortMatchesSlicesSort(t *testing.T) {
 //	3 any     8 bytes    an arbitrary int64 shifted into ±2^48 ns
 //	4 check              every query against the reference
 //	5 reset              Reset both
-//	6 journal            round-trip through JSON into a fresh recorder
+//	6 journal            compare the JSON bytes, then round-trip them into
+//	                     a fresh recorder
 //	7 spread  u8 u8      300 samples over up to 256 keys of 65,536 ns,
 //	                     starting at key u8 and striding by u8|1: more
 //	                     than a page per op, so pages fill and open mid-run
@@ -387,15 +394,12 @@ func FuzzHistExact(f *testing.F) {
 				add(int64(binary.LittleEndian.Uint64(data)) >> 15)
 				data = data[8:]
 			case 4:
-				checkRef(t, h, r)
+				checkQueries(t, h, r)
 			case 5:
 				h.Reset()
 				r.s, r.sum = r.s[:0], 0
 			case 6:
-				b, err := json.Marshal(h)
-				if err != nil {
-					t.Fatal(err)
-				}
+				b := checkJSON(t, h, r.s)
 				h = new(Hist)
 				if err := json.Unmarshal(b, h); err != nil {
 					t.Fatal(err)
