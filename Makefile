@@ -41,12 +41,13 @@ profile:
 # checked-in corpus first, and race runs every corpus as plain tests,
 # TestSeedCorpusClean included. Any invariant violation or firing-order
 # divergence fails the build and leaves a minimized reproducer in
-# fuzz-failures/ or the package's testdata/fuzz.
+# fuzz-failures/ or the package's testdata/fuzz. Minimizing an input
+# stops after 1s, so the 10s go to running the targets.
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz FuzzAuditInvariants -fuzztime 10s ./internal/fuzzer/
-	$(GO) test -run '^$$' -fuzz FuzzSchedulerEquivalence -fuzztime 10s ./internal/sim/
-	$(GO) test -run '^$$' -fuzz FuzzTxElisionEquivalence -fuzztime 10s ./internal/nic/
-	$(GO) test -run '^$$' -fuzz FuzzHistExact -fuzztime 10s ./internal/stats/
+	$(GO) test -run '^$$' -fuzz FuzzAuditInvariants -fuzztime 10s -fuzzminimizetime 1s ./internal/fuzzer/
+	$(GO) test -run '^$$' -fuzz FuzzSchedulerEquivalence -fuzztime 10s -fuzzminimizetime 1s ./internal/sim/
+	$(GO) test -run '^$$' -fuzz FuzzTxElisionEquivalence -fuzztime 10s -fuzzminimizetime 1s ./internal/nic/
+	$(GO) test -run '^$$' -fuzz FuzzHistExact -fuzztime 10s -fuzzminimizetime 1s ./internal/stats/
 	$(GO) run ./cmd/nmapfuzz -n 200 -seed 1
 
 # Record a fresh PGO profile from the representative fig12-quick run.

@@ -52,9 +52,9 @@ func run(attach func(s *server.Server) server.Policy, label string) {
 func main() {
 	fmt.Println("custom two-step governor vs ondemand (memcached, high load):")
 	run(func(s *server.Server) server.Policy {
-		return governor.NewStack(s.Eng, s.Proc, twoStep{maxP: s.Cfg.Model.MaxP()}, 10*sim.Millisecond)
+		return governor.NewStack(s.Eng, s.Proc, twoStep{maxP: s.Cfg.Model.MaxP()})
 	}, "two-step")
 	run(func(s *server.Server) server.Policy {
-		return governor.NewStack(s.Eng, s.Proc, governor.Ondemand{Model: s.Cfg.Model}, 10*sim.Millisecond)
+		return governor.NewStack(s.Eng, s.Proc, governor.Ondemand{Model: s.Cfg.Model})
 	}, "ondemand")
 }

@@ -62,11 +62,11 @@ func run(policy string) {
 	}
 	switch policy {
 	case "ondemand":
-		s.AttachPolicy(governor.NewStack(s.Eng, s.Proc, governor.Ondemand{Model: s.Cfg.Model}, 10*sim.Millisecond))
+		s.AttachPolicy(governor.NewStack(s.Eng, s.Proc, governor.Ondemand{Model: s.Cfg.Model}))
 	case "nmap":
 		n := core.NewNMAP(s.Eng, s.Proc,
-			governor.NewStack(s.Eng, s.Proc, governor.Ondemand{Model: s.Cfg.Model}, 10*sim.Millisecond),
-			core.DefaultThresholds(), 10*sim.Millisecond)
+			governor.NewStack(s.Eng, s.Proc, governor.Ondemand{Model: s.Cfg.Model}),
+			core.DefaultThresholds())
 		s.AddListener(n)
 		s.AttachPolicy(n)
 	}

@@ -945,20 +945,16 @@ func (a *Auditor) Finalize(f Final) *Report {
 	// Engine coherence: the clock never ran backwards across any audited
 	// instant (observeNow counted regressions as they happened; this is
 	// the closing probe against the run-end clock), and the watchdog
-	// story is consistent with the armed bounds.
+	// story is consistent with the armed bound.
 	a.check(rTime, -1, now >= a.lastNow,
 		"run-end clock %v below the last audited instant %v", now, a.lastNow)
-	maxEvents, maxTime := a.eng.Watchdog()
+	maxEvents := a.eng.Watchdog()
 	if maxEvents > 0 {
 		a.check(rWatchdog, -1, a.eng.Dispatched() <= maxEvents,
 			"engine fired %d events past the %d-event watchdog bound", a.eng.Dispatched(), maxEvents)
 	}
-	if maxTime > 0 {
-		a.check(rWatchdog, -1, now <= maxTime,
-			"engine clock %v past the %v watchdog horizon", now, maxTime)
-	}
 	if err := a.eng.Err(); errors.Is(err, sim.ErrWatchdog) {
-		a.check(rWatchdog, -1, maxEvents > 0 || maxTime > 0,
+		a.check(rWatchdog, -1, maxEvents > 0,
 			"watchdog abort reported with no watchdog bound armed: %v", err)
 	}
 

@@ -15,7 +15,7 @@ func ncapRig(keepSleep bool) (*sim.Engine, *cpu.Processor, *NCAP, *SwitchableIdl
 	eng := sim.NewEngine()
 	proc := cpu.NewProcessor(cpu.XeonGold6134, eng, sim.NewRNG(1))
 	proc.ForceChipWide = true
-	stack := governor.NewStack(eng, proc, governor.Ondemand{Model: cpu.XeonGold6134}, 10*sim.Millisecond)
+	stack := governor.NewStack(eng, proc, governor.Ondemand{Model: cpu.XeonGold6134})
 	var sw *SwitchableIdle
 	if !keepSleep {
 		sw = NewSwitchableIdle(governor.Disable{})
@@ -183,7 +183,7 @@ func TestPerRequestRetargetsAndFlaps(t *testing.T) {
 	proc := cpu.NewProcessor(cpu.XeonGold6134, eng, rng)
 	dev := nic.New(nic.DefaultConfig(8), eng, 7)
 	var kernels []*kernel.CoreKernel
-	k := kernel.NewCoreKernel(0, eng, proc.Cores[0], dev, kernel.Config{}, governor.Disable{})
+	k := kernel.NewCoreKernel(0, eng, proc.Cores[0], dev, 0, governor.Disable{})
 	kernels = append(kernels, k)
 	for i := 1; i < 8; i++ {
 		kernels = append(kernels, nil)

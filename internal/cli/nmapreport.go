@@ -70,7 +70,7 @@ func Report(args []string, stdout, stderr io.Writer) int {
 	}
 	// An empty name is the experiments default, menu.
 	if _, ok := governor.NewIdlePolicy(*idle); !ok && *idle != "" {
-		return c.exit(2, fmt.Errorf("unknown idle policy %q (want menu, disable or c6only)", *idle))
+		return c.exit(2, fmt.Errorf("unknown idle policy %q (want %s)", *idle, strings.Join(governor.IdlePolicies, ", ")))
 	}
 	if err := hf.openJournal(c, h); err != nil {
 		return c.exit(1, err)

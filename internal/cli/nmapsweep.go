@@ -83,7 +83,7 @@ func Sweep(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if *inflection {
-		inf, err := h.FindInflection(prof, prof.HighRPS/8, prof.HighRPS*1.2, *points, 5, experiments.Full)
+		inf, err := h.FindInflection(prof, prof.HighRPS/8, prof.HighRPS*1.2, *points, experiments.Full)
 		if err != nil {
 			return c.exit(1, err)
 		}

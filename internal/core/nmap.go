@@ -57,6 +57,10 @@ type Thresholds struct {
 	CUTh float64
 }
 
+// decisionInterval is the Decision Engine timer (10ms in the
+// evaluation).
+const decisionInterval = 10 * sim.Millisecond
+
 // DefaultThresholds returns thresholds that work for the memcached
 // profile; experiments normally obtain them via the Profiler.
 func DefaultThresholds() Thresholds { return Thresholds{NITh: 32, CUTh: 0.25} }
@@ -76,8 +80,6 @@ type NMAP struct {
 	proc  *cpu.Processor
 	stack *governor.Stack
 	th    Thresholds
-	// Interval is the Decision Engine timer (10ms in the evaluation).
-	interval sim.Duration
 
 	cores []*nmapCore
 	stop  func()
@@ -88,12 +90,9 @@ type NMAP struct {
 }
 
 // NewNMAP builds the governor. stack wraps the fallback CPU-utilisation
-// governor (ondemand in the paper). interval <= 0 defaults to 10ms.
-func NewNMAP(eng *sim.Engine, proc *cpu.Processor, stack *governor.Stack, th Thresholds, interval sim.Duration) *NMAP {
-	if interval <= 0 {
-		interval = 10 * sim.Millisecond
-	}
-	n := &NMAP{eng: eng, proc: proc, stack: stack, th: th, interval: interval}
+// governor (ondemand in the paper).
+func NewNMAP(eng *sim.Engine, proc *cpu.Processor, stack *governor.Stack, th Thresholds) *NMAP {
+	n := &NMAP{eng: eng, proc: proc, stack: stack, th: th}
 	for range proc.Cores {
 		n.cores = append(n.cores, &nmapCore{mode: CPUUtilMode})
 	}
@@ -104,7 +103,7 @@ func NewNMAP(eng *sim.Engine, proc *cpu.Processor, stack *governor.Stack, th Thr
 // timer.
 func (n *NMAP) Start() {
 	n.stack.Start()
-	n.stop = n.eng.Ticker(n.interval, n.periodic)
+	n.stop = n.eng.Ticker(decisionInterval, n.periodic)
 }
 
 // Stop halts the timer and the fallback stack.

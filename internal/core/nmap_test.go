@@ -12,8 +12,8 @@ import (
 func newNMAPRig(th Thresholds) (*sim.Engine, *cpu.Processor, *NMAP) {
 	eng := sim.NewEngine()
 	proc := cpu.NewProcessor(cpu.XeonGold6134, eng, sim.NewRNG(1))
-	stack := governor.NewStack(eng, proc, governor.Ondemand{Model: cpu.XeonGold6134}, 10*sim.Millisecond)
-	n := NewNMAP(eng, proc, stack, th, 10*sim.Millisecond)
+	stack := governor.NewStack(eng, proc, governor.Ondemand{Model: cpu.XeonGold6134})
+	n := NewNMAP(eng, proc, stack, th)
 	n.Start()
 	return eng, proc, n
 }
@@ -158,7 +158,7 @@ func TestNMAPModeChangeCallback(t *testing.T) {
 func TestNMAPSimplFollowsKsoftirqd(t *testing.T) {
 	eng := sim.NewEngine()
 	proc := cpu.NewProcessor(cpu.XeonGold6134, eng, sim.NewRNG(1))
-	stack := governor.NewStack(eng, proc, governor.Ondemand{Model: cpu.XeonGold6134}, 10*sim.Millisecond)
+	stack := governor.NewStack(eng, proc, governor.Ondemand{Model: cpu.XeonGold6134})
 	n := NewNMAPSimpl(proc, stack)
 	n.Start()
 	n.KsoftirqdWake(3)

@@ -28,8 +28,8 @@ func feedBurst(eng *sim.Engine, l kernel.NAPIListener, intrPkts, pollPkts int) {
 func TestOnlineTunerAdaptsThresholds(t *testing.T) {
 	eng := sim.NewEngine()
 	proc := cpu.NewProcessor(cpu.XeonGold6134, eng, sim.NewRNG(1))
-	stack := governor.NewStack(eng, proc, governor.Ondemand{Model: cpu.XeonGold6134}, 10*sim.Millisecond)
-	n := NewNMAP(eng, proc, stack, DefaultThresholds(), 10*sim.Millisecond)
+	stack := governor.NewStack(eng, proc, governor.Ondemand{Model: cpu.XeonGold6134})
+	n := NewNMAP(eng, proc, stack, DefaultThresholds())
 	tuner := NewOnlineTuner(eng, n)
 	tuner.adjustEvery = 2
 
@@ -56,8 +56,8 @@ func TestOnlineTunerAdaptsThresholds(t *testing.T) {
 func TestOnlineTunerBlendDamps(t *testing.T) {
 	eng := sim.NewEngine()
 	proc := cpu.NewProcessor(cpu.XeonGold6134, eng, sim.NewRNG(1))
-	stack := governor.NewStack(eng, proc, governor.Ondemand{Model: cpu.XeonGold6134}, 10*sim.Millisecond)
-	n := NewNMAP(eng, proc, stack, Thresholds{NITh: 100, CUTh: 1.0}, 10*sim.Millisecond)
+	stack := governor.NewStack(eng, proc, governor.Ondemand{Model: cpu.XeonGold6134})
+	n := NewNMAP(eng, proc, stack, Thresholds{NITh: 100, CUTh: 1.0})
 	tuner := NewOnlineTuner(eng, n)
 	tuner.adjustEvery = 1
 	feedBurst(eng, tuner, 100, 900)
@@ -90,8 +90,8 @@ func TestPeekDoesNotCloseBurst(t *testing.T) {
 func TestIntegrateSleepForcesAwakeDuringBoost(t *testing.T) {
 	eng := sim.NewEngine()
 	proc := cpu.NewProcessor(cpu.XeonGold6134, eng, sim.NewRNG(1))
-	stack := governor.NewStack(eng, proc, governor.Ondemand{Model: cpu.XeonGold6134}, 10*sim.Millisecond)
-	n := NewNMAP(eng, proc, stack, Thresholds{NITh: 8, CUTh: 0.25}, 10*sim.Millisecond)
+	stack := governor.NewStack(eng, proc, governor.Ondemand{Model: cpu.XeonGold6134})
+	n := NewNMAP(eng, proc, stack, Thresholds{NITh: 8, CUTh: 0.25})
 	n.Start()
 	ctl := &fakeSleepCtl{}
 	n.IntegrateSleep(ctl)
@@ -118,8 +118,8 @@ func (f *fakeSleepCtl) ForceAwake(v bool) { f.awake = v }
 func TestSetThresholdsTakesEffect(t *testing.T) {
 	eng := sim.NewEngine()
 	proc := cpu.NewProcessor(cpu.XeonGold6134, eng, sim.NewRNG(1))
-	stack := governor.NewStack(eng, proc, governor.Ondemand{Model: cpu.XeonGold6134}, 10*sim.Millisecond)
-	n := NewNMAP(eng, proc, stack, Thresholds{NITh: 1000, CUTh: 0.25}, 10*sim.Millisecond)
+	stack := governor.NewStack(eng, proc, governor.Ondemand{Model: cpu.XeonGold6134})
+	n := NewNMAP(eng, proc, stack, Thresholds{NITh: 1000, CUTh: 0.25})
 	n.PacketsProcessed(0, kernel.PollingMode, 100)
 	if n.Mode(0) != CPUUtilMode {
 		t.Fatal("boosted below NI_TH=1000")

@@ -16,6 +16,7 @@ import (
 	"sync"
 
 	"nmapsim/internal/server"
+	"nmapsim/internal/workload"
 )
 
 // Sweep checkpointing: a journal of completed cell results keyed by spec
@@ -71,10 +72,44 @@ func (h *Harness) SpecHash(spec Spec) string {
 		profile = cfg.Profile.Name
 	}
 	cfg.Model, cfg.Profile = nil, nil
-	sum := sha256.Sum256(fmt.Appendf(nil, "v1|%s|%s|%d|%+v|model=%s|profile=%s|%+v|inj=%+v|retry=%+v|audit=%v|stream=%v",
+	sum := sha256.Sum256(fmt.Appendf(nil, "v1|%s|%s|%d|%+v|model=%s|profile=%s|%s|inj=%+v|retry=%s|audit=%v|stream=%v",
 		spec.Policy, spec.Idle, spec.UserspaceP, spec.Thresholds,
-		model, profile, cfg, h.Faults, h.Retry, h.Audit, h.Streaming))
+		model, profile, keyedConfig(cfg), h.Faults, keyedRetry(h.Retry), h.Audit, h.Streaming))
 	return hex.EncodeToString(sum[:16])
+}
+
+// retryZeros is what %+v printed for the retry loop's backoff and
+// timeout cap while they were RetryConfig fields; every journaled spec
+// left them zero.
+const retryZeros = " Backoff:0 MaxTimeout:0ns"
+
+// configZeros splices into a server.Config's %+v, before each anchor,
+// the zero fields it printed while the burst pattern, kernel costs and
+// network latencies were settable, so the journal keys do not move.
+var configZeros = []struct{ anchor, zeros string }{
+	{" VariableLevels:", " Pattern:{Period:0ns BurstFrac:0 Ramp:0ns}"},
+	{" NICRing:", " Kernel:{PollBudget:0 MaxPollPasses:0 SoftirqTimeLimit:0ns IRQCycles:0" +
+		" PollOverheadCycles:0 PerPktCycles:0 TxCleanCycles:0 TxCleanBudget:0 TickPeriod:0ns SockQCap:0}"},
+	{" Warmup:", " NetLatency:0ns NetJitter:0ns"},
+	{"} SockQCap:", retryZeros}, // the end of Retry
+}
+
+// keyedConfig prints cfg, whose Model and Profile are nil, as SpecHash
+// keys it: %+v with the configZeros spliced in. Each anchor first
+// occurs where its own top-level field begins: no field printed before
+// that one can hold its text.
+func keyedConfig(cfg server.Config) string {
+	s := fmt.Sprintf("%+v", cfg)
+	for _, z := range configZeros {
+		s = strings.Replace(s, z.anchor, z.zeros+z.anchor, 1)
+	}
+	return s
+}
+
+// keyedRetry prints r as SpecHash keys it: %+v with retryZeros spliced
+// in before the closing brace.
+func keyedRetry(r workload.RetryConfig) string {
+	return strings.TrimSuffix(fmt.Sprintf("%+v", r), "}") + retryZeros + "}"
 }
 
 type journalEntry struct {

@@ -7,6 +7,8 @@ import (
 	"reflect"
 	"testing"
 
+	"nmapsim/internal/core"
+	"nmapsim/internal/cpu"
 	"nmapsim/internal/faults"
 	"nmapsim/internal/server"
 	"nmapsim/internal/sim"
@@ -140,7 +142,8 @@ func TestSpecHashStableAndDistinct(t *testing.T) {
 // TestSpecHashPinned pins the journal keys to the values the
 // package-global harness produced before Harness existed, so journals
 // written by older binaries still resume: a plain spec, the same spec
-// under injected faults and retries, and under audit and streaming.
+// under injected faults and retries, under audit and streaming, and a
+// spec that sets every field.
 func TestSpecHashPinned(t *testing.T) {
 	spec := Spec{Policy: "performance", Idle: "menu", Cfg: quickCfg()}
 	for _, c := range []struct {
@@ -159,4 +162,60 @@ func TestSpecHashPinned(t *testing.T) {
 			t.Errorf("%s: SpecHash = %s, want %s", c.name, got, c.want)
 		}
 	}
+	// The key an older binary, whose Config and RetryConfig still had
+	// the fields SpecHash now prints as fixed zeros, gave this spec.
+	every, h := everyFieldSpec()
+	if got, want := h.SpecHash(every), "11aa3b04dce457b83b7a0211f6d3fa0b"; got != want {
+		t.Errorf("every field: SpecHash = %s, want %s", got, want)
+	}
+}
+
+// everyFieldSpec sets every server.Config and RetryConfig field that is
+// still settable to a non-zero value, so TestSpecHashPinned checks the
+// zero segments SpecHash splices in next to non-default neighbours.
+func everyFieldSpec() (Spec, *Harness) {
+	cfg := server.Config{
+		Model:          cpu.XeonGold6134,
+		Seed:           7,
+		Profile:        workload.Nginx(),
+		RPS:            12_345,
+		Level:          workload.High,
+		VariableLevels: []float64{10_000, 20_000},
+		SwitchPeriod:   30 * sim.Millisecond,
+		NICRing:        256,
+		ITR:            20 * sim.Microsecond,
+		Flows:          12,
+		LumpyRSS:       true,
+		Warmup:         -1,
+		Duration:       300 * sim.Millisecond,
+		ForceChipWide:  true,
+		DisablePooling: true,
+		Faults: faults.Config{
+			WireLossProb:     0.01,
+			IRQLossProb:      0.02,
+			IRQJitter:        sim.Microsecond,
+			DMAJitter:        2 * sim.Microsecond,
+			ThrottleRate:     3,
+			ThrottleDuration: sim.Millisecond,
+			ThrottlePState:   4,
+			CoreCrashes:      []faults.CoreCrash{{Core: 1, At: 5 * sim.Millisecond, Duration: sim.Millisecond}},
+			QueueStalls:      []faults.QueueStall{{Queue: 2, At: 6 * sim.Millisecond, Duration: sim.Millisecond}},
+			LinkSlows:        []faults.LinkSlow{{Node: 1, At: 7 * sim.Millisecond, Duration: sim.Millisecond, Factor: 4}},
+		},
+		Retry:           workload.RetryConfig{Timeout: 5 * sim.Millisecond, MaxRetries: 2},
+		SockQCap:        64,
+		ShedSLOMultiple: 1.5,
+		MaxEvents:       1 << 30,
+		Audit:           true,
+		StreamingHist:   true,
+	}
+	spec := Spec{Policy: "userspace", Idle: "c6only", Cfg: cfg, UserspaceP: 3,
+		Thresholds: core.Thresholds{NITh: 16, CUTh: 0.5}}
+	h := &Harness{
+		Faults:    faults.Config{WireLossProb: 0.03, DMAJitter: sim.Microsecond},
+		Retry:     workload.RetryConfig{Timeout: 8 * sim.Millisecond, MaxRetries: 5},
+		Audit:     true,
+		Streaming: true,
+	}
+	return spec, h
 }

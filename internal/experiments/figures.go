@@ -3,6 +3,7 @@ package experiments
 import (
 	"nmapsim/internal/baselines"
 	"nmapsim/internal/cpu"
+	"nmapsim/internal/governor"
 	"nmapsim/internal/server"
 	"nmapsim/internal/sim"
 	"nmapsim/internal/stats"
@@ -238,7 +239,7 @@ func (h *Harness) Fig8(q Quality) ([]Fig8Point, error) {
 		loads = []float64{30_000, 290_000, 750_000}
 	}
 	var specs []Spec
-	for _, idle := range []string{"menu", "disable", "c6only"} {
+	for _, idle := range governor.IdlePolicies {
 		for _, rps := range loads {
 			specs = append(specs, Spec{
 				Policy: "performance",
@@ -320,7 +321,7 @@ func (h *Harness) RunMatrix(policies, idles []string, q Quality) ([]MatrixCell, 
 // Fig12And13 reproduces the Fig 12 (P99) and Fig 13 (energy) matrix:
 // five V/F policies × three sleep policies × three loads × two apps.
 func (h *Harness) Fig12And13(q Quality) ([]MatrixCell, error) {
-	idles := []string{"menu", "disable", "c6only"}
+	idles := governor.IdlePolicies
 	if q == Quick {
 		idles = []string{"menu"}
 	}

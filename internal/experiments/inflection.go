@@ -25,17 +25,17 @@ type SweepPoint struct {
 	P99 sim.Duration
 }
 
+// kneeFactor is how many times the low-load P99 a load's P99 must
+// exceed to be the knee.
+const kneeFactor = 5
+
 // FindInflection sweeps the offered load from lo to hi in steps and
 // locates the knee: the first load whose P99 exceeds kneeFactor× the
 // low-load baseline. The sweep runs under the performance governor (the
 // best-case configuration, as in the paper's SLO-setting procedure).
-// kneeFactor <= 1 defaults to 5.
-func (h *Harness) FindInflection(profile *workload.Profile, lo, hi float64, steps int, kneeFactor float64, q Quality) (InflectionPoint, error) {
+func (h *Harness) FindInflection(profile *workload.Profile, lo, hi float64, steps int, q Quality) (InflectionPoint, error) {
 	if steps < 2 {
 		steps = 2
-	}
-	if kneeFactor <= 1 {
-		kneeFactor = 5
 	}
 	specs := make([]Spec, steps)
 	for i := range specs {

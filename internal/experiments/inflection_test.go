@@ -11,7 +11,7 @@ func TestFindInflectionLocatesKnee(t *testing.T) {
 		t.Skip("sweep is slow")
 	}
 	prof := workload.Memcached()
-	inf, err := new(Harness).FindInflection(prof, 100_000, 900_000, 5, 5, Quick)
+	inf, err := new(Harness).FindInflection(prof, 100_000, 900_000, 5, Quick)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,9 +35,14 @@ func TestFindInflectionNoKneeFallsBack(t *testing.T) {
 	}
 	prof := workload.Memcached()
 	// Sweep entirely in the flat region: no knee → last point reported.
-	inf, err := new(Harness).FindInflection(prof, 10_000, 50_000, 3, 50, Quick)
+	inf, err := new(Harness).FindInflection(prof, 10_000, 50_000, 3, Quick)
 	if err != nil {
 		t.Fatal(err)
+	}
+	for _, pt := range inf.Curve[1:] {
+		if float64(pt.P99) > kneeFactor*float64(inf.Curve[0].P99) {
+			t.Fatalf("the flat region has a knee at %.0f RPS: %v", pt.RPS, inf.Curve)
+		}
 	}
 	if inf.RPS != 50_000 {
 		t.Fatalf("fallback knee at %.0f, want the range end", inf.RPS)

@@ -162,7 +162,7 @@ func profileThresholds(profile *workload.Profile, seed uint64) core.Thresholds {
 	// first 100 interrupts of each burst then capture the polling
 	// intensity of a burst's early part *before* the load reaches the
 	// peak, which is exactly the boost trigger NMAP needs (§4.2).
-	s.AttachPolicy(governor.NewStack(s.Eng, s.Proc, governor.Ondemand{Model: s.Cfg.Model}, 0))
+	s.AttachPolicy(governor.NewStack(s.Eng, s.Proc, governor.Ondemand{Model: s.Cfg.Model}))
 	prof := core.NewProfiler(s.Eng)
 	s.AddListener(prof)
 	// No harness condition reaches this run — least of all a cell's
@@ -234,7 +234,7 @@ func BuildOn(spec Spec, eng *sim.Engine) (*server.Server, error) {
 	m := s.Cfg.Model
 
 	newStack := func(g governor.CPUGovernor) *governor.Stack {
-		return governor.NewStack(s.Eng, s.Proc, g, 10*sim.Millisecond)
+		return governor.NewStack(s.Eng, s.Proc, g)
 	}
 	// thresholds are the spec's override, or §4.2's profile of the
 	// application: the spec's own profile, not s.Cfg.Profile — a Flows
@@ -269,7 +269,7 @@ func BuildOn(spec Spec, eng *sim.Engine) (*server.Server, error) {
 		s.AttachPolicy(newStack(&governor.Schedutil{Model: m}))
 	case "nmap":
 		th := thresholds()
-		n := core.NewNMAP(s.Eng, s.Proc, newStack(governor.Ondemand{Model: m}), th, 10*sim.Millisecond)
+		n := core.NewNMAP(s.Eng, s.Proc, newStack(governor.Ondemand{Model: m}), th)
 		s.AddListener(n)
 		s.AttachPolicy(n)
 	case "nmap-simpl":
@@ -280,7 +280,7 @@ func BuildOn(spec Spec, eng *sim.Engine) (*server.Server, error) {
 		// Extension (§4.2 future work): start from the conservative
 		// defaults and let the online tuner adapt the thresholds from
 		// the live NAPI stream — no offline profiling run required.
-		n := core.NewNMAP(s.Eng, s.Proc, newStack(governor.Ondemand{Model: m}), core.DefaultThresholds(), 10*sim.Millisecond)
+		n := core.NewNMAP(s.Eng, s.Proc, newStack(governor.Ondemand{Model: m}), core.DefaultThresholds())
 		tuner := core.NewOnlineTuner(s.Eng, n)
 		s.AddListener(n)
 		s.AddListener(tuner)
@@ -290,7 +290,7 @@ func BuildOn(spec Spec, eng *sim.Engine) (*server.Server, error) {
 		// — deep sleep is disabled while any core is in Network
 		// Intensive Mode.
 		th := thresholds()
-		n := core.NewNMAP(s.Eng, s.Proc, newStack(governor.Ondemand{Model: m}), th, 10*sim.Millisecond)
+		n := core.NewNMAP(s.Eng, s.Proc, newStack(governor.Ondemand{Model: m}), th)
 		n.IntegrateSleep(sw)
 		s.AddListener(n)
 		s.AttachPolicy(n)

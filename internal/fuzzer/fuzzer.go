@@ -23,6 +23,7 @@ import (
 	"nmapsim/internal/cpu"
 	"nmapsim/internal/experiments"
 	"nmapsim/internal/faults"
+	"nmapsim/internal/governor"
 	"nmapsim/internal/server"
 	"nmapsim/internal/sim"
 	"nmapsim/internal/workload"
@@ -35,9 +36,6 @@ const NumWords = 12
 // Policies are the power-management policies the fuzzer cycles through —
 // the full harness catalogue.
 var Policies = experiments.PolicyNames
-
-// Idles are the C-state policies the fuzzer cycles through.
-var Idles = []string{"menu", "disable", "c6only"}
 
 // Spec is one fuzzed configuration, serialisable as a JSON reproducer.
 // Every field is already clamped to a valid range; Experiment() performs
@@ -164,7 +162,7 @@ func FromWords(w [NumWords]uint64) Spec {
 		Model:   models[w[1]%uint64(len(models))].Name,
 		Profile: profiles[w[1]>>8%uint64(len(profiles))].Name,
 		Policy:  Policies[w[2]%uint64(len(Policies))],
-		Idle:    Idles[w[3]%uint64(len(Idles))],
+		Idle:    governor.IdlePolicies[w[3]%uint64(len(governor.IdlePolicies))],
 		Level:   workload.Levels[w[4]%3].String(),
 
 		WarmupMs:   int(w[10] % 11),      // 0–10ms

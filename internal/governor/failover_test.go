@@ -23,7 +23,7 @@ func newFailoverStack(t *testing.T) (*sim.Engine, *cpu.Processor, *Stack, *count
 	eng := sim.NewEngine()
 	proc := cpu.NewProcessor(cpu.XeonGold6134, eng, sim.NewRNG(1))
 	g := &countingGov{}
-	st := NewStack(eng, proc, g, 10*sim.Millisecond)
+	st := NewStack(eng, proc, g)
 	return eng, proc, st, g
 }
 

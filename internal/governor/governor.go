@@ -28,15 +28,17 @@ type CPUGovernor interface {
 	Decide(coreID int, u UtilSample) int
 }
 
-// Stack runs a CPUGovernor on every core with a fixed sampling interval
-// (10ms in the paper), applying the decisions through the processor's
-// DVFS coordination. NMAP's Decision Engine suspends a core's entry
-// while in Network Intensive Mode and resumes it on fallback.
+// samplingInterval is the cpufreq sampling period (10ms in the paper).
+const samplingInterval = 10 * sim.Millisecond
+
+// Stack runs a CPUGovernor on every core every samplingInterval,
+// applying the decisions through the processor's DVFS coordination.
+// NMAP's Decision Engine suspends a core's entry while in Network
+// Intensive Mode and resumes it on fallback.
 type Stack struct {
-	eng      *sim.Engine
-	proc     *cpu.Processor
-	gov      CPUGovernor
-	interval sim.Duration
+	eng  *sim.Engine
+	proc *cpu.Processor
+	gov  CPUGovernor
 
 	suspended []bool
 	offline   []bool
@@ -45,25 +47,18 @@ type Stack struct {
 	stop      func()
 }
 
-// NewStack builds the sampling stack. interval <= 0 defaults to 10ms.
-func NewStack(eng *sim.Engine, proc *cpu.Processor, gov CPUGovernor, interval sim.Duration) *Stack {
-	if interval <= 0 {
-		interval = 10 * sim.Millisecond
-	}
+// NewStack builds the sampling stack.
+func NewStack(eng *sim.Engine, proc *cpu.Processor, gov CPUGovernor) *Stack {
 	return &Stack{
 		eng:       eng,
 		proc:      proc,
 		gov:       gov,
-		interval:  interval,
 		suspended: make([]bool, len(proc.Cores)),
 		offline:   make([]bool, len(proc.Cores)),
 		prev:      make([]cpu.Acct, len(proc.Cores)),
 		lastU:     make([]UtilSample, len(proc.Cores)),
 	}
 }
-
-// Interval returns the sampling interval.
-func (s *Stack) Interval() sim.Duration { return s.interval }
 
 // Start begins periodic sampling. The initial decision is issued
 // immediately with zero utilisation so powersave-style governors settle
@@ -75,7 +70,7 @@ func (s *Stack) Start() {
 			s.proc.Request(i, s.gov.Decide(i, UtilSample{}))
 		}
 	}
-	s.stop = s.eng.Ticker(s.interval, s.tick)
+	s.stop = s.eng.Ticker(samplingInterval, s.tick)
 }
 
 // Stop halts sampling.
@@ -107,7 +102,7 @@ func (s *Stack) sample(i int) UtilSample {
 	cur := s.proc.Cores[i].Snapshot()
 	prevAcct := s.prev[i]
 	dt := float64(cur.At - prevAcct.At)
-	if dt < float64(s.interval)/4 {
+	if dt < float64(samplingInterval)/4 {
 		return s.lastU[i]
 	}
 	s.prev[i] = cur

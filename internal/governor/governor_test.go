@@ -130,7 +130,7 @@ func TestIntelPowersaveReactsSlowerThanOndemand(t *testing.T) {
 func TestStackSamplesAndApplies(t *testing.T) {
 	eng := sim.NewEngine()
 	proc := cpu.NewProcessor(cpu.XeonGold6134, eng, sim.NewRNG(1))
-	st := NewStack(eng, proc, Ondemand{Model: cpu.XeonGold6134}, 10*sim.Millisecond)
+	st := NewStack(eng, proc, Ondemand{Model: cpu.XeonGold6134})
 	st.Start()
 	// Keep core 0 busy continuously.
 	var loop func()
@@ -152,7 +152,7 @@ func TestStackSamplesAndApplies(t *testing.T) {
 func TestStackSuspendResume(t *testing.T) {
 	eng := sim.NewEngine()
 	proc := cpu.NewProcessor(cpu.XeonGold6134, eng, sim.NewRNG(1))
-	st := NewStack(eng, proc, Ondemand{Model: cpu.XeonGold6134}, 10*sim.Millisecond)
+	st := NewStack(eng, proc, Ondemand{Model: cpu.XeonGold6134})
 	st.Start()
 	st.Suspend(0)
 	proc.Request(0, 0) // NMAP boosts
@@ -173,7 +173,7 @@ func TestStackSuspendResume(t *testing.T) {
 func TestStackResumeIdempotent(t *testing.T) {
 	eng := sim.NewEngine()
 	proc := cpu.NewProcessor(cpu.XeonGold6134, eng, sim.NewRNG(1))
-	st := NewStack(eng, proc, Performance{}, 0)
+	st := NewStack(eng, proc, Performance{})
 	st.Resume(0) // resume without suspend must be a no-op
 	if st.Suspended(0) {
 		t.Fatal("core suspended after spurious resume")

@@ -117,8 +117,13 @@ func (m *Menu) core(coreID int) *menuHist {
 	return &m.hist[coreID]
 }
 
-// NewIdlePolicy returns the idle policy with the given name: "menu",
-// "disable" or "c6only".
+// IdlePolicies lists the idle policy names NewIdlePolicy accepts. The
+// fuzzer decodes its idle word by index into this list, so the order is
+// part of every fuzz reproducer.
+var IdlePolicies = []string{"menu", "disable", "c6only"}
+
+// NewIdlePolicy returns the idle policy with the given name, one of
+// IdlePolicies.
 func NewIdlePolicy(name string) (interface {
 	Name() string
 	SelectState(int) cpu.CState

@@ -20,7 +20,7 @@ import (
 func TestResumeRightAfterTickReusesLastUtil(t *testing.T) {
 	eng := sim.NewEngine()
 	proc := cpu.NewProcessor(cpu.XeonGold6134, eng, sim.NewRNG(1))
-	st := NewStack(eng, proc, Ondemand{Model: cpu.XeonGold6134}, 10*sim.Millisecond)
+	st := NewStack(eng, proc, Ondemand{Model: cpu.XeonGold6134})
 	st.Start()
 	st.Suspend(0)
 	proc.Request(0, 0) // NMAP-style boost
@@ -53,7 +53,7 @@ func TestResumeRightAfterTickReusesLastUtil(t *testing.T) {
 func TestResumeMidWindowSamplesFreshUtil(t *testing.T) {
 	eng := sim.NewEngine()
 	proc := cpu.NewProcessor(cpu.XeonGold6134, eng, sim.NewRNG(1))
-	st := NewStack(eng, proc, Ondemand{Model: cpu.XeonGold6134}, 10*sim.Millisecond)
+	st := NewStack(eng, proc, Ondemand{Model: cpu.XeonGold6134})
 	st.Start()
 	st.Suspend(0)
 	proc.Request(0, 0)
@@ -69,7 +69,7 @@ func TestResumeMidWindowSamplesFreshUtil(t *testing.T) {
 func TestUtilizationPeekDoesNotAdvance(t *testing.T) {
 	eng := sim.NewEngine()
 	proc := cpu.NewProcessor(cpu.XeonGold6134, eng, sim.NewRNG(1))
-	st := NewStack(eng, proc, Ondemand{Model: cpu.XeonGold6134}, 10*sim.Millisecond)
+	st := NewStack(eng, proc, Ondemand{Model: cpu.XeonGold6134})
 	st.Start()
 	var loop func()
 	loop = func() {
@@ -111,7 +111,7 @@ func TestStackLegalUnderLostIRQsWithCC6(t *testing.T) {
 	var completed uint64
 	kernels := make([]*kernel.CoreKernel, 0, m.NumCores)
 	for i, c := range proc.Cores {
-		k := kernel.NewCoreKernel(i, eng, c, dev, kernel.Config{}, C6Only{})
+		k := kernel.NewCoreKernel(i, eng, c, dev, 0, C6Only{})
 		k.SetAuditor(aud)
 		k.OnAppComplete = func(r *workload.Request) {
 			// Close the audited loop the way the server does: transmit
@@ -129,7 +129,7 @@ func TestStackLegalUnderLostIRQsWithCC6(t *testing.T) {
 		kernels = append(kernels, k)
 		k.Start()
 	}
-	st := NewStack(eng, proc, Ondemand{Model: m}, 10*sim.Millisecond)
+	st := NewStack(eng, proc, Ondemand{Model: m})
 	st.Start()
 
 	// Five widely spaced waves: every gap is long enough for the menu-free

@@ -80,7 +80,7 @@ func TestAdoptOverflowFailsIntoLedger(t *testing.T) {
 	eng := sim.NewEngine()
 	core := cpu.NewCore(0, cpu.XeonGold6134, eng, sim.NewRNG(1))
 	dev := newRig(3200, cpu.CC0).dev // unused transport; Adopt needs none
-	k := NewCoreKernel(0, eng, core, dev, Config{SockQCap: 4}, fixedIdle{cpu.CC0})
+	k := NewCoreKernel(0, eng, core, dev, 4, fixedIdle{cpu.CC0})
 	k.Start()
 	backlog := make([]*workload.Request, 10)
 	for i := range backlog {

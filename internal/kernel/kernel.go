@@ -71,91 +71,38 @@ type IdlePolicy interface {
 	IdleEnded(coreID int, d sim.Duration)
 }
 
-// Config holds the kernel model's tunables; zero values are replaced by
-// DefaultConfig's.
-type Config struct {
-	// PollBudget is the NAPI per-pass packet budget (Linux: 64).
-	PollBudget int
-	// MaxPollPasses is the "fails to empty more than N iterations"
+// The Linux-default NAPI parameters of the paper's testbed, with cycle
+// costs calibrated against it: ≈1.1µs Rx path and ≈0.31µs
+// Tx-completion cleaning per packet at 3.2GHz.
+const (
+	// pollBudget is the NAPI per-pass packet budget (Linux: 64).
+	pollBudget = 64
+	// maxPollPasses is the "fails to empty more than N iterations"
 	// ksoftirqd migration threshold (Linux: 10).
-	MaxPollPasses int
-	// SoftirqTimeLimit is the "overuses more than two scheduler ticks"
+	maxPollPasses = 10
+	// softirqTimeLimit is the "overuses more than two scheduler ticks"
 	// migration threshold (8ms at 250Hz).
-	SoftirqTimeLimit sim.Duration
-	// IRQCycles is the hardirq handler cost.
-	IRQCycles float64
-	// PollOverheadCycles is the fixed cost of one poll pass.
-	PollOverheadCycles float64
+	softirqTimeLimit = 8 * sim.Millisecond
+	// irqCycles is the hardirq handler cost.
+	irqCycles = 1000
+	// pollOverheadCycles is the fixed cost of one poll pass.
+	pollOverheadCycles = 600
 	// PerPktCycles is the softirq per-packet Rx protocol-processing
 	// cost (ring → sk_buff → IP/TCP → socket queue).
-	PerPktCycles float64
-	// TxCleanCycles is the softirq per-segment Tx-completion cleaning
+	PerPktCycles = 3500
+	// txCleanCycles is the softirq per-segment Tx-completion cleaning
 	// cost (Fig 1 ⑥-⑧).
-	TxCleanCycles float64
-	// TxCleanBudget caps Tx completions reaped per poll pass.
-	TxCleanBudget int
-	// TickPeriod is the scheduler tick (jiffy) period: 4ms at the
-	// 250Hz configuration the paper cites. A tick landing while the
-	// softirq is processing and an application thread is runnable sets
-	// the reschedule flag — §2.1's third ksoftirqd migration condition
+	txCleanCycles = 1000
+	// txCleanBudget caps Tx completions reaped per poll pass.
+	txCleanBudget = 256
+	// tickPeriod is the scheduler tick (jiffy) period: 4ms at the 250Hz
+	// configuration the paper cites. A tick landing while the softirq
+	// is processing and an application thread is runnable sets the
+	// reschedule flag — §2.1's third ksoftirqd migration condition
 	// ("the softirq handler yields the current core to process
 	// scheduler when reschedule flag is set").
-	TickPeriod sim.Duration
-	// SockQCap bounds the per-core socket queue (sk_buff backlog):
-	// requests delivered to a full queue are dropped and surfaced via
-	// OnDrop, mirroring sk_rcvbuf overflow. Zero means unlimited —
-	// the seed model's behaviour, so existing configs are unchanged.
-	SockQCap int
-}
-
-// DefaultConfig returns the Linux-default kernel parameters with cycle
-// costs calibrated against the paper's testbed: ≈1.1µs Rx path and
-// ≈0.31µs Tx-completion cleaning per packet at 3.2GHz.
-func DefaultConfig() Config {
-	return Config{
-		PollBudget:         64,
-		MaxPollPasses:      10,
-		SoftirqTimeLimit:   8 * sim.Millisecond,
-		IRQCycles:          1000,
-		PollOverheadCycles: 600,
-		PerPktCycles:       3500,
-		TxCleanCycles:      1000,
-		TxCleanBudget:      256,
-		TickPeriod:         4 * sim.Millisecond,
-	}
-}
-
-func (c Config) withDefaults() Config {
-	d := DefaultConfig()
-	if c.PollBudget == 0 {
-		c.PollBudget = d.PollBudget
-	}
-	if c.MaxPollPasses == 0 {
-		c.MaxPollPasses = d.MaxPollPasses
-	}
-	if c.SoftirqTimeLimit == 0 {
-		c.SoftirqTimeLimit = d.SoftirqTimeLimit
-	}
-	if c.IRQCycles == 0 {
-		c.IRQCycles = d.IRQCycles
-	}
-	if c.PollOverheadCycles == 0 {
-		c.PollOverheadCycles = d.PollOverheadCycles
-	}
-	if c.PerPktCycles == 0 {
-		c.PerPktCycles = d.PerPktCycles
-	}
-	if c.TxCleanCycles == 0 {
-		c.TxCleanCycles = d.TxCleanCycles
-	}
-	if c.TxCleanBudget == 0 {
-		c.TxCleanBudget = d.TxCleanBudget
-	}
-	if c.TickPeriod == 0 {
-		c.TickPeriod = d.TickPeriod
-	}
-	return c
-}
+	tickPeriod = 4 * sim.Millisecond
+)
 
 type execOwner int
 
@@ -175,8 +122,8 @@ type Counters struct {
 	KsoftirqdWakes uint64
 	Completed      uint64
 	MaxSockQ       int
-	// SockDrops counts requests dropped on socket-queue overflow
-	// (Config.SockQCap reached).
+	// SockDrops counts requests dropped on socket-queue overflow (the
+	// socket-queue cap reached).
 	SockDrops uint64
 	// CrashFails counts requests this kernel failed into the ledger
 	// because of a hard fault: in-flight poll batches and app work lost
@@ -240,13 +187,19 @@ type CoreKernel struct {
 	// server assembly transmits the response from here.
 	OnAppComplete func(r *workload.Request)
 	// OnDrop fires for each request this kernel drops: on socket-queue
-	// overflow (Config.SockQCap), or failed into the ledger on a hard
+	// overflow (the socket-queue cap), or failed into the ledger on a hard
 	// fault (see Counters.CrashFails). The server marks the in-flight
 	// copy lost instead of leaking it, so the client's RTO observes it.
 	OnDrop func(r *workload.Request)
 
-	ID        int
-	cfg       Config
+	ID int
+	// sockQCap bounds the socket queue (sk_buff backlog): requests
+	// delivered to a full queue are dropped and surfaced via OnDrop,
+	// mirroring sk_rcvbuf overflow. Zero means unlimited.
+	sockQCap int
+	// passLimit is the ksoftirqd migration pass threshold,
+	// maxPollPasses; tests raise it to isolate the time limit.
+	passLimit int
 	idlePol   IdlePolicy
 	listeners []NAPIListener
 	// aud is the run's invariant auditor (nil = unaudited): it mirrors
@@ -259,14 +212,16 @@ type CoreKernel struct {
 
 // NewCoreKernel wires one core's kernel to its NIC queue. The NIC queue
 // index equals the core ID (one RSS queue per core, as in the paper).
-func NewCoreKernel(id int, eng *sim.Engine, core *cpu.Core, dev *nic.NIC, cfg Config, idle IdlePolicy) *CoreKernel {
+// sockQCap bounds the socket queue (0 = unlimited).
+func NewCoreKernel(id int, eng *sim.Engine, core *cpu.Core, dev *nic.NIC, sockQCap int, idle IdlePolicy) *CoreKernel {
 	k := &CoreKernel{
-		ID:      id,
-		eng:     eng,
-		core:    core,
-		dev:     dev,
-		cfg:     cfg.withDefaults(),
-		idlePol: idle,
+		ID:        id,
+		eng:       eng,
+		core:      core,
+		dev:       dev,
+		sockQCap:  sockQCap,
+		passLimit: maxPollPasses,
+		idlePol:   idle,
 	}
 	k.hardirqDone = k.onHardirqDone
 	k.pollDone = k.onPollDone
@@ -316,7 +271,7 @@ func (k *CoreKernel) KsoftirqdActive() bool { return k.inKsoftirqd }
 // the scheduler tick starts (all cores tick on the same global jiffy
 // grid, as in Linux).
 func (k *CoreKernel) Start() {
-	k.eng.Ticker(k.cfg.TickPeriod, k.schedTick)
+	k.eng.Ticker(tickPeriod, k.schedTick)
 	k.goIdle()
 }
 
@@ -447,7 +402,7 @@ func (k *CoreKernel) goIdle() {
 func (k *CoreKernel) runHardirq() {
 	k.hardirqPending = false
 	k.owner = ownerHardirq
-	k.exec = k.core.StartExec(k.cfg.IRQCycles, k.hardirqDone)
+	k.exec = k.core.StartExec(irqCycles, k.hardirqDone)
 }
 
 func (k *CoreKernel) onHardirqDone() {
@@ -477,16 +432,16 @@ func (k *CoreKernel) onHardirqDone() {
 // completions, charge the cycles, deliver to the socket queue.
 func (k *CoreKernel) runPollPass(owner execOwner) {
 	k.aud.NAPIPoll(k.ID)
-	batch := k.dev.Poll(k.ID, k.cfg.PollBudget)
-	txn := k.dev.TxClean(k.ID, k.cfg.TxCleanBudget)
+	batch := k.dev.Poll(k.ID, pollBudget)
+	txn := k.dev.TxClean(k.ID, txCleanBudget)
 	if len(batch) == 0 && txn == 0 {
 		k.napiComplete(owner)
 		k.dispatch()
 		return
 	}
-	cost := k.cfg.PollOverheadCycles +
-		k.cfg.PerPktCycles*float64(len(batch)) +
-		k.cfg.TxCleanCycles*float64(txn)
+	cost := pollOverheadCycles +
+		PerPktCycles*float64(len(batch)) +
+		txCleanCycles*float64(txn)
 	k.owner = owner
 	k.lastRan = owner
 	k.pollBatch = batch
@@ -506,7 +461,7 @@ func (k *CoreKernel) onPollDone() {
 	// owned by the socket queue.
 	for _, p := range batch {
 		if p.Payload != nil {
-			if k.cfg.SockQCap > 0 && k.sockQ.Len() >= k.cfg.SockQCap {
+			if k.sockQCap > 0 && k.sockQ.Len() >= k.sockQCap {
 				k.c.SockDrops++
 				k.aud.Count(audit.SockDrop, 1)
 				if k.OnDrop != nil {
@@ -542,8 +497,8 @@ func (k *CoreKernel) onPollDone() {
 	} else if owner == ownerSoftirq {
 		k.softirqPasses++
 		if k.needResched ||
-			k.softirqPasses >= k.cfg.MaxPollPasses ||
-			sim.Duration(k.eng.Now()-k.softirqStart) >= k.cfg.SoftirqTimeLimit {
+			k.softirqPasses >= k.passLimit ||
+			sim.Duration(k.eng.Now()-k.softirqStart) >= softirqTimeLimit {
 			k.needResched = false
 			k.migrateToKsoftirqd()
 		}
@@ -679,13 +634,13 @@ func (k *CoreKernel) Crash() []*workload.Request {
 }
 
 // Adopt takes over a crashed core's socket-queue backlog. Requests that
-// fit under this core's SockQCap join the queue (no re-enqueue audit
+// fit under this core's socket-queue cap join the queue (no re-enqueue audit
 // event: globally the request is still the same socket-queue occupant);
 // overflow is failed into the ledger — a survivor under pressure cannot
 // absorb an unbounded backlog.
 func (k *CoreKernel) Adopt(rs []*workload.Request) {
 	for _, r := range rs {
-		if k.cfg.SockQCap > 0 && k.sockQ.Len() >= k.cfg.SockQCap {
+		if k.sockQCap > 0 && k.sockQ.Len() >= k.sockQCap {
 			k.aud.Count(audit.CrashSockFail, 1)
 			k.crashFail(r)
 			continue

@@ -21,7 +21,7 @@ func TestSchedulerTickMigratesToKsoftirqd(t *testing.T) {
 	eng.RunAll()
 	dev := nic.New(nic.DefaultConfig(1), eng, 7)
 	rec := &recListener{}
-	k := NewCoreKernel(0, eng, core, dev, Config{}, fixedIdle{cpu.CC0})
+	k := NewCoreKernel(0, eng, core, dev, 0, fixedIdle{cpu.CC0})
 	k.AddListener(rec)
 	k.Start()
 	// Sustained trickle: each packet's softirq work (~3µs at P15) keeps
@@ -52,7 +52,7 @@ func TestNoTickMigrationWithoutAppBacklog(t *testing.T) {
 	core := cpu.NewCore(0, cpu.XeonGold6134, eng, sim.NewRNG(1))
 	dev := nic.New(nic.DefaultConfig(1), eng, 7)
 	rec := &recListener{}
-	k := NewCoreKernel(0, eng, core, dev, Config{}, fixedIdle{cpu.CC0})
+	k := NewCoreKernel(0, eng, core, dev, 0, fixedIdle{cpu.CC0})
 	k.AddListener(rec)
 	k.Start()
 	for i := 0; i < 1000; i++ {
@@ -78,9 +78,10 @@ func TestSoftirqTimeLimitMigration(t *testing.T) {
 	ncfg.RingSize = 1 << 16
 	dev := nic.New(ncfg, eng, 7)
 	rec := &recListener{}
-	// MaxPollPasses enormous so only the time limit can fire; no
+	// The pass limit enormous so only the time limit can fire; no
 	// payloads, so the app never becomes runnable.
-	k := NewCoreKernel(0, eng, core, dev, Config{MaxPollPasses: 1 << 30}, fixedIdle{cpu.CC0})
+	k := NewCoreKernel(0, eng, core, dev, 0, fixedIdle{cpu.CC0})
+	k.passLimit = 1 << 30
 	k.AddListener(rec)
 	k.Start()
 	for i := 0; i < 30_000; i++ {
@@ -146,12 +147,11 @@ func TestBusyCoreConservesWork(t *testing.T) {
 		t.Fatalf("completed %d, want %d", c.Completed, n)
 	}
 	acct := r.k.Core().Snapshot()
-	cfg := DefaultConfig()
 	// Expected cycles: per-packet Rx + per-request app + hardirqs +
 	// per-pass overheads (the rig does not transmit, so no Tx cleaning).
 	// Overheads and pass counts vary with scheduling, so check the tight
 	// lower bound and a loose upper bound.
-	min := float64(n)*(cfg.PerPktCycles+5000) + float64(c.Interrupts)*cfg.IRQCycles
+	min := float64(n)*(PerPktCycles+5000) + float64(c.Interrupts)*irqCycles
 	busyCycles := float64(acct.BusyNs) * 3.2 // ns × GHz at P0
 	if busyCycles < min {
 		t.Fatalf("busy cycles %.0f below the work floor %.0f", busyCycles, min)

@@ -53,7 +53,7 @@ func newRig(appCycles float64, idle cpu.CState) *rig {
 	core := cpu.NewCore(0, cpu.XeonGold6134, eng, rng)
 	dev := nic.New(nic.DefaultConfig(1), eng, 7)
 	r := &rig{eng: eng, dev: dev, rec: &recListener{}, appCycles: appCycles}
-	k := NewCoreKernel(0, eng, core, dev, Config{}, fixedIdle{idle})
+	k := NewCoreKernel(0, eng, core, dev, 0, fixedIdle{idle})
 	k.OnAppComplete = func(*workload.Request) { r.done = append(r.done, eng.Now()) }
 	k.AddListener(r.rec)
 	k.Start()
@@ -119,7 +119,7 @@ func TestKsoftirqdMigrationAfterTenPasses(t *testing.T) {
 	ncfg.RingSize = 2048
 	dev := nic.New(ncfg, eng, 7)
 	rec := &recListener{}
-	k := NewCoreKernel(0, eng, core, dev, Config{}, fixedIdle{cpu.CC0})
+	k := NewCoreKernel(0, eng, core, dev, 0, fixedIdle{cpu.CC0})
 	k.AddListener(rec)
 	k.Start()
 	for i := 0; i < 64*12; i++ {
@@ -152,7 +152,7 @@ func TestKsoftirqdSharesCoreWithApp(t *testing.T) {
 	var completions []sim.Time
 	var ksSleepAt sim.Time
 	rec := &recListener{}
-	k := NewCoreKernel(0, eng, core, dev, Config{}, fixedIdle{cpu.CC0})
+	k := NewCoreKernel(0, eng, core, dev, 0, fixedIdle{cpu.CC0})
 	k.OnAppComplete = func(*workload.Request) { completions = append(completions, eng.Now()) }
 	k.AddListener(rec)
 	k.Start()
@@ -293,7 +293,7 @@ func TestLowRateStaysInInterruptMode(t *testing.T) {
 	eng := sim.NewEngine()
 	core := cpu.NewCore(0, cpu.XeonGold6134, eng, sim.NewRNG(1))
 	dev := nic.New(nic.DefaultConfig(1), eng, 7)
-	k := NewCoreKernel(0, eng, core, dev, Config{}, fixedIdle{cpu.CC1})
+	k := NewCoreKernel(0, eng, core, dev, 0, fixedIdle{cpu.CC1})
 	k.Start()
 	for i := 0; i < 50; i++ {
 		d := sim.Duration(i) * 100 * sim.Microsecond
@@ -309,17 +309,5 @@ func TestLowRateStaysInInterruptMode(t *testing.T) {
 	}
 	if c.PktIntr != 50 {
 		t.Fatalf("pktIntr=%d, want 50", c.PktIntr)
-	}
-}
-
-func TestConfigDefaultsFilled(t *testing.T) {
-	c := Config{}.withDefaults()
-	if c.PollBudget != 64 || c.MaxPollPasses != 10 || c.SoftirqTimeLimit != 8*sim.Millisecond {
-		t.Fatalf("defaults wrong: %+v", c)
-	}
-	// Partial overrides survive.
-	c2 := Config{PollBudget: 32}.withDefaults()
-	if c2.PollBudget != 32 || c2.MaxPollPasses != 10 {
-		t.Fatalf("partial defaults wrong: %+v", c2)
 	}
 }

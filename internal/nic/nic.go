@@ -37,24 +37,9 @@ type Config struct {
 	Queues int
 	// RingSize is the per-queue Rx descriptor ring capacity.
 	RingSize int
-	// DMALatency is the wire-to-ring latency (PCIe DMA + descriptor
-	// write-back).
-	DMALatency sim.Duration
 	// ITR is the minimum spacing between interrupts on one queue
 	// (10µs on the 82599 per §5.1).
 	ITR sim.Duration
-	// IRQLatency is the time from interrupt assertion to the handler
-	// starting on the core (APIC delivery).
-	IRQLatency sim.Duration
-	// TxLatency is the transmit-side DMA cost charged between the
-	// kernel handing a response off and the first segment reaching the
-	// wire.
-	TxLatency sim.Duration
-	// TxWire is the per-segment wire serialisation time (≈1.2µs per
-	// 1500B MTU segment at 10GbE). Each segment that leaves the wire
-	// posts a Tx-completion the softirq must clean (Fig 1 ⑤-⑧).
-	// TxLatency and TxWire must not be negative.
-	TxWire sim.Duration
 	// HashRSS selects seeded-hash flow steering, which deals flows to
 	// queues unevenly (real Toeplitz-hash lumpiness). The default
 	// (false) spreads flows round-robin — the paper's testbed: "RSS
@@ -63,16 +48,30 @@ type Config struct {
 	HashRSS bool
 }
 
+// The datapath latencies of the paper's testbed 82599.
+const (
+	// dmaLatency is the wire-to-ring latency (PCIe DMA + descriptor
+	// write-back).
+	dmaLatency = 2 * sim.Microsecond
+	// irqLatency is the time from interrupt assertion to the handler
+	// starting on the core (APIC delivery).
+	irqLatency = 1 * sim.Microsecond
+	// txLatency is the transmit-side DMA cost charged between the
+	// kernel handing a response off and the first segment reaching the
+	// wire.
+	txLatency = 1 * sim.Microsecond
+	// txWire is the per-segment wire serialisation time (≈1.2µs per
+	// 1500B MTU segment at 10GbE). Each segment that leaves the wire
+	// posts a Tx-completion the softirq must clean (Fig 1 ⑤-⑧).
+	txWire = 1200 * sim.Nanosecond
+)
+
 // DefaultConfig mirrors the paper's testbed NIC.
 func DefaultConfig(queues int) Config {
 	return Config{
-		Queues:     queues,
-		RingSize:   512,
-		DMALatency: 2 * sim.Microsecond,
-		ITR:        10 * sim.Microsecond,
-		IRQLatency: 1 * sim.Microsecond,
-		TxLatency:  1 * sim.Microsecond,
-		TxWire:     1200 * sim.Nanosecond,
+		Queues:   queues,
+		RingSize: 512,
+		ITR:      10 * sim.Microsecond,
 	}
 }
 
@@ -123,7 +122,7 @@ type queue struct {
 
 // txOp is the pooled in-flight state of one Transmit call, and the
 // argument its segment events carry instead of a closure. Segment i
-// (1-based) of n leaves the wire at at0 + i·TxWire with sequence number
+// (1-based) of n leaves the wire at at0 + i·txWire with sequence number
 // seq0+i-1: exactly the (at, seq) the i-th of n ScheduleArg calls made
 // at Transmit time would have had (at0 and seq0 are set on lazy
 // transmits only). sent counts the segments posted.
@@ -139,21 +138,18 @@ type txOp struct {
 }
 
 // seg returns segment i's dispatch position.
-func (t *txOp) seg(i int, wire sim.Duration) (sim.Time, uint64) {
-	return t.at0 + sim.Time(i)*sim.Time(wire), t.seq0 + uint64(i-1)
+func (t *txOp) seg(i int) (sim.Time, uint64) {
+	return t.at0 + sim.Time(i)*sim.Time(txWire), t.seq0 + uint64(i-1)
 }
 
 // firstAt returns the index of t's first segment at or after instant
 // at, or n+1 when there is none.
-func (t *txOp) firstAt(at sim.Time, wire sim.Duration) int {
+func (t *txOp) firstAt(at sim.Time) int {
 	d := sim.Duration(at - t.at0)
-	switch {
-	case d <= 0:
+	if d <= 0 {
 		return 1
-	case wire == 0:
-		return t.n + 1
 	}
-	return int(min((d+wire-1)/wire, sim.Duration(t.n+1)))
+	return int(min((d+txWire-1)/txWire, sim.Duration(t.n+1)))
 }
 
 // NIC is the device model. The kernel attaches one interrupt handler per
@@ -270,9 +266,6 @@ func (n *NIC) putTxOp(t *txOp) {
 	n.txFree = append(n.txFree, t)
 }
 
-// Config returns the NIC configuration.
-func (n *NIC) Config() Config { return n.cfg }
-
 // SetHandler attaches the interrupt handler for queue q.
 func (n *NIC) SetHandler(q int, fn func()) {
 	n.handler[q] = fn
@@ -330,7 +323,7 @@ func (n *NIC) SetAuditor(a *audit.Auditor) { n.aud = a }
 // if the ring is full) and the queue's interrupt logic runs.
 func (n *NIC) Deliver(p *Packet) {
 	n.aud.Count(audit.NICDeliver, 1)
-	n.eng.ScheduleArg(n.cfg.DMALatency+n.inj.DMAJitter(), n.dmaFn, p)
+	n.eng.ScheduleArg(dmaLatency+n.inj.DMAJitter(), n.dmaFn, p)
 }
 
 // dmaLand is Deliver's second half, scheduled through the bound dmaFn
@@ -398,7 +391,7 @@ func (n *NIC) maybeInterrupt(q int) {
 		qu.interrupts++
 		qu.irqTimer.Cancel()
 		h := n.handler[q]
-		n.eng.Schedule(n.cfg.IRQLatency+n.inj.IRQJitter(), h)
+		n.eng.Schedule(irqLatency+n.inj.IRQJitter(), h)
 		return
 	}
 	if !qu.irqTimer.Pending() {
@@ -471,18 +464,18 @@ func (n *NIC) Transmit(q int, p *Packet, segments int, done func(*Packet)) {
 	t.p = p
 	t.done = done
 	t.n = segments
-	if maxEvents, maxTime := n.eng.Watchdog(); segments == 1 || maxEvents != 0 || maxTime != 0 {
+	if segments == 1 || n.eng.Watchdog() != 0 {
 		for i := 1; i <= segments; i++ {
-			n.eng.ScheduleArg(n.cfg.TxLatency+sim.Duration(i)*n.cfg.TxWire, n.txSegFn, t)
+			n.eng.ScheduleArg(txLatency+sim.Duration(i)*txWire, n.txSegFn, t)
 		}
 		return
 	}
 	t.lazy = true
-	t.at0 = n.eng.Now() + sim.Time(n.cfg.TxLatency)
+	t.at0 = n.eng.Now() + sim.Time(txLatency)
 	t.seq0 = n.eng.Reserve(segments)
 	qu := n.qs[q]
 	qu.tx = append(qu.tx, t)
-	at, seq := t.seg(segments, n.cfg.TxWire)
+	at, seq := t.seg(segments)
 	n.eng.AtSeqArg(at, seq, n.txSegFn, t)
 	n.planLazy(q)
 }
@@ -567,7 +560,7 @@ func (n *NIC) creditLazy(qu *queue) {
 	for _, t := range qu.tx {
 		k := t.sent
 		for ; k < t.n; k++ {
-			if at, seq := t.seg(k+1, n.cfg.TxWire); at > pt || (at == pt && seq >= ps) {
+			if at, seq := t.seg(k + 1); at > pt || (at == pt && seq >= ps) {
 				break
 			}
 		}
@@ -606,12 +599,12 @@ func (n *NIC) planLazy(q int) {
 		for _, t := range qu.tx {
 			i := t.sent + 1
 			if timer {
-				i = max(i, t.firstAt(qu.nextIRQ, n.cfg.TxWire))
+				i = max(i, t.firstAt(qu.nextIRQ))
 			}
 			if i >= t.n {
 				continue
 			}
-			at, seq := t.seg(i, n.cfg.TxWire)
+			at, seq := t.seg(i)
 			if best == nil || at < bestAt || (at == bestAt && seq < bestSeq) {
 				best, bestAt, bestSeq = t, at, seq
 			}

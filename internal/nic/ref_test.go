@@ -63,7 +63,7 @@ func (n *refNIC) queueFor(flow uint64) int {
 
 func (n *refNIC) Deliver(p *Packet) {
 	n.aud.Count(audit.NICDeliver, 1)
-	n.eng.Schedule(n.cfg.DMALatency, func() {
+	n.eng.Schedule(dmaLatency, func() {
 		q := n.queueFor(p.Flow)
 		qu := n.qs[q]
 		switch {
@@ -97,7 +97,7 @@ func (n *refNIC) maybeInterrupt(q int) {
 		qu.irqEnabled = false
 		qu.interrupts++
 		qu.irqTimer.Cancel()
-		n.eng.Schedule(n.cfg.IRQLatency+n.inj.IRQJitter(), n.handler[q])
+		n.eng.Schedule(irqLatency+n.inj.IRQJitter(), n.handler[q])
 		return
 	}
 	if !qu.irqTimer.Pending() {
@@ -146,7 +146,7 @@ func (n *refNIC) Transmit(q int, p *Packet, segments int, done func(*Packet)) {
 		}
 	}
 	for i := 1; i <= segments; i++ {
-		n.eng.Schedule(n.cfg.TxLatency+sim.Duration(i)*n.cfg.TxWire, seg)
+		n.eng.Schedule(txLatency+sim.Duration(i)*txWire, seg)
 	}
 }
 

@@ -35,8 +35,8 @@ type txDev interface {
 
 const (
 	txQueues = 3
-	// txGrid is the time quantum of every driver op, and TxLatency,
-	// TxWire, ITR, IRQLatency and DMALatency are all multiples of it, so
+	// txGrid is the time quantum of every driver op, and txLatency,
+	// txWire, ITR, irqLatency and dmaLatency are all multiples of it, so
 	// ops, segments, ITR slots and interrupts tie at the same instant
 	// often.
 	txGrid = 200 * sim.Nanosecond
@@ -44,13 +44,9 @@ const (
 
 func txTestConfig() Config {
 	return Config{
-		Queues:     txQueues,
-		RingSize:   6,
-		DMALatency: 2 * sim.Microsecond,
-		ITR:        10 * sim.Microsecond,
-		IRQLatency: 1 * sim.Microsecond,
-		TxLatency:  1 * sim.Microsecond,
-		TxWire:     1200 * sim.Nanosecond,
+		Queues:   txQueues,
+		RingSize: 6,
+		ITR:      10 * sim.Microsecond,
 	}
 }
 
@@ -69,7 +65,7 @@ type txWorld struct {
 func newTxWorld(elided, eager bool, irqLoss float64, seed uint64) *txWorld {
 	w := &txWorld{eng: sim.NewEngine()}
 	if eager {
-		w.eng.SetWatchdog(1<<62, 0)
+		w.eng.SetWatchdog(1 << 62)
 	}
 	w.aud = audit.New(w.eng, txQueues, 0, 0)
 	var inj *faults.Injector
@@ -303,7 +299,7 @@ func TestTxCreditSameInstant(t *testing.T) {
 	n := New(DefaultConfig(1), eng, 0)
 	n.SetHandler(0, func() {})
 	n.DisableIRQ(0)
-	second := sim.Time(n.cfg.TxLatency + 2*n.cfg.TxWire)
+	second := sim.Time(txLatency + 2*txWire)
 	var got []int
 	read := func() { got = append(got, n.TxPending(0)) }
 	eng.At(second, read)
@@ -326,7 +322,7 @@ func TestTxElisionCutsEvents(t *testing.T) {
 	done := sim.Time(0)
 	n.Transmit(0, &Packet{}, 48, func(*Packet) { done = eng.Now() })
 	eng.RunAll()
-	want := sim.Time(n.cfg.TxLatency + 48*n.cfg.TxWire)
+	want := sim.Time(txLatency + 48*txWire)
 	if done != want || n.TxPending(0) != 48 || n.Interrupts(0) != 1 {
 		t.Fatalf("done at %v (want %v), pending %d (want 48), irqs %d (want 1)", done, want, n.TxPending(0), n.Interrupts(0))
 	}

@@ -42,7 +42,7 @@ func runAudited(t *testing.T, cfg Config) (Result, error) {
 		t.Fatal("menu idle policy missing")
 	}
 	s := New(cfg, idle)
-	s.AttachPolicy(governor.NewStack(s.Eng, s.Proc, governor.Ondemand{Model: s.Cfg.Model}, 10*sim.Millisecond))
+	s.AttachPolicy(governor.NewStack(s.Eng, s.Proc, governor.Ondemand{Model: s.Cfg.Model}))
 	return s.Run()
 }
 
@@ -126,7 +126,7 @@ func TestAuditCatchesCorruption(t *testing.T) {
 	cfg := auditCfg(3)
 	idle, _ := governor.NewIdlePolicy("menu")
 	s := New(cfg, idle)
-	s.AttachPolicy(governor.NewStack(s.Eng, s.Proc, governor.Ondemand{Model: s.Cfg.Model}, 10*sim.Millisecond))
+	s.AttachPolicy(governor.NewStack(s.Eng, s.Proc, governor.Ondemand{Model: s.Cfg.Model}))
 	s.Auditor().CorruptPacketCounterForTest(3)
 	res, err := s.Run()
 	if err == nil {

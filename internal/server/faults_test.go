@@ -198,7 +198,7 @@ func TestWatchdogSurfacesThroughServer(t *testing.T) {
 	cfg.MaxEvents = 10_000
 	idle, _ := governor.NewIdlePolicy("menu")
 	s := New(cfg, idle)
-	s.AttachPolicy(governor.NewStack(s.Eng, s.Proc, governor.Performance{}, 0))
+	s.AttachPolicy(governor.NewStack(s.Eng, s.Proc, governor.Performance{}))
 	res, _ := s.Run()
 	if err := s.Err(); !errors.Is(err, sim.ErrWatchdog) {
 		t.Fatalf("Err() = %v, want ErrWatchdog", err)
@@ -229,11 +229,9 @@ func TestConfigValidateRejectsBadKnobs(t *testing.T) {
 			c.Faults.ThrottleRate = 1
 			c.Faults.ThrottlePState = 99
 		}},
-		{"retry backoff under 1", func(c *Config) {
-			c.Retry = workload.RetryConfig{Timeout: sim.Millisecond, Backoff: 0.5}
-		}},
-		{"retry cap under timeout", func(c *Config) {
-			c.Retry = workload.RetryConfig{Timeout: 2 * sim.Millisecond, MaxTimeout: sim.Millisecond}
+		{"negative retry timeout", func(c *Config) { c.Retry.Timeout = -sim.Millisecond }},
+		{"negative retry budget", func(c *Config) {
+			c.Retry = workload.RetryConfig{Timeout: sim.Millisecond, MaxRetries: -1}
 		}},
 	}
 	for _, tc := range cases {

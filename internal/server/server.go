@@ -39,13 +39,9 @@ type Config struct {
 	RPS float64
 	// Level picks one of the paper's three loads when RPS is zero.
 	Level workload.Level
-	// Pattern shapes the bursty arrivals; zero value = DefaultBurst.
-	Pattern workload.BurstPattern
 	// VariableLevels switches load randomly every SwitchPeriod (Fig 16).
 	VariableLevels []float64
 	SwitchPeriod   sim.Duration
-	// Kernel overrides the kernel cost parameters (zero = defaults).
-	Kernel kernel.Config
 	// NICRing overrides the Rx ring size (zero = default 512).
 	NICRing int
 	// ITR overrides the NIC interrupt-throttle period (zero = 10µs).
@@ -58,12 +54,6 @@ type Config struct {
 	// LumpyRSS switches flow steering from the even round-robin spread
 	// of the paper's testbed to a seeded hash with realistic imbalance.
 	LumpyRSS bool
-	// NetLatency is the one-way client↔server base latency; defaults
-	// to 15µs (10GbE through one switch).
-	NetLatency sim.Duration
-	// NetJitter is the mean of the exponential jitter added per
-	// traversal; defaults to 3µs.
-	NetJitter sim.Duration
 	// Warmup and Duration delimit the measured window; defaults 200ms
 	// and 1s. A negative Warmup means "no warmup" (measure from instant
 	// zero), mirroring BurstPattern.Ramp's negative-means-zero idiom.
@@ -127,13 +117,6 @@ func (c Config) withDefaults() Config {
 	if c.Profile == nil {
 		c.Profile = workload.Memcached()
 	}
-	if c.Pattern.Period == 0 {
-		if c.Profile.Burst.Period != 0 {
-			c.Pattern = c.Profile.Burst
-		} else {
-			c.Pattern = workload.DefaultBurst()
-		}
-	}
 	if c.RPS == 0 && len(c.VariableLevels) == 0 {
 		c.RPS = c.Profile.RPS(c.Level)
 	}
@@ -141,12 +124,6 @@ func (c Config) withDefaults() Config {
 		clone := *c.Profile
 		clone.Flows = c.Flows
 		c.Profile = &clone
-	}
-	if c.NetLatency == 0 {
-		c.NetLatency = 15 * sim.Microsecond
-	}
-	if c.NetJitter == 0 {
-		c.NetJitter = 3 * sim.Microsecond
 	}
 	if c.Warmup == 0 {
 		c.Warmup = 200 * sim.Millisecond
@@ -178,9 +155,6 @@ func (c Config) Validate() error {
 	if c.Flows < 0 {
 		return fmt.Errorf("server: negative flow count %d", c.Flows)
 	}
-	if c.NetLatency < 0 || c.NetJitter < 0 {
-		return fmt.Errorf("server: negative network latency/jitter %v/%v", c.NetLatency, c.NetJitter)
-	}
 	if c.Duration < 0 {
 		return fmt.Errorf("server: negative measurement duration %v", c.Duration)
 	}
@@ -194,11 +168,6 @@ func (c Config) Validate() error {
 	}
 	if len(c.VariableLevels) > 0 && c.SwitchPeriod <= 0 {
 		return fmt.Errorf("server: variable levels need a positive switch period, got %v", c.SwitchPeriod)
-	}
-	if k := c.Kernel; k.PollBudget < 0 || k.MaxPollPasses < 0 || k.SoftirqTimeLimit < 0 ||
-		k.IRQCycles < 0 || k.PollOverheadCycles < 0 || k.PerPktCycles < 0 ||
-		k.TxCleanCycles < 0 || k.TxCleanBudget < 0 || k.TickPeriod < 0 || k.SockQCap < 0 {
-		return fmt.Errorf("server: negative kernel cost parameter in %+v", k)
 	}
 	if c.ShedSLOMultiple < 0 {
 		return fmt.Errorf("server: negative shed SLO multiple %g", c.ShedSLOMultiple)
@@ -455,7 +424,7 @@ func NewOnEngine(cfg Config, idle kernel.IdlePolicy, eng *sim.Engine) *Server {
 		s.NIC.SetInjector(s.inj)
 	}
 	if cfg.MaxEvents > 0 {
-		eng.SetWatchdog(cfg.MaxEvents, 0)
+		eng.SetWatchdog(cfg.MaxEvents)
 	}
 	s.NIC.OnRxDrop = s.onRxDrop
 	if cfg.Audit {
@@ -463,12 +432,8 @@ func NewOnEngine(cfg Config, idle kernel.IdlePolicy, eng *sim.Engine) *Server {
 		s.Proc.SetAuditor(s.aud)
 		s.NIC.SetAuditor(s.aud)
 	}
-	kcfg := cfg.Kernel
-	if cfg.SockQCap > 0 && kcfg.SockQCap == 0 {
-		kcfg.SockQCap = cfg.SockQCap
-	}
 	for i, c := range s.Proc.Cores {
-		k := kernel.NewCoreKernel(i, eng, c, s.NIC, kcfg, idle)
+		k := kernel.NewCoreKernel(i, eng, c, s.NIC, cfg.SockQCap, idle)
 		k.OnAppComplete = s.complete
 		k.OnDrop = s.dropCopy
 		k.SetAuditor(s.aud)
@@ -476,17 +441,17 @@ func NewOnEngine(cfg Config, idle kernel.IdlePolicy, eng *sim.Engine) *Server {
 	}
 	if cfg.ShedSLOMultiple > 0 {
 		s.shedBudgetNs = cfg.ShedSLOMultiple * float64(cfg.Profile.SLO)
-		per := kcfg.PerPktCycles
-		if per == 0 {
-			per = kernel.DefaultConfig().PerPktCycles
-		}
-		s.shedCostCycles = cfg.Profile.MeanAppCycles + per
+		s.shedCostCycles = cfg.Profile.MeanAppCycles + kernel.PerPktCycles
+	}
+	pattern := cfg.Profile.Burst
+	if pattern.Period == 0 {
+		pattern = workload.DefaultBurst()
 	}
 	s.Gen = &workload.Generator{
 		Eng:             eng,
 		RNG:             rng.Fork(),
 		Profile:         cfg.Profile,
-		Pattern:         cfg.Pattern,
+		Pattern:         pattern,
 		RPS:             cfg.RPS,
 		VariableLevels:  cfg.VariableLevels,
 		SwitchPeriod:    cfg.SwitchPeriod,
@@ -555,9 +520,16 @@ func (s *Server) AddListener(l kernel.NAPIListener) {
 	}
 }
 
+// The client↔server network: one-way base latency of 10GbE through one
+// switch, plus exponential jitter of this mean per traversal.
+const (
+	netLatency = 15 * sim.Microsecond
+	netJitter  = 3 * sim.Microsecond
+)
+
 // netDelay samples one network traversal.
 func (s *Server) netDelay() sim.Duration {
-	return s.Cfg.NetLatency + s.netRng.ExpDur(s.Cfg.NetJitter)
+	return netLatency + s.netRng.ExpDur(netJitter)
 }
 
 // Ingress carries a request over the network into the NIC — the entry

@@ -36,7 +36,7 @@ func runWith(t *testing.T, cfg Config, govName string, idleName string) Result {
 	default:
 		t.Fatalf("unknown governor %q", govName)
 	}
-	s.AttachPolicy(governor.NewStack(s.Eng, s.Proc, g, 10*sim.Millisecond))
+	s.AttachPolicy(governor.NewStack(s.Eng, s.Proc, g))
 	res, err := s.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -138,7 +138,7 @@ func TestWarmupExcludedFromMeasurement(t *testing.T) {
 	cfg := quickCfg(workload.Low, 10)
 	idle, _ := governor.NewIdlePolicy("menu")
 	s := New(cfg, idle)
-	s.AttachPolicy(governor.NewStack(s.Eng, s.Proc, governor.Performance{}, 0))
+	s.AttachPolicy(governor.NewStack(s.Eng, s.Proc, governor.Performance{}))
 	res, _ := s.Run()
 	// Total completions include warmup; measured histogram must be
 	// strictly smaller.
@@ -152,7 +152,7 @@ func TestOnDoneObservesRequests(t *testing.T) {
 	cfg := quickCfg(workload.Low, 11)
 	idle, _ := governor.NewIdlePolicy("menu")
 	s := New(cfg, idle)
-	s.AttachPolicy(governor.NewStack(s.Eng, s.Proc, governor.Performance{}, 0))
+	s.AttachPolicy(governor.NewStack(s.Eng, s.Proc, governor.Performance{}))
 	n := 0
 	s.OnDone = func(r *workload.Request) {
 		n++
@@ -182,7 +182,7 @@ func TestAllCoresReceiveWork(t *testing.T) {
 	cfg := quickCfg(workload.Medium, 13)
 	idle, _ := governor.NewIdlePolicy("menu")
 	s := New(cfg, idle)
-	s.AttachPolicy(governor.NewStack(s.Eng, s.Proc, governor.Performance{}, 0))
+	s.AttachPolicy(governor.NewStack(s.Eng, s.Proc, governor.Performance{}))
 	s.Run()
 	for i, k := range s.Kernels {
 		if k.Counters().Completed == 0 {

@@ -52,11 +52,11 @@ func TestValidationMD1Queueing(t *testing.T) {
 	}
 	idle, _ := governor.NewIdlePolicy("disable") // no wake latencies
 	s := New(cfg, idle)
-	s.AttachPolicy(governor.NewStack(s.Eng, s.Proc, governor.Performance{}, 0))
+	s.AttachPolicy(governor.NewStack(s.Eng, s.Proc, governor.Performance{}))
 	res, _ := s.Run()
 
-	kcfg := kernel.DefaultConfig()
-	svcCycles := kcfg.PerPktCycles + kcfg.TxCleanCycles + prof.MeanAppCycles
+	// Rx protocol processing + Tx-completion cleaning + app.
+	svcCycles := kernel.PerPktCycles + 1000 + prof.MeanAppCycles
 	S := svcCycles / 3.2 // ns at P0
 	lambda := totalRPS / 8.0 / 1e9
 	rho := lambda * S
@@ -66,8 +66,8 @@ func TestValidationMD1Queueing(t *testing.T) {
 	wait := rho * S / (2 * (1 - rho)) // M/D/1 mean wait
 	// Subtract the constant path: 2× network (base 15µs + mean jitter
 	// 3µs), DMA 2µs, IRQ latency ~1µs, wire 1.2µs, plus the hardirq
-	// handler's cycles.
-	base := 2*18_000.0 + 2_000 + 1_000 + 1_200 + kcfg.IRQCycles/3.2
+	// handler's 1000 cycles.
+	base := 2*18_000.0 + 2_000 + 1_000 + 1_200 + 1000/3.2
 	measured := float64(res.Summary.Mean)
 	predicted := base + S + wait
 	ratio := measured / predicted
@@ -91,7 +91,7 @@ func TestValidationLittlesLaw(t *testing.T) {
 	}
 	idle, _ := governor.NewIdlePolicy("menu")
 	s := New(cfg, idle)
-	s.AttachPolicy(governor.NewStack(s.Eng, s.Proc, governor.Performance{}, 0))
+	s.AttachPolicy(governor.NewStack(s.Eng, s.Proc, governor.Performance{}))
 	res, _ := s.Run()
 	want := 400_000 * 0.5
 	got := float64(res.Summary.N)

@@ -204,11 +204,10 @@ type Engine struct {
 
 	free []*event
 
-	// Watchdog state: maxEvents/maxTime bound a run (0 = unlimited), and
-	// err records why the engine aborted. Once err is set the engine is
+	// Watchdog state: maxEvents bounds a run (0 = unlimited), and err
+	// records why the engine aborted. Once err is set the engine is
 	// dead: Run and RunAll return immediately.
 	maxEvents uint64
-	maxTime   Time
 	err       error
 }
 
@@ -381,15 +380,11 @@ func (e *Engine) Position() (Time, uint64) { return e.now, e.cur }
 func (e *Engine) Stop() { e.stopped = true }
 
 // SetWatchdog arms the engine watchdog: the run aborts with a diagnostic
-// error once maxEvents events have been dispatched in total, or once the
-// next event's timestamp exceeds maxTime. Either bound may be zero to
-// disable it. The watchdog exists so a runaway model (an event chain
+// error once maxEvents events have been dispatched in total (zero
+// disables it). The watchdog exists so a runaway model (an event chain
 // that reschedules itself forever) terminates with an explanation
 // instead of hanging the harness; see docs/MODEL.md.
-func (e *Engine) SetWatchdog(maxEvents uint64, maxTime Time) {
-	e.maxEvents = maxEvents
-	e.maxTime = maxTime
-}
+func (e *Engine) SetWatchdog(maxEvents uint64) { e.maxEvents = maxEvents }
 
 // Abort stops the engine permanently with the given reason: the current
 // Run returns after the executing event completes, and every later Run
@@ -406,29 +401,22 @@ func (e *Engine) Abort(err error) {
 // Abort), or nil for a healthy engine.
 func (e *Engine) Err() error { return e.err }
 
-// Watchdog returns the armed watchdog bounds (zero = disabled).
-func (e *Engine) Watchdog() (maxEvents uint64, maxTime Time) {
-	return e.maxEvents, e.maxTime
-}
+// Watchdog returns the armed watchdog's event bound (zero = disabled).
+func (e *Engine) Watchdog() uint64 { return e.maxEvents }
 
 // ErrWatchdog tags watchdog aborts; errors.Is(eng.Err(), sim.ErrWatchdog)
 // distinguishes a runaway run from an external Abort.
 var ErrWatchdog = errors.New("sim: watchdog tripped")
 
-// watchdogTripped checks the armed bounds against the next event and
-// aborts the engine with a diagnostic when one is exceeded.
-func (e *Engine) watchdogTripped(next *event) bool {
-	if e.maxEvents > 0 && e.fired >= e.maxEvents {
-		e.Abort(fmt.Errorf("%w: %d events dispatched without the run completing (now=%v, %d events still pending)",
-			ErrWatchdog, e.fired, e.now, e.Pending()))
-		return true
+// watchdogTripped checks the armed event bound and aborts the engine
+// with a diagnostic when it is reached.
+func (e *Engine) watchdogTripped() bool {
+	if e.fired < e.maxEvents {
+		return false
 	}
-	if e.maxTime > 0 && next != nil && next.at > e.maxTime {
-		e.Abort(fmt.Errorf("%w: next event at %v exceeds the max-sim-time bound %v (%d events fired)",
-			ErrWatchdog, next.at, e.maxTime, e.fired))
-		return true
-	}
-	return false
+	e.Abort(fmt.Errorf("%w: %d events dispatched without the run completing (now=%v, %d events still pending)",
+		ErrWatchdog, e.fired, e.now, e.Pending()))
+	return true
 }
 
 // fire pops the minimum event (the caller's run loop guarantees minEv
@@ -491,7 +479,7 @@ func (e *Engine) Run(until Time) {
 		if next.at > until {
 			break
 		}
-		if (e.maxEvents != 0 || e.maxTime != 0) && e.watchdogTripped(next) {
+		if e.maxEvents != 0 && e.watchdogTripped() {
 			return
 		}
 		e.fire()
@@ -518,7 +506,7 @@ func (e *Engine) RunAll() {
 				break
 			}
 		}
-		if (e.maxEvents != 0 || e.maxTime != 0) && e.watchdogTripped(next) {
+		if e.maxEvents != 0 && e.watchdogTripped() {
 			return
 		}
 		e.fire()

@@ -10,7 +10,7 @@ import (
 // and surface a diagnostic error instead of hanging RunAll forever.
 func TestWatchdogMaxEventsStopsRunawayRun(t *testing.T) {
 	e := NewEngine()
-	e.SetWatchdog(10_000, 0)
+	e.SetWatchdog(10_000)
 	var runaway func()
 	runaway = func() { e.Schedule(Microsecond, runaway) }
 	e.Schedule(Microsecond, runaway)
@@ -32,24 +32,6 @@ func TestWatchdogMaxEventsStopsRunawayRun(t *testing.T) {
 	e.Run(Time(Second))
 	if e.Fired() != before {
 		t.Fatalf("aborted engine dispatched %d more events", e.Fired()-before)
-	}
-}
-
-// The max-sim-time guard aborts before dispatching an event past the
-// bound, leaving the diagnostic on Err.
-func TestWatchdogMaxTimeStopsLongRun(t *testing.T) {
-	e := NewEngine()
-	e.SetWatchdog(0, Time(5*Millisecond))
-	var tick func()
-	tick = func() { e.Schedule(Millisecond, tick) }
-	e.Schedule(Millisecond, tick)
-	e.RunAll()
-
-	if err := e.Err(); !errors.Is(err, ErrWatchdog) {
-		t.Fatalf("Err() = %v, want ErrWatchdog", err)
-	}
-	if e.Now() > Time(5*Millisecond) {
-		t.Fatalf("clock advanced to %v, past the 5ms bound", e.Now())
 	}
 }
 

@@ -7,7 +7,9 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
+	"time"
 	"unsafe"
 
 	"nmapsim/internal/sim"
@@ -561,4 +563,40 @@ func TestHistCountedKeyAllocations(t *testing.T) {
 		r.add(9<<16 | i%300)
 	}
 	checkRef(t, h, r)
+}
+
+// A counted key that lost a carry holds fewer samples than the recorder
+// counted. P must stop at the end of the rank's block and panic naming
+// the key, whether the carry went before the counts were tallied or
+// after, instead of walking on past the key's nanoseconds.
+func TestHistLostCarryPanics(t *testing.T) {
+	for _, sorted := range []bool{false, true} {
+		h := NewHist(0)
+		// 256 samples at each of 160 nanoseconds: every count is one
+		// carry and a zero byte.
+		for i := 0; i < 160*256; i++ {
+			h.Add(sim.Duration(3<<16 | i/256))
+		}
+		if sorted {
+			h.P(0.5)
+		}
+		tab := h.dir[3].tab
+		if tab == nil || len(tab.carry) == 0 {
+			t.Fatal("key 3 did not turn counted with carries")
+		}
+		tab.carry = tab.carry[:len(tab.carry)-1]
+		done := make(chan any, 1)
+		go func() {
+			defer func() { done <- recover() }()
+			h.P(0.9999)
+		}()
+		select {
+		case r := <-done:
+			if msg, _ := r.(string); !strings.Contains(msg, "counted key 3 ") {
+				t.Errorf("sorted=%v: P(0.9999) with a lost carry ended with %v, want a panic naming key 3", sorted, r)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("sorted=%v: P(0.9999) with a lost carry still running after 10s", sorted)
+		}
+	}
 }

@@ -415,19 +415,23 @@ func (t *countTable) tally(lows []uint16) int {
 	return t.cum[256]
 }
 
-// at returns the nanosecond of the key's sample of rank i, below its
-// count: a search of the block counts, then a walk of one block.
-func (t *countTable) at(lows []uint16, i int) int64 {
+// at returns the nanosecond of key k's sample of rank i, below its
+// count: a search of the block counts, then a walk of one block. It
+// panics when the counts run out first, which a lost carry causes.
+func (t *countTable) at(lows []uint16, k int64, i int) int64 {
 	b := sort.Search(256, func(b int) bool { return t.cum[b+1] > i })
-	i -= t.cum[b]
-	ci, _ := slices.BinarySearch(t.carry, uint16(b<<8))
-	for lo := b << 8; ; lo++ {
-		n := t.count(lows, lo, &ci)
-		if i < n {
-			return int64(lo)
+	if b < 256 {
+		i -= t.cum[b]
+		ci, _ := slices.BinarySearch(t.carry, uint16(b<<8))
+		for lo := b << 8; lo < (b+1)<<8; lo++ {
+			n := t.count(lows, lo, &ci)
+			if i < n {
+				return int64(lo)
+			}
+			i -= n
 		}
-		i -= n
 	}
+	panic(fmt.Sprintf("stats: counted key %d has too few samples in block %d", k, b))
 }
 
 // swapPages records that pages p and q of the arena swapped places.
@@ -591,7 +595,7 @@ func (h *Hist) at(i int) int64 {
 	j := sort.Search(len(h.runs), func(j int) bool { return h.runs[j].cum > i }) - 1
 	r := h.runs[j]
 	if r.tab != nil {
-		return r.key<<16 | r.tab.at(h.lows, i-r.cum)
+		return r.key<<16 | r.tab.at(h.lows, r.key, i-r.cum)
 	}
 	return r.key<<16 | int64(h.lows[r.start+i-r.cum])
 }

@@ -7,10 +7,10 @@ import (
 )
 
 // RetryConfig is the client-side recovery loop real latency-critical
-// stacks get from TCP: a per-request retransmission timeout with
-// exponential backoff and a bounded retry budget. The zero value
-// disables recovery entirely — dropped requests stay lost, exactly the
-// seed model's behaviour.
+// stacks get from TCP: a per-request retransmission timeout that doubles
+// after each retransmission up to 10× its initial value, and a bounded
+// retry budget. The zero value disables recovery entirely — dropped
+// requests stay lost, exactly the seed model's behaviour.
 type RetryConfig struct {
 	// Timeout is the initial retransmission timeout (RTO) armed when a
 	// request is first sent. Zero disables the whole recovery loop.
@@ -19,12 +19,14 @@ type RetryConfig struct {
 	// first send). After the budget is spent the next timeout marks the
 	// request timed-out. Zero means the default of 3.
 	MaxRetries int
-	// Backoff multiplies the RTO after each retransmission. Zero means
-	// the default of 2 (classic exponential backoff).
-	Backoff float64
-	// MaxTimeout caps the backed-off RTO. Zero means 10× Timeout.
-	MaxTimeout sim.Duration
 }
+
+// The RTO's classic exponential backoff: ×2 per retransmission, capped
+// at 10× the initial timeout.
+const (
+	rtoBackoff = 2
+	rtoCap     = 10
+)
 
 // Enabled reports whether the recovery loop is active.
 func (c RetryConfig) Enabled() bool { return c.Timeout > 0 }
@@ -37,12 +39,6 @@ func (c RetryConfig) WithDefaults() RetryConfig {
 	if c.MaxRetries == 0 {
 		c.MaxRetries = 3
 	}
-	if c.Backoff == 0 {
-		c.Backoff = 2
-	}
-	if c.MaxTimeout == 0 {
-		c.MaxTimeout = 10 * c.Timeout
-	}
 	return c
 }
 
@@ -54,31 +50,23 @@ func (c RetryConfig) Validate() error {
 	if c.MaxRetries < 0 {
 		return fmt.Errorf("workload: negative retry budget %d", c.MaxRetries)
 	}
-	if c.Backoff < 0 || (c.Backoff > 0 && c.Backoff < 1) {
-		return fmt.Errorf("workload: retry backoff %g must be ≥ 1", c.Backoff)
-	}
-	if c.MaxTimeout < 0 {
-		return fmt.Errorf("workload: negative retry timeout cap %v", c.MaxTimeout)
-	}
-	if c.MaxTimeout > 0 && c.Timeout > 0 && c.MaxTimeout < c.Timeout {
-		return fmt.Errorf("workload: retry timeout cap %v below initial timeout %v", c.MaxTimeout, c.Timeout)
-	}
 	return nil
 }
 
 // RTO returns the retransmission timeout armed for the given attempt
-// number (1 = first send): Timeout × Backoff^(attempt-1), capped at
-// MaxTimeout. Call on a WithDefaults-completed config.
+// number (1 = first send): Timeout × 2^(attempt-1), capped at
+// 10 × Timeout.
 func (c RetryConfig) RTO(attempt int) sim.Duration {
+	ceil := rtoCap * c.Timeout
 	rto := float64(c.Timeout)
 	for i := 1; i < attempt; i++ {
-		rto *= c.Backoff
-		if sim.Duration(rto) >= c.MaxTimeout {
-			return c.MaxTimeout
+		rto *= rtoBackoff
+		if sim.Duration(rto) >= ceil {
+			return ceil
 		}
 	}
-	if d := sim.Duration(rto); d < c.MaxTimeout {
+	if d := sim.Duration(rto); d < ceil {
 		return d
 	}
-	return c.MaxTimeout
+	return ceil
 }

@@ -229,3 +229,17 @@ func TestLevelStrings(t *testing.T) {
 		t.Fatal("RPS(level) lookup wrong")
 	}
 }
+
+// TestRTODoublesToCap pins the retry loop's fixed backoff: the timeout
+// doubles per retransmission and stops at 10× its initial value.
+func TestRTODoublesToCap(t *testing.T) {
+	c := RetryConfig{Timeout: sim.Millisecond}
+	for _, tc := range []struct {
+		attempt int
+		want    sim.Duration
+	}{{1, 1}, {2, 2}, {3, 4}, {4, 8}, {5, 10}, {9, 10}} {
+		if got := c.RTO(tc.attempt); got != tc.want*sim.Millisecond {
+			t.Errorf("RTO(%d) = %v, want %v", tc.attempt, got, tc.want*sim.Millisecond)
+		}
+	}
+}

@@ -26,6 +26,7 @@ import (
 
 	"nmapsim/internal/core"
 	"nmapsim/internal/experiments"
+	"nmapsim/internal/governor"
 	"nmapsim/internal/server"
 	"nmapsim/internal/sim"
 	"nmapsim/internal/stats"
@@ -36,7 +37,7 @@ import (
 var Policies = experiments.PolicyNames
 
 // IdlePolicies lists the accepted C-state policy names.
-var IdlePolicies = []string{"menu", "disable", "c6only"}
+var IdlePolicies = governor.IdlePolicies
 
 // Scenario describes one simulated run of the server testbed.
 type Scenario struct {
