@@ -11,7 +11,7 @@ GO ?= go
 PGO = default.pgo
 PGOFLAG = $(if $(wildcard $(PGO)),-pgo=$(PGO),)
 
-.PHONY: ci vet govulncheck build test race fuzz-smoke pgo pgo-smoke profile thresholds clean
+.PHONY: ci fmt vet govulncheck build test race fuzz-smoke pgo pgo-smoke profile thresholds clean
 
 # Every other check is a Go test that race runs: the fault, failover,
 # fleet and gray-failure matrices, the zero-cost byte-identity gates,
@@ -22,7 +22,7 @@ PGOFLAG = $(if $(wildcard $(PGO)),-pgo=$(PGO),)
 # Performance is measured by the same-host A/B benchmark under
 # benchmark/ (`bash benchmark/run.sh`, see benchmark/README.md), not by
 # a CI target: wall-clock numbers only compare on one host.
-ci: vet govulncheck build race fuzz-smoke pgo-smoke
+ci: fmt vet govulncheck build race fuzz-smoke pgo-smoke
 
 # Capture CPU and heap (allocs) profiles from the standard fig12-quick
 # run: `go tool pprof cpu.prof` / `go tool pprof mem.prof`.
@@ -79,6 +79,12 @@ pgo-smoke:
 # Each entry the rewrite changed is logged.
 thresholds:
 	$(GO) test -count=1 -run '^TestBuiltinThresholds$$' -v ./internal/experiments/ -update
+
+# Formatting gate: print every tracked .go file gofmt would rewrite and
+# fail if there is any.
+fmt:
+	@files=$$(gofmt -l $$(git ls-files '*.go')); \
+	if [ -n "$$files" ]; then echo "$$files"; exit 1; fi
 
 vet:
 	$(GO) vet ./...

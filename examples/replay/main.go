@@ -67,7 +67,6 @@ func run(policy string) {
 		n := core.NewNMAP(s.Eng, s.Proc,
 			governor.NewStack(s.Eng, s.Proc, governor.Ondemand{Model: s.Cfg.Model}),
 			core.DefaultThresholds())
-		s.AddListener(n)
 		s.AttachPolicy(n)
 	}
 	rp.Start()

@@ -26,7 +26,7 @@ func ncapRig(keepSleep bool) (*sim.Engine, *cpu.Processor, *NCAP, *SwitchableIdl
 }
 
 func feed(n *NCAP, pkts int) {
-	n.PacketsProcessed(0, kernel.PollingMode, pkts)
+	n.OnNAPI(kernel.NAPIEvent{Kind: kernel.PacketsProcessed, Mode: kernel.PollingMode, N: pkts})
 }
 
 func TestNCAPBoostsAboveThreshold(t *testing.T) {
@@ -34,7 +34,7 @@ func TestNCAPBoostsAboveThreshold(t *testing.T) {
 	// 200 packets in a 1ms period = 200K RPS > 100K threshold.
 	feed(n, 200)
 	eng.Run(sim.Time(1100 * sim.Microsecond)) // first monitor tick
-	if !n.Boosted() {
+	if !n.boosted {
 		t.Fatal("NCAP did not boost above threshold")
 	}
 	eng.Run(sim.Time(2 * sim.Millisecond))
@@ -52,7 +52,7 @@ func TestNCAPStaysQuietBelowThreshold(t *testing.T) {
 	eng, _, n, _ := ncapRig(true)
 	feed(n, 50) // 50K RPS < 100K
 	eng.Run(sim.Time(5 * sim.Millisecond))
-	if n.Boosted() {
+	if n.boosted {
 		t.Fatal("NCAP boosted below threshold")
 	}
 }
@@ -61,7 +61,7 @@ func TestNCAPStepsDownGradually(t *testing.T) {
 	eng, proc, n, _ := ncapRig(true)
 	feed(n, 200)
 	eng.Run(sim.Time(1100 * sim.Microsecond))
-	if !n.Boosted() {
+	if !n.boosted {
 		t.Fatal("no boost")
 	}
 	// Traffic stops: NCAP holds P0 for its hold-off, then steps the
@@ -77,7 +77,7 @@ func TestNCAPStepsDownGradually(t *testing.T) {
 		t.Fatalf("after hold-off + 3 quiet periods at P%d, want gradual descent", p)
 	}
 	eng.Run(sim.Time(60 * sim.Millisecond))
-	if n.Boosted() {
+	if n.boosted {
 		t.Fatal("NCAP still boosted after long quiet")
 	}
 }
@@ -122,16 +122,16 @@ func TestPartiesStepsUpOnViolation(t *testing.T) {
 	proc := cpu.NewProcessor(cpu.XeonGold6134, eng, sim.NewRNG(1))
 	p := NewParties(eng, proc, sim.Duration(sim.Millisecond))
 	p.Start()
-	start := p.Current()
+	start := p.cur
 	// Feed latencies way over the 1ms SLO.
 	for i := 0; i < 200; i++ {
 		p.Observe(&workload.Request{Sent: 0, Done: sim.Time(5 * sim.Millisecond)})
 	}
 	eng.Run(sim.Time(510 * sim.Millisecond))
-	if p.Current() >= start {
-		t.Fatalf("Parties at P%d after violation, want faster than P%d", p.Current(), start)
+	if p.cur >= start {
+		t.Fatalf("Parties at P%d after violation, want faster than P%d", p.cur, start)
 	}
-	if start-p.Current() < 2 {
+	if start-p.cur < 2 {
 		t.Fatal("violation must trigger an aggressive (multi-step) move")
 	}
 }
@@ -141,13 +141,13 @@ func TestPartiesStepsDownOnSlack(t *testing.T) {
 	proc := cpu.NewProcessor(cpu.XeonGold6134, eng, sim.NewRNG(1))
 	p := NewParties(eng, proc, 10*sim.Millisecond*100) // SLO 1s: huge slack
 	p.Start()
-	start := p.Current()
+	start := p.cur
 	for i := 0; i < 100; i++ {
 		p.Observe(&workload.Request{Sent: 0, Done: sim.Time(100 * sim.Microsecond)})
 	}
 	eng.Run(sim.Time(510 * sim.Millisecond))
-	if p.Current() != start+1 {
-		t.Fatalf("Parties at P%d with huge slack, want one step down from P%d", p.Current(), start)
+	if p.cur != start+1 {
+		t.Fatalf("Parties at P%d with huge slack, want one step down from P%d", p.cur, start)
 	}
 }
 
@@ -156,10 +156,10 @@ func TestPartiesDriftsDownWhenIdle(t *testing.T) {
 	proc := cpu.NewProcessor(cpu.XeonGold6134, eng, sim.NewRNG(1))
 	p := NewParties(eng, proc, sim.Duration(sim.Millisecond))
 	p.Start()
-	start := p.Current()
+	start := p.cur
 	eng.Run(sim.Time(1600 * sim.Millisecond)) // 3 idle intervals
-	if p.Current() != start+3 {
-		t.Fatalf("idle drift: P%d, want P%d", p.Current(), start+3)
+	if p.cur != start+3 {
+		t.Fatalf("idle drift: P%d, want P%d", p.cur, start+3)
 	}
 }
 
@@ -168,11 +168,11 @@ func TestPartiesDecisionInterval(t *testing.T) {
 	proc := cpu.NewProcessor(cpu.XeonGold6134, eng, sim.NewRNG(1))
 	p := NewParties(eng, proc, sim.Duration(sim.Millisecond))
 	p.Start()
-	start := p.Current()
+	start := p.cur
 	eng.Run(sim.Time(2 * sim.Second))
 	// With no traffic every decision drifts down one step, and the
 	// 6134 starts mid-table (P7 of P0–P15), so the drift counts them.
-	if decisions := p.Current() - start; decisions != 4 {
+	if decisions := p.cur - start; decisions != 4 {
 		t.Fatalf("decisions = %d over 2s, want 4 (500ms interval)", decisions)
 	}
 }
@@ -213,13 +213,13 @@ func TestPegasusJumpsOnViolation(t *testing.T) {
 	proc := cpu.NewProcessor(cpu.XeonGold6134, eng, sim.NewRNG(1))
 	p := NewPegasus(eng, proc, sim.Duration(sim.Millisecond))
 	p.Start()
-	start := p.Current()
+	start := p.cur
 	for i := 0; i < 300; i++ {
 		p.Observe(&workload.Request{Sent: 0, Done: sim.Time(8 * sim.Millisecond)})
 	}
 	eng.Run(sim.Time(1100 * sim.Millisecond))
-	if start-p.Current() < 5 {
-		t.Fatalf("Pegasus at P%d after violation from P%d, want a >=5-state jump", p.Current(), start)
+	if start-p.cur < 5 {
+		t.Fatalf("Pegasus at P%d after violation from P%d, want a >=5-state jump", p.cur, start)
 	}
 }
 
@@ -228,13 +228,13 @@ func TestPegasusDecisionIntervalIsOneSecond(t *testing.T) {
 	proc := cpu.NewProcessor(cpu.XeonGold6134, eng, sim.NewRNG(1))
 	p := NewPegasus(eng, proc, sim.Duration(sim.Millisecond))
 	p.Start()
-	start := p.Current()
+	start := p.cur
 	for i := 0; i < 100; i++ {
 		p.Observe(&workload.Request{Sent: 0, Done: sim.Time(8 * sim.Millisecond)})
 	}
 	// Before the first 1s tick, nothing may change.
 	eng.Run(sim.Time(900 * sim.Millisecond))
-	if p.Current() != start {
+	if p.cur != start {
 		t.Fatal("Pegasus acted before its 1s interval")
 	}
 }
@@ -244,12 +244,12 @@ func TestPegasusCreepsDownWithWideSlack(t *testing.T) {
 	proc := cpu.NewProcessor(cpu.XeonGold6134, eng, sim.NewRNG(1))
 	p := NewPegasus(eng, proc, 100*sim.Millisecond)
 	p.Start()
-	start := p.Current()
+	start := p.cur
 	for i := 0; i < 100; i++ {
 		p.Observe(&workload.Request{Sent: 0, Done: sim.Time(100 * sim.Microsecond)})
 	}
 	eng.Run(sim.Time(1100 * sim.Millisecond))
-	if p.Current() != start+1 {
-		t.Fatalf("Pegasus at P%d with huge slack, want one cautious step from P%d", p.Current(), start)
+	if p.cur != start+1 {
+		t.Fatalf("Pegasus at P%d with huge slack, want one cautious step from P%d", p.cur, start)
 	}
 }

@@ -25,7 +25,6 @@ type Feedback struct {
 
 	window *stats.Hist
 	cur    int
-	stop   func()
 }
 
 func newFeedback(eng *sim.Engine, proc *cpu.Processor, slo, interval sim.Duration, capacity int,
@@ -87,19 +86,8 @@ func (f *Feedback) Observe(r *workload.Request) { f.window.Add(r.Latency()) }
 // Start applies the initial state and begins the decision loop.
 func (f *Feedback) Start() {
 	f.proc.RequestAll(f.cur)
-	f.stop = f.eng.Ticker(f.interval, f.tick)
+	f.eng.Ticker(f.interval, f.tick)
 }
-
-// Stop halts the decision loop.
-func (f *Feedback) Stop() {
-	if f.stop != nil {
-		f.stop()
-		f.stop = nil
-	}
-}
-
-// Current returns the chip-wide P-state the controller enforces.
-func (f *Feedback) Current() int { return f.cur }
 
 func (f *Feedback) tick() {
 	p99 := f.window.P(0.99)

@@ -55,10 +55,10 @@ func (s *SwitchableIdle) IdleEnded(coreID int, d sim.Duration) {
 // policy (false).
 func (s *SwitchableIdle) ForceAwake(v bool) { s.forceAwake = v }
 
-// NCAP is the software re-implementation of the NCAP baseline. Attach it
-// as a NAPI listener to every core kernel (to count packets) and Start
-// it. The processor should run with chip-wide DVFS coordination
-// (Config.ForceChipWide), matching NCAP's chip-wide design.
+// NCAP is the software re-implementation of the NCAP baseline. It
+// counts packets as a NAPI listener, so server.AttachPolicy subscribes
+// it to every core kernel. The processor should run with chip-wide DVFS
+// coordination (Config.ForceChipWide), matching NCAP's chip-wide design.
 type NCAP struct {
 	eng   *sim.Engine
 	proc  *cpu.Processor
@@ -74,7 +74,6 @@ type NCAP struct {
 	boosted bool
 	quiet   int
 	stepP   int
-	stop    func()
 	// boostCount counts boost episodes (for ablation reporting).
 	boostCount int64
 }
@@ -99,35 +98,16 @@ func NewNCAP(eng *sim.Engine, proc *cpu.Processor, stack *governor.Stack, thresh
 // Start launches the fallback stack and the periodic monitor.
 func (n *NCAP) Start() {
 	n.stack.Start()
-	n.stop = n.eng.Ticker(ncapPeriod, n.tick)
+	n.eng.Ticker(ncapPeriod, n.tick)
 }
 
-// Stop halts the monitor and the fallback stack.
-func (n *NCAP) Stop() {
-	if n.stop != nil {
-		n.stop()
-		n.stop = nil
+// OnNAPI implements kernel.NAPIListener: NCAP monitors the total
+// network load at the NIC, not per-core state.
+func (n *NCAP) OnNAPI(e kernel.NAPIEvent) {
+	if e.Kind == kernel.PacketsProcessed {
+		n.pkts += float64(e.N)
 	}
-	n.stack.Stop()
 }
-
-// Boosted reports whether NCAP currently pins the package at P0.
-func (n *NCAP) Boosted() bool { return n.boosted }
-
-// InterruptArrived implements kernel.NAPIListener (unused).
-func (n *NCAP) InterruptArrived(int) {}
-
-// PacketsProcessed implements kernel.NAPIListener: NCAP monitors the
-// total network load at the NIC, not per-core state.
-func (n *NCAP) PacketsProcessed(_ int, _ kernel.Mode, pkts int) {
-	n.pkts += float64(pkts)
-}
-
-// KsoftirqdWake implements kernel.NAPIListener (unused).
-func (n *NCAP) KsoftirqdWake(int) {}
-
-// KsoftirqdSleep implements kernel.NAPIListener (unused).
-func (n *NCAP) KsoftirqdSleep(int) {}
 
 func (n *NCAP) tick() {
 	rate := n.pkts / ncapPeriod.Seconds()

@@ -39,9 +39,6 @@ func NewPerRequest(eng *sim.Engine, proc *cpu.Processor, kernels []*kernel.CoreK
 // Start applies the initial floor state.
 func (p *PerRequest) Start() { p.proc.RequestAll(p.proc.Model.MaxP()) }
 
-// Stop implements server.Policy (nothing to stop).
-func (p *PerRequest) Stop() {}
-
 func (p *PerRequest) retarget(coreID int) {
 	depth := p.kernels[coreID].SockQLen() + 1
 	target := p.proc.Model.MaxP() - depth/queuePerStep
@@ -52,18 +49,11 @@ func (p *PerRequest) retarget(coreID int) {
 	p.proc.Request(coreID, target)
 }
 
-// InterruptArrived implements kernel.NAPIListener: a new request demands
-// a fresh V/F decision.
-func (p *PerRequest) InterruptArrived(coreID int) { p.retarget(coreID) }
-
-// PacketsProcessed implements kernel.NAPIListener: queue drained a bit,
-// decide again.
-func (p *PerRequest) PacketsProcessed(coreID int, _ kernel.Mode, _ int) {
-	p.retarget(coreID)
+// OnNAPI implements kernel.NAPIListener: an interrupt (a new request)
+// and a poll batch (the queue drained a bit) each demand a fresh V/F
+// decision.
+func (p *PerRequest) OnNAPI(e kernel.NAPIEvent) {
+	if e.Kind == kernel.InterruptArrived || e.Kind == kernel.PacketsProcessed {
+		p.retarget(e.Core)
+	}
 }
-
-// KsoftirqdWake implements kernel.NAPIListener (unused).
-func (p *PerRequest) KsoftirqdWake(int) {}
-
-// KsoftirqdSleep implements kernel.NAPIListener (unused).
-func (p *PerRequest) KsoftirqdSleep(int) {}

@@ -112,9 +112,6 @@ func (n *Node) Inject(r *workload.Request) {
 	n.Srv.Ingress(r)
 }
 
-// Report collects this node's result as of now.
-func (n *Node) Report() server.Result { return n.Srv.Collect() }
-
 // Accounting is the front-end router's request ledger. Its identity —
 // Issued == Completed + Failed + Unroutable + InFlight — is enforced by
 // audit.CheckCluster together with the cross-node conservation rules.

@@ -74,7 +74,8 @@ type nmapCore struct {
 }
 
 // NMAP is the ratio-based flavour (§4.2). It implements
-// kernel.NAPIListener; attach it to every CoreKernel and call Start.
+// kernel.NAPIListener, so server.AttachPolicy subscribes it to every
+// core kernel.
 type NMAP struct {
 	eng   *sim.Engine
 	proc  *cpu.Processor
@@ -82,7 +83,6 @@ type NMAP struct {
 	th    Thresholds
 
 	cores []*nmapCore
-	stop  func()
 
 	// sleep, when set by IntegrateSleep, is told after every mode
 	// transition whether any core is in Network Intensive Mode.
@@ -103,53 +103,29 @@ func NewNMAP(eng *sim.Engine, proc *cpu.Processor, stack *governor.Stack, th Thr
 // timer.
 func (n *NMAP) Start() {
 	n.stack.Start()
-	n.stop = n.eng.Ticker(decisionInterval, n.periodic)
+	n.eng.Ticker(decisionInterval, n.periodic)
 }
 
-// Stop halts the timer and the fallback stack.
-func (n *NMAP) Stop() {
-	if n.stop != nil {
-		n.stop()
-		n.stop = nil
+// OnNAPI implements kernel.NAPIListener with Algorithm 1 lines 4-8,
+// which need only the packet counts: accumulate the mode counters and
+// notify the Decision Engine as soon as the polling-mode packets
+// accumulated in the current timer window exceed NI_TH — "the increase
+// in the polling ratio means the increase in the number of pending
+// packets".
+func (n *NMAP) OnNAPI(e kernel.NAPIEvent) {
+	if e.Kind != kernel.PacketsProcessed {
+		return
 	}
-	n.stack.Stop()
-}
-
-// Mode returns core i's current power-management mode.
-func (n *NMAP) Mode(i int) Mode { return n.cores[i].mode }
-
-// Boosts returns how many times core i entered Network Intensive Mode.
-func (n *NMAP) Boosts(i int) int64 { return n.cores[i].boosts }
-
-// Fallbacks returns how many times core i fell back to CPU Util Mode.
-func (n *NMAP) Fallbacks(i int) int64 { return n.cores[i].fallbacks }
-
-// InterruptArrived implements kernel.NAPIListener (the monitor only
-// needs the packet counts).
-func (n *NMAP) InterruptArrived(coreID int) {}
-
-// PacketsProcessed implements kernel.NAPIListener (Algorithm 1 lines
-// 4-8): accumulate the mode counters and notify the Decision Engine as
-// soon as the polling-mode packets accumulated in the current timer
-// window exceed NI_TH — "the increase in the polling ratio means the
-// increase in the number of pending packets".
-func (n *NMAP) PacketsProcessed(coreID int, mode kernel.Mode, pkts int) {
-	c := n.cores[coreID]
-	if mode == kernel.PollingMode {
-		c.pollCnt += float64(pkts)
+	c := n.cores[e.Core]
+	if e.Mode == kernel.PollingMode {
+		c.pollCnt += float64(e.N)
 		if c.pollCnt > n.th.NITh {
-			n.notify(coreID)
+			n.notify(e.Core)
 		}
 	} else {
-		c.intrCnt += float64(pkts)
+		c.intrCnt += float64(e.N)
 	}
 }
-
-// KsoftirqdWake implements kernel.NAPIListener (no-op in this flavour).
-func (n *NMAP) KsoftirqdWake(int) {}
-
-// KsoftirqdSleep implements kernel.NAPIListener (no-op in this flavour).
-func (n *NMAP) KsoftirqdSleep(int) {}
 
 // notify is Algorithm 2 lines 2-5: enter Network Intensive Mode.
 func (n *NMAP) notify(coreID int) {
@@ -250,48 +226,27 @@ func NewNMAPSimpl(proc *cpu.Processor, stack *governor.Stack) *NMAPSimpl {
 // Start launches the fallback governor stack.
 func (n *NMAPSimpl) Start() { n.stack.Start() }
 
-// Stop halts the fallback stack.
-func (n *NMAPSimpl) Stop() { n.stack.Stop() }
-
-// Mode returns core i's current mode.
-func (n *NMAPSimpl) Mode(i int) Mode { return n.cores[i].mode }
-
-// Boosts returns how many times core i entered Network Intensive Mode.
-func (n *NMAPSimpl) Boosts(i int) int64 { return n.cores[i].boosts }
-
-// InterruptArrived implements kernel.NAPIListener (unused).
-func (n *NMAPSimpl) InterruptArrived(int) {}
-
-// PacketsProcessed implements kernel.NAPIListener (unused).
-func (n *NMAPSimpl) PacketsProcessed(int, kernel.Mode, int) {}
-
-// KsoftirqdWake implements kernel.NAPIListener: boost.
-func (n *NMAPSimpl) KsoftirqdWake(coreID int) {
-	c := n.cores[coreID]
-	if c.mode == NetworkIntensiveMode {
-		return
+// OnNAPI implements kernel.NAPIListener: boost when ksoftirqd wakes,
+// fall back when it sleeps.
+func (n *NMAPSimpl) OnNAPI(e kernel.NAPIEvent) {
+	c := n.cores[e.Core]
+	switch {
+	case e.Kind == kernel.KsoftirqdWake && c.mode != NetworkIntensiveMode:
+		c.mode = NetworkIntensiveMode
+		c.boosts++
+		n.stack.Suspend(e.Core)
+		n.proc.Request(e.Core, 0)
+	case e.Kind == kernel.KsoftirqdSleep && c.mode == NetworkIntensiveMode:
+		c.mode = CPUUtilMode
+		c.fallbacks++
+		n.stack.Resume(e.Core)
 	}
-	c.mode = NetworkIntensiveMode
-	c.boosts++
-	n.stack.Suspend(coreID)
-	n.proc.Request(coreID, 0)
-}
-
-// KsoftirqdSleep implements kernel.NAPIListener: fall back.
-func (n *NMAPSimpl) KsoftirqdSleep(coreID int) {
-	c := n.cores[coreID]
-	if c.mode != NetworkIntensiveMode {
-		return
-	}
-	c.mode = CPUUtilMode
-	c.fallbacks++
-	n.stack.Resume(coreID)
 }
 
 // CoreOffline implements the server's failure-aware protocol (see
-// NMAP.CoreOffline). The kernel emits a KsoftirqdSleep before the crash
-// settles when ksoftirqd owned the NAPI context, so the mode machine is
-// usually already back in CPU Utilisation Mode here.
+// NMAP.CoreOffline). The kernel emits a KsoftirqdSleep event before the
+// crash settles when ksoftirqd owned the NAPI context, so the mode
+// machine is usually already back in CPU Utilisation Mode here.
 func (n *NMAPSimpl) CoreOffline(coreID int) {
 	c := n.cores[coreID]
 	if c.mode == NetworkIntensiveMode {

@@ -21,17 +21,17 @@ func newNMAPRig(th Thresholds) (*sim.Engine, *cpu.Processor, *NMAP) {
 func TestNMAPBoostsWhenPollingExceedsNITh(t *testing.T) {
 	eng, proc, n := newNMAPRig(Thresholds{NITh: 32, CUTh: 0.25})
 	// Simulate a burst on core 2: one interrupt, then polling batches.
-	n.InterruptArrived(2)
-	n.PacketsProcessed(2, kernel.InterruptMode, 64)
-	if n.Mode(2) != CPUUtilMode {
+	interrupt(n, 2)
+	packets(n, 2, kernel.InterruptMode, 64)
+	if n.cores[2].mode != CPUUtilMode {
 		t.Fatal("interrupt-mode packets must not boost")
 	}
-	n.PacketsProcessed(2, kernel.PollingMode, 20)
-	if n.Mode(2) != CPUUtilMode {
+	packets(n, 2, kernel.PollingMode, 20)
+	if n.cores[2].mode != CPUUtilMode {
 		t.Fatal("20 polling packets under NI_TH=32 must not boost")
 	}
-	n.PacketsProcessed(2, kernel.PollingMode, 20)
-	if n.Mode(2) != NetworkIntensiveMode {
+	packets(n, 2, kernel.PollingMode, 20)
+	if n.cores[2].mode != NetworkIntensiveMode {
 		t.Fatal("40 polling packets above NI_TH must boost")
 	}
 	eng.Run(sim.Time(20 * sim.Microsecond))
@@ -41,8 +41,8 @@ func TestNMAPBoostsWhenPollingExceedsNITh(t *testing.T) {
 	if proc.Cores[0].PState() != 15 {
 		t.Fatalf("unrelated core at P%d, want P15 (per-core decision)", proc.Cores[0].PState())
 	}
-	if n.Boosts(2) != 1 {
-		t.Fatalf("boosts=%d, want 1", n.Boosts(2))
+	if n.cores[2].boosts != 1 {
+		t.Fatalf("boosts=%d, want 1", n.cores[2].boosts)
 	}
 }
 
@@ -51,54 +51,54 @@ func TestNMAPTimerWindowResetsPollCount(t *testing.T) {
 	// Polling packets spread thinly across timer windows never
 	// accumulate past NI_TH: each 10ms flush resets the counter.
 	for i := 0; i < 10; i++ {
-		n.PacketsProcessed(0, kernel.PollingMode, 10)
+		packets(n, 0, kernel.PollingMode, 10)
 		eng.Run(sim.Time((11 + 10*i)) * sim.Time(sim.Millisecond))
 	}
-	if n.Mode(0) != CPUUtilMode {
+	if n.cores[0].mode != CPUUtilMode {
 		t.Fatal("timer window did not reset the poll counter; spurious boost")
 	}
 	// The same volume inside one window does boost.
 	for i := 0; i < 10; i++ {
-		n.PacketsProcessed(0, kernel.PollingMode, 10)
+		packets(n, 0, kernel.PollingMode, 10)
 	}
-	if n.Mode(0) != NetworkIntensiveMode {
+	if n.cores[0].mode != NetworkIntensiveMode {
 		t.Fatal("poll accumulation within one window failed to boost")
 	}
 }
 
 func TestNMAPFallsBackWhenRatioDrops(t *testing.T) {
 	eng, _, n := newNMAPRig(Thresholds{NITh: 10, CUTh: 0.5})
-	n.InterruptArrived(0)
-	n.PacketsProcessed(0, kernel.PollingMode, 20) // boost
-	if n.Mode(0) != NetworkIntensiveMode {
+	interrupt(n, 0)
+	packets(n, 0, kernel.PollingMode, 20) // boost
+	if n.cores[0].mode != NetworkIntensiveMode {
 		t.Fatal("no boost")
 	}
 	// Next interval: plenty of interrupt-mode traffic, little polling.
 	eng.Run(sim.Time(11 * sim.Millisecond)) // first periodic flush
-	n.InterruptArrived(0)
-	n.PacketsProcessed(0, kernel.InterruptMode, 100)
-	n.PacketsProcessed(0, kernel.PollingMode, 10) // ratio 0.1 < 0.5
+	interrupt(n, 0)
+	packets(n, 0, kernel.InterruptMode, 100)
+	packets(n, 0, kernel.PollingMode, 10) // ratio 0.1 < 0.5
 	eng.Run(sim.Time(21 * sim.Millisecond))
-	if n.Mode(0) != CPUUtilMode {
+	if n.cores[0].mode != CPUUtilMode {
 		t.Fatal("NMAP did not fall back despite low polling ratio")
 	}
-	if n.Fallbacks(0) != 1 {
-		t.Fatalf("fallbacks=%d, want 1", n.Fallbacks(0))
+	if n.cores[0].fallbacks != 1 {
+		t.Fatalf("fallbacks=%d, want 1", n.cores[0].fallbacks)
 	}
 }
 
 func TestNMAPStaysBoostedWhileRatioHigh(t *testing.T) {
 	eng, proc, n := newNMAPRig(Thresholds{NITh: 10, CUTh: 0.5})
-	n.InterruptArrived(0)
-	n.PacketsProcessed(0, kernel.PollingMode, 20)
+	interrupt(n, 0)
+	packets(n, 0, kernel.PollingMode, 20)
 	// Sustained polling-heavy traffic across several intervals.
 	for w := 0; w < 5; w++ {
 		eng.Run(sim.Time((11 + 10*sim.Time(w)) * sim.Time(sim.Millisecond)))
-		n.InterruptArrived(0)
-		n.PacketsProcessed(0, kernel.InterruptMode, 10)
-		n.PacketsProcessed(0, kernel.PollingMode, 100)
+		interrupt(n, 0)
+		packets(n, 0, kernel.InterruptMode, 10)
+		packets(n, 0, kernel.PollingMode, 100)
 	}
-	if n.Mode(0) != NetworkIntensiveMode {
+	if n.cores[0].mode != NetworkIntensiveMode {
 		t.Fatal("NMAP fell back during sustained polling")
 	}
 	if proc.Cores[0].PState() != 0 {
@@ -108,12 +108,12 @@ func TestNMAPStaysBoostedWhileRatioHigh(t *testing.T) {
 
 func TestNMAPIdleFallsBackToZeroTraffic(t *testing.T) {
 	eng, proc, n := newNMAPRig(Thresholds{NITh: 10, CUTh: 0.5})
-	n.InterruptArrived(0)
-	n.PacketsProcessed(0, kernel.PollingMode, 20)
+	interrupt(n, 0)
+	packets(n, 0, kernel.PollingMode, 20)
 	// No traffic at all afterwards: ratio 0 → fallback; ondemand then
 	// drops the idle core to P15.
 	eng.Run(sim.Time(50 * sim.Millisecond))
-	if n.Mode(0) != CPUUtilMode {
+	if n.cores[0].mode != CPUUtilMode {
 		t.Fatal("NMAP stayed boosted with zero traffic")
 	}
 	if proc.Cores[0].PState() != 15 {
@@ -123,35 +123,35 @@ func TestNMAPIdleFallsBackToZeroTraffic(t *testing.T) {
 
 func TestNMAPPollOnlyTrafficStaysBoosted(t *testing.T) {
 	eng, _, n := newNMAPRig(Thresholds{NITh: 10, CUTh: 0.5})
-	n.InterruptArrived(0)
-	n.PacketsProcessed(0, kernel.PollingMode, 20)
+	interrupt(n, 0)
+	packets(n, 0, kernel.PollingMode, 20)
 	eng.Run(sim.Time(11 * sim.Millisecond))
 	// Interval with polling but zero interrupt-mode packets (ksoftirqd
 	// churning through a standing queue): must NOT fall back.
-	n.PacketsProcessed(0, kernel.PollingMode, 500)
+	packets(n, 0, kernel.PollingMode, 500)
 	eng.Run(sim.Time(21 * sim.Millisecond))
-	if n.Mode(0) != CPUUtilMode {
+	if n.cores[0].mode != CPUUtilMode {
 		// The first flush (at 10ms) consumed the boost-window counters;
 		// the second flush sees poll=500, intr=0 → stays boosted.
 	}
 	eng.Run(sim.Time(22 * sim.Millisecond))
-	if n.Mode(0) != NetworkIntensiveMode && n.Fallbacks(0) > 1 {
+	if n.cores[0].mode != NetworkIntensiveMode && n.cores[0].fallbacks > 1 {
 		t.Fatal("poll-only interval caused fallback")
 	}
 }
 
 func TestNMAPModeChangeCallback(t *testing.T) {
 	eng, _, n := newNMAPRig(Thresholds{NITh: 5, CUTh: 0.5})
-	n.InterruptArrived(0)
-	n.PacketsProcessed(0, kernel.PollingMode, 10)
-	if n.Mode(0) != NetworkIntensiveMode || n.Boosts(0) != 1 || n.Fallbacks(0) != 0 {
+	interrupt(n, 0)
+	packets(n, 0, kernel.PollingMode, 10)
+	if n.cores[0].mode != NetworkIntensiveMode || n.cores[0].boosts != 1 || n.cores[0].fallbacks != 0 {
 		t.Fatalf("after NI_TH: mode=%v boosts=%d fallbacks=%d, want network-intensive 1 0",
-			n.Mode(0), n.Boosts(0), n.Fallbacks(0))
+			n.cores[0].mode, n.cores[0].boosts, n.cores[0].fallbacks)
 	}
 	eng.Run(sim.Time(50 * sim.Millisecond))
-	if n.Mode(0) != CPUUtilMode || n.Boosts(0) != 1 || n.Fallbacks(0) != 1 {
+	if n.cores[0].mode != CPUUtilMode || n.cores[0].boosts != 1 || n.cores[0].fallbacks != 1 {
 		t.Fatalf("after idle intervals: mode=%v boosts=%d fallbacks=%d, want cpu-util 1 1",
-			n.Mode(0), n.Boosts(0), n.Fallbacks(0))
+			n.cores[0].mode, n.cores[0].boosts, n.cores[0].fallbacks)
 	}
 }
 
@@ -161,27 +161,27 @@ func TestNMAPSimplFollowsKsoftirqd(t *testing.T) {
 	stack := governor.NewStack(eng, proc, governor.Ondemand{Model: cpu.XeonGold6134})
 	n := NewNMAPSimpl(proc, stack)
 	n.Start()
-	n.KsoftirqdWake(3)
-	if n.Mode(3) != NetworkIntensiveMode {
+	ksWake(n, 3)
+	if n.cores[3].mode != NetworkIntensiveMode {
 		t.Fatal("ksoftirqd wake must boost")
 	}
 	eng.Run(sim.Time(20 * sim.Microsecond))
 	if proc.Cores[3].PState() != 0 {
 		t.Fatalf("core at P%d after ksoftirqd wake, want P0", proc.Cores[3].PState())
 	}
-	n.KsoftirqdSleep(3)
-	if n.Mode(3) != CPUUtilMode {
+	ksSleep(n, 3)
+	if n.cores[3].mode != CPUUtilMode {
 		t.Fatal("ksoftirqd sleep must fall back")
 	}
-	if n.Boosts(3) != 1 {
-		t.Fatalf("boosts=%d", n.Boosts(3))
+	if n.cores[3].boosts != 1 {
+		t.Fatalf("boosts=%d", n.cores[3].boosts)
 	}
 	// Double wake/sleep are idempotent.
-	n.KsoftirqdSleep(3)
-	n.KsoftirqdWake(3)
-	n.KsoftirqdWake(3)
-	if n.Boosts(3) != 2 {
-		t.Fatalf("boosts=%d after double wake, want 2", n.Boosts(3))
+	ksSleep(n, 3)
+	ksWake(n, 3)
+	ksWake(n, 3)
+	if n.cores[3].boosts != 2 {
+		t.Fatalf("boosts=%d after double wake, want 2", n.cores[3].boosts)
 	}
 }
 
@@ -190,10 +190,10 @@ func TestProfilerDerivesThresholds(t *testing.T) {
 	p := NewProfiler(eng)
 	// Burst 1: 3 interrupts; max polls/interrupt = 48; poll 80 intr 120.
 	feed := func(intr int, polls []int) {
-		p.InterruptArrived(0)
-		p.PacketsProcessed(0, kernel.InterruptMode, intr)
+		interrupt(p, 0)
+		packets(p, 0, kernel.InterruptMode, intr)
 		for _, pl := range polls {
-			p.PacketsProcessed(0, kernel.PollingMode, pl)
+			packets(p, 0, kernel.PollingMode, pl)
 		}
 	}
 	feed(40, []int{16, 16}) // 32 polling in this window
@@ -222,8 +222,8 @@ func TestProfilerDerivesThresholds(t *testing.T) {
 func TestProfilerNoPollingYieldsDefaults(t *testing.T) {
 	eng := sim.NewEngine()
 	p := NewProfiler(eng)
-	p.InterruptArrived(0)
-	p.PacketsProcessed(0, kernel.InterruptMode, 10)
+	interrupt(p, 0)
+	packets(p, 0, kernel.InterruptMode, 10)
 	th := p.Thresholds()
 	def := DefaultThresholds()
 	if th != def {
@@ -235,12 +235,12 @@ func TestProfilerEarlyWindowOnly(t *testing.T) {
 	eng := sim.NewEngine()
 	p := NewProfiler(eng)
 	p.earlyInterrupts = 2
-	p.InterruptArrived(0)
-	p.PacketsProcessed(0, kernel.PollingMode, 10)
-	p.InterruptArrived(0)
-	p.PacketsProcessed(0, kernel.PollingMode, 20)
-	p.InterruptArrived(0) // third interrupt: beyond the early window
-	p.PacketsProcessed(0, kernel.PollingMode, 500)
+	interrupt(p, 0)
+	packets(p, 0, kernel.PollingMode, 10)
+	interrupt(p, 0)
+	packets(p, 0, kernel.PollingMode, 20)
+	interrupt(p, 0) // third interrupt: beyond the early window
+	packets(p, 0, kernel.PollingMode, 500)
 	th := p.Thresholds()
 	if th.NITh != 20 {
 		t.Fatalf("NI_TH = %f, want 20 (late polling excluded)", th.NITh)

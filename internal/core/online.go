@@ -50,25 +50,16 @@ func NewOnlineTuner(eng *sim.Engine, n *NMAP) *OnlineTuner {
 	return &OnlineTuner{nmap: n, prof: NewProfiler(eng), adjustEvery: 4}
 }
 
-// InterruptArrived implements kernel.NAPIListener.
-func (t *OnlineTuner) InterruptArrived(coreID int) {
-	t.prof.InterruptArrived(coreID)
-	if t.prof.Bursts() >= t.lastBursts+t.adjustEvery {
+// OnNAPI implements kernel.NAPIListener: feed the profiler, and on an
+// interrupt that closed the adjustEvery-th burst since the last update,
+// re-derive the thresholds.
+func (t *OnlineTuner) OnNAPI(e kernel.NAPIEvent) {
+	t.prof.OnNAPI(e)
+	if e.Kind == kernel.InterruptArrived && t.prof.Bursts() >= t.lastBursts+t.adjustEvery {
 		t.lastBursts = t.prof.Bursts()
 		t.apply()
 	}
 }
-
-// PacketsProcessed implements kernel.NAPIListener.
-func (t *OnlineTuner) PacketsProcessed(coreID int, mode kernel.Mode, n int) {
-	t.prof.PacketsProcessed(coreID, mode, n)
-}
-
-// KsoftirqdWake implements kernel.NAPIListener (unused).
-func (t *OnlineTuner) KsoftirqdWake(int) {}
-
-// KsoftirqdSleep implements kernel.NAPIListener (unused).
-func (t *OnlineTuner) KsoftirqdSleep(int) {}
 
 func (t *OnlineTuner) apply() {
 	fresh := t.prof.Peek()

@@ -9,14 +9,31 @@ import (
 	"nmapsim/internal/sim"
 )
 
+// interrupt, packets, ksWake and ksSleep hand l one NAPI event each.
+func interrupt(l kernel.NAPIListener, core int) {
+	l.OnNAPI(kernel.NAPIEvent{Kind: kernel.InterruptArrived, Core: core})
+}
+
+func packets(l kernel.NAPIListener, core int, mode kernel.Mode, n int) {
+	l.OnNAPI(kernel.NAPIEvent{Kind: kernel.PacketsProcessed, Core: core, Mode: mode, N: n})
+}
+
+func ksWake(l kernel.NAPIListener, core int) {
+	l.OnNAPI(kernel.NAPIEvent{Kind: kernel.KsoftirqdWake, Core: core})
+}
+
+func ksSleep(l kernel.NAPIListener, core int) {
+	l.OnNAPI(kernel.NAPIEvent{Kind: kernel.KsoftirqdSleep, Core: core})
+}
+
 // feedBurst pushes one synthetic burst (interrupts + packets) through a
 // listener, then advances the engine past the quiet gap so the burst
 // closes.
 func feedBurst(eng *sim.Engine, l kernel.NAPIListener, intrPkts, pollPkts int) {
 	for i := 0; i < 10; i++ {
-		l.InterruptArrived(0)
-		l.PacketsProcessed(0, kernel.InterruptMode, intrPkts/10)
-		l.PacketsProcessed(0, kernel.PollingMode, pollPkts/10)
+		interrupt(l, 0)
+		packets(l, 0, kernel.InterruptMode, intrPkts/10)
+		packets(l, 0, kernel.PollingMode, pollPkts/10)
 		eng.Schedule(100*sim.Microsecond, func() {})
 		eng.RunAll()
 	}
@@ -76,10 +93,10 @@ func TestPeekDoesNotCloseBurst(t *testing.T) {
 		t.Fatalf("Peek on empty profiler = %+v, want zero", th)
 	}
 	// Mid-burst Peek must not register the in-progress burst.
-	p.InterruptArrived(0)
-	p.PacketsProcessed(0, kernel.InterruptMode, 10)
-	p.PacketsProcessed(0, kernel.PollingMode, 50)
-	p.InterruptArrived(0)
+	interrupt(p, 0)
+	packets(p, 0, kernel.InterruptMode, 10)
+	packets(p, 0, kernel.PollingMode, 50)
+	interrupt(p, 0)
 	before := p.Bursts()
 	_ = p.Peek()
 	if p.Bursts() != before {
@@ -96,14 +113,14 @@ func TestIntegrateSleepForcesAwakeDuringBoost(t *testing.T) {
 	ctl := &fakeSleepCtl{}
 	n.IntegrateSleep(ctl)
 
-	n.PacketsProcessed(2, kernel.PollingMode, 20) // boost core 2
+	packets(n, 2, kernel.PollingMode, 20) // boost core 2
 	if !ctl.awake {
 		t.Fatal("boost did not force the idle policy awake")
 	}
 	// Zero traffic: the periodic engine falls core 2 back; all cores in
 	// CPU-util mode → sleep restored.
 	eng.Run(sim.Time(50 * sim.Millisecond))
-	if n.Mode(2) != CPUUtilMode {
+	if n.cores[2].mode != CPUUtilMode {
 		t.Fatal("core 2 did not fall back")
 	}
 	if ctl.awake {
@@ -120,13 +137,13 @@ func TestSetThresholdsTakesEffect(t *testing.T) {
 	proc := cpu.NewProcessor(cpu.XeonGold6134, eng, sim.NewRNG(1))
 	stack := governor.NewStack(eng, proc, governor.Ondemand{Model: cpu.XeonGold6134})
 	n := NewNMAP(eng, proc, stack, Thresholds{NITh: 1000, CUTh: 0.25})
-	n.PacketsProcessed(0, kernel.PollingMode, 100)
-	if n.Mode(0) != CPUUtilMode {
+	packets(n, 0, kernel.PollingMode, 100)
+	if n.cores[0].mode != CPUUtilMode {
 		t.Fatal("boosted below NI_TH=1000")
 	}
 	n.SetThresholds(Thresholds{NITh: 50, CUTh: 0.25})
-	n.PacketsProcessed(0, kernel.PollingMode, 100)
-	if n.Mode(0) != NetworkIntensiveMode {
+	packets(n, 0, kernel.PollingMode, 100)
+	if n.cores[0].mode != NetworkIntensiveMode {
 		t.Fatal("lowered NI_TH did not take effect")
 	}
 }

@@ -49,8 +49,25 @@ func NewProfiler(eng *sim.Engine) *Profiler {
 	return &Profiler{eng: eng, earlyInterrupts: 500}
 }
 
-// InterruptArrived implements kernel.NAPIListener.
-func (p *Profiler) InterruptArrived(int) {
+// OnNAPI implements kernel.NAPIListener: an interrupt may close the
+// burst and the early window; a poll batch adds to the mode counters.
+func (p *Profiler) OnNAPI(e kernel.NAPIEvent) {
+	switch e.Kind {
+	case kernel.InterruptArrived:
+		p.interrupt()
+	case kernel.PacketsProcessed:
+		if e.Mode == kernel.PollingMode {
+			p.burstPoll += float64(e.N)
+			p.pollSinceIntr += float64(e.N)
+		} else {
+			p.burstIntr += float64(e.N)
+		}
+	}
+}
+
+// interrupt opens a new interrupt window, first closing the burst when
+// the interrupt follows a quiet gap.
+func (p *Profiler) interrupt() {
 	now := p.eng.Now()
 	if p.seenIntr && sim.Duration(now-p.lastIntr) >= profileQuietGap {
 		p.endBurst()
@@ -63,22 +80,6 @@ func (p *Profiler) InterruptArrived(int) {
 	p.intrInBurst++
 	p.pollSinceIntr = 0
 }
-
-// PacketsProcessed implements kernel.NAPIListener.
-func (p *Profiler) PacketsProcessed(_ int, mode kernel.Mode, n int) {
-	if mode == kernel.PollingMode {
-		p.burstPoll += float64(n)
-		p.pollSinceIntr += float64(n)
-	} else {
-		p.burstIntr += float64(n)
-	}
-}
-
-// KsoftirqdWake implements kernel.NAPIListener (unused).
-func (p *Profiler) KsoftirqdWake(int) {}
-
-// KsoftirqdSleep implements kernel.NAPIListener (unused).
-func (p *Profiler) KsoftirqdSleep(int) {}
 
 func (p *Profiler) endBurst() {
 	if p.burstIntr > 0 || p.burstPoll > 0 {

@@ -187,9 +187,6 @@ func NewCore(id int, m *Model, eng *sim.Engine, rng *sim.RNG) *Core {
 	}
 }
 
-// Model returns the processor model this core belongs to.
-func (c *Core) Model() *Model { return c.model }
-
 // PState returns the operating point currently in effect.
 func (c *Core) PState() int { return c.cur }
 
@@ -207,9 +204,6 @@ func (c *Core) FreqGHz() float64 { return c.model.PStates[c.cur].FreqGHz }
 
 // CStateNow returns the current sleep state.
 func (c *Core) CStateNow() CState { return c.cstate }
-
-// Busy reports whether an Exec is in flight.
-func (c *Core) Busy() bool { return c.busy }
 
 // CC6Entries returns how many times the core has entered CC6. Unlike
 // Snapshot it settles nothing, so an observer may read it at any
@@ -260,9 +254,6 @@ func (c *Core) settle() {
 	}
 	c.lastAcct = now
 }
-
-// Offline reports whether the core is hard-failed.
-func (c *Core) Offline() bool { return c.offline }
 
 // GoOffline hard-fails the core. The teardown is C-state-legal: a core
 // may only die from a settled state, so the caller (the kernel's crash

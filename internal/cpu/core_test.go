@@ -83,7 +83,7 @@ func TestExecCancelReturnsRemaining(t *testing.T) {
 		}
 	})
 	eng.Run(1_000_000)
-	if c.Busy() {
+	if c.busy {
 		t.Fatal("core still busy after cancel (busy flag leaked)")
 	}
 }

@@ -21,7 +21,7 @@ func TestOfflineCoreDrawsNothing(t *testing.T) {
 	if after.CC0Ns != at.CC0Ns {
 		t.Fatalf("offline core accrued %dns of CC0 residency", after.CC0Ns-at.CC0Ns)
 	}
-	if !c.Offline() {
+	if !c.offline {
 		t.Fatal("core does not report offline")
 	}
 }
@@ -80,7 +80,7 @@ func TestGoOnlineChargesFlushPenalty(t *testing.T) {
 	eng, c := newTestCore(XeonGold6134)
 	c.GoOffline()
 	c.GoOnline()
-	if c.Offline() {
+	if c.offline {
 		t.Fatal("core still offline after GoOnline")
 	}
 	var doneAt sim.Time
@@ -122,11 +122,11 @@ func TestProcessorOfflineExcludesFromDVFS(t *testing.T) {
 		t.Fatalf("dead core still pins the chip-wide floor: core 1 at P%d, want P8",
 			p.Cores[1].PState())
 	}
-	if p.Cores[0].PState() != 0 || !p.Cores[0].Offline() {
+	if p.Cores[0].PState() != 0 || !p.Cores[0].offline {
 		t.Fatal("offline core received an applied P-state change")
 	}
 	p.Online(0)
-	if p.OfflineCount() != 0 || p.Cores[0].Offline() {
+	if p.OfflineCount() != 0 || p.Cores[0].offline {
 		t.Fatal("Online did not restore the core")
 	}
 }

@@ -81,22 +81,15 @@ func TestFigClusterCtxPreCancelled(t *testing.T) {
 	}
 }
 
-// The figure is deterministic: two runs of the same scenario render to
-// identical bytes, and the default scenario actually exercises the
-// resteer path.
+// The default scenario actually exercises the resteer path. The
+// figure's bytes, at -parallel 1 and 4, are pinned by the golden case
+// fig-cluster-audit-nodes3.
 func TestFigClusterDeterministic(t *testing.T) {
 	a, err := new(Harness).FigClusterCtx(context.Background(), Quick, 2, "rr", false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := new(Harness).FigClusterCtx(context.Background(), Quick, 2, "rr", false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ra, rb := RenderCluster(a), RenderCluster(b)
-	if ra != rb {
-		t.Fatal("two identical fig-cluster runs rendered differently")
-	}
+	ra := RenderCluster(a)
 	var resteers uint64
 	for _, arm := range a.Arms {
 		resteers += arm.Result.Front.Resteers

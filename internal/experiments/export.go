@@ -90,12 +90,3 @@ func WriteJSON(w io.Writer, records []Record) error {
 	enc.SetIndent("", "  ")
 	return enc.Encode(records)
 }
-
-// ReadJSON parses records written by WriteJSON.
-func ReadJSON(r io.Reader) ([]Record, error) {
-	var out []Record
-	if err := json.NewDecoder(r).Decode(&out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}

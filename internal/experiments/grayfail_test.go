@@ -6,24 +6,16 @@ import (
 	"testing"
 )
 
-// fig-grayfail is deterministic and byte-identical at any parallelism:
-// a serial run and a 4-worker run of the same scenario render to the
-// same bytes, every arm completes, and both figure-level health
-// mechanisms visibly engage (the damped arm flaps less than the naive
-// one, the hedged arm dispatches hedges).
+// fig-grayfail's arms all complete and both figure-level health
+// mechanisms visibly engage: the damped arm flaps less than the naive
+// one, and the hedged arm dispatches hedges. Its bytes, at -parallel 1
+// and 4, are pinned by the golden case fig-grayfail-audit-nodes3.
 func TestFigGrayFailDeterministicAcrossParallelism(t *testing.T) {
 	serial, err := (&Harness{Parallel: 1}).FigGrayFailCtx(context.Background(), Quick, 3, "rr")
 	if err != nil {
 		t.Fatal(err)
 	}
-	wide, err := (&Harness{Parallel: 4}).FigGrayFailCtx(context.Background(), Quick, 3, "rr")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rs, rw := RenderGrayFail(serial), RenderGrayFail(wide)
-	if rs != rw {
-		t.Fatalf("serial and 4-way fig-grayfail renders diverge:\n--- serial ---\n%s\n--- wide ---\n%s", rs, rw)
-	}
+	rs := RenderGrayFail(serial)
 
 	if len(serial.Arms) != 3 {
 		t.Fatalf("got %d arms, want 3", len(serial.Arms))
@@ -59,21 +51,5 @@ func TestFigGrayFailRejectsSingleNode(t *testing.T) {
 	if _, err := new(Harness).FigGrayFailCtx(context.Background(), Quick, 1, "rr"); err == nil ||
 		!strings.Contains(err.Error(), "at least 2 nodes") {
 		t.Fatalf("err = %v, want the 2-node floor", err)
-	}
-}
-
-// fig-cluster is byte-identical across worker-pool widths too — the
-// hedged variant included, so the hedge ledger itself is replay-stable.
-func TestFigClusterParallelismByteIdentical(t *testing.T) {
-	serial, err := (&Harness{Parallel: 1}).FigClusterCtx(context.Background(), Quick, 2, "rr", true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wide, err := (&Harness{Parallel: 4}).FigClusterCtx(context.Background(), Quick, 2, "rr", true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rs, rw := RenderCluster(serial), RenderCluster(wide); rs != rw {
-		t.Fatalf("serial and 4-way fig-cluster renders diverge:\n--- serial ---\n%s\n--- wide ---\n%s", rs, rw)
 	}
 }

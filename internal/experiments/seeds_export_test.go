@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"encoding/json"
 	"testing"
 
 	"nmapsim/internal/core"
@@ -30,8 +31,8 @@ func TestRecordRoundTrip(t *testing.T) {
 	if err := WriteJSON(&buf, []Record{rec}); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadJSON(&buf)
-	if err != nil {
+	var back []Record
+	if err := json.NewDecoder(&buf).Decode(&back); err != nil {
 		t.Fatal(err)
 	}
 	if len(back) != 1 {

@@ -44,9 +44,6 @@ type HarnessRetry struct {
 	Quarantine bool
 }
 
-// Enabled reports whether any self-healing behaviour is active.
-func (r HarnessRetry) Enabled() bool { return r.MaxRetries > 0 || r.Quarantine }
-
 // Validate rejects nonsensical retry parameters with errors naming the
 // offending knob.
 func (r HarnessRetry) Validate() error {

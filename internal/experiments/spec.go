@@ -270,11 +270,9 @@ func BuildOn(spec Spec, eng *sim.Engine) (*server.Server, error) {
 	case "nmap":
 		th := thresholds()
 		n := core.NewNMAP(s.Eng, s.Proc, newStack(governor.Ondemand{Model: m}), th)
-		s.AddListener(n)
 		s.AttachPolicy(n)
 	case "nmap-simpl":
 		n := core.NewNMAPSimpl(s.Proc, newStack(governor.Ondemand{Model: m}))
-		s.AddListener(n)
 		s.AttachPolicy(n)
 	case "nmap-online":
 		// Extension (§4.2 future work): start from the conservative
@@ -282,9 +280,8 @@ func BuildOn(spec Spec, eng *sim.Engine) (*server.Server, error) {
 		// the live NAPI stream — no offline profiling run required.
 		n := core.NewNMAP(s.Eng, s.Proc, newStack(governor.Ondemand{Model: m}), core.DefaultThresholds())
 		tuner := core.NewOnlineTuner(s.Eng, n)
-		s.AddListener(n)
-		s.AddListener(tuner)
 		s.AttachPolicy(n)
+		s.AddListener(tuner)
 	case "nmap-sleep":
 		// Extension (§8 future work): NMAP with sleep-state integration
 		// — deep sleep is disabled while any core is in Network
@@ -292,12 +289,10 @@ func BuildOn(spec Spec, eng *sim.Engine) (*server.Server, error) {
 		th := thresholds()
 		n := core.NewNMAP(s.Eng, s.Proc, newStack(governor.Ondemand{Model: m}), th)
 		n.IntegrateSleep(sw)
-		s.AddListener(n)
 		s.AttachPolicy(n)
 	case "ncap", "ncap-menu":
 		th := ncapThreshold(s.Cfg.Profile)
 		n := baselines.NewNCAP(s.Eng, s.Proc, newStack(governor.Ondemand{Model: m}), th, sw)
-		s.AddListener(n)
 		s.AttachPolicy(n)
 	case "parties":
 		p := baselines.NewParties(s.Eng, s.Proc, s.Cfg.Profile.SLO)
@@ -309,7 +304,6 @@ func BuildOn(spec Spec, eng *sim.Engine) (*server.Server, error) {
 		s.AttachPolicy(p)
 	case "perrequest":
 		p := baselines.NewPerRequest(s.Eng, s.Proc, s.Kernels)
-		s.AddListener(p)
 		s.AttachPolicy(p)
 	default:
 		return nil, fmt.Errorf("experiments: unknown policy %q", spec.Policy)

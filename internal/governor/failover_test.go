@@ -100,9 +100,8 @@ func TestStackCoreAdoptedRefreshesCounters(t *testing.T) {
 	if got := decisionsFor(g, 0); got != before+1 {
 		t.Fatalf("CoreAdopted issued %d decisions, want exactly 1", got-before)
 	}
-	u := st.Utilization(0)
-	if u.Busy != 0 || u.CC0 != 0 {
-		t.Fatalf("CoreAdopted did not rebase the utilisation window: %+v", u)
+	if st.prev[0].At != eng.Now() || st.lastU[0] != (UtilSample{}) {
+		t.Fatalf("CoreAdopted did not rebase the utilisation window: from %v, last %+v", st.prev[0].At, st.lastU[0])
 	}
 	// Suspended (NMAP Network Intensive Mode) and offline cores are left
 	// alone — adoption must not override either state machine.

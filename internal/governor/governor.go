@@ -44,7 +44,6 @@ type Stack struct {
 	offline   []bool
 	prev      []cpu.Acct
 	lastU     []UtilSample
-	stop      func()
 }
 
 // NewStack builds the sampling stack.
@@ -70,15 +69,7 @@ func (s *Stack) Start() {
 			s.proc.Request(i, s.gov.Decide(i, UtilSample{}))
 		}
 	}
-	s.stop = s.eng.Ticker(samplingInterval, s.tick)
-}
-
-// Stop halts sampling.
-func (s *Stack) Stop() {
-	if s.stop != nil {
-		s.stop()
-		s.stop = nil
-	}
+	s.eng.Ticker(samplingInterval, s.tick)
 }
 
 func (s *Stack) tick() {
@@ -114,21 +105,6 @@ func (s *Stack) sample(i int) UtilSample {
 	return u
 }
 
-// Utilization exposes the most recent decision input for core i without
-// advancing the snapshot (peeks at the live accumulators).
-func (s *Stack) Utilization(i int) UtilSample {
-	cur := s.proc.Cores[i].Snapshot()
-	prevAcct := s.prev[i]
-	dt := float64(cur.At - prevAcct.At)
-	if dt <= 0 {
-		return UtilSample{}
-	}
-	return UtilSample{
-		Busy: float64(cur.BusyNs-prevAcct.BusyNs) / dt,
-		CC0:  float64(cur.CC0Ns-prevAcct.CC0Ns) / dt,
-	}
-}
-
 // Suspend disables the governor for core i (NMAP Network Intensive
 // Mode: "disable ondemand governor").
 func (s *Stack) Suspend(i int) { s.suspended[i] = true }
@@ -144,9 +120,6 @@ func (s *Stack) Resume(i int) {
 	u := s.sample(i)
 	s.proc.Request(i, s.gov.Decide(i, u))
 }
-
-// Suspended reports whether core i's governor is suspended.
-func (s *Stack) Suspended(i int) bool { return s.suspended[i] }
 
 // CoreOffline stops the stack from sampling or driving core i (the
 // core hard-failed). Its suspension state is preserved for recovery.

@@ -160,8 +160,8 @@ func TestStackSuspendResume(t *testing.T) {
 	if proc.Cores[0].PState() != 0 {
 		t.Fatalf("suspended core at P%d, want NMAP's P0 to stick", proc.Cores[0].PState())
 	}
-	if !st.Suspended(0) {
-		t.Fatal("Suspended(0) = false")
+	if !st.suspended[0] {
+		t.Fatal("suspended[0] = false")
 	}
 	st.Resume(0) // idle core: governor should drop it back down
 	eng.Run(sim.Time(100 * sim.Millisecond))
@@ -175,7 +175,7 @@ func TestStackResumeIdempotent(t *testing.T) {
 	proc := cpu.NewProcessor(cpu.XeonGold6134, eng, sim.NewRNG(1))
 	st := NewStack(eng, proc, Performance{})
 	st.Resume(0) // resume without suspend must be a no-op
-	if st.Suspended(0) {
+	if st.suspended[0] {
 		t.Fatal("core suspended after spurious resume")
 	}
 }

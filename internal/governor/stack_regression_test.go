@@ -65,30 +65,6 @@ func TestResumeMidWindowSamplesFreshUtil(t *testing.T) {
 	}
 }
 
-// Utilization() must peek without advancing the sampling window.
-func TestUtilizationPeekDoesNotAdvance(t *testing.T) {
-	eng := sim.NewEngine()
-	proc := cpu.NewProcessor(cpu.XeonGold6134, eng, sim.NewRNG(1))
-	st := NewStack(eng, proc, Ondemand{Model: cpu.XeonGold6134})
-	st.Start()
-	var loop func()
-	loop = func() {
-		if eng.Now() < sim.Time(9*sim.Millisecond) {
-			proc.Cores[0].StartExec(3200*100, loop)
-		}
-	}
-	loop()
-	eng.Run(sim.Time(9 * sim.Millisecond))
-	u1 := st.Utilization(0)
-	u2 := st.Utilization(0)
-	if u1.Busy == 0 {
-		t.Fatal("peek saw no utilisation on a busy core")
-	}
-	if u2.Busy < u1.Busy*0.9 {
-		t.Fatal("second peek diverged — the window advanced")
-	}
-}
-
 // A full governor stack over sleeping cores under interrupt loss: cores
 // drop to CC6 between packet waves, some wake-up interrupts are lost in
 // delivery (the ring keeps the packets; a later interrupt drains them),

@@ -64,12 +64,6 @@ func lines(path string) ([][]byte, error) {
 	return out, nil
 }
 
-// Lines reports how many lines the file holds.
-func Lines(path string) (int, error) {
-	ls, err := lines(path)
-	return len(ls), err
-}
-
 // CorruptLine flips one byte in the middle of line n (0-based) —
 // bit-rot that leaves the line well-formed enough to parse as a frame
 // but fail its checksum.

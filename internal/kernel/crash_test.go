@@ -23,7 +23,7 @@ func TestCrashMidPollFailsBatch(t *testing.T) {
 	})
 	drain(r.eng)
 	c := r.k.Counters()
-	if !r.k.Offline() {
+	if !r.k.offline {
 		t.Fatal("kernel not offline after Crash")
 	}
 	if c.Completed != 0 || len(r.done) != 0 {
@@ -134,7 +134,7 @@ func TestOfflineKernelIgnoresWorkUntilRecover(t *testing.T) {
 		t.Fatalf("second Crash returned %d requests", len(stranded))
 	}
 	r.k.Recover()
-	if r.k.Offline() {
+	if r.k.offline {
 		t.Fatal("kernel still offline after Recover")
 	}
 	r.dev.OnlineQueue(0)

@@ -47,18 +47,35 @@ func (m Mode) String() string {
 	return "polling"
 }
 
-// NAPIListener observes the per-core NAPI events NMAP (and the
-// experiment tracers) consume. All methods are called synchronously from
-// the simulation loop.
+// NAPIEventKind names one of the per-core NAPI events.
+type NAPIEventKind uint8
+
+const (
+	// InterruptArrived: the hardirq handler ran on the core.
+	InterruptArrived NAPIEventKind = iota
+	// PacketsProcessed: a poll batch completed.
+	PacketsProcessed
+	// KsoftirqdWake: packet processing migrated to ksoftirqd.
+	KsoftirqdWake
+	// KsoftirqdSleep: ksoftirqd emptied the ring and slept, or its
+	// core crashed under it.
+	KsoftirqdSleep
+)
+
+// NAPIEvent is one per-core NAPI event. Mode and N describe the batch of
+// a PacketsProcessed event and are zero for the others.
+type NAPIEvent struct {
+	Kind NAPIEventKind
+	Core int
+	Mode Mode
+	N    int
+}
+
+// NAPIListener observes the per-core NAPI events NMAP, the baselines and
+// the §4.2 profiler consume. OnNAPI is called synchronously from the
+// simulation loop, in the order the listeners were added.
 type NAPIListener interface {
-	// InterruptArrived fires when the hardirq handler runs on the core.
-	InterruptArrived(coreID int)
-	// PacketsProcessed fires after each completed poll batch.
-	PacketsProcessed(coreID int, mode Mode, n int)
-	// KsoftirqdWake fires when packet processing migrates to ksoftirqd.
-	KsoftirqdWake(coreID int)
-	// KsoftirqdSleep fires when ksoftirqd empties the ring and sleeps.
-	KsoftirqdSleep(coreID int)
+	OnNAPI(e NAPIEvent)
 }
 
 // IdlePolicy chooses the C-state when a core runs out of work. The menu,
@@ -231,16 +248,20 @@ func NewCoreKernel(id int, eng *sim.Engine, core *cpu.Core, dev *nic.NIC, sockQC
 	return k
 }
 
-// AddListener attaches a NAPI event listener (e.g. the NMAP monitor).
+// AddListener attaches a NAPI event listener.
 func (k *CoreKernel) AddListener(l NAPIListener) {
 	k.listeners = append(k.listeners, l)
 }
 
+// emit hands e to every listener in the order they were added.
+func (k *CoreKernel) emit(e NAPIEvent) {
+	for _, l := range k.listeners {
+		l.OnNAPI(e)
+	}
+}
+
 // Counters returns the cumulative NAPI accounting for this core.
 func (k *CoreKernel) Counters() Counters { return k.c }
-
-// Core returns the underlying CPU core.
-func (k *CoreKernel) Core() *cpu.Core { return k.core }
 
 // SetAuditor attaches the run's invariant auditor. Call before the run
 // starts; a nil auditor (the default) audits nothing.
@@ -262,10 +283,6 @@ func (k *CoreKernel) AppInFlight() int {
 // an in-flight poll pass (drained from the ring, not yet delivered to
 // the socket queue).
 func (k *CoreKernel) PollInFlight() int { return len(k.pollBatch) }
-
-// KsoftirqdActive reports whether NAPI processing is currently owned by
-// ksoftirqd (i.e. ksoftirqd is awake).
-func (k *CoreKernel) KsoftirqdActive() bool { return k.inKsoftirqd }
 
 // Start arms the kernel: the core begins idle under the idle policy and
 // the scheduler tick starts (all cores tick on the same global jiffy
@@ -421,9 +438,7 @@ func (k *CoreKernel) onHardirqDone() {
 	} else {
 		k.aud.NAPIFold(k.ID)
 	}
-	for _, l := range k.listeners {
-		l.InterruptArrived(k.ID)
-	}
+	k.emit(NAPIEvent{Kind: InterruptArrived, Core: k.ID})
 	k.dispatch()
 }
 
@@ -488,9 +503,7 @@ func (k *CoreKernel) onPollDone() {
 	} else {
 		k.c.PktPoll += uint64(n)
 	}
-	for _, l := range k.listeners {
-		l.PacketsProcessed(k.ID, mode, n)
-	}
+	k.emit(NAPIEvent{Kind: PacketsProcessed, Core: k.ID, Mode: mode, N: n})
 	if !k.dev.HasWork(k.ID) {
 		k.needResched = false
 		k.napiComplete(owner)
@@ -513,9 +526,7 @@ func (k *CoreKernel) napiComplete(owner execOwner) {
 	k.napiScheduled = false
 	if k.inKsoftirqd {
 		k.inKsoftirqd = false
-		for _, l := range k.listeners {
-			l.KsoftirqdSleep(k.ID)
-		}
+		k.emit(NAPIEvent{Kind: KsoftirqdSleep, Core: k.ID})
 	}
 	k.dev.EnableIRQ(k.ID)
 }
@@ -527,9 +538,7 @@ func (k *CoreKernel) migrateToKsoftirqd() {
 	k.napiScheduled = false
 	k.inKsoftirqd = true
 	k.c.KsoftirqdWakes++
-	for _, l := range k.listeners {
-		l.KsoftirqdWake(k.ID)
-	}
+	k.emit(NAPIEvent{Kind: KsoftirqdWake, Core: k.ID})
 }
 
 func (k *CoreKernel) runApp() {
@@ -560,9 +569,6 @@ func (k *CoreKernel) onAppDone() {
 	}
 	k.dispatch()
 }
-
-// Offline reports whether this kernel is hard-failed.
-func (k *CoreKernel) Offline() bool { return k.offline }
 
 // crashFail fails one request into the ledger during a hard fault.
 func (k *CoreKernel) crashFail(r *workload.Request) {
@@ -618,9 +624,7 @@ func (k *CoreKernel) Crash() []*workload.Request {
 		k.aud.NAPIOrphan(k.ID)
 	}
 	if k.inKsoftirqd {
-		for _, l := range k.listeners {
-			l.KsoftirqdSleep(k.ID)
-		}
+		k.emit(NAPIEvent{Kind: KsoftirqdSleep, Core: k.ID})
 	}
 	k.napiScheduled = false
 	k.inKsoftirqd = false

@@ -146,7 +146,7 @@ func TestBusyCoreConservesWork(t *testing.T) {
 	if c.Completed != n {
 		t.Fatalf("completed %d, want %d", c.Completed, n)
 	}
-	acct := r.k.Core().Snapshot()
+	acct := r.k.core.Snapshot()
 	// Expected cycles: per-packet Rx + per-request app + hardirqs +
 	// per-pass overheads (the rig does not transmit, so no Tx cleaning).
 	// Overheads and pass counts vary with scheduling, so check the tight

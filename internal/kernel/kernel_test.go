@@ -23,15 +23,21 @@ type recListener struct {
 	}
 }
 
-func (r *recListener) InterruptArrived(int) { r.irqs++ }
-func (r *recListener) PacketsProcessed(_ int, m Mode, n int) {
-	r.batches = append(r.batches, struct {
-		mode Mode
-		n    int
-	}{m, n})
+func (r *recListener) OnNAPI(e NAPIEvent) {
+	switch e.Kind {
+	case InterruptArrived:
+		r.irqs++
+	case PacketsProcessed:
+		r.batches = append(r.batches, struct {
+			mode Mode
+			n    int
+		}{e.Mode, e.N})
+	case KsoftirqdWake:
+		r.ksWakes++
+	case KsoftirqdSleep:
+		r.ksSleeps++
+	}
 }
-func (r *recListener) KsoftirqdWake(int)  { r.ksWakes++ }
-func (r *recListener) KsoftirqdSleep(int) { r.ksSleeps++ }
 
 type rig struct {
 	eng       *sim.Engine
@@ -137,7 +143,7 @@ func TestKsoftirqdMigrationAfterTenPasses(t *testing.T) {
 	if c.Completed != 64*12 {
 		t.Fatalf("completed=%d, want %d", c.Completed, 64*12)
 	}
-	if r.k.KsoftirqdActive() {
+	if r.k.inKsoftirqd {
 		t.Fatal("ksoftirqd still active after drain")
 	}
 }
@@ -165,7 +171,7 @@ func TestKsoftirqdSharesCoreWithApp(t *testing.T) {
 		})
 	}
 	// Capture when ksoftirqd sleeps.
-	k.AddListener(listenerFuncs{onKsSleep: func() { ksSleepAt = eng.Now() }})
+	k.AddListener(onKsSleep(func() { ksSleepAt = eng.Now() }))
 	drain(eng)
 	if rec.ksWakes == 0 {
 		t.Fatal("ksoftirqd never woke under sustained input")
@@ -181,16 +187,12 @@ func TestKsoftirqdSharesCoreWithApp(t *testing.T) {
 	}
 }
 
-type listenerFuncs struct {
-	onKsSleep func()
-}
+// onKsSleep is a listener that calls itself when ksoftirqd sleeps.
+type onKsSleep func()
 
-func (l listenerFuncs) InterruptArrived(int)            {}
-func (l listenerFuncs) PacketsProcessed(int, Mode, int) {}
-func (l listenerFuncs) KsoftirqdWake(int)               {}
-func (l listenerFuncs) KsoftirqdSleep(int) {
-	if l.onKsSleep != nil {
-		l.onKsSleep()
+func (f onKsSleep) OnNAPI(e NAPIEvent) {
+	if e.Kind == KsoftirqdSleep {
+		f()
 	}
 }
 
@@ -221,18 +223,18 @@ func TestHardirqPreemptsApp(t *testing.T) {
 func TestIdleEntersSelectedCState(t *testing.T) {
 	r := newRig(3200, cpu.CC6)
 	drain(r.eng)
-	if r.k.Core().CStateNow() != cpu.CC6 {
-		t.Fatalf("idle core in %v, want CC6", r.k.Core().CStateNow())
+	if r.k.core.CStateNow() != cpu.CC6 {
+		t.Fatalf("idle core in %v, want CC6", r.k.core.CStateNow())
 	}
 	r.deliver(1)
 	drain(r.eng)
 	if r.k.Counters().Completed != 1 {
 		t.Fatal("request not completed after CC6 wake")
 	}
-	if r.k.Core().CStateNow() != cpu.CC6 {
+	if r.k.core.CStateNow() != cpu.CC6 {
 		t.Fatal("core did not return to CC6 after the work drained")
 	}
-	if r.k.Core().Snapshot().CC6Entries < 2 {
+	if r.k.core.Snapshot().CC6Entries < 2 {
 		t.Fatal("CC6 entries not counted")
 	}
 }

@@ -402,7 +402,10 @@ func (n *NIC) maybeInterrupt(q int) {
 // Poll dequeues up to max packets from queue q (the NAPI poll routine).
 // The returned slice is a per-queue scratch buffer, valid until the next
 // Poll on the same queue — callers must finish with it (and recycle the
-// records via PutPacket) before polling again.
+// records via PutPacket) before polling again. The kernel always passes
+// its 64-packet budget; max stays a parameter because
+// FuzzTxElisionEquivalence drains the ring in budgets of 0–4 to reach
+// partial polls.
 func (n *NIC) Poll(q, max int) []*Packet {
 	qu := n.qs[q]
 	if qu.offline || qu.stalled {
@@ -631,7 +634,11 @@ func (n *NIC) txPending(qu *queue) int {
 func (n *NIC) TxPending(q int) int { return n.txPending(n.qs[q]) }
 
 // TxClean reaps up to max Tx completions from queue q (the Tx half of
-// the NAPI poll routine) and returns how many were cleaned.
+// the NAPI poll routine) and returns how many were cleaned. The kernel
+// always passes its 256-completion budget; max stays a parameter because
+// FuzzTxElisionEquivalence reaps with budgets of 0–4 (and 0–8) to compare
+// the lazy Tx credit with the reference NIC on partial reaps, which a
+// budget of 256 would rarely reach.
 func (n *NIC) TxClean(q, max int) int {
 	qu := n.qs[q]
 	if qu.offline || qu.stalled {
@@ -750,9 +757,6 @@ func (n *NIC) TotalOutageFails() uint64 {
 	}
 	return s
 }
-
-// Drops returns the cumulative dropped-packet count for queue q.
-func (n *NIC) Drops(q int) uint64 { return n.qs[q].drops }
 
 // Interrupts returns the cumulative interrupt count for queue q.
 func (n *NIC) Interrupts(q int) uint64 { return n.qs[q].interrupts }

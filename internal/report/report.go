@@ -115,6 +115,3 @@ func Sparkline(vals []float64, width int) string {
 func Pct(ratio float64) string {
 	return fmt.Sprintf("%+.1f%%", (ratio-1)*100)
 }
-
-// Ms formats nanoseconds as milliseconds.
-func Ms(ns float64) string { return fmt.Sprintf("%.3fms", ns/1e6) }

@@ -62,9 +62,3 @@ func TestPct(t *testing.T) {
 		t.Fatalf("Pct(1.10) = %s", Pct(1.10))
 	}
 }
-
-func TestMs(t *testing.T) {
-	if Ms(1_500_000) != "1.500ms" {
-		t.Fatalf("Ms = %s", Ms(1_500_000))
-	}
-}

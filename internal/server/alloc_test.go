@@ -156,7 +156,7 @@ func TestPoolsBoundedByInFlight(t *testing.T) {
 	if issued == 0 || done == 0 {
 		t.Fatalf("no traffic flowed (issued=%d done=%d)", issued, done)
 	}
-	if got := s.RequestPoolSize(); got > peak {
+	if got := s.reqPool.Size(); got > peak {
 		t.Errorf("request pool holds %d records, peak in-flight was %d", got, peak)
 	}
 	if got := s.NIC.PacketPoolSize(); got > peak {

@@ -127,7 +127,7 @@ func TestAuditCatchesCorruption(t *testing.T) {
 	idle, _ := governor.NewIdlePolicy("menu")
 	s := New(cfg, idle)
 	s.AttachPolicy(governor.NewStack(s.Eng, s.Proc, governor.Ondemand{Model: s.Cfg.Model}))
-	s.Auditor().CorruptPacketCounterForTest(3)
+	s.aud.CorruptPacketCounterForTest(3)
 	res, err := s.Run()
 	if err == nil {
 		t.Fatal("corrupted counter went undetected")

@@ -21,10 +21,12 @@ import (
 )
 
 // Policy is anything that manages power once the run starts: a governor
-// stack, NMAP, or a baseline controller.
+// stack, NMAP, or a baseline controller. Start arms its timers when the
+// run begins; they run until the run ends. A policy that also implements
+// kernel.NAPIListener or the failure protocol (failureAware) is wired to
+// those events by AttachPolicy and the crash handlers.
 type Policy interface {
 	Start()
-	Stop()
 }
 
 // Config describes one experiment run.
@@ -507,13 +509,20 @@ func EstimatedHistBytes(cfg Config) int64 {
 }
 
 // AttachPolicy installs the power-management policy; it will be started
-// when Run begins.
-func (s *Server) AttachPolicy(p Policy) { s.policy = p }
+// when Run begins. A policy that implements kernel.NAPIListener is
+// subscribed to every core kernel now, after the listeners added so far.
+func (s *Server) AttachPolicy(p Policy) {
+	s.policy = p
+	if l, ok := p.(kernel.NAPIListener); ok {
+		s.AddListener(l)
+	}
+}
 
 // Policy returns the attached power-management policy (nil if none).
 func (s *Server) Policy() Policy { return s.policy }
 
-// AddListener attaches a NAPI listener to every core kernel.
+// AddListener attaches a NAPI listener that is not the policy (the §4.2
+// profiler, the online tuner) to every core kernel.
 func (s *Server) AddListener(l kernel.NAPIListener) {
 	for _, k := range s.Kernels {
 		k.AddListener(l)
@@ -933,11 +942,6 @@ func (s *Server) Accounting() RequestAccounting {
 // the harness cancelled it), or nil for a clean run.
 func (s *Server) Err() error { return s.Eng.Err() }
 
-// Auditor returns the run-time invariant auditor (nil unless
-// Config.Audit is set) — exposed so tests can reach its corruption
-// hooks and violation log.
-func (s *Server) Auditor() *audit.Auditor { return s.aud }
-
 // Run executes warmup + measurement and returns the result. The error
 // is non-nil when the run aborted early (engine watchdog) or, with
 // Config.Audit set, when any audited invariant — including the
@@ -1062,11 +1066,3 @@ func (s *Server) Collect() Result {
 	}
 	return res
 }
-
-// MeasuredFrom returns the start of the measurement window (zero until
-// warmup completes).
-func (s *Server) MeasuredFrom() sim.Time { return s.measFrom }
-
-// RequestPoolSize returns the number of idle pooled request records —
-// bounded by the peak number of requests simultaneously in flight.
-func (s *Server) RequestPoolSize() int { return s.reqPool.Size() }

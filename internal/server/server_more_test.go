@@ -6,6 +6,7 @@ import (
 
 	"nmapsim/internal/cpu"
 	"nmapsim/internal/governor"
+	"nmapsim/internal/kernel"
 	"nmapsim/internal/sim"
 	"nmapsim/internal/stats"
 	"nmapsim/internal/workload"
@@ -102,7 +103,36 @@ func (p policyFunc) Start() {
 		p.start()
 	}
 }
-func (p policyFunc) Stop() {}
+
+// AttachPolicy alone subscribes a policy that listens to NAPI events to
+// every core kernel: it sees each poll batch exactly once.
+func TestAttachPolicySubscribesNAPIListener(t *testing.T) {
+	idle, _ := governor.NewIdlePolicy("menu")
+	s := New(quickCfg(workload.High, 29), idle)
+	p := &batchCounter{}
+	s.AttachPolicy(p)
+	s.Run()
+	var want uint64
+	for _, k := range s.Kernels {
+		c := k.Counters()
+		want += c.PktIntr + c.PktPoll
+	}
+	if want == 0 || p.pkts != want {
+		t.Fatalf("policy saw %d packets in poll batches, kernels processed %d", p.pkts, want)
+	}
+}
+
+// batchCounter is a policy that sums the packets of every poll batch.
+type batchCounter struct {
+	policyFunc
+	pkts uint64
+}
+
+func (b *batchCounter) OnNAPI(e kernel.NAPIEvent) {
+	if e.Kind == kernel.PacketsProcessed {
+		b.pkts += uint64(e.N)
+	}
+}
 
 func TestMeasuredFromMatchesWarmup(t *testing.T) {
 	cfg := quickCfg(workload.Low, 28)
@@ -110,8 +140,8 @@ func TestMeasuredFromMatchesWarmup(t *testing.T) {
 	s := New(cfg, idle)
 	s.AttachPolicy(governor.NewStack(s.Eng, s.Proc, governor.Performance{}))
 	s.Run()
-	if s.MeasuredFrom() != sim.Time(cfg.Warmup) {
-		t.Fatalf("measured-from %v, want %v", s.MeasuredFrom(), cfg.Warmup)
+	if s.measFrom != sim.Time(cfg.Warmup) {
+		t.Fatalf("measured-from %v, want %v", s.measFrom, cfg.Warmup)
 	}
 }
 

@@ -165,7 +165,7 @@ func TestNoRebuildPerCancel(t *testing.T) {
 	var tick func(any)
 	tick = func(any) {
 		if e.Dispatched() >= fires {
-			e.Stop()
+			e.Abort(nil)
 			return
 		}
 		e.ScheduleArg(rng.ExpDur(Microsecond), tick, nil)

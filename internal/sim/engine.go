@@ -47,9 +47,6 @@ func (t Time) String() string {
 // Seconds converts the timestamp to floating-point seconds.
 func (t Time) Seconds() float64 { return float64(t) / 1e9 }
 
-// Micros converts the timestamp to floating-point microseconds.
-func (t Time) Micros() float64 { return float64(t) / 1e3 }
-
 // Seconds converts the duration to floating-point seconds.
 func (d Duration) Seconds() float64 { return float64(d) / 1e9 }
 
@@ -129,15 +126,6 @@ func (h Event) live() bool {
 // Pending reports whether the event is still queued (it has neither fired
 // nor been cancelled).
 func (h Event) Pending() bool { return h.live() }
-
-// At reports the instant the event will fire. It returns 0 once the event
-// has fired or been cancelled.
-func (h Event) At() Time {
-	if !h.live() {
-		return 0
-	}
-	return h.ev.at
-}
 
 // Cancel removes the event from the queue so it will not fire. Cancelling
 // an event that already fired or was already cancelled is a no-op. It
@@ -376,9 +364,6 @@ func (e *Engine) AtSeqArg(t Time, seq uint64, fn func(any), arg any) Event {
 // now.
 func (e *Engine) Position() (Time, uint64) { return e.now, e.cur }
 
-// Stop aborts Run after the currently executing event returns.
-func (e *Engine) Stop() { e.stopped = true }
-
 // SetWatchdog arms the engine watchdog: the run aborts with a diagnostic
 // error once maxEvents events have been dispatched in total (zero
 // disables it). The watchdog exists so a runaway model (an event chain
@@ -386,10 +371,10 @@ func (e *Engine) Stop() { e.stopped = true }
 // instead of hanging the harness; see docs/MODEL.md.
 func (e *Engine) SetWatchdog(maxEvents uint64) { e.maxEvents = maxEvents }
 
-// Abort stops the engine permanently with the given reason: the current
-// Run returns after the executing event completes, and every later Run
-// or RunAll call is a no-op. Err reports the reason. Abort with a nil
-// err is equivalent to Stop.
+// Abort ends the current Run after the executing event completes. With a
+// non-nil err it stops the engine permanently: every later Run or RunAll
+// call is a no-op, and Err reports the reason. With a nil err the next
+// Run proceeds.
 func (e *Engine) Abort(err error) {
 	e.stopped = true
 	if err != nil && e.err == nil {
@@ -457,7 +442,7 @@ func (e *Engine) fire() {
 }
 
 // Run dispatches events in timestamp order until the queue is empty, the
-// horizon is reached, Stop is called, or the watchdog trips. The clock is
+// horizon is reached, Abort is called, or the watchdog trips. The clock is
 // left at the horizon (or at the last event if the queue drained first).
 // Events scheduled exactly at the horizon do fire. Once the engine has
 // been aborted (watchdog or Abort), Run returns immediately; Err reports
@@ -492,7 +477,7 @@ func (e *Engine) Run(until Time) {
 	}
 }
 
-// RunAll dispatches events until the queue drains, Stop is called, or
+// RunAll dispatches events until the queue drains, Abort is called, or
 // the watchdog trips.
 func (e *Engine) RunAll() {
 	if e.err != nil {
@@ -516,27 +501,16 @@ func (e *Engine) RunAll() {
 	}
 }
 
-// Ticker invokes fn every period until the returned stop function is
-// called. The first invocation happens one full period from now.
-func (e *Engine) Ticker(period Duration, fn func()) (stop func()) {
+// Ticker invokes fn every period for the rest of the run. The first
+// invocation happens one full period from now.
+func (e *Engine) Ticker(period Duration, fn func()) {
 	if period <= 0 {
 		panic("sim: non-positive ticker period")
 	}
-	var ev Event
-	stopped := false
 	var tick func()
 	tick = func() {
-		if stopped {
-			return
-		}
 		fn()
-		if !stopped {
-			ev = e.Schedule(period, tick)
-		}
+		e.Schedule(period, tick)
 	}
-	ev = e.Schedule(period, tick)
-	return func() {
-		stopped = true
-		ev.Cancel()
-	}
+	e.Schedule(period, tick)
 }

@@ -166,7 +166,7 @@ func newFuzzTrial(t *testing.T) *fuzzTrial {
 			fz.evs[next] = fz.eng.ScheduleArg(fz.chains[id&(1<<32-1)].gap, fz.fn, next)
 		}
 		if len(fz.got) == fz.stopAt {
-			fz.eng.Stop()
+			fz.eng.Abort(nil)
 		}
 	}
 	return fz

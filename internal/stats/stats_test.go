@@ -130,7 +130,7 @@ func TestScatter(t *testing.T) {
 	s.Add(10, 1.0)
 	s.Add(20, 5.0)
 	s.Add(30, 2.0)
-	if s.N() != 3 || s.Times[1] != 20 || s.Vals[1] != 5.0 {
+	if len(s.Times) != 3 || s.Times[1] != 20 || s.Vals[1] != 5.0 {
 		t.Fatalf("scatter = %+v", s)
 	}
 }

@@ -16,6 +16,3 @@ func (s *Scatter) Add(t sim.Time, v float64) {
 	s.Times = append(s.Times, t)
 	s.Vals = append(s.Vals, v)
 }
-
-// N returns the number of points.
-func (s *Scatter) N() int { return len(s.Times) }

@@ -122,13 +122,3 @@ func (r *Replayer) emit(e TraceEntry) {
 	}
 	r.Deliver(req)
 }
-
-// FormatTrace writes entries in the ParseTrace format.
-func FormatTrace(w io.Writer, entries []TraceEntry) error {
-	bw := bufio.NewWriter(w)
-	fmt.Fprintln(bw, "# at_us,flow,app_cycles")
-	for _, e := range entries {
-		fmt.Fprintf(bw, "%.3f,%d,%.0f\n", float64(e.At)/1000, e.Flow, e.AppCycles)
-	}
-	return bw.Flush()
-}
