@@ -50,7 +50,7 @@ type ClusterFinal struct {
 
 	// Per-node ledgers, one entry per node in node order. NodeFailed is
 	// the node's TimedOut + Lost + Shed (every terminal failure the
-	// router's OnFail hook observed).
+	// router's node listener observed).
 	NodeIssued    []uint64
 	NodeCompleted []uint64
 	NodeFailed    []uint64

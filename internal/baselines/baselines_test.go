@@ -125,7 +125,7 @@ func TestPartiesStepsUpOnViolation(t *testing.T) {
 	start := p.cur
 	// Feed latencies way over the 1ms SLO.
 	for i := 0; i < 200; i++ {
-		p.Observe(&workload.Request{Sent: 0, Done: sim.Time(5 * sim.Millisecond)})
+		p.OnRequest(&workload.Request{Sent: 0, Done: sim.Time(5 * sim.Millisecond)})
 	}
 	eng.Run(sim.Time(510 * sim.Millisecond))
 	if p.cur >= start {
@@ -143,7 +143,7 @@ func TestPartiesStepsDownOnSlack(t *testing.T) {
 	p.Start()
 	start := p.cur
 	for i := 0; i < 100; i++ {
-		p.Observe(&workload.Request{Sent: 0, Done: sim.Time(100 * sim.Microsecond)})
+		p.OnRequest(&workload.Request{Sent: 0, Done: sim.Time(100 * sim.Microsecond)})
 	}
 	eng.Run(sim.Time(510 * sim.Millisecond))
 	if p.cur != start+1 {
@@ -215,7 +215,7 @@ func TestPegasusJumpsOnViolation(t *testing.T) {
 	p.Start()
 	start := p.cur
 	for i := 0; i < 300; i++ {
-		p.Observe(&workload.Request{Sent: 0, Done: sim.Time(8 * sim.Millisecond)})
+		p.OnRequest(&workload.Request{Sent: 0, Done: sim.Time(8 * sim.Millisecond)})
 	}
 	eng.Run(sim.Time(1100 * sim.Millisecond))
 	if start-p.cur < 5 {
@@ -230,7 +230,7 @@ func TestPegasusDecisionIntervalIsOneSecond(t *testing.T) {
 	p.Start()
 	start := p.cur
 	for i := 0; i < 100; i++ {
-		p.Observe(&workload.Request{Sent: 0, Done: sim.Time(8 * sim.Millisecond)})
+		p.OnRequest(&workload.Request{Sent: 0, Done: sim.Time(8 * sim.Millisecond)})
 	}
 	// Before the first 1s tick, nothing may change.
 	eng.Run(sim.Time(900 * sim.Millisecond))
@@ -246,7 +246,7 @@ func TestPegasusCreepsDownWithWideSlack(t *testing.T) {
 	p.Start()
 	start := p.cur
 	for i := 0; i < 100; i++ {
-		p.Observe(&workload.Request{Sent: 0, Done: sim.Time(100 * sim.Microsecond)})
+		p.OnRequest(&workload.Request{Sent: 0, Done: sim.Time(100 * sim.Microsecond)})
 	}
 	eng.Run(sim.Time(1100 * sim.Millisecond))
 	if p.cur != start+1 {

@@ -55,8 +55,8 @@ var goldenCases = []struct {
 	// The ondemand trace: per-millisecond packet split, ksoftirqd
 	// wakes, CC6 entries and P-state of core 0.
 	{file: "fig2.txt", argv: "nmapsim -quick fig2"},
-	// NMAP vs Parties under a switching load: Parties reads completions
-	// through OnDone beside the sampler, and both P-state series print.
+	// NMAP vs Parties under a switching load: Parties and the sampler
+	// both listen to the request outcomes, and both P-state series print.
 	{file: "fig16.txt", argv: "nmapsim -quick fig16"},
 	// The ondemand trace with four fault classes armed at once: wire
 	// loss, lost and late interrupts, and thermal throttling, under a

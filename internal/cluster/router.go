@@ -83,8 +83,8 @@ func (rt *router) copyFailed(from int, r *workload.Request) {
 // request to another routable node; beyond it (or with nowhere to go)
 // the front end declares the request failed. The failed record is owned
 // by its node and about to be recycled, so the copy is taken before
-// dispatch — and because OnFail fires before the node recycles r, the
-// fresh record can never alias r.
+// dispatch — and because the node's request listener runs before the
+// node recycles r, the fresh record can never alias r.
 func (rt *router) resteer(from int, r *workload.Request) {
 	used := rt.attempts[r.ID]
 	if used < rt.c.Cfg.RouteRetries {

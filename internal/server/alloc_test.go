@@ -151,7 +151,7 @@ func TestPoolsBoundedByInFlight(t *testing.T) {
 		}
 		orig(r)
 	}
-	s.OnDone = func(*workload.Request) { done++ }
+	s.AddRequestListener(listenFunc(func(*workload.Request) { done++ }))
 	s.Run()
 	if issued == 0 || done == 0 {
 		t.Fatalf("no traffic flowed (issued=%d done=%d)", issued, done)
@@ -178,12 +178,12 @@ func TestWarmupResponsesNeverCounted(t *testing.T) {
 	}
 	s := New(cfg, nil)
 	var inWarmup, total int
-	s.OnDone = func(r *workload.Request) {
+	s.AddRequestListener(listenFunc(func(r *workload.Request) {
 		total++
 		if r.Done < sim.Time(cfg.Warmup) {
 			inWarmup++
 		}
-	}
+	}))
 	res, _ := s.Run()
 	if inWarmup == 0 {
 		t.Fatal("no responses completed during warmup; test is vacuous")

@@ -148,21 +148,100 @@ func TestWarmupExcludedFromMeasurement(t *testing.T) {
 	}
 }
 
-func TestOnDoneObservesRequests(t *testing.T) {
+// listenFunc adapts a function to RequestListener.
+type listenFunc func(r *workload.Request)
+
+func (f listenFunc) OnRequest(r *workload.Request) { f(r) }
+
+// With no fault and no shedding every request ends in a completion, so
+// a listener sees only finished requests.
+func TestRequestListenerObservesCompletions(t *testing.T) {
 	cfg := quickCfg(workload.Low, 11)
 	idle, _ := governor.NewIdlePolicy("menu")
 	s := New(cfg, idle)
 	s.AttachPolicy(governor.NewStack(s.Eng, s.Proc, governor.Performance{}))
 	n := 0
-	s.OnDone = func(r *workload.Request) {
+	s.AddRequestListener(listenFunc(func(r *workload.Request) {
 		n++
 		if r.Done == 0 || r.Latency() <= 0 {
-			t.Fatal("OnDone saw an unfinished request")
+			t.Fatal("listener saw an unfinished request")
 		}
-	}
+	}))
 	s.Run()
 	if n == 0 {
-		t.Fatal("OnDone never fired")
+		t.Fatal("listener never fired")
+	}
+}
+
+// TestRequestListenerContract pins the listener contract on every
+// outcome: under wire loss and load shedding, with the client retry
+// loop on (completions, timeouts, sheds) and off (completions, losses,
+// sheds), two listeners each see every terminal request exactly once,
+// in the order they were added, with exactly one outcome marked, and
+// their per-outcome counts equal the client ledger's.
+func TestRequestListenerContract(t *testing.T) {
+	var seen [4]uint64 // runs that saw each outcome, by index below
+	for _, retry := range []workload.RetryConfig{
+		{Timeout: 2 * sim.Millisecond, MaxRetries: 1},
+		{},
+	} {
+		cfg := Config{
+			Seed:            3,
+			Level:           workload.High,
+			Warmup:          5 * sim.Millisecond,
+			Duration:        25 * sim.Millisecond,
+			ShedSLOMultiple: 1,
+			Retry:           retry,
+		}
+		cfg.Faults.WireLossProb = 0.05
+		s := New(cfg, nil)
+		var order []int // listener index of each call
+		var ids [2]map[uint64]bool
+		var count [2][4]uint64 // per listener: done, timed out, lost, shed
+		for li := range ids {
+			ids[li] = map[uint64]bool{}
+			s.AddRequestListener(listenFunc(func(r *workload.Request) {
+				order = append(order, li)
+				if ids[li][r.ID] {
+					t.Fatalf("listener %d saw request %d twice", li, r.ID)
+				}
+				ids[li][r.ID] = true
+				outcomes := 0
+				for k, ended := range []bool{r.Done != 0, r.TimedOut, r.Lost, r.Shed} {
+					if ended {
+						outcomes++
+						count[li][k]++
+					}
+				}
+				if outcomes != 1 {
+					t.Fatalf("request %d reached a listener with %d outcomes marked", r.ID, outcomes)
+				}
+			}))
+		}
+		s.Run()
+		for i, li := range order {
+			if li != i%2 {
+				t.Fatalf("call %d went to listener %d, want listeners in the order added", i, li)
+			}
+		}
+		a := s.Accounting()
+		want := [4]uint64{a.Completed, a.TimedOut, a.Lost, a.Shed}
+		for li := range count {
+			if count[li] != want {
+				t.Fatalf("retry %+v: listener %d counted done/timed out/lost/shed %v, ledger has %v",
+					retry, li, count[li], want)
+			}
+		}
+		for k, n := range want {
+			if n > 0 {
+				seen[k]++
+			}
+		}
+	}
+	for k, name := range []string{"completed", "timed out", "lost", "shed"} {
+		if seen[k] == 0 {
+			t.Errorf("no run produced a %s request; the test is vacuous there", name)
+		}
 	}
 }
 
