@@ -2,11 +2,13 @@ package experiments
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"nmapsim/internal/faults"
 	"nmapsim/internal/server"
 	"nmapsim/internal/sim"
+	"nmapsim/internal/stats"
 	"nmapsim/internal/workload"
 )
 
@@ -127,5 +129,22 @@ func TestResilienceTimelineIsAPureObserver(t *testing.T) {
 	}
 	if len(fig.Runs) != 2 {
 		t.Fatalf("%d resilience arms, want 2", len(fig.Runs))
+	}
+}
+
+// TestP99OfMatchesHist pins the timelines' P99 to the headline one: for
+// every sample count from 1 to 1000, p99Of picks the same sample as
+// stats.Hist.P(0.99) over the same latencies.
+func TestP99OfMatchesHist(t *testing.T) {
+	rng := sim.NewRNG(5)
+	h := stats.NewHist(1000)
+	var all []sim.Duration
+	for n := 1; n <= 1000; n++ {
+		d := sim.Duration(1+rng.Intn(1_000_000)) * sim.Nanosecond
+		all = append(all, d)
+		h.Add(d)
+		if got, want := p99Of(slices.Clone(all)), h.P(0.99); got != want {
+			t.Fatalf("n=%d: p99Of = %v, Hist.P(0.99) = %v", n, got, want)
+		}
 	}
 }
