@@ -11,7 +11,7 @@ GO ?= go
 PGO = default.pgo
 PGOFLAG = $(if $(wildcard $(PGO)),-pgo=$(PGO),)
 
-.PHONY: ci fmt vet govulncheck build test race fuzz-smoke pgo pgo-smoke profile thresholds clean
+.PHONY: ci fmt vet govulncheck build fma test race fuzz-smoke pgo pgo-smoke profile thresholds clean
 
 # Every other check is a Go test that race runs: the fault, failover,
 # fleet and gray-failure matrices, the zero-cost byte-identity gates,
@@ -22,7 +22,7 @@ PGOFLAG = $(if $(wildcard $(PGO)),-pgo=$(PGO),)
 # Performance is measured by the same-host A/B benchmark under
 # benchmark/ (`bash benchmark/run.sh`, see benchmark/README.md), not by
 # a CI target: wall-clock numbers only compare on one host.
-ci: fmt vet govulncheck build race fuzz-smoke pgo-smoke
+ci: fmt vet govulncheck build fma race fuzz-smoke pgo-smoke
 
 # Capture CPU and heap (allocs) profiles from the standard fig12-quick
 # run: `go tool pprof cpu.prof` / `go tool pprof mem.prof`.
@@ -103,6 +103,26 @@ govulncheck:
 
 build:
 	$(GO) build $(PGOFLAG) ./...
+
+# Portable bytes: the Go spec lets a compiler fuse x*y + z into one
+# fused multiply-add, which rounds once instead of twice, so a fused op
+# can move an output digit. amd64 never fuses; these targets do. Each is
+# cross-compiled with -S, and any fused multiply-add inside a repository
+# function fails the build, named with its function and line. An
+# explicit float64(...) conversion rounds, so it keeps a product unfused.
+FMA_ARCHES = arm64 ppc64le s390x riscv64
+
+fma:
+	@out=$$(mktemp); trap 'rm -f $$out' EXIT; status=0; \
+	for arch in $(FMA_ARCHES); do \
+		GOARCH=$$arch $(GO) build -trimpath -gcflags='nmapsim/...=-S' ./internal/... >$$out 2>&1 || { cat $$out; exit 1; }; \
+		awk -v arch=$$arch ' \
+			/^[^ \t]/ { fn = match($$0, / STEXT /) ? substr($$0, 1, RSTART - 1) : ""; next } \
+			fn ~ /^nmapsim\// && $$4 ~ /^FN?M(ADD|SUB)[DS]?$$/ { print arch ": " fn " " $$3 " " $$4; n++ } \
+			END { exit n > 0 }' $$out || status=1; \
+	done; \
+	if [ $$status -ne 0 ]; then echo "fma: fused multiply-adds found (add a float64(...) conversion at each)"; fi; \
+	exit $$status
 
 test:
 	$(GO) test ./...

@@ -69,8 +69,8 @@ func (t *OnlineTuner) apply() {
 	cur := t.nmap.CurrentThresholds()
 	const b = tunerBlend
 	t.nmap.SetThresholds(Thresholds{
-		NITh: (1-b)*cur.NITh + b*fresh.NITh,
-		CUTh: (1-b)*cur.CUTh + b*fresh.CUTh,
+		NITh: float64((1-b)*cur.NITh) + float64(b*fresh.NITh),
+		CUTh: float64((1-b)*cur.CUTh) + float64(b*fresh.CUTh),
 	})
 	t.updates++
 }

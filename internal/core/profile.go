@@ -155,7 +155,10 @@ func (p *Profiler) derive() Thresholds {
 	return th
 }
 
-// quantile returns the q-quantile (nearest rank) of vals.
+// quantile returns the q-quantile of vals at index round(q·n)−1 of the
+// sorted values, which is not nearest rank (ceil(q·n)−1; q = 0.95, n = 11
+// gives 9, not 10). It stays: the committed threshold table for the
+// profiling seeds 1000–1003 (thresholds_table.go) derives from it.
 func quantile(vals []float64, q float64) float64 {
 	if len(vals) == 0 {
 		return 0
@@ -166,7 +169,7 @@ func quantile(vals []float64, q float64) float64 {
 			sorted[j], sorted[j-1] = sorted[j-1], sorted[j]
 		}
 	}
-	idx := int(q*float64(len(sorted))+0.5) - 1
+	idx := int(float64(q*float64(len(sorted)))+0.5) - 1
 	if idx < 0 {
 		idx = 0
 	}

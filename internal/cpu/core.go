@@ -31,7 +31,7 @@ func (x *Exec) Remaining() float64 {
 		return 0
 	}
 	elapsed := float64(x.core.eng.Now() - x.since)
-	c := x.remaining - elapsed*x.freq
+	c := x.remaining - float64(elapsed*x.freq)
 	if c < 0 {
 		c = 0
 	}
@@ -164,13 +164,13 @@ func NewCore(id int, m *Model, eng *sim.Engine, rng *sim.RNG) *Core {
 	for p, ps := range m.PStates {
 		vr := ps.Volt / vmax
 		fr := ps.FreqGHz / fmax
-		uncore := pp.UncoreDynW / float64(m.NumCores) * vr * vr * fr
-		dyn := pp.DynW * vr * vr * fr
-		static := pp.StaticW * vr
+		uncore := float64(pp.UncoreDynW / float64(m.NumCores) * vr * vr * fr)
+		dyn := float64(pp.DynW * vr * vr * fr)
+		static := float64(pp.StaticW * vr)
 		pwr[p] = condPower{
 			busy: dyn + static + uncore,
-			idle: pp.IdleActivity*dyn + static + uncore,
-			cc1:  pp.CC1W*vr + uncore,
+			idle: float64(pp.IdleActivity*dyn) + static + uncore,
+			cc1:  float64(pp.CC1W*vr) + uncore,
 			cc6:  pp.CC6W + uncore,
 			wake: pp.WakeW + uncore,
 		}
@@ -245,7 +245,7 @@ func (c *Core) settle() {
 		c.lastAcct = now
 		return
 	}
-	c.energyJ += c.power() * float64(dt) * 1e-9
+	c.energyJ += float64(c.power() * float64(dt) * 1e-9)
 	if c.busy {
 		c.busyNs += int64(dt)
 	}

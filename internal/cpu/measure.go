@@ -32,7 +32,7 @@ func summarize(durs []sim.Duration) LatencySample {
 	var sq float64
 	for _, d := range durs {
 		diff := d.Micros() - mean
-		sq += diff * diff
+		sq += float64(diff * diff)
 	}
 	return LatencySample{MeanUs: mean, StdevUs: math.Sqrt(sq / n), N: len(durs)}
 }

@@ -172,7 +172,7 @@ func (m *Model) MaxPowerW() float64 {
 			core = w
 		}
 	}
-	return float64(m.NumCores)*core + pp.UncoreDynW + pp.UncoreW
+	return float64(float64(m.NumCores)*core) + pp.UncoreDynW + pp.UncoreW
 }
 
 // FreqAt returns the clock at P-state index p in GHz.
@@ -230,8 +230,8 @@ func linearPStates(n int, fminGHz, fmaxGHz, vmin, vmax float64) []PState {
 	for i := 0; i < n; i++ {
 		// Index 0 is the fastest state.
 		frac := float64(i) / float64(n-1)
-		f := fmaxGHz - frac*(fmaxGHz-fminGHz)
-		v := vmax - frac*(vmax-vmin)
+		f := fmaxGHz - float64(frac*(fmaxGHz-fminGHz))
+		v := vmax - float64(frac*(vmax-vmin))
 		ps[i] = PState{FreqGHz: f, Volt: v}
 	}
 	return ps

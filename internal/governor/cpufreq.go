@@ -60,7 +60,7 @@ func utilToPState(m *cpu.Model, util float64) int {
 	}
 	fmax := m.PStates[0].FreqGHz
 	fmin := m.PStates[m.MaxP()].FreqGHz
-	target := fmin + (util/upThreshold)*(fmax-fmin)
+	target := fmin + float64((util/upThreshold)*(fmax-fmin))
 	// Pick the slowest state with frequency >= target.
 	for p := m.MaxP(); p >= 0; p-- {
 		if m.PStates[p].FreqGHz >= target {
@@ -141,6 +141,6 @@ func (g *IntelPowersave) Decide(coreID int, u UtilSample) int {
 	if u.CC0 < g.ewma[coreID] {
 		a = alphaDown
 	}
-	g.ewma[coreID] = (1-a)*g.ewma[coreID] + a*u.CC0
+	g.ewma[coreID] = float64((1-a)*g.ewma[coreID]) + float64(a*u.CC0)
 	return utilToPState(g.Model, g.ewma[coreID])
 }

@@ -455,8 +455,8 @@ func (k *CoreKernel) runPollPass(owner execOwner) {
 		return
 	}
 	cost := pollOverheadCycles +
-		PerPktCycles*float64(len(batch)) +
-		txCleanCycles*float64(txn)
+		float64(PerPktCycles*float64(len(batch))) +
+		float64(txCleanCycles*float64(txn))
 	k.owner = owner
 	k.lastRan = owner
 	k.pollBatch = batch

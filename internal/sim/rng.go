@@ -88,7 +88,7 @@ func (r *RNG) Normal(mean, stdev float64) float64 {
 	}
 	v = r.Float64()
 	z := math.Sqrt(-2*math.Log(u)) * math.Cos(2*math.Pi*v)
-	return mean + stdev*z
+	return mean + float64(stdev*z)
 }
 
 // NormalDur returns a normally distributed duration clamped to >= min.
@@ -128,5 +128,5 @@ func NewBoundedPareto(lo, hi, alpha float64) BoundedPareto {
 // Sample draws one value by inverting the CDF at one uniform draw from r.
 func (p BoundedPareto) Sample(r *RNG) float64 {
 	u := r.Float64()
-	return math.Pow(-(u*p.ha-u*p.la-p.ha)/p.laha, p.exp)
+	return math.Pow(-(float64(u*p.ha)-float64(u*p.la)-p.ha)/p.laha, p.exp)
 }

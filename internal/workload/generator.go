@@ -54,7 +54,7 @@ func (b BurstPattern) PeakRate(avgRPS float64) float64 {
 		r = l
 	}
 	// Area under the ramped burst = peak·(L - R/2).
-	return avgRPS * float64(b.Period) / (l - r/2)
+	return avgRPS * float64(b.Period) / (l - float64(r/2))
 }
 
 // rateFrac returns the instantaneous rate at t as a fraction of the
