@@ -23,10 +23,13 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
+	"strings"
 	"time"
 
 	"nmapsim/internal/experiments"
 	"nmapsim/internal/faults"
+	"nmapsim/internal/governor"
 	"nmapsim/internal/sim"
 	"nmapsim/internal/workload"
 )
@@ -231,6 +234,21 @@ func (hf *harnessFlags) reportAudit(c command, h *experiments.Harness) {
 	if rep := h.AuditReport(); rep != nil {
 		fmt.Fprint(c.stderr, rep)
 	}
+}
+
+// checkPolicies rejects a power policy or an idle policy the harness
+// cannot run, naming the known ones. An empty idle name is the
+// experiments default, menu.
+func checkPolicies(policies []string, idle string) error {
+	for _, pol := range policies {
+		if !slices.Contains(experiments.PolicyNames, pol) {
+			return fmt.Errorf("unknown policy %q (want %s)", pol, strings.Join(experiments.PolicyNames, ", "))
+		}
+	}
+	if _, ok := governor.NewIdlePolicy(idle); !ok && idle != "" {
+		return fmt.Errorf("unknown idle policy %q (want %s)", idle, strings.Join(governor.IdlePolicies, ", "))
+	}
+	return nil
 }
 
 // startProfiles starts a CPU profile into cpuPath and arms a heap

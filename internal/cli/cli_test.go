@@ -61,6 +61,15 @@ func TestValidateFlags(t *testing.T) {
 			{"negative deadline", "nmapsweep -cell-deadline -1m", "-cell-deadline"},
 			{"negative mem budget", "nmapsweep -mem-budget-mb -1", "-mem-budget-mb"},
 			{"fsck without checkpoint", "nmapsweep -fsck", "-checkpoint"},
+			{"policies accepted", "nmapsweep -policy nmap -idle c6only " + sweepApp, appOK},
+			{"unknown policy", "nmapsweep -policy bogus", `unknown policy "bogus"`},
+			{"unknown policy under quarantine", "nmapsweep -points 2 -dur 50 -policy bogus -quarantine", `unknown policy "bogus"`},
+			{"unknown idle", "nmapsweep -idle bogus", `unknown idle policy "bogus"`},
+			{"inflection accepted", "nmapsweep -inflection -points 2 " + sweepApp, appOK},
+			{"inflection with one point", "nmapsweep -inflection -points 1", "-points"},
+			{"inflection ignores policy", "nmapsweep -inflection -policy nmap", "-policy"},
+			{"inflection ignores idle", "nmapsweep -inflection -idle menu", "-idle"},
+			{"inflection ignores dur", "nmapsweep -inflection -dur 100", "-dur"},
 		}},
 		{"nmapreport", []flagCase{
 			{"defaults accepted", "nmapreport " + sweepApp, appOK},
@@ -173,10 +182,11 @@ func TestQuarantineExitCode(t *testing.T) {
 }
 
 // TestSweepQuarantineExit runs the contract end to end: a sweep whose
-// every cell fails under -quarantine still renders its table, with one
+// every cell fails under -quarantine (a crash of a core the server does
+// not have fails each build) still renders its table, with one
 // QUARANTINED row per cell, names the count on stderr and exits 3.
 func TestSweepQuarantineExit(t *testing.T) {
-	code, stdout, stderr := run(t, strings.Fields("nmapsweep -points 2 -dur 50 -policy chaos-bogus -quarantine"))
+	code, stdout, stderr := run(t, strings.Fields("nmapsweep -points 2 -dur 50 -faults corecrash=99@100ms -quarantine"))
 	if code != 3 {
 		t.Fatalf("exit %d, want 3 (stderr %q)", code, stderr)
 	}

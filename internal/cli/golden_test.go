@@ -7,8 +7,11 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
+
+	"nmapsim/internal/experiments"
 )
 
 var update = flag.Bool("update", false,
@@ -51,7 +54,10 @@ var goldenCases = []struct {
 	// legs, for a command that has no worker pool.
 	once bool
 }{
+	// The catalog nmapsim lists.
+	{file: "nmapsim-list.txt", argv: "nmapsim -list"},
 	{file: "table1.txt", argv: "nmapsim -quick table1"},
+	{file: "table2.txt", argv: "nmapsim -quick table2"},
 	// The ondemand trace: per-millisecond packet split, ksoftirqd
 	// wakes, CC6 entries and P-state of core 0.
 	{file: "fig2.txt", argv: "nmapsim -quick fig2"},
@@ -77,6 +83,8 @@ var goldenCases = []struct {
 		argv:        "nmapsim -quick -faults corecrash=1@150ms:100ms,queuestall=2@180ms:40ms -rto 20ms -audit fig9",
 		auditReport: "fig9-crash-audit-report.txt",
 	},
+	// The latency-load curve under the three sleep policies.
+	{file: "fig8.txt", argv: "nmapsim -quick fig8"},
 	// The shed arm drives the request-accounting tally.
 	{
 		file:        "fig-resilience-audit.txt",
@@ -90,6 +98,12 @@ var goldenCases = []struct {
 	// from the plain fig-cluster case's.
 	{file: "fig-cluster-audit-hedge-rto-nodes3.txt", argv: "nmapsim -quick -audit -nodes 3 -hedge -rto 20ms fig-cluster"},
 	{file: "fig-grayfail-audit-nodes3.txt", argv: "nmapsim -quick -audit -nodes 3 fig-grayfail"},
+	// The per-request arm's attempted-write column comes from an
+	// observer of the built server's policy.
+	{file: "ablation-perrequest.txt", argv: "nmapsim -quick ablation-perrequest"},
+	{file: "ablation-chipwide.txt", argv: "nmapsim -quick ablation-chipwide"},
+	// The µs-scale service and its hand-formatted table.
+	{file: "ablation-microslo.txt", argv: "nmapsim -quick ablation-microslo"},
 	{file: "nmapreport-seeds1-dur100.json", argv: "nmapreport -seeds 1 -dur 100"},
 	// 51-point latency CDFs per cell, read from the exact recorder.
 	{file: "nmapreport-memcached-cdf-seeds1-dur100.json", argv: "nmapreport -app memcached -seeds 1 -dur 100 -cdf"},
@@ -165,6 +179,54 @@ func TestGolden(t *testing.T) {
 					checkGolden(t, c.auditReport, stderr)
 				}
 			})
+		}
+	}
+}
+
+// unpinned names each catalog entry no golden case runs, and why.
+var unpinned = map[string]string{
+	"fig3":                "0.9 s at -quick -parallel 1; it shares latencySet and its renderer with fig11, which a case pins",
+	"fig7":                "0.6 s; it shares traceSet and its renderer with fig2 and fig9, which cases pin",
+	"fig12":               "3.5 s; the benchmark's fig12-quick-sweep digest pins its physics",
+	"fig14":               "3.0 s; it shares runMatrix and renderMatrix with fig12, and TestRunMatrixParallelDeterminism pins the matrix at two widths",
+	"ablation-thresholds": "1.3 s; TestAblationThresholdsUnitArmIsPlainNMAP pins its x1 arm, and ablation-chipwide pins renderAblation",
+	"ablation-extensions": "0.8 s; plain spec cells through renderAblation, the path ablation-chipwide pins",
+	"ablation-rss":        "0.6 s; plain spec cells through renderAblation, the path ablation-chipwide pins",
+	"ablation-itr":        "1.1 s; plain spec cells through renderAblation, the path ablation-chipwide pins",
+}
+
+// TestGoldenCoversCatalog: every nmapsim catalog entry is pinned by a
+// golden case that runs one of its names, or is listed in unpinned with
+// a reason; unpinned names nothing a case already pins.
+func TestGoldenCoversCatalog(t *testing.T) {
+	pinned := map[string]bool{}
+	for _, c := range goldenCases {
+		if argv := strings.Fields(c.argv); argv[0] == "nmapsim" {
+			pinned[argv[len(argv)-1]] = true
+		}
+	}
+	known := map[string]bool{}
+	for _, f := range experiments.Figures() {
+		covered := false
+		for _, name := range f.Names {
+			known[name] = true
+			covered = covered || pinned[name]
+		}
+		if covered {
+			for _, name := range f.Names {
+				if unpinned[name] != "" {
+					t.Errorf("%s is pinned by a golden case but listed in unpinned", name)
+				}
+			}
+			continue
+		}
+		if !slices.ContainsFunc(f.Names, func(name string) bool { return unpinned[name] != "" }) {
+			t.Errorf("no golden case runs %v and unpinned gives no reason", f.Names)
+		}
+	}
+	for name := range unpinned {
+		if !known[name] {
+			t.Errorf("unpinned names %q, which is not in the catalog", name)
 		}
 	}
 }

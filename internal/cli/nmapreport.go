@@ -4,11 +4,9 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"slices"
 	"strings"
 
 	"nmapsim/internal/experiments"
-	"nmapsim/internal/governor"
 	"nmapsim/internal/server"
 	"nmapsim/internal/sim"
 	"nmapsim/internal/workload"
@@ -64,13 +62,9 @@ func Report(args []string, stdout, stderr io.Writer) int {
 	pols := strings.Split(*policies, ",")
 	for i, pol := range pols {
 		pols[i] = strings.TrimSpace(pol)
-		if !slices.Contains(experiments.PolicyNames, pols[i]) {
-			return c.exit(2, fmt.Errorf("unknown policy %q (want %s)", pols[i], strings.Join(experiments.PolicyNames, ", ")))
-		}
 	}
-	// An empty name is the experiments default, menu.
-	if _, ok := governor.NewIdlePolicy(*idle); !ok && *idle != "" {
-		return c.exit(2, fmt.Errorf("unknown idle policy %q (want %s)", *idle, strings.Join(governor.IdlePolicies, ", ")))
+	if err := checkPolicies(pols, *idle); err != nil {
+		return c.exit(2, err)
 	}
 	if err := hf.openJournal(c, h); err != nil {
 		return c.exit(1, err)

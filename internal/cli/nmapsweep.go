@@ -2,10 +2,12 @@ package cli
 
 import (
 	"context"
+	"flag"
 	"fmt"
 	"io"
 	"os"
 	"os/signal"
+	"strings"
 	"syscall"
 
 	"nmapsim/internal/experiments"
@@ -22,7 +24,7 @@ func Sweep(args []string, stdout, stderr io.Writer) int {
 	c := command{"nmapsweep", stdout, stderr}
 	fs := c.flagSet()
 	app := fs.String("app", "memcached", "workload profile: memcached or nginx")
-	policy := fs.String("policy", "performance", "power policy (see nmapsim -list)")
+	policy := fs.String("policy", "performance", "power policy: "+strings.Join(experiments.PolicyNames, ", "))
 	idle := fs.String("idle", "menu", "idle policy: menu, disable, c6only")
 	points := fs.Int("points", 8, "number of load points")
 	durMS := fs.Int("dur", 500, "measured window per point, milliseconds")
@@ -71,6 +73,25 @@ func Sweep(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
+	if *inflection {
+		if *points < 2 {
+			return c.exit(2, fmt.Errorf("-inflection needs -points >= 2 to find a knee, got %d", *points))
+		}
+		// The knee search fixes the governor, the idle policy and the
+		// window; a flag that would set one of them is a usage error.
+		var ignored string
+		fs.Visit(func(f *flag.Flag) {
+			if ignored == "" && (f.Name == "policy" || f.Name == "idle" || f.Name == "dur") {
+				ignored = f.Name
+			}
+		})
+		if ignored != "" {
+			return c.exit(2, fmt.Errorf("-%s does not apply to -inflection (it sweeps the performance governor, menu idle, 1s per point)", ignored))
+		}
+	}
+	if err := checkPolicies([]string{*policy}, *idle); err != nil {
+		return c.exit(2, err)
+	}
 	prof, ok := workload.ProfileByName(*app)
 	if !ok {
 		return c.exit(2, fmt.Errorf("unknown app %q", *app))

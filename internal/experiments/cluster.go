@@ -8,7 +8,6 @@ import (
 	"nmapsim/internal/cluster"
 	"nmapsim/internal/cpu"
 	"nmapsim/internal/faults"
-	"nmapsim/internal/report"
 	"nmapsim/internal/server"
 	"nmapsim/internal/sim"
 	"nmapsim/internal/workload"
@@ -20,26 +19,13 @@ import (
 // power cap.
 // ---------------------------------------------------------------------
 
-// ClusterBucket is one time slice of the fleet timeline.
-type ClusterBucket struct {
-	// FromMs is the bucket's start, in ms since the run began.
-	FromMs int
-	// Done is the number of front-end completions in the bucket.
-	Done int
-	// P99 is the P99 front-end response time of those completions.
-	P99 sim.Duration
-	// Resteers counts router resubmissions dispatched during the bucket.
-	Resteers uint64
-	// Offline is the number of offline nodes at the bucket's end.
-	Offline int
-}
-
 // ClusterArm is one pass through the fleet scenario.
 type ClusterArm struct {
 	Name string
 	// CapW is the fleet power budget (0 = per-node governors only).
-	CapW    float64
-	Buckets []ClusterBucket
+	CapW float64
+	// Buckets count router resteers and offline nodes.
+	Buckets []TimelineBucket
 	Result  cluster.Result
 	// Done is false when the arm was cut short (ctx cancellation): the
 	// Result then summarises the fleet as of the abort instant, every
@@ -70,7 +56,7 @@ const clusterLoadFrac = 0.7
 // fraction of the fleet's aggregate TDP.
 const clusterCapFrac = 0.45
 
-// FigClusterCtx runs memcached across a cluster of NMAP nodes behind
+// figClusterCtx runs memcached across a cluster of NMAP nodes behind
 // the routing front end, kills node 1 mid-run (unless h.Faults already
 // schedules node faults), and plots the per-bucket cluster P99 /
 // resteer / offline-node timeline for two arms: per-node NMAP
@@ -86,7 +72,7 @@ const clusterCapFrac = 0.45
 // all its per-node results in input order (Done=false), never-started
 // arms are absent, and ctx.Err() is returned alongside the partial
 // figure.
-func (h *Harness) FigClusterCtx(ctx context.Context, q Quality, nodes int, route string, hedge bool) (ClusterFigure, error) {
+func (h *Harness) figClusterCtx(ctx context.Context, q Quality, nodes int, route string, hedge bool) (ClusterFigure, error) {
 	if nodes < 1 {
 		return ClusterFigure{}, fmt.Errorf("experiments: fig-cluster needs at least 1 node, got %d", nodes)
 	}
@@ -170,26 +156,21 @@ func (h *Harness) runFleetArms(ctx context.Context, names []string, specs []Spec
 		}
 		arm := ClusterArm{Name: names[i], CapW: specs[i].Fleet.FleetPowerCapW, Result: c.Fleet, Done: c.Done}
 		if sms[i] != nil {
-			for _, tb := range sms[i].timeline() {
-				arm.Buckets = append(arm.Buckets, ClusterBucket{
-					FromMs:   int(tb.from / sim.Millisecond),
-					Done:     tb.done,
-					P99:      tb.p99,
-					Resteers: tb.delta,
-					Offline:  tb.offline,
-				})
-			}
+			arm.Buckets = sms[i].timeline()
 		}
 		out = append(out, arm)
 	}
 	return out, err
 }
 
-// RenderCluster formats the fleet timeline: one table per arm plus a
-// fleet summary footer.
-func RenderCluster(fig ClusterFigure) string {
+// renderCluster formats the fleet timeline: one table per arm plus a
+// fleet summary footer. A figure with no arm in hand renders nothing.
+func renderCluster(title string, fig ClusterFigure) string {
+	if len(fig.Arms) == 0 {
+		return ""
+	}
 	var b strings.Builder
-	fmt.Fprintf(&b, "== Fig cluster: %d nodes, route=%s (%s)", fig.Nodes, fig.Route, fig.App)
+	fmt.Fprintf(&b, "== %s: %d nodes, route=%s (%s)", title, fig.Nodes, fig.Route, fig.App)
 	if fig.CrashNode >= 0 {
 		fmt.Fprintf(&b, ", node %d down %d-%dms", fig.CrashNode, fig.CrashAtMs, fig.RecoverAtMs)
 	}
@@ -201,22 +182,14 @@ func RenderCluster(fig ClusterFigure) string {
 }
 
 // renderClusterArm appends one arm's timeline table and summary footer
-// (shared by RenderCluster and RenderGrayFail, so the two figures keep
+// (shared by renderCluster and renderGrayFail, so the two figures keep
 // byte-identical arm bodies).
 func renderClusterArm(b *strings.Builder, arm ClusterArm) {
 	title := fmt.Sprintf("\n-- %s --", arm.Name)
 	if !arm.Done {
 		title += " (partial)"
 	}
-	t := report.NewTable(title, "t(ms)", "done", "p99(ms)", "resteers", "offline-nodes")
-	for _, bk := range arm.Buckets {
-		t.Row(fmt.Sprint(bk.FromMs),
-			fmt.Sprint(bk.Done),
-			fmt.Sprintf("%.3f", bk.P99.Millis()),
-			fmt.Sprint(bk.Resteers),
-			fmt.Sprint(bk.Offline))
-	}
-	b.WriteString(t.String())
+	writeTimeline(b, title, "resteers", "offline-nodes", arm.Buckets)
 	r := arm.Result
 	fmt.Fprintf(b, "fleet: p99=%.3fms (SLO %.0fms, violated=%v) energy=%.1fJ power=%.1fW cap-steps=%d\n",
 		r.Summary.P99.Millis(), r.SLO.Millis(), r.Violated, r.EnergyJ, r.AvgPowerW, r.CapInterventions)

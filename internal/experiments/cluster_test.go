@@ -47,7 +47,7 @@ func TestFigClusterCtxCancelCheckpointsPartial(t *testing.T) {
 	// at the deadline regardless of the host's core count.
 	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
 	defer cancel()
-	fig, err := (&Harness{Parallel: 1}).FigClusterCtx(ctx, Quick, 3, "rr", false)
+	fig, err := (&Harness{Parallel: 1}).figClusterCtx(ctx, Quick, 3, "rr", false)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want the ctx cause", err)
 	}
@@ -61,7 +61,7 @@ func TestFigClusterCtxCancelCheckpointsPartial(t *testing.T) {
 	if len(arm.Result.Nodes) != 3 {
 		t.Fatalf("partial arm kept %d node results, want all 3 in input order", len(arm.Result.Nodes))
 	}
-	out := RenderCluster(fig)
+	out := renderCluster("Fig cluster", fig)
 	if !strings.Contains(out, "(partial)") {
 		t.Fatal("render does not flag the interrupted arm as partial")
 	}
@@ -72,7 +72,7 @@ func TestFigClusterCtxCancelCheckpointsPartial(t *testing.T) {
 func TestFigClusterCtxPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	fig, err := new(Harness).FigClusterCtx(ctx, Quick, 2, "rr", false)
+	fig, err := new(Harness).figClusterCtx(ctx, Quick, 2, "rr", false)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -85,11 +85,11 @@ func TestFigClusterCtxPreCancelled(t *testing.T) {
 // figure's bytes, at -parallel 1 and 4, are pinned by the golden case
 // fig-cluster-audit-nodes3.
 func TestFigClusterDeterministic(t *testing.T) {
-	a, err := new(Harness).FigClusterCtx(context.Background(), Quick, 2, "rr", false)
+	a, err := new(Harness).figClusterCtx(context.Background(), Quick, 2, "rr", false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ra := RenderCluster(a)
+	ra := renderCluster("Fig cluster", a)
 	var resteers uint64
 	for _, arm := range a.Arms {
 		resteers += arm.Result.Front.Resteers
@@ -107,10 +107,10 @@ func TestFigClusterDeterministic(t *testing.T) {
 // and surfaces as the figure's error instead of being ignored.
 func TestFleetFiguresHonourRunTimeout(t *testing.T) {
 	h := &Harness{RunTimeout: time.Nanosecond}
-	if _, err := h.FigClusterCtx(context.Background(), Quick, 2, "rr", false); err == nil || !strings.Contains(err.Error(), "wall-clock budget") {
+	if _, err := h.figClusterCtx(context.Background(), Quick, 2, "rr", false); err == nil || !strings.Contains(err.Error(), "wall-clock budget") {
 		t.Fatalf("fig-cluster err = %v, want the wall-clock budget error", err)
 	}
-	if _, err := h.FigGrayFailCtx(context.Background(), Quick, 2, "rr"); err == nil || !strings.Contains(err.Error(), "wall-clock budget") {
+	if _, err := h.figGrayFailCtx(context.Background(), Quick, 2, "rr"); err == nil || !strings.Contains(err.Error(), "wall-clock budget") {
 		t.Fatalf("fig-grayfail err = %v, want the wall-clock budget error", err)
 	}
 }

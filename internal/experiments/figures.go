@@ -279,11 +279,11 @@ type MatrixCell struct {
 	Result server.Result
 }
 
-// RunMatrix runs the cross product of the given policies, idle policies
+// runMatrix runs the cross product of the given policies, idle policies
 // and load levels on both applications. Cells fan out over the harness
 // worker pool; the returned slice is in the serial cross-product order
 // and is byte-for-byte independent of the fan-out.
-func (h *Harness) RunMatrix(policies, idles []string, q Quality) ([]MatrixCell, error) {
+func (h *Harness) runMatrix(policies, idles []string, q Quality) ([]MatrixCell, error) {
 	var specs []Spec
 	var meta []MatrixCell
 	for _, prof := range workload.Profiles() {
@@ -325,7 +325,7 @@ func (h *Harness) Fig12And13(q Quality) ([]MatrixCell, error) {
 	if q == Quick {
 		idles = []string{"menu"}
 	}
-	return h.RunMatrix(
+	return h.runMatrix(
 		[]string{"intel_powersave", "ondemand", "performance", "nmap-simpl", "nmap"},
 		idles, q)
 }
@@ -333,7 +333,7 @@ func (h *Harness) Fig12And13(q Quality) ([]MatrixCell, error) {
 // Fig14And15 reproduces the Fig 14 (P99, SLO-normalised) and Fig 15
 // (energy) comparison with the state-of-the-art baselines.
 func (h *Harness) Fig14And15(q Quality) ([]MatrixCell, error) {
-	return h.RunMatrix(
+	return h.runMatrix(
 		[]string{"ncap-menu", "ncap", "nmap-simpl", "nmap", "performance"},
 		[]string{"menu"}, q)
 }
@@ -499,10 +499,10 @@ func (h *Harness) AblationChipWide(q Quality) ([]AblationCell, error) {
 	return h.ablate(names, specCells(specs))
 }
 
-// AblationExtensions compares stock NMAP against the two future-work
+// ablationExtensions compares stock NMAP against the two future-work
 // extensions: online threshold tuning (no offline profiling) and
 // sleep-state integration.
-func (h *Harness) AblationExtensions(q Quality) ([]AblationCell, error) {
+func (h *Harness) ablationExtensions(q Quality) ([]AblationCell, error) {
 	prof := workload.Memcached()
 	names := []string{"nmap", "nmap-online", "nmap-sleep"}
 	var specs []Spec
@@ -519,10 +519,10 @@ func (h *Harness) AblationExtensions(q Quality) ([]AblationCell, error) {
 	return h.ablate(names, specCells(specs))
 }
 
-// AblationRSS shows why per-core DVFS beats chip-wide when RSS is
+// ablationRSS shows why per-core DVFS beats chip-wide when RSS is
 // lumpy (§6.3): with few client connections the per-queue loads differ,
 // so pulling every core to the hottest core's frequency wastes energy.
-func (h *Harness) AblationRSS(q Quality) ([]AblationCell, error) {
+func (h *Harness) ablationRSS(q Quality) ([]AblationCell, error) {
 	prof := workload.Memcached()
 	var specs []Spec
 	var names []string
@@ -552,10 +552,10 @@ func (h *Harness) AblationRSS(q Quality) ([]AblationCell, error) {
 	return h.ablate(names, specCells(specs))
 }
 
-// AblationITR sweeps the NIC interrupt-throttle period: the ITR sets
+// ablationITR sweeps the NIC interrupt-throttle period: the ITR sets
 // how often the NAPI mode counters get a fresh interrupt window and how
 // bursty the hardirq load is, so it bounds NMAP's detection texture.
-func (h *Harness) AblationITR(q Quality) ([]AblationCell, error) {
+func (h *Harness) ablationITR(q Quality) ([]AblationCell, error) {
 	prof := workload.Memcached()
 	var specs []Spec
 	var names []string

@@ -50,7 +50,7 @@ func grayFabric() cluster.FabricConfig {
 	}
 }
 
-// FigGrayFailCtx runs memcached across a cluster whose node-1 link goes
+// figGrayFailCtx runs memcached across a cluster whose node-1 link goes
 // gray mid-run: three linkslow windows (factor 8) across the first half
 // of the measured window, a one-way return-leg partition at 5/8 of the
 // window (responses vanish, requests still land — the orphan-producing
@@ -61,9 +61,9 @@ func grayFabric() cluster.FabricConfig {
 //
 // The arms run on the bounded worker pool and the figure renders
 // byte-identically at any parallelism, like fig-cluster. Cancelling ctx
-// checkpoints finished and in-flight arms exactly as FigClusterCtx
+// checkpoints finished and in-flight arms exactly as figClusterCtx
 // does.
-func (h *Harness) FigGrayFailCtx(ctx context.Context, q Quality, nodes int, route string) (GrayFigure, error) {
+func (h *Harness) figGrayFailCtx(ctx context.Context, q Quality, nodes int, route string) (GrayFigure, error) {
 	if nodes < 2 {
 		return GrayFigure{}, fmt.Errorf("experiments: fig-grayfail needs at least 2 nodes, got %d", nodes)
 	}
@@ -132,13 +132,16 @@ func (h *Harness) FigGrayFailCtx(ctx context.Context, q Quality, nodes int, rout
 	return fig, err
 }
 
-// RenderGrayFail formats the gray-failure figure: a header naming the
+// renderGrayFail formats the gray-failure figure: a header naming the
 // scheduled link degradations, then the shared per-arm timeline tables
-// and summaries.
-func RenderGrayFail(fig GrayFigure) string {
+// and summaries. A figure with no arm in hand renders nothing.
+func renderGrayFail(title string, fig GrayFigure) string {
+	if len(fig.Arms) == 0 {
+		return ""
+	}
 	var b strings.Builder
-	fmt.Fprintf(&b, "== Fig grayfail: %d nodes, route=%s (%s), gray link on node %d ==\n",
-		fig.Nodes, fig.Route, fig.App, fig.GrayNode)
+	fmt.Fprintf(&b, "== %s: %d nodes, route=%s (%s), gray link on node %d ==\n",
+		title, fig.Nodes, fig.Route, fig.App, fig.GrayNode)
 	fmt.Fprintf(&b, "link: slow x8 at %v ms, one-way cut (responses) %d-%dms, 5%% loss at %dms\n",
 		fig.SlowAtMs, fig.CutAtMs, fig.CutEndMs, fig.LossAtMs)
 	for _, arm := range fig.Arms {

@@ -11,11 +11,11 @@ import (
 // one, and the hedged arm dispatches hedges. Its bytes, at -parallel 1
 // and 4, are pinned by the golden case fig-grayfail-audit-nodes3.
 func TestFigGrayFailDeterministicAcrossParallelism(t *testing.T) {
-	serial, err := (&Harness{Parallel: 1}).FigGrayFailCtx(context.Background(), Quick, 3, "rr")
+	serial, err := (&Harness{Parallel: 1}).figGrayFailCtx(context.Background(), Quick, 3, "rr")
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs := RenderGrayFail(serial)
+	rs := renderGrayFail("Fig grayfail", serial)
 
 	if len(serial.Arms) != 3 {
 		t.Fatalf("got %d arms, want 3", len(serial.Arms))
@@ -48,7 +48,7 @@ func TestFigGrayFailDeterministicAcrossParallelism(t *testing.T) {
 // fig-grayfail refuses a single-node fleet: a gray link needs a peer to
 // steer around.
 func TestFigGrayFailRejectsSingleNode(t *testing.T) {
-	if _, err := new(Harness).FigGrayFailCtx(context.Background(), Quick, 1, "rr"); err == nil ||
+	if _, err := new(Harness).figGrayFailCtx(context.Background(), Quick, 1, "rr"); err == nil ||
 		!strings.Contains(err.Error(), "at least 2 nodes") {
 		t.Fatalf("err = %v, want the 2-node floor", err)
 	}

@@ -44,13 +44,13 @@ type MicroSLOCell struct {
 	EnergyJ  float64
 }
 
-// AblationMicroSLO runs the µs-SLO workload at its low load (where idle
+// ablationMicroSLO runs the µs-SLO workload at its low load (where idle
 // gaps are long and the menu/c6only policies sleep deeply) under the
 // performance governor with each sleep policy, plus the sleep-integrated
 // NMAP extension. The expected §8 shape: deep sleep now costs tail
 // latency, disable buys it back with energy, and the integrated policy
 // sits in between.
-func (h *Harness) AblationMicroSLO(q Quality) ([]MicroSLOCell, error) {
+func (h *Harness) ablationMicroSLO(q Quality) ([]MicroSLOCell, error) {
 	prof := MicroService()
 	var specs []Spec
 	add := func(policy, idle string) {

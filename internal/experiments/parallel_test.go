@@ -44,14 +44,14 @@ func TestRunMatrixParallelDeterminism(t *testing.T) {
 		workers int
 		out     *[]byte
 	}{{1, &serial}, {8, &parallel}} {
-		cells, err := (&Harness{Parallel: run.workers}).RunMatrix(policies, idles, Quick)
+		cells, err := (&Harness{Parallel: run.workers}).runMatrix(policies, idles, Quick)
 		if err != nil {
 			t.Fatal(err)
 		}
 		*run.out = encode(t, cells)
 	}
 	if !bytes.Equal(serial, parallel) {
-		t.Fatalf("RunMatrix output differs between serial and 8-way parallel runs:\nserial:   %.400s\nparallel: %.400s",
+		t.Fatalf("runMatrix output differs between serial and 8-way parallel runs:\nserial:   %.400s\nparallel: %.400s",
 			serial, parallel)
 	}
 }

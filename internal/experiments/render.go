@@ -8,9 +8,9 @@ import (
 	"nmapsim/internal/report"
 )
 
-// RenderTraceFigures formats Fig-2/7/9-style traces as sparklines plus
+// renderTraceFigures formats Fig-2/7/9-style traces as sparklines plus
 // headline counts.
-func RenderTraceFigures(title string, figs []TraceFigure) string {
+func renderTraceFigures(title string, figs []TraceFigure) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "== %s ==\n", title)
 	for _, f := range figs {
@@ -32,8 +32,8 @@ func RenderTraceFigures(title string, figs []TraceFigure) string {
 	return b.String()
 }
 
-// RenderLatencyFigures formats Fig-3/4/10/11-style results.
-func RenderLatencyFigures(title string, figs []LatencyFigure) string {
+// renderLatencyFigures formats Fig-3/4/10/11-style results.
+func renderLatencyFigures(title string, figs []LatencyFigure) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "== %s ==\n", title)
 	t := report.NewTable("", "app", "policy", "p50", "p99", "SLO", "within-SLO", "violated")
@@ -57,9 +57,9 @@ func RenderLatencyFigures(title string, figs []LatencyFigure) string {
 	return b.String()
 }
 
-// RenderTable1 formats Table 1 next to the paper's numbers.
-func RenderTable1(rows []cpu.ReTransitionRow) string {
-	t := report.NewTable("== Table 1: re-transition latency ==",
+// renderTable1 formats Table 1 next to the paper's numbers.
+func renderTable1(title string, rows []cpu.ReTransitionRow) string {
+	t := report.NewTable("== "+title+" ==",
 		"processor", "transition", "mean(µs)", "stdev(µs)", "paper mean", "paper stdev")
 	for _, r := range rows {
 		spec := paperTable1[r.Processor+"/"+r.Transition.String()]
@@ -71,9 +71,9 @@ func RenderTable1(rows []cpu.ReTransitionRow) string {
 	return t.String()
 }
 
-// RenderTable2 formats Table 2 next to the paper's numbers.
-func RenderTable2(rows []cpu.WakeupRow) string {
-	t := report.NewTable("== Table 2: wake-up latency ==",
+// renderTable2 formats Table 2 next to the paper's numbers.
+func renderTable2(title string, rows []cpu.WakeupRow) string {
+	t := report.NewTable("== "+title+" ==",
 		"processor", "transition", "mean(µs)", "stdev(µs)", "paper mean", "paper stdev")
 	for _, r := range rows {
 		spec := paperTable2[r.Processor+"/"+r.Transition]
@@ -125,8 +125,10 @@ var paperTable2 = map[string][2]string{
 	"Intel Xeon Gold 6134/CC1->CC0": {"0.56", "0.50"},
 }
 
-// RenderMatrix formats Figs 12-15 with paper-style normalisations.
-func RenderMatrix(title string, cells []MatrixCell, energyBase string) string {
+// renderMatrix formats Figs 12-15 with paper-style normalisations:
+// energy relative to the performance governor's.
+func renderMatrix(title string, cells []MatrixCell) string {
+	const energyBase = "performance"
 	var b strings.Builder
 	fmt.Fprintf(&b, "== %s ==\n", title)
 	// Index energy baselines: (app, level, idle) -> baseline energy.
@@ -154,11 +156,11 @@ func RenderMatrix(title string, cells []MatrixCell, energyBase string) string {
 	return b.String()
 }
 
-// RenderFig8 formats the latency-load curve and the energy comparison,
+// renderFig8 formats the latency-load curve and the energy comparison,
 // normalised to menu as in the paper.
-func RenderFig8(points []Fig8Point) string {
+func renderFig8(title string, points []Fig8Point) string {
 	var b strings.Builder
-	b.WriteString("== Fig 8: latency-load curve and energy by sleep policy (performance governor) ==\n")
+	fmt.Fprintf(&b, "== %s ==\n", title)
 	menu := map[float64]float64{}
 	for _, p := range points {
 		if p.Idle == "menu" {
@@ -179,10 +181,10 @@ func RenderFig8(points []Fig8Point) string {
 	return b.String()
 }
 
-// RenderFig16 formats the switching-load comparison.
-func RenderFig16(results []Fig16Result) string {
+// renderFig16 formats the switching-load comparison.
+func renderFig16(title string, results []Fig16Result) string {
 	var b strings.Builder
-	b.WriteString("== Fig 16: randomly switching load, NMAP vs Parties ==\n")
+	fmt.Fprintf(&b, "== %s ==\n", title)
 	for _, r := range results {
 		fmt.Fprintf(&b, "\n-- %s --\n", r.Policy)
 		// Plot clock speed (Pmin-p) rather than the index, so boosts
@@ -200,8 +202,8 @@ func RenderFig16(results []Fig16Result) string {
 	return b.String()
 }
 
-// RenderAblation formats an ablation table.
-func RenderAblation(title string, cells []AblationCell) string {
+// renderAblation formats an ablation table.
+func renderAblation(title string, cells []AblationCell) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "== %s ==\n", title)
 	t := report.NewTable("", "variant", "p99", "violated", "energy(J)", "writes attempted", "writes reflected")
@@ -216,6 +218,32 @@ func RenderAblation(title string, cells []AblationCell) string {
 	}
 	b.WriteString(t.String())
 	return b.String()
+}
+
+// renderMicroSLO formats the µs-SLO ablation.
+func renderMicroSLO(title string, cells []MicroSLOCell) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "== %s ==\n", title)
+	fmt.Fprintf(&b, "%-14s %-9s %10s %9s %10s\n", "policy", "idle", "p99(µs)", "violated", "energy(J)")
+	for _, c := range cells {
+		fmt.Fprintf(&b, "%-14s %-9s %10.1f %9v %10.1f\n",
+			c.Policy, c.Idle, c.P99.Micros(), c.Violated, c.EnergyJ)
+	}
+	return b.String()
+}
+
+// writeTimeline appends a resilience or fleet timeline table; count
+// and offline head its ledger and offline-population columns.
+func writeTimeline(b *strings.Builder, title, count, offline string, buckets []TimelineBucket) {
+	t := report.NewTable(title, "t(ms)", "done", "p99(ms)", count, offline)
+	for _, bk := range buckets {
+		t.Row(fmt.Sprint(bk.FromMs),
+			fmt.Sprint(bk.Done),
+			fmt.Sprintf("%.3f", bk.P99.Millis()),
+			fmt.Sprint(bk.Count),
+			fmt.Sprint(bk.Offline))
+	}
+	b.WriteString(t.String())
 }
 
 func maxOf(v []float64) float64 {

@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"nmapsim/internal/faults"
-	"nmapsim/internal/report"
 	"nmapsim/internal/server"
 	"nmapsim/internal/sim"
 	"nmapsim/internal/workload"
@@ -15,21 +14,6 @@ import (
 // Fig resilience: P99 and shed rate through a core crash and recovery.
 // ---------------------------------------------------------------------
 
-// ResilienceBucket is one time slice of the crash/recovery timeline.
-type ResilienceBucket struct {
-	// FromMs is the bucket's start, in ms since the run began.
-	FromMs int
-	// Done is the number of requests completed in the bucket.
-	Done int
-	// P99 is the P99 response time of those completions (0 if none).
-	P99 sim.Duration
-	// Shed is the number of requests the admission controller refused
-	// during the bucket.
-	Shed uint64
-	// Offline is the number of offline cores at the bucket's end.
-	Offline int
-}
-
 // ResilienceRun is one pass through the crash scenario (shedding on or
 // off), bucketed over the whole run including warmup so the crash is
 // visible wherever it lands.
@@ -37,7 +21,8 @@ type ResilienceRun struct {
 	Name string
 	// ShedSLOMultiple is the admission-control knob (0 = shedding off).
 	ShedSLOMultiple float64
-	Buckets         []ResilienceBucket
+	// Buckets count shed requests and offline cores.
+	Buckets []TimelineBucket
 	// CrashP99 is the P99 over completions inside the outage window
 	// [crash, recovery) — the survivors' latency while one core is dead.
 	CrashP99 sim.Duration
@@ -63,11 +48,11 @@ type ResilienceFigure struct {
 // delay at its RSS steering target exceeds 4x the SLO.
 const resilienceShedMultiple = 4
 
-// FigResilience runs memcached at high load under NMAP, kills core 1
+// figResilience runs memcached at high load under NMAP, kills core 1
 // mid-run, recovers it after a quarter of the measurement window, and
 // plots P99 plus shed rate through the timeline — once with the
 // admission controller off and once shedding at 4x the SLO.
-func (h *Harness) FigResilience(q Quality) (ResilienceFigure, error) {
+func (h *Harness) figResilience(q Quality) (ResilienceFigure, error) {
 	prof := workload.Memcached()
 	warm, dur := q.warmup(), q.duration()
 	crash := faults.CoreCrash{
@@ -112,21 +97,15 @@ func (h *Harness) FigResilience(q Quality) (ResilienceFigure, error) {
 	}
 	runs, err := runRows(h, cells, func(i int, c CellResult) ResilienceRun {
 		run := ResilienceRun{Name: "shed-off", ShedSLOMultiple: sheds[i], Result: c.Result,
-			CrashP99: sms[i].p99Between(sim.Time(crash.At), sim.Time(crashEnd))}
+			CrashP99: sms[i].p99Between(sim.Time(crash.At), sim.Time(crashEnd)),
+			Buckets:  sms[i].timeline()}
 		if sheds[i] > 0 {
 			run.Name = fmt.Sprintf("shed@%gxSLO", sheds[i])
 		}
-		for _, tb := range sms[i].timeline() {
-			if tb.from >= crash.At && tb.from < crashEnd {
-				run.CrashShed += tb.delta
+		for _, bk := range run.Buckets {
+			if from := sim.Duration(bk.FromMs) * sim.Millisecond; from >= crash.At && from < crashEnd {
+				run.CrashShed += bk.Count
 			}
-			run.Buckets = append(run.Buckets, ResilienceBucket{
-				FromMs:  int(tb.from / sim.Millisecond),
-				Done:    tb.done,
-				P99:     tb.p99,
-				Shed:    tb.delta,
-				Offline: tb.offline,
-			})
 		}
 		return run
 	})
@@ -134,23 +113,14 @@ func (h *Harness) FigResilience(q Quality) (ResilienceFigure, error) {
 	return fig, err
 }
 
-// RenderResilience formats the crash/recovery timeline: one table per
+// renderResilience formats the crash/recovery timeline: one table per
 // arm plus a survivors' comparison footer.
-func RenderResilience(fig ResilienceFigure) string {
+func renderResilience(title string, fig ResilienceFigure) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "== Fig resilience: core %d crash at %dms, recovery at %dms (%s, high load, %s) ==\n",
-		fig.CrashCore, fig.CrashAtMs, fig.RecoverAtMs, fig.App, fig.Policy)
+	fmt.Fprintf(&b, "== %s: core %d crash at %dms, recovery at %dms (%s, high load, %s) ==\n",
+		title, fig.CrashCore, fig.CrashAtMs, fig.RecoverAtMs, fig.App, fig.Policy)
 	for _, run := range fig.Runs {
-		t := report.NewTable(fmt.Sprintf("\n-- %s --", run.Name),
-			"t(ms)", "done", "p99(ms)", "shed", "offline")
-		for _, bk := range run.Buckets {
-			t.Row(fmt.Sprint(bk.FromMs),
-				fmt.Sprint(bk.Done),
-				fmt.Sprintf("%.3f", bk.P99.Millis()),
-				fmt.Sprint(bk.Shed),
-				fmt.Sprint(bk.Offline))
-		}
-		b.WriteString(t.String())
+		writeTimeline(&b, fmt.Sprintf("\n-- %s --", run.Name), "shed", "offline", run.Buckets)
 		fmt.Fprintf(&b, "run: %v\n", run.Result)
 	}
 	fmt.Fprintf(&b, "\nsurvivors during the outage window:\n")

@@ -5,13 +5,13 @@ import (
 	"testing"
 )
 
-// FigResilience tells one story end to end: both arms share the crash
+// figResilience tells one story end to end: both arms share the crash
 // schedule, the shed-off arm never sheds, the shed-on arm sheds during
 // the outage and posts a strictly lower survivor P99, pre-crash buckets
 // agree between the arms (admission control is inert until the estimate
 // trips), and every arm's ledger stays exact.
 func TestFigResilienceStory(t *testing.T) {
-	fig, err := new(Harness).FigResilience(Quick)
+	fig, err := new(Harness).figResilience(Quick)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,13 +51,13 @@ func TestFigResilienceStory(t *testing.T) {
 	}
 }
 
-// RenderResilience emits both timelines plus the outage-window footer.
+// renderResilience emits both timelines plus the outage-window footer.
 func TestRenderResilienceOutput(t *testing.T) {
-	fig, err := new(Harness).FigResilience(Quick)
+	fig, err := new(Harness).figResilience(Quick)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := RenderResilience(fig)
+	out := renderResilience("Fig resilience", fig)
 	for _, want := range []string{"t(ms)", "p99(ms)", "shed", "offline", "survivors"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("rendered figure missing %q:\n%s", want, out)

@@ -150,33 +150,40 @@ func (s *sampler) p99Between(from, to sim.Time) sim.Duration {
 	return p99Of(d)
 }
 
-// timelineBucket is one closed bucket of a timeline: its start,
-// completions, their P99, the request ledger's growth over the bucket,
-// and the offline population at its end.
-type timelineBucket struct {
-	from    sim.Duration
-	done    int
-	p99     sim.Duration
-	delta   uint64
-	offline int
+// TimelineBucket is one bucket of a resilience or fleet timeline.
+type TimelineBucket struct {
+	// FromMs is the bucket's start, in ms since the run began.
+	FromMs int
+	// Done is the number of completions in the bucket (front-end
+	// completions for a fleet).
+	Done int
+	// P99 is the P99 response time of those completions (0 if none).
+	P99 sim.Duration
+	// Count is the growth of the figure's request ledger over the
+	// bucket: requests the admission controller shed, or a fleet
+	// router's resteers.
+	Count uint64
+	// Offline is the offline population at the bucket's end: cores, or
+	// a fleet's nodes.
+	Offline int
 }
 
 // timeline closes the sampler into its buckets.
-func (s *sampler) timeline() []timelineBucket {
+func (s *sampler) timeline() []TimelineBucket {
 	lats := make([][]sim.Duration, s.n)
 	for i, t := range s.done {
 		b := int(sim.Duration(t) / s.bucket)
 		lats[b] = append(lats[b], s.lat[i])
 	}
 	at := s.readings()
-	out := make([]timelineBucket, s.n)
+	out := make([]TimelineBucket, s.n)
 	for i := range out {
-		out[i] = timelineBucket{
-			from:    sim.Duration(i) * s.bucket,
-			done:    len(lats[i]),
-			p99:     p99Of(lats[i]),
-			delta:   at[i+1].count - at[i].count,
-			offline: at[i+1].offline,
+		out[i] = TimelineBucket{
+			FromMs:  int(sim.Duration(i) * s.bucket / sim.Millisecond),
+			Done:    len(lats[i]),
+			P99:     p99Of(lats[i]),
+			Count:   at[i+1].count - at[i].count,
+			Offline: at[i+1].offline,
 		}
 	}
 	return out

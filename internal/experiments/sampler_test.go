@@ -90,7 +90,7 @@ func TestSamplerIsAPureObserver(t *testing.T) {
 // unsampled, and the shed column sums to the run's shed count.
 func TestResilienceTimelineIsAPureObserver(t *testing.T) {
 	h := new(Harness)
-	fig, err := h.FigResilience(Quick)
+	fig, err := h.figResilience(Quick)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestResilienceTimelineIsAPureObserver(t *testing.T) {
 		}
 		var shed uint64
 		for _, b := range run.Buckets {
-			shed += b.Shed
+			shed += b.Count
 		}
 		if shed != run.Result.Reqs.Shed {
 			t.Errorf("%s: shed column sums to %d, ledger shed %d", run.Name, shed, run.Result.Reqs.Shed)

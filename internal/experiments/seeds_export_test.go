@@ -130,7 +130,7 @@ func TestAblationMicroSLOShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow")
 	}
-	cells, err := new(Harness).AblationMicroSLO(Quick)
+	cells, err := new(Harness).ablationMicroSLO(Quick)
 	if err != nil {
 		t.Fatal(err)
 	}

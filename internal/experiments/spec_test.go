@@ -108,11 +108,11 @@ func TestTraceCapturesSeries(t *testing.T) {
 }
 
 func TestRenderersProduceOutput(t *testing.T) {
-	t1 := RenderTable1(Table1(50))
+	t1 := renderTable1("Table 1", Table1(50))
 	if len(t1) < 100 {
 		t.Fatal("table1 render too short")
 	}
-	t2 := RenderTable2(Table2(20))
+	t2 := renderTable2("Table 2", Table2(20))
 	if len(t2) < 100 {
 		t.Fatal("table2 render too short")
 	}
