@@ -11,7 +11,7 @@ GO ?= go
 PGO = default.pgo
 PGOFLAG = $(if $(wildcard $(PGO)),-pgo=$(PGO),)
 
-.PHONY: ci fmt vet govulncheck build fma test race fuzz-smoke pgo pgo-smoke profile thresholds clean
+.PHONY: ci fmt vet govulncheck build benchmod fma test race fuzz-smoke pgo pgo-smoke profile thresholds clean
 
 # Every other check is a Go test that race runs: the fault, failover,
 # fleet and gray-failure matrices, the zero-cost byte-identity gates,
@@ -22,7 +22,7 @@ PGOFLAG = $(if $(wildcard $(PGO)),-pgo=$(PGO),)
 # Performance is measured by the same-host A/B benchmark under
 # benchmark/ (`bash benchmark/run.sh`, see benchmark/README.md), not by
 # a CI target: wall-clock numbers only compare on one host.
-ci: fmt vet govulncheck build fma race fuzz-smoke pgo-smoke
+ci: fmt vet govulncheck build benchmod fma race fuzz-smoke pgo-smoke
 
 # Capture CPU and heap (allocs) profiles from the standard fig12-quick
 # run: `go tool pprof cpu.prof` / `go tool pprof mem.prof`.
@@ -103,6 +103,14 @@ govulncheck:
 
 build:
 	$(GO) build $(PGOFLAG) ./...
+
+# benchmark/ is a module of its own, so ./... never compiles it, yet it
+# calls package experiments (Fig12And13, SetParallelism, Parallelism,
+# Build, BuildOn, ProfiledThresholds, MatrixCell): vet it and run its
+# short tests so renaming one of those fails CI.
+benchmod:
+	$(GO) -C benchmark vet ./...
+	$(GO) -C benchmark test -short ./...
 
 # Portable bytes: the Go spec lets a compiler fuse x*y + z into one
 # fused multiply-add, which rounds once instead of twice, so a fused op

@@ -62,6 +62,18 @@ func parse(fs *flag.FlagSet, args []string) (code int, done bool) {
 	}
 }
 
+// firstSet returns the name of the first flag, in lexical order, set on
+// the command line for which match holds, or "" when there is none.
+func firstSet(fs *flag.FlagSet, match func(name string) bool) string {
+	var first string
+	fs.Visit(func(f *flag.Flag) {
+		if first == "" && match(f.Name) {
+			first = f.Name
+		}
+	})
+	return first
+}
+
 // exit reports err on stderr under the command's name and returns code.
 func (c command) exit(code int, err error) int {
 	fmt.Fprintf(c.stderr, "%s: %v\n", c.name, err)

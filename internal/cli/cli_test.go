@@ -39,6 +39,9 @@ func TestValidateFlags(t *testing.T) {
 			{"zero nodes", "nmapsim -nodes 0 bogus", "-nodes"},
 			{"unknown route", "nmapsim -route bogus bogus", "-route"},
 			{"empty route is the default", "nmapsim -route= bogus", simOK},
+			{"hedge on a table", "nmapsim -quick -hedge table2", "-hedge does not apply to table2"},
+			{"route on fig8", "nmapsim -quick -route least fig8", "-route does not apply to fig8"},
+			{"hedge on fig-grayfail", "nmapsim -quick -hedge fig-grayfail", "-hedge does not apply to fig-grayfail"},
 		}},
 		// nmapsim's fault injection and retry loop: -faults, -rto, -retries.
 		{"nmapsim-injection", []flagCase{
@@ -61,6 +64,9 @@ func TestValidateFlags(t *testing.T) {
 			{"negative deadline", "nmapsweep -cell-deadline -1m", "-cell-deadline"},
 			{"negative mem budget", "nmapsweep -mem-budget-mb -1", "-mem-budget-mb"},
 			{"fsck without checkpoint", "nmapsweep -fsck", "-checkpoint"},
+			{"fsck with inflection", "nmapsweep -fsck -checkpoint J -inflection", "-inflection does not apply to -fsck"},
+			{"fsck with policy", "nmapsweep -fsck -checkpoint J -policy bogus", "-policy does not apply to -fsck"},
+			{"fsck with parallel", "nmapsweep -fsck -checkpoint J -parallel 2", "-parallel does not apply to -fsck"},
 			{"policies accepted", "nmapsweep -policy nmap -idle c6only " + sweepApp, appOK},
 			{"unknown policy", "nmapsweep -policy bogus", `unknown policy "bogus"`},
 			{"unknown policy under quarantine", "nmapsweep -points 2 -dur 50 -policy bogus -quarantine", `unknown policy "bogus"`},
@@ -117,6 +123,16 @@ func TestValidateFlags(t *testing.T) {
 				})
 			}
 		})
+	}
+}
+
+// TestAllAcceptsFleetFlags: `all` runs fig-cluster, which reads every
+// fleet flag, so none is a usage error. A 1ns cell budget fails its
+// first simulated cell (fig2's, after the two tables) with exit 1.
+func TestAllAcceptsFleetFlags(t *testing.T) {
+	code, _, stderr := run(t, strings.Fields("nmapsim -quick -cell-timeout 1ns -nodes 3 -route least -hedge all"))
+	if code != 1 || !strings.Contains(stderr, "wall-clock budget") {
+		t.Fatalf("exit %d, stderr %q; want 1 naming the budget", code, stderr)
 	}
 }
 

@@ -1,6 +1,7 @@
 package cli
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"os"
@@ -93,14 +94,14 @@ func Report(args []string, stdout, stderr io.Writer) int {
 			}
 		}
 	}
-	results, err := h.RunSpecs(specs)
+	cells, err := h.RunSpecs(context.Background(), specs)
 	hf.reportAudit(c, h)
 	if err != nil {
 		return c.exit(1, err)
 	}
 	records := make([]experiments.Record, len(specs))
-	for i, res := range results {
-		spec := specs[i]
+	for i, cell := range cells {
+		spec, res := specs[i], cell.Result
 		records[i] = experiments.NewRecord(spec, res, *withCDF)
 		fmt.Fprintf(stderr, "done %s/%s/%s seed=%d p99=%.3fms\n",
 			spec.Cfg.Profile.Name, spec.Cfg.Level, spec.Policy, spec.Cfg.Seed,

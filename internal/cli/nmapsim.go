@@ -72,6 +72,13 @@ func Sim(args []string, stdout, stderr io.Writer) int {
 		}
 		runs = runs[i : i+1]
 	}
+	// A fleet flag that no entry about to run reads would be ignored.
+	if name := firstSet(fs, func(name string) bool {
+		return slices.Contains(fleetFlags, name) &&
+			!slices.ContainsFunc(runs, func(f experiments.Figure) bool { return slices.Contains(f.Fleet, name) })
+	}); name != "" {
+		return c.exit(2, fmt.Errorf("-%s does not apply to %s", name, fs.Arg(0)))
+	}
 	q := experiments.Full
 	if *quick {
 		q = experiments.Quick
@@ -84,6 +91,10 @@ func Sim(args []string, stdout, stderr io.Writer) int {
 	}
 	return 0
 }
+
+// fleetFlags are the flags that shape a fleet figure's run; an entry
+// lists in Figure.Fleet the ones it reads.
+var fleetFlags = []string{"nodes", "route", "hedge"}
 
 // runFigure runs one catalog entry and prints its text. An entry whose
 // run honours its context runs under one that Ctrl-C / SIGTERM cancels:

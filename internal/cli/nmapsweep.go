@@ -2,7 +2,6 @@ package cli
 
 import (
 	"context"
-	"flag"
 	"fmt"
 	"io"
 	"os"
@@ -47,18 +46,11 @@ func Sweep(args []string, stdout, stderr io.Writer) int {
 	if code, done := parse(fs, args); done {
 		return code
 	}
-	if *points <= 0 {
-		return c.exit(2, fmt.Errorf("-points must be positive, got %d", *points))
-	}
-	if *durMS <= 0 {
-		return c.exit(2, fmt.Errorf("-dur must be a positive millisecond count, got %d", *durMS))
-	}
-	h, err := hf.harness()
-	if err != nil {
-		return c.exit(2, err)
-	}
-
 	if *fsck {
+		// -fsck only reads the journal: any other flag would be ignored.
+		if name := firstSet(fs, func(name string) bool { return name != "fsck" && name != "checkpoint" }); name != "" {
+			return c.exit(2, fmt.Errorf("-%s does not apply to -fsck", name))
+		}
 		if hf.checkpoint == "" {
 			return c.exit(2, fmt.Errorf("-fsck requires -checkpoint FILE"))
 		}
@@ -72,6 +64,16 @@ func Sweep(args []string, stdout, stderr io.Writer) int {
 		}
 		return 0
 	}
+	if *points <= 0 {
+		return c.exit(2, fmt.Errorf("-points must be positive, got %d", *points))
+	}
+	if *durMS <= 0 {
+		return c.exit(2, fmt.Errorf("-dur must be a positive millisecond count, got %d", *durMS))
+	}
+	h, err := hf.harness()
+	if err != nil {
+		return c.exit(2, err)
+	}
 
 	if *inflection {
 		if *points < 2 {
@@ -79,13 +81,9 @@ func Sweep(args []string, stdout, stderr io.Writer) int {
 		}
 		// The knee search fixes the governor, the idle policy and the
 		// window; a flag that would set one of them is a usage error.
-		var ignored string
-		fs.Visit(func(f *flag.Flag) {
-			if ignored == "" && (f.Name == "policy" || f.Name == "idle" || f.Name == "dur") {
-				ignored = f.Name
-			}
-		})
-		if ignored != "" {
+		if ignored := firstSet(fs, func(name string) bool {
+			return name == "policy" || name == "idle" || name == "dur"
+		}); ignored != "" {
 			return c.exit(2, fmt.Errorf("-%s does not apply to -inflection (it sweeps the performance governor, menu idle, 1s per point)", ignored))
 		}
 	}
@@ -143,7 +141,7 @@ func Sweep(args []string, stdout, stderr io.Writer) int {
 			},
 		}
 	}
-	cells, err := h.RunSpecsCtx(ctx, specs)
+	cells, err := h.RunSpecs(ctx, specs)
 	if err != nil {
 		return c.exit(1, err)
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"testing"
 
 	"nmapsim/internal/faults"
@@ -30,7 +31,7 @@ func TestAblationPerRequestHonoursDefaults(t *testing.T) {
 	}
 
 	cfg := quickCfg()
-	rows, err := h.perRequestArms(cfg)
+	rows, err := h.perRequestArms(Spec{Idle: "menu", Cfg: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +48,7 @@ func TestAblationPerRequestHonoursDefaults(t *testing.T) {
 	// The nmap and ondemand arms on their own: whatever the ablation
 	// audited beyond them is the per-request arm's report.
 	before := auditChecks(h)
-	if _, err := h.RunSpecs([]Spec{
+	if _, err := h.RunSpecs(context.Background(), []Spec{
 		{Policy: "nmap", Idle: "menu", Cfg: cfg},
 		{Policy: "ondemand", Idle: "menu", Cfg: cfg},
 	}); err != nil {

@@ -19,7 +19,10 @@ type Figure struct {
 	// renders what is in hand and returns the context's error. Every
 	// other run ignores its context.
 	Cancels bool
-	run     func(ctx context.Context, r FigureRun, title string) (string, error)
+	// Fleet names the fleet-shape fields of FigureRun the run reads:
+	// "nodes", "route" and "hedge", as nmapsim's flags for them are named.
+	Fleet []string
+	run   func(ctx context.Context, r FigureRun, title string) (string, error)
 }
 
 // FigureRun is what a catalog entry runs under: the harness, the
@@ -49,44 +52,44 @@ func Figures() []Figure {
 		{Names: []string{"table2"}, Descs: []string{"C-state wake-up latency, 4 CPUs x 2 states (100 reps)"},
 			Title: "Table 2: wake-up latency", run: show(table2, renderTable2)},
 		{Names: []string{"fig2"}, Descs: []string{"NAPI mode split + ondemand P-state trace at high load"},
-			Title: "Fig 2: ondemand governor, high load", run: show((*Harness).Fig2, renderTraceFigures)},
+			Title: "Fig 2: ondemand governor, high load", run: show((*Harness).fig2, renderTraceFigures)},
 		{Names: []string{"fig3", "fig4"},
 			Descs: []string{"per-request latency over 0.5s, ondemand vs performance", "response-time CDFs, ondemand vs performance"},
-			Title: "Figs 3+4: ondemand vs performance, high load", run: show((*Harness).Fig3And4, renderLatencyFigures)},
+			Title: "Figs 3+4: ondemand vs performance, high load", run: show((*Harness).fig3And4, renderLatencyFigures)},
 		{Names: []string{"fig7"}, Descs: []string{"CC6 entries and packet split under menu (low vs high load)"},
-			Title: "Fig 7: menu governor sleep behaviour (performance governor)", run: show((*Harness).Fig7, renderTraceFigures)},
+			Title: "Fig 7: menu governor sleep behaviour (performance governor)", run: show((*Harness).fig7, renderTraceFigures)},
 		{Names: []string{"fig8"}, Descs: []string{"latency-load curve + energy for menu/disable/c6only"},
-			Title: "Fig 8: latency-load curve and energy by sleep policy (performance governor)", run: show((*Harness).Fig8, renderFig8)},
+			Title: "Fig 8: latency-load curve and energy by sleep policy (performance governor)", run: show((*Harness).fig8, renderFig8)},
 		{Names: []string{"fig9"}, Descs: []string{"NAPI mode split + NMAP P-state trace at high load"},
-			Title: "Fig 9: NMAP, high load", run: show((*Harness).Fig9, renderTraceFigures)},
+			Title: "Fig 9: NMAP, high load", run: show((*Harness).fig9, renderTraceFigures)},
 		{Names: []string{"fig10", "fig11"}, Descs: []string{"per-request latency over 0.5s under NMAP", "response-time CDFs under NMAP"},
-			Title: "Figs 10+11: NMAP, high load", run: show((*Harness).Fig10And11, renderLatencyFigures)},
+			Title: "Figs 10+11: NMAP, high load", run: show((*Harness).fig10And11, renderLatencyFigures)},
 		{Names: []string{"fig12", "fig13"},
 			Descs: []string{"P99 matrix: 5 V/F policies x 3 sleep policies x 3 loads x 2 apps", "energy matrix for the same configurations"},
-			Title: "Figs 12+13: P99 and energy across governors and sleep policies", run: show((*Harness).Fig12And13, renderMatrix)},
+			Title: "Figs 12+13: P99 and energy across governors and sleep policies", run: show((*Harness).fig12And13, renderMatrix)},
 		{Names: []string{"fig14", "fig15"},
 			Descs: []string{"P99 vs state-of-the-art (NCAP, NCAP-menu)", "energy vs state-of-the-art (NCAP, NCAP-menu)"},
-			Title: "Figs 14+15: comparison with state-of-the-art (energy vs performance)", run: show((*Harness).Fig14And15, renderMatrix)},
+			Title: "Figs 14+15: comparison with state-of-the-art (energy vs performance)", run: show((*Harness).fig14And15, renderMatrix)},
 		{Names: []string{"fig16"}, Descs: []string{"randomly switching load: NMAP vs Parties"},
-			Title: "Fig 16: randomly switching load, NMAP vs Parties", run: show((*Harness).Fig16, renderFig16)},
+			Title: "Fig 16: randomly switching load, NMAP vs Parties", run: show((*Harness).fig16, renderFig16)},
 		{Names: []string{"fig-resilience"}, Descs: []string{"P99 + shed rate through a core crash and recovery"},
 			Title: "Fig resilience", run: show((*Harness).figResilience, renderResilience)},
 		{Names: []string{"fig-cluster"}, Descs: []string{"fleet P99 + energy + offline-node timeline through a node crash (-nodes, -route, -hedge)"},
-			Title: "Fig cluster", Cancels: true, run: func(ctx context.Context, r FigureRun, title string) (string, error) {
+			Title: "Fig cluster", Cancels: true, Fleet: []string{"nodes", "route", "hedge"}, run: func(ctx context.Context, r FigureRun, title string) (string, error) {
 				fig, err := r.Harness.figClusterCtx(ctx, r.Quality, r.Nodes, r.Route, r.Hedge)
 				return renderCluster(title, fig), err
 			}},
 		{Names: []string{"fig-grayfail"}, Descs: []string{"gray link faults: naive vs flap-damped vs hedged front end (-nodes, -route)"},
-			Title: "Fig grayfail", Cancels: true, run: func(ctx context.Context, r FigureRun, title string) (string, error) {
+			Title: "Fig grayfail", Cancels: true, Fleet: []string{"nodes", "route"}, run: func(ctx context.Context, r FigureRun, title string) (string, error) {
 				fig, err := r.Harness.figGrayFailCtx(ctx, r.Quality, r.Nodes, r.Route)
 				return renderGrayFail(title, fig), err
 			}},
 		{Names: []string{"ablation-perrequest"}, Descs: []string{"per-request DVFS vs NMAP under re-transition latency (5.1)"},
-			Title: "Ablation: per-request DVFS pays the re-transition latency", run: show((*Harness).AblationPerRequest, renderAblation)},
+			Title: "Ablation: per-request DVFS pays the re-transition latency", run: show((*Harness).ablationPerRequest, renderAblation)},
 		{Names: []string{"ablation-thresholds"}, Descs: []string{"NI_TH sensitivity sweep"},
-			Title: "Ablation: NI_TH sensitivity (memcached, high load)", run: show((*Harness).AblationThresholds, renderAblation)},
+			Title: "Ablation: NI_TH sensitivity (memcached, high load)", run: show((*Harness).ablationThresholds, renderAblation)},
 		{Names: []string{"ablation-chipwide"}, Descs: []string{"per-core vs chip-wide NMAP"},
-			Title: "Ablation: per-core vs chip-wide NMAP (memcached, medium load)", run: show((*Harness).AblationChipWide, renderAblation)},
+			Title: "Ablation: per-core vs chip-wide NMAP (memcached, medium load)", run: show((*Harness).ablationChipWide, renderAblation)},
 		{Names: []string{"ablation-extensions"}, Descs: []string{"future-work extensions: online tuning, sleep integration"},
 			Title: "Ablation: NMAP future-work extensions (memcached, high load)", run: show((*Harness).ablationExtensions, renderAblation)},
 		{Names: []string{"ablation-rss"}, Descs: []string{"per-core vs chip-wide NMAP under lumpy RSS"},
@@ -110,14 +113,18 @@ func show[T any](run func(*Harness, Quality) (T, error), render func(string, T) 
 	}
 }
 
-// table1 measures Table 1 at the paper's 10,000 repetitions, or 500 in
-// a quick run.
+// table1 measures Table 1 (re-transition latency, four processors × six
+// transitions) at the paper's 10,000 repetitions, or 500 in a quick run.
 func table1(_ *Harness, q Quality) ([]cpu.ReTransitionRow, error) {
+	reps := 10_000
 	if q == Quick {
-		return Table1(500), nil
+		reps = 500
 	}
-	return Table1(0), nil
+	return cpu.MeasureTable1(cpu.Models, reps, defaultSeed), nil
 }
 
-// table2 measures Table 2 at the paper's 100 repetitions.
-func table2(*Harness, Quality) ([]cpu.WakeupRow, error) { return Table2(0), nil }
+// table2 measures Table 2 (wake-up latency, four processors × two
+// C-states) at the paper's 100 repetitions.
+func table2(*Harness, Quality) ([]cpu.WakeupRow, error) {
+	return cpu.MeasureTable2(cpu.Models, 100, defaultSeed), nil
+}

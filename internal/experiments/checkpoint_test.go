@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"math"
 	"os"
 	"path/filepath"
@@ -69,7 +70,7 @@ func TestCheckpointResumeByteIdentical(t *testing.T) {
 	specs := checkpointSpecs()
 
 	// Uninterrupted reference sweep, no journal.
-	want, err := new(Harness).RunSpecs(specs)
+	want, err := new(Harness).RunSpecs(context.Background(), specs)
 	if err != nil {
 		t.Fatalf("reference sweep: %v", err)
 	}
@@ -80,7 +81,7 @@ func TestCheckpointResumeByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatalf("open journal: %v", err)
 	}
-	if _, err := (&Harness{Journal: j}).RunSpecs(specs[:2]); err != nil {
+	if _, err := (&Harness{Journal: j}).RunSpecs(context.Background(), specs[:2]); err != nil {
 		t.Fatalf("partial sweep: %v", err)
 	}
 	j.Close()
@@ -104,13 +105,13 @@ func TestCheckpointResumeByteIdentical(t *testing.T) {
 	if n := j2.Len(); n != 2 {
 		t.Fatalf("journal reloaded %d cells, want 2 (torn line must be dropped)", n)
 	}
-	got, err := (&Harness{Journal: j2}).RunSpecs(specs)
+	got, err := (&Harness{Journal: j2}).RunSpecs(context.Background(), specs)
 	if err != nil {
 		t.Fatalf("resumed sweep: %v", err)
 	}
 
 	for i := range specs {
-		sameResult(t, specs[i].Policy, want[i], got[i])
+		sameResult(t, specs[i].Policy, want[i].Result, got[i].Result)
 	}
 	if n := j2.Len(); n != 3 {
 		t.Fatalf("journal holds %d cells after resume, want 3", n)

@@ -8,7 +8,6 @@ import (
 	"nmapsim/internal/cluster"
 	"nmapsim/internal/cpu"
 	"nmapsim/internal/faults"
-	"nmapsim/internal/server"
 	"nmapsim/internal/sim"
 	"nmapsim/internal/workload"
 )
@@ -64,8 +63,8 @@ const clusterCapFrac = 0.45
 //
 // The arms run on the bounded worker pool (each owns its engine and
 // seeded streams, results collected by index), so the rendered figure
-// is byte-identical at any parallelism, like RunSpecs. With hedge set,
-// both arms run with tail-latency request hedging armed.
+// is byte-identical at any parallelism. With hedge set, both arms run
+// with tail-latency request hedging armed.
 //
 // Cancelling ctx checkpoints what is in hand: every finished arm is
 // kept, each in-flight arm is collected as of the abort instant with
@@ -105,26 +104,20 @@ func (h *Harness) figClusterCtx(ctx context.Context, q Quality, nodes int, route
 		fig.RecoverAtMs = int((nc.At + nc.Duration) / sim.Millisecond)
 	}
 
-	ncfg := server.Config{
-		Seed:     defaultSeed,
-		Profile:  prof,
-		RPS:      prof.HighRPS * float64(nodes) * clusterLoadFrac,
-		Warmup:   warm,
-		Duration: dur,
-		Faults:   f,
-		Retry:    retry,
-	}
+	node := figSpec(q, prof, "nmap", "menu")
+	node.Cfg.RPS = prof.HighRPS * float64(nodes) * clusterLoadFrac
+	node.Cfg.Faults, node.Cfg.Retry = f, retry
 	uncapped := cluster.Config{Nodes: nodes, Route: route, RouteRetries: 2}
 	if hedge {
 		uncapped.Hedge = cluster.HedgeConfig{Enabled: true}
 	}
 	capped := uncapped
 	capped.FleetPowerCapW = clusterCapFrac * float64(nodes) * cpu.XeonGold6134.MaxPowerW()
+	arms := []Spec{node, node}
+	arms[0].Fleet = &uncapped
+	arms[1].Policy, arms[1].Fleet = "ondemand", &capped
 	var err error
-	fig.Arms, err = h.runFleetArms(ctx, []string{"nmap-per-node", "ondemand+fleet-cap"}, []Spec{
-		{Policy: "nmap", Idle: "menu", Cfg: ncfg, Fleet: &uncapped},
-		{Policy: "ondemand", Idle: "menu", Cfg: ncfg, Fleet: &capped},
-	}, bucket)
+	fig.Arms, err = h.runFleetArms(ctx, []string{"nmap-per-node", "ondemand+fleet-cap"}, arms, bucket)
 	return fig, err
 }
 

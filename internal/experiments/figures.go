@@ -1,8 +1,9 @@
 package experiments
 
 import (
+	"strconv"
+
 	"nmapsim/internal/baselines"
-	"nmapsim/internal/cpu"
 	"nmapsim/internal/governor"
 	"nmapsim/internal/server"
 	"nmapsim/internal/sim"
@@ -56,19 +57,20 @@ type TraceFigure struct {
 	Result server.Result
 }
 
-// tracedSpec is one traced configuration, run for dur after warmup.
-func tracedSpec(q Quality, dur sim.Duration, profile *workload.Profile, level workload.Level, policy, idle string) Spec {
-	return Spec{
-		Policy: policy,
-		Idle:   idle,
-		Cfg: server.Config{
-			Seed:     defaultSeed,
-			Profile:  profile,
-			Level:    level,
-			Warmup:   q.warmup(),
-			Duration: dur,
-		},
-	}
+// figSpec is the one cell every figure builds on: profile under policy
+// and idle at the default seed, measured over q's warmup and duration.
+// A figure sets on it what its cells change: the level or offered load,
+// the duration, flows, ITR, chip-wide DVFS, faults, shedding or fleet.
+func figSpec(q Quality, profile *workload.Profile, policy, idle string) Spec {
+	return Spec{Policy: policy, Idle: idle, Cfg: server.Config{
+		Seed: defaultSeed, Profile: profile, Warmup: q.warmup(), Duration: q.duration(),
+	}}
+}
+
+// at returns s offered one of the paper's three loads.
+func (s Spec) at(level workload.Level) Spec {
+	s.Cfg.Level = level
+	return s
 }
 
 // runTraced runs each spec as one cell on the worker pool with a
@@ -86,16 +88,19 @@ func runTraced[T any](h *Harness, specs []Spec, read func(spec Spec, sm *sampler
 // RunTrace runs one traced configuration and samples the window
 // [warmup, warmup+window).
 func (h *Harness) RunTrace(profile *workload.Profile, level workload.Level, policy, idle string, window sim.Duration, q Quality) (TraceFigure, error) {
-	figs, err := h.traceSet(q, window, tracedSpec(q, window, profile, level, policy, idle))
+	figs, err := h.traceSet(q, window, figSpec(q, profile, policy, idle).at(level))
 	if err != nil {
 		return TraceFigure{}, err
 	}
 	return figs[0], nil
 }
 
-// traceSet runs a list of trace configurations, each sampling the
-// window [warmup, warmup+window).
+// traceSet runs a list of trace configurations, each measured and
+// sampled over the window [warmup, warmup+window).
 func (h *Harness) traceSet(q Quality, window sim.Duration, specs ...Spec) ([]TraceFigure, error) {
+	for i := range specs {
+		specs[i].Cfg.Duration = window
+	}
 	from := int(q.warmup() / sim.Millisecond)
 	n := int(window / sim.Millisecond)
 	return runTraced(h, specs, func(spec Spec, sm *sampler, res server.Result) TraceFigure {
@@ -118,27 +123,27 @@ func (h *Harness) traceSet(q Quality, window sim.Duration, specs ...Spec) ([]Tra
 // traceWindow is the span the trace figures plot.
 const traceWindow = 500 * sim.Millisecond
 
-// Fig2 reproduces Fig 2: ksoftirqd wake-ups, the ondemand P-state, and
+// fig2 reproduces Fig 2: ksoftirqd wake-ups, the ondemand P-state, and
 // the interrupt/polling packet split at high load for both apps.
-func (h *Harness) Fig2(q Quality) ([]TraceFigure, error) {
+func (h *Harness) fig2(q Quality) ([]TraceFigure, error) {
 	return h.traceSet(q, traceWindow,
-		tracedSpec(q, traceWindow, workload.Memcached(), workload.High, "ondemand", "menu"),
-		tracedSpec(q, traceWindow, workload.Nginx(), workload.High, "ondemand", "menu"))
+		figSpec(q, workload.Memcached(), "ondemand", "menu").at(workload.High),
+		figSpec(q, workload.Nginx(), "ondemand", "menu").at(workload.High))
 }
 
-// Fig9 reproduces Fig 9: the same view under NMAP.
-func (h *Harness) Fig9(q Quality) ([]TraceFigure, error) {
+// fig9 reproduces Fig 9: the same view under NMAP.
+func (h *Harness) fig9(q Quality) ([]TraceFigure, error) {
 	return h.traceSet(q, traceWindow,
-		tracedSpec(q, traceWindow, workload.Memcached(), workload.High, "nmap", "menu"),
-		tracedSpec(q, traceWindow, workload.Nginx(), workload.High, "nmap", "menu"))
+		figSpec(q, workload.Memcached(), "nmap", "menu").at(workload.High),
+		figSpec(q, workload.Nginx(), "nmap", "menu").at(workload.High))
 }
 
-// Fig7 reproduces Fig 7: CC6 entries and the packet split under the
+// fig7 reproduces Fig 7: CC6 entries and the packet split under the
 // menu governor at low and high memcached load (performance governor).
-func (h *Harness) Fig7(q Quality) ([]TraceFigure, error) {
+func (h *Harness) fig7(q Quality) ([]TraceFigure, error) {
 	return h.traceSet(q, traceWindow,
-		tracedSpec(q, traceWindow, workload.Memcached(), workload.Low, "performance", "menu"),
-		tracedSpec(q, traceWindow, workload.Memcached(), workload.High, "performance", "menu"))
+		figSpec(q, workload.Memcached(), "performance", "menu").at(workload.Low),
+		figSpec(q, workload.Memcached(), "performance", "menu").at(workload.High))
 }
 
 // ---------------------------------------------------------------------
@@ -164,7 +169,7 @@ func (h *Harness) latencySet(q Quality, policies ...string) ([]LatencyFigure, er
 	var specs []Spec
 	for _, prof := range workload.Profiles() {
 		for _, pol := range policies {
-			specs = append(specs, tracedSpec(q, q.duration(), prof, workload.High, pol, "menu"))
+			specs = append(specs, figSpec(q, prof, pol, "menu").at(workload.High))
 		}
 	}
 	from := sim.Time(q.warmup())
@@ -183,37 +188,15 @@ func (h *Harness) latencySet(q Quality, policies ...string) ([]LatencyFigure, er
 	})
 }
 
-// Fig3And4 reproduces Figs 3 and 4: per-request latency and CDFs for
+// fig3And4 reproduces Figs 3 and 4: per-request latency and CDFs for
 // ondemand vs performance at high load on both applications.
-func (h *Harness) Fig3And4(q Quality) ([]LatencyFigure, error) {
+func (h *Harness) fig3And4(q Quality) ([]LatencyFigure, error) {
 	return h.latencySet(q, "ondemand", "performance")
 }
 
-// Fig10And11 reproduces Figs 10 and 11: the same view under NMAP.
-func (h *Harness) Fig10And11(q Quality) ([]LatencyFigure, error) {
+// fig10And11 reproduces Figs 10 and 11: the same view under NMAP.
+func (h *Harness) fig10And11(q Quality) ([]LatencyFigure, error) {
 	return h.latencySet(q, "nmap")
-}
-
-// ---------------------------------------------------------------------
-// Tables 1 and 2.
-// ---------------------------------------------------------------------
-
-// Table1 reproduces Table 1 (re-transition latency, four processors ×
-// six transitions). reps defaults to the paper's 10,000 when zero.
-func Table1(reps int) []cpu.ReTransitionRow {
-	if reps == 0 {
-		reps = 10_000
-	}
-	return cpu.MeasureTable1(cpu.Models, reps, defaultSeed)
-}
-
-// Table2 reproduces Table 2 (wake-up latency, four processors × two
-// C-states). reps defaults to the paper's 100 when zero.
-func Table2(reps int) []cpu.WakeupRow {
-	if reps == 0 {
-		reps = 100
-	}
-	return cpu.MeasureTable2(cpu.Models, reps, defaultSeed)
 }
 
 // ---------------------------------------------------------------------
@@ -228,12 +211,10 @@ type Fig8Point struct {
 	EnergyJ float64
 }
 
-// Fig8 sweeps the memcached load under the performance governor for the
-// three sleep-state policies. Energy is reported raw; the caller
-// normalises to menu as the paper does. Cells run on the harness worker
-// pool in deterministic order.
-func (h *Harness) Fig8(q Quality) ([]Fig8Point, error) {
-	prof := workload.Memcached()
+// fig8 sweeps the memcached load under the performance governor for the
+// three sleep-state policies. Energy is reported raw; the renderer
+// normalises to menu as the paper does.
+func (h *Harness) fig8(q Quality) ([]Fig8Point, error) {
 	loads := []float64{30_000, 150_000, 290_000, 450_000, 600_000, 750_000}
 	if q == Quick {
 		loads = []float64{30_000, 290_000, 750_000}
@@ -241,29 +222,15 @@ func (h *Harness) Fig8(q Quality) ([]Fig8Point, error) {
 	var specs []Spec
 	for _, idle := range governor.IdlePolicies {
 		for _, rps := range loads {
-			specs = append(specs, Spec{
-				Policy: "performance",
-				Idle:   idle,
-				Cfg: server.Config{
-					Seed:     defaultSeed,
-					Profile:  prof,
-					RPS:      rps,
-					Warmup:   q.warmup(),
-					Duration: q.duration(),
-				},
-			})
+			s := figSpec(q, workload.Memcached(), "performance", idle)
+			s.Cfg.RPS = rps
+			specs = append(specs, s)
 		}
 	}
-	results, err := h.RunSpecs(specs)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Fig8Point, len(specs))
-	for i, res := range results {
-		out[i] = Fig8Point{RPS: specs[i].Cfg.RPS, Idle: specs[i].Idle,
-			P99: res.Summary.P99, EnergyJ: res.EnergyJ}
-	}
-	return out, nil
+	return runRows(h, specCells(specs), func(i int, c CellResult) Fig8Point {
+		return Fig8Point{RPS: specs[i].Cfg.RPS, Idle: specs[i].Idle,
+			P99: c.Result.Summary.P99, EnergyJ: c.Result.EnergyJ}
+	})
 }
 
 // ---------------------------------------------------------------------
@@ -285,42 +252,25 @@ type MatrixCell struct {
 // and is byte-for-byte independent of the fan-out.
 func (h *Harness) runMatrix(policies, idles []string, q Quality) ([]MatrixCell, error) {
 	var specs []Spec
-	var meta []MatrixCell
 	for _, prof := range workload.Profiles() {
 		for _, lvl := range workload.Levels {
 			for _, pol := range policies {
 				for _, idle := range idles {
-					specs = append(specs, Spec{
-						Policy: pol,
-						Idle:   idle,
-						Cfg: server.Config{
-							Seed:     defaultSeed,
-							Profile:  prof,
-							Level:    lvl,
-							Warmup:   q.warmup(),
-							Duration: q.duration(),
-						},
-					})
-					meta = append(meta, MatrixCell{
-						App: prof.Name, Level: lvl, Policy: pol, Idle: idle,
-					})
+					specs = append(specs, figSpec(q, prof, pol, idle).at(lvl))
 				}
 			}
 		}
 	}
-	results, err := h.RunSpecs(specs)
-	if err != nil {
-		return nil, err
-	}
-	for i := range meta {
-		meta[i].Result = results[i]
-	}
-	return meta, nil
+	return runRows(h, specCells(specs), func(i int, c CellResult) MatrixCell {
+		s := specs[i]
+		return MatrixCell{App: s.Cfg.Profile.Name, Level: s.Cfg.Level, Policy: s.Policy, Idle: s.Idle,
+			Result: c.Result}
+	})
 }
 
-// Fig12And13 reproduces the Fig 12 (P99) and Fig 13 (energy) matrix:
+// fig12And13 reproduces the Fig 12 (P99) and Fig 13 (energy) matrix:
 // five V/F policies × three sleep policies × three loads × two apps.
-func (h *Harness) Fig12And13(q Quality) ([]MatrixCell, error) {
+func (h *Harness) fig12And13(q Quality) ([]MatrixCell, error) {
 	idles := governor.IdlePolicies
 	if q == Quick {
 		idles = []string{"menu"}
@@ -330,9 +280,9 @@ func (h *Harness) Fig12And13(q Quality) ([]MatrixCell, error) {
 		idles, q)
 }
 
-// Fig14And15 reproduces the Fig 14 (P99, SLO-normalised) and Fig 15
+// fig14And15 reproduces the Fig 14 (P99, SLO-normalised) and Fig 15
 // (energy) comparison with the state-of-the-art baselines.
-func (h *Harness) Fig14And15(q Quality) ([]MatrixCell, error) {
+func (h *Harness) fig14And15(q Quality) ([]MatrixCell, error) {
 	return h.runMatrix(
 		[]string{"ncap-menu", "ncap", "nmap-simpl", "nmap", "performance"},
 		[]string{"menu"}, q)
@@ -351,9 +301,9 @@ type Fig16Result struct {
 	Result      server.Result
 }
 
-// Fig16 runs memcached with the load switching uniformly among the
+// fig16 runs memcached with the load switching uniformly among the
 // three levels every 500ms for 5 seconds, comparing NMAP and Parties.
-func (h *Harness) Fig16(q Quality) ([]Fig16Result, error) {
+func (h *Harness) fig16(q Quality) ([]Fig16Result, error) {
 	prof := workload.Memcached()
 	dur := 5 * sim.Duration(sim.Second)
 	if q == Quick {
@@ -361,18 +311,10 @@ func (h *Harness) Fig16(q Quality) ([]Fig16Result, error) {
 	}
 	var specs []Spec
 	for _, pol := range []string{"nmap", "parties"} {
-		specs = append(specs, Spec{
-			Policy: pol,
-			Idle:   "menu",
-			Cfg: server.Config{
-				Seed:           defaultSeed,
-				Profile:        prof,
-				VariableLevels: []float64{prof.LowRPS, prof.MediumRPS, prof.HighRPS},
-				SwitchPeriod:   500 * sim.Millisecond,
-				Warmup:         q.warmup(),
-				Duration:       dur,
-			},
-		})
+		s := figSpec(q, prof, pol, "menu")
+		s.Cfg.VariableLevels = []float64{prof.LowRPS, prof.MediumRPS, prof.HighRPS}
+		s.Cfg.SwitchPeriod, s.Cfg.Duration = 500*sim.Millisecond, dur
+		specs = append(specs, s)
 	}
 	from := sim.Time(q.warmup())
 	return runTraced(h, specs, func(spec Spec, sm *sampler, res server.Result) Fig16Result {
@@ -416,25 +358,23 @@ func (h *Harness) ablate(names []string, cells []cell) ([]AblationCell, error) {
 	})
 }
 
-// AblationPerRequest contrasts NMAP with a per-request DVFS policy on
+// ablationPerRequest contrasts NMAP with a per-request DVFS policy on
 // hardware with realistic re-transition latency (§5.1's argument: the
 // per-request policy issues orders of magnitude more V/F writes than
 // ever take effect, so its fine-grained decisions are simply not
 // reflected by the processor).
-func (h *Harness) AblationPerRequest(q Quality) ([]AblationCell, error) {
-	return h.perRequestArms(server.Config{
-		Seed: defaultSeed, Profile: workload.Memcached(), Level: workload.High,
-		Warmup: q.warmup(), Duration: q.duration(),
-	})
+func (h *Harness) ablationPerRequest(q Quality) ([]AblationCell, error) {
+	return h.perRequestArms(figSpec(q, workload.Memcached(), "", "menu").at(workload.High))
 }
 
 // perRequestArms runs the NMAP, ondemand and per-request DVFS arms of
-// AblationPerRequest on cfg.
-func (h *Harness) perRequestArms(cfg server.Config) ([]AblationCell, error) {
+// ablationPerRequest, each as base under its policy.
+func (h *Harness) perRequestArms(base Spec) ([]AblationCell, error) {
 	names := []string{"nmap", "ondemand", "perrequest"}
 	cells := make([]cell, len(names))
 	for i, pol := range names {
-		cells[i] = cell{spec: Spec{Policy: pol, Idle: "menu", Cfg: cfg}}
+		cells[i] = cell{spec: base}
+		cells[i].spec.Policy = pol
 	}
 	// Keep a handle on the per-request policy's attempted-write counter.
 	var pr *baselines.PerRequest
@@ -447,15 +387,15 @@ func (h *Harness) perRequestArms(cfg server.Config) ([]AblationCell, error) {
 	return out, nil
 }
 
-// AblationThresholds sweeps NI_TH around the profiled value to show the
+// ablationThresholds sweeps NI_TH around the profiled value to show the
 // detection-latency/energy trade-off. The base thresholds are the ones a
 // plain NMAP cell of the same seed profiles, so the ×1 arm is that cell.
-func (h *Harness) AblationThresholds(q Quality) ([]AblationCell, error) {
+func (h *Harness) ablationThresholds(q Quality) ([]AblationCell, error) {
 	names, specs := thresholdArms(q)
 	return h.ablate(names, specCells(specs))
 }
 
-// thresholdArms returns AblationThresholds' row names and specs.
+// thresholdArms returns ablationThresholds' row names and specs.
 func thresholdArms(q Quality) ([]string, []Spec) {
 	prof := workload.Memcached()
 	base := ProfiledThresholds(prof, thresholdSeed(defaultSeed))
@@ -465,36 +405,22 @@ func thresholdArms(q Quality) ([]string, []Spec) {
 	for i, mult := range mults {
 		th := base
 		th.NITh = base.NITh * mult
-		names[i] = "NI_TH x" + ftoa(mult)
-		specs[i] = Spec{
-			Policy:     "nmap",
-			Idle:       "menu",
-			Thresholds: th,
-			Cfg: server.Config{
-				Seed: defaultSeed, Profile: prof, Level: workload.High,
-				Warmup: q.warmup(), Duration: q.duration(),
-			},
-		}
+		names[i] = "NI_TH x" + strconv.FormatFloat(mult, 'g', -1, 64)
+		specs[i] = figSpec(q, prof, "nmap", "menu").at(workload.High)
+		specs[i].Thresholds = th
 	}
 	return names, specs
 }
 
-// AblationChipWide contrasts per-core NMAP with a chip-wide variant
+// ablationChipWide contrasts per-core NMAP with a chip-wide variant
 // (the §6.3 argument for why NMAP beats NCAP).
-func (h *Harness) AblationChipWide(q Quality) ([]AblationCell, error) {
-	prof := workload.Memcached()
+func (h *Harness) ablationChipWide(q Quality) ([]AblationCell, error) {
 	var specs []Spec
 	names := []string{"nmap-per-core", "nmap-chip-wide"}
 	for _, chipWide := range []bool{false, true} {
-		specs = append(specs, Spec{
-			Policy: "nmap",
-			Idle:   "menu",
-			Cfg: server.Config{
-				Seed: defaultSeed, Profile: prof, Level: workload.Medium,
-				Warmup: q.warmup(), Duration: q.duration(),
-				ForceChipWide: chipWide,
-			},
-		})
+		s := figSpec(q, workload.Memcached(), "nmap", "menu").at(workload.Medium)
+		s.Cfg.ForceChipWide = chipWide
+		specs = append(specs, s)
 	}
 	return h.ablate(names, specCells(specs))
 }
@@ -503,18 +429,10 @@ func (h *Harness) AblationChipWide(q Quality) ([]AblationCell, error) {
 // extensions: online threshold tuning (no offline profiling) and
 // sleep-state integration.
 func (h *Harness) ablationExtensions(q Quality) ([]AblationCell, error) {
-	prof := workload.Memcached()
 	names := []string{"nmap", "nmap-online", "nmap-sleep"}
 	var specs []Spec
 	for _, pol := range names {
-		specs = append(specs, Spec{
-			Policy: pol,
-			Idle:   "menu",
-			Cfg: server.Config{
-				Seed: defaultSeed, Profile: prof, Level: workload.High,
-				Warmup: q.warmup(), Duration: q.duration(),
-			},
-		})
+		specs = append(specs, figSpec(q, workload.Memcached(), pol, "menu").at(workload.High))
 	}
 	return h.ablate(names, specCells(specs))
 }
@@ -523,7 +441,6 @@ func (h *Harness) ablationExtensions(q Quality) ([]AblationCell, error) {
 // lumpy (§6.3): with few client connections the per-queue loads differ,
 // so pulling every core to the hottest core's frequency wastes energy.
 func (h *Harness) ablationRSS(q Quality) ([]AblationCell, error) {
-	prof := workload.Memcached()
 	var specs []Spec
 	var names []string
 	for _, flows := range []int{40, 12} {
@@ -538,15 +455,9 @@ func (h *Harness) ablationRSS(q Quality) ([]AblationCell, error) {
 				name += "/lumpy-rss"
 			}
 			names = append(names, name)
-			specs = append(specs, Spec{
-				Policy: "nmap",
-				Idle:   "menu",
-				Cfg: server.Config{
-					Seed: defaultSeed, Profile: prof, Level: workload.Medium,
-					Flows: flows, LumpyRSS: flows != 40, ForceChipWide: chipWide,
-					Warmup: q.warmup(), Duration: q.duration(),
-				},
-			})
+			s := figSpec(q, workload.Memcached(), "nmap", "menu").at(workload.Medium)
+			s.Cfg.Flows, s.Cfg.LumpyRSS, s.Cfg.ForceChipWide = flows, flows != 40, chipWide
+			specs = append(specs, s)
 		}
 	}
 	return h.ablate(names, specCells(specs))
@@ -556,37 +467,14 @@ func (h *Harness) ablationRSS(q Quality) ([]AblationCell, error) {
 // how often the NAPI mode counters get a fresh interrupt window and how
 // bursty the hardirq load is, so it bounds NMAP's detection texture.
 func (h *Harness) ablationITR(q Quality) ([]AblationCell, error) {
-	prof := workload.Memcached()
 	var specs []Spec
 	var names []string
 	for _, itr := range []sim.Duration{5 * sim.Microsecond, 10 * sim.Microsecond,
 		20 * sim.Microsecond, 50 * sim.Microsecond} {
 		names = append(names, "ITR="+itr.String())
-		specs = append(specs, Spec{
-			Policy: "nmap",
-			Idle:   "menu",
-			Cfg: server.Config{
-				Seed: defaultSeed, Profile: prof, Level: workload.High,
-				ITR:    itr,
-				Warmup: q.warmup(), Duration: q.duration(),
-			},
-		})
+		s := figSpec(q, workload.Memcached(), "nmap", "menu").at(workload.High)
+		s.Cfg.ITR = itr
+		specs = append(specs, s)
 	}
 	return h.ablate(names, specCells(specs))
-}
-
-func ftoa(f float64) string {
-	switch f {
-	case 0.25:
-		return "0.25"
-	case 0.5:
-		return "0.5"
-	case 1:
-		return "1"
-	case 2:
-		return "2"
-	case 4:
-		return "4"
-	}
-	return "?"
 }

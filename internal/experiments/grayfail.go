@@ -7,7 +7,6 @@ import (
 
 	"nmapsim/internal/cluster"
 	"nmapsim/internal/faults"
-	"nmapsim/internal/server"
 	"nmapsim/internal/sim"
 	"nmapsim/internal/workload"
 )
@@ -89,15 +88,9 @@ func (h *Harness) figGrayFailCtx(ctx context.Context, q Quality, nodes int, rout
 		Node: grayNode, At: lossAt, Duration: slowDur, Prob: 0.05,
 	})
 
-	ncfg := server.Config{
-		Seed:     defaultSeed,
-		Profile:  prof,
-		RPS:      prof.HighRPS * float64(nodes) * clusterLoadFrac,
-		Warmup:   warm,
-		Duration: dur,
-		Faults:   f,
-		Retry:    retry,
-	}
+	node := figSpec(q, prof, "nmap", "menu")
+	node.Cfg.RPS = prof.HighRPS * float64(nodes) * clusterLoadFrac
+	node.Cfg.Faults, node.Cfg.Retry = f, retry
 	fig := GrayFigure{
 		App:      prof.Name,
 		Nodes:    nodes,
@@ -123,12 +116,10 @@ func (h *Harness) figGrayFailCtx(ctx context.Context, q Quality, nodes int, rout
 	damped.Health.FlapHold = dur / 8
 	hedged := damped
 	hedged.Hedge = cluster.HedgeConfig{Enabled: true}
+	arms := []Spec{node, node, node}
+	arms[0].Fleet, arms[1].Fleet, arms[2].Fleet = &naive, &damped, &hedged
 	var err error
-	fig.Arms, err = h.runFleetArms(ctx, []string{"health-naive", "flap-damped", "flap-damped+hedged"}, []Spec{
-		{Policy: "nmap", Idle: "menu", Cfg: ncfg, Fleet: &naive},
-		{Policy: "nmap", Idle: "menu", Cfg: ncfg, Fleet: &damped},
-		{Policy: "nmap", Idle: "menu", Cfg: ncfg, Fleet: &hedged},
-	}, bucket)
+	fig.Arms, err = h.runFleetArms(ctx, []string{"health-naive", "flap-damped", "flap-damped+hedged"}, arms, bucket)
 	return fig, err
 }
 

@@ -15,9 +15,10 @@ import (
 // a method on *Harness and reads its conditions from the receiver. The
 // zero value is the default — one worker per CPU, no injected faults or
 // retries, no auditor, exact histograms, no journal, fail-fast cells and
-// no memory or wall-clock budget — so new(Harness).Fig9(q) renders the
-// plain figure. A Harness may run several sweeps, concurrently too, but
-// must not be copied once used: it owns the audit tally of its runs.
+// no memory or wall-clock budget — so a catalog entry run on
+// new(Harness) renders the plain figure. A Harness may run several
+// sweeps, concurrently too, but must not be copied once used: it owns
+// the audit tally of its runs.
 type Harness struct {
 	// Parallel bounds the worker pool to that many cells in flight at
 	// once; 0 (or less) means one worker per CPU, 1 runs serially.
@@ -129,8 +130,8 @@ func Parallelism() int {
 	return pkg.workers()
 }
 
-// Fig12And13 is Harness.Fig12And13 on the default harness at the
-// SetParallelism width.
+// Fig12And13 runs the fig12 catalog entry's matrix on the default
+// harness at the SetParallelism width.
 func Fig12And13(q Quality) ([]MatrixCell, error) {
-	return (&Harness{Parallel: Parallelism()}).Fig12And13(q)
+	return (&Harness{Parallel: Parallelism()}).fig12And13(q)
 }

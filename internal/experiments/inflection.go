@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"nmapsim/internal/server"
 	"nmapsim/internal/sim"
 	"nmapsim/internal/workload"
 )
@@ -39,17 +38,8 @@ func (h *Harness) FindInflection(profile *workload.Profile, lo, hi float64, step
 	}
 	specs := make([]Spec, steps)
 	for i := range specs {
-		specs[i] = Spec{
-			Policy: "performance",
-			Idle:   "menu",
-			Cfg: server.Config{
-				Seed:     defaultSeed,
-				Profile:  profile,
-				RPS:      lo + (hi-lo)*float64(i)/float64(steps-1),
-				Warmup:   q.warmup(),
-				Duration: q.duration(),
-			},
-		}
+		specs[i] = figSpec(q, profile, "performance", "menu")
+		specs[i].Cfg.RPS = lo + (hi-lo)*float64(i)/float64(steps-1)
 	}
 	curve, err := runRows(h, specCells(specs), func(i int, c CellResult) SweepPoint {
 		return SweepPoint{RPS: specs[i].Cfg.RPS, P99: c.Result.Summary.P99}

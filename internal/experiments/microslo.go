@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"nmapsim/internal/server"
 	"nmapsim/internal/sim"
 	"nmapsim/internal/workload"
 )
@@ -13,10 +12,10 @@ import (
 // third of the budget, paid at the head of every idle→busy transition —
 // deep sleep flips from a free energy saving to an SLO violation.
 
-// MicroService returns a synthetic µs-scale RPC profile: ~1.2µs of
+// microService returns a synthetic µs-scale RPC profile: ~1.2µs of
 // application work per request (a hash-table lookup), single-segment
 // responses, a 90µs P99 objective, and the usual bursty arrivals.
-func MicroService() *workload.Profile {
+func microService() *workload.Profile {
 	const mean = 4000
 	return &workload.Profile{
 		Name:          "usvc",
@@ -51,32 +50,17 @@ type MicroSLOCell struct {
 // latency, disable buys it back with energy, and the integrated policy
 // sits in between.
 func (h *Harness) ablationMicroSLO(q Quality) ([]MicroSLOCell, error) {
-	prof := MicroService()
+	prof := microService()
 	var specs []Spec
-	add := func(policy, idle string) {
-		specs = append(specs, Spec{
-			Policy: policy,
-			Idle:   idle,
-			Cfg: server.Config{
-				Seed: defaultSeed, Profile: prof, Level: workload.Low,
-				Warmup: q.warmup(), Duration: q.duration(),
-			},
-		})
-	}
 	for _, idle := range []string{"disable", "menu", "c6only"} {
-		add("performance", idle)
+		specs = append(specs, figSpec(q, prof, "performance", idle).at(workload.Low))
 	}
-	add("nmap-sleep", "c6only")
-	results, err := h.RunSpecs(specs)
-	if err != nil {
-		return nil, err
-	}
-	var out []MicroSLOCell
-	for i, res := range results {
-		out = append(out, MicroSLOCell{
+	specs = append(specs, figSpec(q, prof, "nmap-sleep", "c6only").at(workload.Low))
+	return runRows(h, specCells(specs), func(i int, c CellResult) MicroSLOCell {
+		res := c.Result
+		return MicroSLOCell{
 			Policy: specs[i].Policy, Idle: specs[i].Idle,
 			P99: res.Summary.P99, Violated: res.Violated, EnergyJ: res.EnergyJ,
-		})
-	}
-	return out, nil
+		}
+	})
 }

@@ -236,9 +236,9 @@ type CellResult struct {
 	Downgraded bool
 }
 
-// RunSpecsCtx runs every spec as a plain cell on the worker pool (see
+// RunSpecs runs every spec as a plain cell on the worker pool (see
 // runCells).
-func (h *Harness) RunSpecsCtx(ctx context.Context, specs []Spec) ([]CellResult, error) {
+func (h *Harness) RunSpecs(ctx context.Context, specs []Spec) ([]CellResult, error) {
 	return h.runCells(ctx, specCells(specs))
 }
 
@@ -328,17 +328,4 @@ func runRows[T any](h *Harness, cells []cell, read func(i int, c CellResult) T) 
 		rows[i] = read(i, c)
 	}
 	return rows, nil
-}
-
-// RunSpecs runs every spec on the worker pool and returns the results
-// in input order. On error the completed cells are still returned
-// (failed or never-started cells hold the zero Result) alongside the
-// first error in input order.
-func (h *Harness) RunSpecs(specs []Spec) ([]server.Result, error) {
-	cells, err := h.RunSpecsCtx(context.Background(), specs)
-	results := make([]server.Result, len(cells))
-	for i, c := range cells {
-		results[i] = c.Result
-	}
-	return results, err
 }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"testing"
 
@@ -65,7 +66,7 @@ func TestRunSpecsOrderAndErrors(t *testing.T) {
 		{Policy: "performance", Idle: "menu", Cfg: quickCfg()},
 		{Policy: "ondemand", Idle: "menu", Cfg: quickCfg()},
 	}
-	results, err := h.RunSpecs(specs)
+	results, err := h.RunSpecs(context.Background(), specs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,12 +76,12 @@ func TestRunSpecsOrderAndErrors(t *testing.T) {
 	// performance pins P0 throughout, so it must burn at least as much
 	// energy as ondemand on the same workload — a cheap check that
 	// results were not collected out of order.
-	if results[0].EnergyJ <= results[1].EnergyJ {
+	if results[0].Result.EnergyJ <= results[1].Result.EnergyJ {
 		t.Errorf("results look swapped: performance %.1fJ <= ondemand %.1fJ",
-			results[0].EnergyJ, results[1].EnergyJ)
+			results[0].Result.EnergyJ, results[1].Result.EnergyJ)
 	}
 
-	if _, err := h.RunSpecs([]Spec{{Policy: "no-such-policy", Cfg: quickCfg()}}); err == nil {
+	if _, err := h.RunSpecs(context.Background(), []Spec{{Policy: "no-such-policy", Cfg: quickCfg()}}); err == nil {
 		t.Fatal("RunSpecs accepted an unknown policy")
 	}
 }

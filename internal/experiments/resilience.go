@@ -74,20 +74,11 @@ func (h *Harness) figResilience(q Quality) (ResilienceFigure, error) {
 	cells := make([]cell, len(sheds))
 	sms := make([]*sampler, len(sheds))
 	for i, shed := range sheds {
+		spec := figSpec(q, prof, "nmap", "menu").at(workload.High)
+		spec.Cfg.ShedSLOMultiple = shed
+		spec.Cfg.Faults = faults.Config{CoreCrashes: []faults.CoreCrash{crash}}
 		cells[i] = cell{
-			spec: Spec{
-				Policy: "nmap",
-				Idle:   "menu",
-				Cfg: server.Config{
-					Seed:            defaultSeed,
-					Profile:         prof,
-					Level:           workload.High,
-					Warmup:          warm,
-					Duration:        dur,
-					ShedSLOMultiple: shed,
-					Faults:          faults.Config{CoreCrashes: []faults.CoreCrash{crash}},
-				},
-			},
+			spec: spec,
 			observe: func(s *server.Server) {
 				sms[i] = sampleServer(s, bucket, func(r *reading) {
 					r.count, r.offline = s.Accounting().Shed, s.Proc.OfflineCount()

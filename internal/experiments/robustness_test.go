@@ -21,7 +21,7 @@ func TestRunSpecsPartialResultsOnError(t *testing.T) {
 		{Policy: "no-such-policy", Idle: "menu", Cfg: quickCfg()},
 		{Policy: "ondemand", Idle: "menu", Cfg: quickCfg()},
 	}
-	cells, err := (&Harness{Parallel: 2}).RunSpecsCtx(context.Background(), specs)
+	cells, err := (&Harness{Parallel: 2}).RunSpecs(context.Background(), specs)
 	if err == nil {
 		t.Fatal("sweep with a bad spec returned no error")
 	}
@@ -53,7 +53,7 @@ func TestRunSpecsCtxCanceledSkipsCells(t *testing.T) {
 		{Policy: "ondemand", Idle: "menu", Cfg: quickCfg()},
 	}
 	start := time.Now()
-	cells, err := new(Harness).RunSpecsCtx(ctx, specs)
+	cells, err := new(Harness).RunSpecs(ctx, specs)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -89,7 +89,7 @@ func TestRunSpecsCtxCancelMidSweep(t *testing.T) {
 		cfg.Duration = 400 * sim.Millisecond
 		specs[i] = Spec{Policy: "ondemand", Idle: "menu", Cfg: cfg}
 	}
-	cells, err := (&Harness{Parallel: 1}).RunSpecsCtx(ctx, specs)
+	cells, err := (&Harness{Parallel: 1}).RunSpecs(ctx, specs)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -186,7 +186,7 @@ func TestProfilingIgnoresRunBudget(t *testing.T) {
 func TestWatchdogSurfacesThroughSweep(t *testing.T) {
 	cfg := quickCfg()
 	cfg.MaxEvents = 10_000
-	cells, err := new(Harness).RunSpecsCtx(context.Background(), []Spec{
+	cells, err := new(Harness).RunSpecs(context.Background(), []Spec{
 		{Policy: "performance", Idle: "menu", Cfg: cfg},
 	})
 	if !errors.Is(err, sim.ErrWatchdog) {

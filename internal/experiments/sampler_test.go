@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"math"
 	"slices"
 	"testing"
@@ -47,11 +48,13 @@ func TestSamplerIsAPureObserver(t *testing.T) {
 	var specs []Spec
 	for _, prof := range workload.Profiles() {
 		for _, pol := range []string{"nmap", "ondemand", "performance"} {
-			specs = append(specs, tracedSpec(Quick, traceWindow, prof, workload.High, pol, "menu"))
+			spec := figSpec(Quick, prof, pol, "menu").at(workload.High)
+			spec.Cfg.Duration = traceWindow
+			specs = append(specs, spec)
 		}
 	}
 	h := new(Harness)
-	plain, err := h.RunSpecs(specs)
+	plain, err := h.RunSpecs(context.Background(), specs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +68,7 @@ func TestSamplerIsAPureObserver(t *testing.T) {
 	}
 	for i, spec := range specs {
 		name := spec.Cfg.Profile.Name + "/" + spec.Policy
-		sameEnergy(t, name, plain[i], runs[i].res)
+		sameEnergy(t, name, plain[i].Result, runs[i].res)
 		sm, pc := runs[i].sm, runs[i].res.PerCore[0]
 		for _, col := range []struct {
 			name string
@@ -96,7 +99,7 @@ func TestResilienceTimelineIsAPureObserver(t *testing.T) {
 	}
 	warm, dur := Quick.warmup(), Quick.duration()
 	for _, run := range fig.Runs {
-		plain, err := h.RunSpecs([]Spec{{
+		plain, err := h.RunSpecs(context.Background(), []Spec{{
 			Policy: fig.Policy,
 			Idle:   "menu",
 			Cfg: server.Config{
@@ -112,9 +115,9 @@ func TestResilienceTimelineIsAPureObserver(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sameEnergy(t, run.Name, plain[0], run.Result)
-		if plain[0].Reqs != run.Result.Reqs {
-			t.Errorf("%s: ledger %+v sampled, %+v unsampled", run.Name, run.Result.Reqs, plain[0].Reqs)
+		sameEnergy(t, run.Name, plain[0].Result, run.Result)
+		if plain[0].Result.Reqs != run.Result.Reqs {
+			t.Errorf("%s: ledger %+v sampled, %+v unsampled", run.Name, run.Result.Reqs, plain[0].Result.Reqs)
 		}
 		var shed uint64
 		for _, b := range run.Buckets {

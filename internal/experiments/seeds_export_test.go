@@ -112,7 +112,7 @@ func TestPegasusPolicyBuilds(t *testing.T) {
 }
 
 func TestMicroServiceProfile(t *testing.T) {
-	p := MicroService()
+	p := microService()
 	if p.SLO != 90*sim.Microsecond {
 		t.Fatalf("usvc SLO = %v", p.SLO)
 	}

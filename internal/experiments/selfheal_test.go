@@ -55,7 +55,7 @@ func TestHarnessRetryValidate(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Fatalf("%s: error %v does not name %q", c.name, err, c.want)
 		}
-		if _, err := (&Harness{CellRetry: c.pol}).RunSpecs(nil); err == nil {
+		if _, err := (&Harness{CellRetry: c.pol}).RunSpecs(context.Background(), nil); err == nil {
 			t.Fatalf("%s: the harness ran under an invalid policy", c.name)
 		}
 	}
@@ -98,7 +98,7 @@ func TestQuarantineBadSpecKeepsSweepAlive(t *testing.T) {
 		{Policy: "no-such-policy", Idle: "menu", Cfg: quickCfg()},
 		{Policy: "ondemand", Idle: "menu", Cfg: quickCfg()},
 	}
-	cells, err := h.RunSpecsCtx(context.Background(), specs)
+	cells, err := h.RunSpecs(context.Background(), specs)
 	if err != nil {
 		t.Fatalf("quarantine did not keep the sweep alive: %v", err)
 	}
@@ -128,7 +128,7 @@ func TestMemoryBudgetDowngradesNewCells(t *testing.T) {
 
 	generous := &Harness{}
 	generous.MemoryBudget = est * int64(generous.workers()) * 4
-	cells, err := generous.RunSpecsCtx(context.Background(), []Spec{spec})
+	cells, err := generous.RunSpecs(context.Background(), []Spec{spec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestMemoryBudgetDowngradesNewCells(t *testing.T) {
 		t.Fatal("generous budget still downgraded the cell")
 	}
 
-	cells, err = (&Harness{MemoryBudget: 1}).RunSpecsCtx(context.Background(), []Spec{spec})
+	cells, err = (&Harness{MemoryBudget: 1}).RunSpecs(context.Background(), []Spec{spec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestDowngradedCellJournalRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cells, err := (&Harness{MemoryBudget: 1, Journal: j}).RunSpecsCtx(context.Background(), []Spec{spec})
+	cells, err := (&Harness{MemoryBudget: 1, Journal: j}).RunSpecs(context.Background(), []Spec{spec})
 	j.Close()
 	if err != nil {
 		t.Fatal(err)
@@ -181,7 +181,7 @@ func TestDowngradedCellJournalRoundTrip(t *testing.T) {
 	if j2.Len() != 1 {
 		t.Fatalf("journal holds %d cell(s), want 1", j2.Len())
 	}
-	cells2, err := (&Harness{MemoryBudget: 1, Journal: j2}).RunSpecsCtx(context.Background(), []Spec{spec})
+	cells2, err := (&Harness{MemoryBudget: 1, Journal: j2}).RunSpecs(context.Background(), []Spec{spec})
 	j2.Close()
 	if err != nil {
 		t.Fatal(err)
@@ -316,7 +316,7 @@ func TestJournalErrorPaths(t *testing.T) {
 			specs[i] = Spec{Policy: "performance", Idle: "menu", Cfg: quickCfg()}
 			specs[i].Cfg.RPS = 1000 * float64(i+1)
 		}
-		_, err = h.RunSpecsCtx(ctx, specs)
+		_, err = h.RunSpecs(ctx, specs)
 		j.Close()
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("err = %v, want context.Canceled", err)

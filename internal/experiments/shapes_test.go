@@ -174,7 +174,7 @@ func TestShapeSwitchingLoadNMAPvsParties(t *testing.T) {
 	if testing.Short() {
 		t.Skip("shape tests are slow")
 	}
-	res, err := new(Harness).Fig16(Quick)
+	res, err := new(Harness).fig16(Quick)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +201,7 @@ func TestShapePerRequestDVFSPaysReTransitions(t *testing.T) {
 	if testing.Short() {
 		t.Skip("shape tests are slow")
 	}
-	cells, err := new(Harness).AblationPerRequest(Quick)
+	cells, err := new(Harness).ablationPerRequest(Quick)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"nmapsim/internal/core"
+	"nmapsim/internal/cpu"
 	"nmapsim/internal/server"
 	"nmapsim/internal/sim"
 	"nmapsim/internal/workload"
@@ -108,11 +109,11 @@ func TestTraceCapturesSeries(t *testing.T) {
 }
 
 func TestRenderersProduceOutput(t *testing.T) {
-	t1 := renderTable1("Table 1", Table1(50))
+	t1 := renderTable1("Table 1", cpu.MeasureTable1(cpu.Models, 50, defaultSeed))
 	if len(t1) < 100 {
 		t.Fatal("table1 render too short")
 	}
-	t2 := renderTable2("Table 2", Table2(20))
+	t2 := renderTable2("Table 2", cpu.MeasureTable2(cpu.Models, 20, defaultSeed))
 	if len(t2) < 100 {
 		t.Fatal("table2 render too short")
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"math"
@@ -206,11 +207,11 @@ func TestAblationThresholdsUnitArmIsPlainNMAP(t *testing.T) {
 	}
 	plain := specs[i]
 	plain.Thresholds = core.Thresholds{}
-	res, err := new(Harness).RunSpecs([]Spec{specs[i], plain})
+	res, err := new(Harness).RunSpecs(context.Background(), []Spec{specs[i], plain})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(res[0], res[1]) {
-		t.Fatalf("×1 arm diverged from the plain nmap cell:\narm:   %v\nplain: %v", res[0], res[1])
+	if !reflect.DeepEqual(res[0].Result, res[1].Result) {
+		t.Fatalf("×1 arm diverged from the plain nmap cell:\narm:   %v\nplain: %v", res[0].Result, res[1].Result)
 	}
 }

@@ -475,7 +475,7 @@ func CheckAll(h *experiments.Harness, sps []Spec) []Outcome {
 	}
 	// Every cell's outcome is classified below; the batch error is only
 	// the first of them.
-	cells, _ := h.RunSpecsCtx(context.Background(), specs)
+	cells, _ := h.RunSpecs(context.Background(), specs)
 	for k, c := range cells {
 		outs[idx[k]] = classify(specs[k].Fleet != nil, c)
 	}

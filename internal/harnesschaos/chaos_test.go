@@ -42,6 +42,15 @@ func chaosSpecs() []experiments.Spec {
 	return specs
 }
 
+// results returns each cell's Result, in order.
+func results(cells []experiments.CellResult) []server.Result {
+	out := make([]server.Result, len(cells))
+	for i, c := range cells {
+		out[i] = c.Result
+	}
+	return out
+}
+
 // render canonicalises sweep results for byte comparison.
 func render(t *testing.T, results []server.Result) []byte {
 	t.Helper()
@@ -55,11 +64,11 @@ func render(t *testing.T, results []server.Result) []byte {
 // reference runs the unfaulted, unjournaled sweep.
 func reference(t *testing.T, specs []experiments.Spec) []byte {
 	t.Helper()
-	res, err := new(experiments.Harness).RunSpecs(specs)
+	cells, err := new(experiments.Harness).RunSpecs(context.Background(), specs)
 	if err != nil {
 		t.Fatalf("reference sweep: %v", err)
 	}
-	return render(t, res)
+	return render(t, results(cells))
 }
 
 // resumeAndCompare opens the (possibly damaged) journal at path, runs
@@ -70,16 +79,12 @@ func resumeAndCompare(t *testing.T, path string, specs []experiments.Spec, ref [
 	if err != nil {
 		t.Fatalf("reopen journal: %v", err)
 	}
-	cells, err := (&experiments.Harness{Journal: j}).RunSpecsCtx(context.Background(), specs)
+	cells, err := (&experiments.Harness{Journal: j}).RunSpecs(context.Background(), specs)
 	j.Close()
 	if err != nil {
 		t.Fatalf("resumed sweep: %v", err)
 	}
-	results := make([]server.Result, len(cells))
-	for i, c := range cells {
-		results[i] = c.Result
-	}
-	if got := render(t, results); !bytes.Equal(got, ref) {
+	if got := render(t, results(cells)); !bytes.Equal(got, ref) {
 		t.Fatalf("resumed sweep diverged from the unfaulted run:\n got  %d bytes\n want %d bytes", len(got), len(ref))
 	}
 }
@@ -91,7 +96,7 @@ func journalPrefix(t *testing.T, path string, specs []experiments.Spec, n int) {
 	if err != nil {
 		t.Fatalf("open journal: %v", err)
 	}
-	_, err = (&experiments.Harness{Journal: j}).RunSpecsCtx(context.Background(), specs[:n])
+	_, err = (&experiments.Harness{Journal: j}).RunSpecs(context.Background(), specs[:n])
 	j.Close()
 	if err != nil {
 		t.Fatalf("prefix sweep: %v", err)
@@ -196,7 +201,7 @@ func TestChaosFlakyCellRecovered(t *testing.T) {
 		}, 2),
 		CellRetry: experiments.HarnessRetry{MaxRetries: 3, Backoff: time.Millisecond},
 	}
-	cells, err := h.RunSpecsCtx(context.Background(), specs)
+	cells, err := h.RunSpecs(context.Background(), specs)
 	if err != nil {
 		t.Fatalf("flaky sweep did not recover: %v", err)
 	}
@@ -206,11 +211,7 @@ func TestChaosFlakyCellRecovered(t *testing.T) {
 	if cells[0].Attempts != 1 || cells[2].Attempts != 1 {
 		t.Fatalf("healthy cells retried: %d, %d attempts", cells[0].Attempts, cells[2].Attempts)
 	}
-	results := make([]server.Result, len(cells))
-	for i, c := range cells {
-		results[i] = c.Result
-	}
-	if got := render(t, results); !bytes.Equal(got, ref) {
+	if got := render(t, results(cells)); !bytes.Equal(got, ref) {
 		t.Fatal("recovered flaky sweep diverged from the unfaulted run")
 	}
 }
@@ -236,7 +237,7 @@ func TestChaosPoisonCellQuarantined(t *testing.T) {
 		}, -1),
 		CellRetry: experiments.HarnessRetry{MaxRetries: 1, Quarantine: true},
 	}
-	cells, err := h.RunSpecsCtx(context.Background(), specs)
+	cells, err := h.RunSpecs(context.Background(), specs)
 	j.Close()
 	if err != nil {
 		t.Fatalf("quarantine did not keep the sweep alive: %v", err)
@@ -294,19 +295,17 @@ func TestChaosENOSPC(t *testing.T) {
 	// written is the one the probe measured and the budget runs out
 	// inside the second; on a wider pool a larger cell may finish first
 	// and overrun the budget on its own.
-	cells, err := (&experiments.Harness{Journal: j, Parallel: 1}).RunSpecsCtx(context.Background(), specs)
+	cells, err := (&experiments.Harness{Journal: j, Parallel: 1}).RunSpecs(context.Background(), specs)
 	j.Close()
 	if !errors.Is(err, experiments.ErrJournalWrite) {
 		t.Fatalf("full disk not surfaced as ErrJournalWrite: %v", err)
 	}
-	results := make([]server.Result, len(cells))
 	for i, c := range cells {
 		if !c.Done {
 			t.Fatalf("cell %d lost to a full disk: %v", i, c.Err)
 		}
-		results[i] = c.Result
 	}
-	if got := render(t, results); !bytes.Equal(got, ref) {
+	if got := render(t, results(cells)); !bytes.Equal(got, ref) {
 		t.Fatal("ENOSPC sweep results diverged from the unfaulted run")
 	}
 
