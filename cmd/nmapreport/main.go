@@ -6,8 +6,7 @@
 //
 //	nmapreport [-app memcached|nginx|both] [-policies p1,p2,...]
 //	           [-seeds N] [-dur MS] [-cdf] [-faults SPEC] [-audit] [-stream] [-o FILE]
-//	           [-checkpoint FILE] [-cell-retries N] [-cell-retry-backoff DUR]
-//	           [-cell-deadline DUR]
+//	           [-checkpoint FILE]
 package main
 
 import (

@@ -8,7 +8,6 @@
 //
 //	nmapsweep [-app memcached|nginx] [-policy NAME] [-idle NAME]
 //	          [-points N] [-dur MS] [-stream] [-checkpoint FILE] [-fsck]
-//	          [-cell-retries N] [-cell-retry-backoff DUR] [-cell-deadline DUR]
 //	          [-quarantine] [-mem-budget-mb N]
 //
 // Exit codes:

@@ -5,9 +5,9 @@
 // only hands it os.Args, os.Stdout and os.Stderr.
 //
 // The run-condition flags the commands share (-parallel, -faults,
-// -rto/-retries, -audit, -audit-report, -stream, -checkpoint, -cell-*,
-// -quarantine, -mem-budget-mb) are registered, validated and turned into
-// an experiments.Harness in one place, harnessFlags.
+// -rto/-retries, -cell-timeout, -audit, -audit-report, -stream,
+// -checkpoint, -quarantine, -mem-budget-mb) are registered, validated
+// and turned into an experiments.Harness in one place, harnessFlags.
 //
 // Exit codes: 0 success, 1 a run or I/O failure (for nmapfuzz, an
 // invariant violation), 2 a usage error (bad flag value, unknown
@@ -90,34 +90,29 @@ func (c command) warnf(format string, args ...any) {
 // builds the experiments.Harness they describe. A flag the command does
 // not offer keeps its zero value, which is the Harness default.
 type harnessFlags struct {
-	parallel     int
-	faults       string
-	rto          time.Duration
-	retries      int
-	cellTimeout  time.Duration
-	audit        bool
-	auditReport  bool
-	stream       bool
-	checkpoint   string
-	cellRetries  int
-	cellBackoff  time.Duration
-	cellDeadline time.Duration
-	quarantine   bool
-	memBudgetMB  int
+	parallel    int
+	faults      string
+	rto         time.Duration
+	retries     int
+	cellTimeout time.Duration
+	audit       bool
+	auditReport bool
+	stream      bool
+	checkpoint  string
+	quarantine  bool
+	memBudgetMB int
 }
 
 // sharedUsage is the usage text of the harness flags that every command
 // offering them words alike.
 var sharedUsage = map[string]string{
-	"parallel":           "simulation cells in flight at once (0 = one per CPU, 1 = serial)",
-	"rto":                "client retransmission timeout (0 disables the retry loop), e.g. 10ms",
-	"retries":            "max retransmissions per request (0 = default 3; needs -rto)",
-	"cell-timeout":       "wall-clock budget per simulation cell (0 = unlimited)",
-	"stream":             "record latencies into the bounded streaming histogram (fixed 64KB/cell, ~0.1% quantile error) instead of the exact sample recorder",
-	"cell-retry-backoff": "delay before a failed cell's first retry; doubles per retry, capped at 10x",
-	"cell-deadline":      "wall-clock budget across all attempts of one cell, backoff included (0 = none)",
-	"quarantine":         "quarantine cells that exhaust their retries — report them explicitly and keep sweeping — instead of failing the whole sweep",
-	"mem-budget-mb":      "soft memory watermark in MB: cells whose projected exact-histogram footprint (x workers) would cross it record into the bounded streaming histogram instead, explicitly marked (0 = unlimited)",
+	"parallel":      "simulation cells in flight at once (0 = one per CPU, 1 = serial)",
+	"rto":           "client retransmission timeout (0 disables the retry loop), e.g. 10ms",
+	"retries":       "max retransmissions per request (0 = default 3; needs -rto)",
+	"cell-timeout":  "wall-clock budget per simulation cell (0 = unlimited)",
+	"stream":        "record latencies into the bounded streaming histogram (fixed 64KB/cell, ~0.1% quantile error) instead of the exact sample recorder",
+	"quarantine":    "quarantine failing cells — report them explicitly and keep sweeping — instead of failing the whole sweep",
+	"mem-budget-mb": "soft memory watermark in MB: cells whose projected exact-histogram footprint (x workers) would cross it record into the bounded streaming histogram instead, explicitly marked (0 = unlimited)",
 }
 
 // registerHarnessFlags registers on fs each harness flag named in usage,
@@ -147,12 +142,6 @@ func registerHarnessFlags(fs *flag.FlagSet, usage map[string]string) *harnessFla
 			fs.BoolVar(&hf.stream, name, false, text)
 		case "checkpoint":
 			fs.StringVar(&hf.checkpoint, name, "", text)
-		case "cell-retries":
-			fs.IntVar(&hf.cellRetries, name, 0, text)
-		case "cell-retry-backoff":
-			fs.DurationVar(&hf.cellBackoff, name, time.Second, text)
-		case "cell-deadline":
-			fs.DurationVar(&hf.cellDeadline, name, 0, text)
 		case "quarantine":
 			fs.BoolVar(&hf.quarantine, name, false, text)
 		case "mem-budget-mb":
@@ -177,12 +166,6 @@ func (hf *harnessFlags) harness() (*experiments.Harness, error) {
 		return nil, fmt.Errorf("-rto must be >= 0 (0 disables the retry loop), got %v", hf.rto)
 	case hf.retries != 0 && hf.rto == 0:
 		return nil, fmt.Errorf("-retries needs -rto to enable the retry loop")
-	case hf.cellRetries < 0:
-		return nil, fmt.Errorf("-cell-retries must be >= 0, got %d", hf.cellRetries)
-	case hf.cellBackoff < 0:
-		return nil, fmt.Errorf("-cell-retry-backoff must be >= 0, got %v", hf.cellBackoff)
-	case hf.cellDeadline < 0:
-		return nil, fmt.Errorf("-cell-deadline must be >= 0, got %v", hf.cellDeadline)
 	case hf.memBudgetMB < 0:
 		return nil, fmt.Errorf("-mem-budget-mb must be >= 0 (0 = unlimited), got %d", hf.memBudgetMB)
 	}
@@ -198,17 +181,12 @@ func (hf *harnessFlags) harness() (*experiments.Harness, error) {
 		}
 	}
 	return &experiments.Harness{
-		Parallel:  hf.parallel,
-		Faults:    fcfg,
-		Retry:     rcfg,
-		Audit:     hf.audit || hf.auditReport,
-		Streaming: hf.stream,
-		CellRetry: experiments.HarnessRetry{
-			MaxRetries: hf.cellRetries,
-			Backoff:    hf.cellBackoff,
-			Deadline:   hf.cellDeadline,
-			Quarantine: hf.quarantine,
-		},
+		Parallel:     hf.parallel,
+		Faults:       fcfg,
+		Retry:        rcfg,
+		Audit:        hf.audit || hf.auditReport,
+		Streaming:    hf.stream,
+		Quarantine:   hf.quarantine,
 		MemoryBudget: int64(hf.memBudgetMB) << 20,
 		RunTimeout:   hf.cellTimeout,
 	}, nil

@@ -42,6 +42,9 @@ func TestValidateFlags(t *testing.T) {
 			{"hedge on a table", "nmapsim -quick -hedge table2", "-hedge does not apply to table2"},
 			{"route on fig8", "nmapsim -quick -route least fig8", "-route does not apply to fig8"},
 			{"hedge on fig-grayfail", "nmapsim -quick -hedge fig-grayfail", "-hedge does not apply to fig-grayfail"},
+			{"second experiment", "nmapsim table2 table1", `unexpected argument "table1" after table2: flags go before`},
+			{"flag after the experiment", "nmapsim fig-grayfail -hedge", `unexpected argument "-hedge" after fig-grayfail`},
+			{"unknown experiment before extra arguments", "nmapsim bogus table1", simOK},
 		}},
 		// nmapsim's fault injection and retry loop: -faults, -rto, -retries.
 		{"nmapsim-injection", []flagCase{
@@ -54,14 +57,11 @@ func TestValidateFlags(t *testing.T) {
 		}},
 		{"nmapsweep", []flagCase{
 			{"defaults accepted", "nmapsweep " + sweepApp, appOK},
-			{"retry knobs accepted", "nmapsweep -cell-retries 3 -cell-retry-backoff 10ms -cell-deadline 1m -mem-budget-mb 64 " + sweepApp, appOK},
+			{"self-heal knobs accepted", "nmapsweep -quarantine -mem-budget-mb 64 " + sweepApp, appOK},
 			{"zero points", "nmapsweep -points 0", "-points"},
 			{"negative points", "nmapsweep -points -4", "-points"},
 			{"zero duration", "nmapsweep -dur 0", "-dur"},
 			{"negative parallel", "nmapsweep -parallel -1", "-parallel"},
-			{"negative retries", "nmapsweep -cell-retries -1", "-cell-retries"},
-			{"negative backoff", "nmapsweep -cell-retry-backoff -1s", "-cell-retry-backoff"},
-			{"negative deadline", "nmapsweep -cell-deadline -1m", "-cell-deadline"},
 			{"negative mem budget", "nmapsweep -mem-budget-mb -1", "-mem-budget-mb"},
 			{"fsck without checkpoint", "nmapsweep -fsck", "-checkpoint"},
 			{"fsck with inflection", "nmapsweep -fsck -checkpoint J -inflection", "-inflection does not apply to -fsck"},
@@ -79,14 +79,11 @@ func TestValidateFlags(t *testing.T) {
 		}},
 		{"nmapreport", []flagCase{
 			{"defaults accepted", "nmapreport " + sweepApp, appOK},
-			{"retry knobs accepted", "nmapreport -cell-retries 2 -cell-retry-backoff 50ms -cell-deadline 30s " + sweepApp, appOK},
+			{"harness knobs accepted", "nmapreport -parallel 1 -stream -audit -audit-report " + sweepApp, appOK},
 			{"zero seeds", "nmapreport -seeds 0", "-seeds"},
 			{"negative seeds", "nmapreport -seeds -2", "-seeds"},
 			{"zero duration", "nmapreport -dur 0", "-dur"},
 			{"negative parallel", "nmapreport -parallel -3", "-parallel"},
-			{"negative retries", "nmapreport -cell-retries -1", "-cell-retries"},
-			{"negative backoff", "nmapreport -cell-retry-backoff -1ms", "-cell-retry-backoff"},
-			{"negative deadline", "nmapreport -cell-deadline -1s", "-cell-deadline"},
 			{"malformed faults", "nmapreport -faults corecrash=1", "CORE@TIME"},
 			{"unknown policy", "nmapreport -seeds 1 -dur 300 -policies nmap,bogus", `unknown policy "bogus"`},
 			{"unknown idle", "nmapreport -idle bogus", `unknown idle policy "bogus"`},

@@ -26,18 +26,15 @@ func Report(args []string, stdout, stderr io.Writer) int {
 	withCDF := fs.Bool("cdf", false, "include latency CDFs in the records")
 	out := fs.String("o", "", "output file (default stdout)")
 	// -quarantine is deliberately not offered here: every record in the
-	// JSON output must carry a real result, so an exhausted cell fails
+	// JSON output must carry a real result, so a failed cell fails
 	// the run instead of leaving a hole in the matrix.
 	hf := registerHarnessFlags(fs, map[string]string{
-		"parallel":           "",
-		"faults":             "fault-injection spec applied to every cell, e.g. loss=0.01,corecrash=1@250ms:100ms",
-		"audit":              "run every cell under the invariant auditor (fails the run on any violation)",
-		"audit-report":       "with -audit: print the per-rule check/violation summary to stderr after the run",
-		"stream":             "",
-		"checkpoint":         "journal completed matrix cells to FILE and resume from it: cells already journaled are not re-run",
-		"cell-retries":       "re-run a failing matrix cell up to N times with exponential backoff before giving up (0 = fail fast)",
-		"cell-retry-backoff": "",
-		"cell-deadline":      "",
+		"parallel":     "",
+		"faults":       "fault-injection spec applied to every cell, e.g. loss=0.01,corecrash=1@250ms:100ms",
+		"audit":        "run every cell under the invariant auditor (fails the run on any violation)",
+		"audit-report": "with -audit: print the per-rule check/violation summary to stderr after the run",
+		"stream":       "",
+		"checkpoint":   "journal completed matrix cells to FILE and resume from it: cells already journaled are not re-run",
 	})
 	if code, done := parse(fs, args); done {
 		return code

@@ -72,6 +72,11 @@ func Sim(args []string, stdout, stderr io.Writer) int {
 		}
 		runs = runs[i : i+1]
 	}
+	// Parsing stops at the experiment name, so a flag or a second name
+	// after it would be ignored.
+	if fs.NArg() > 1 {
+		return c.exit(2, fmt.Errorf("unexpected argument %q after %s: flags go before the experiment name", fs.Arg(1), fs.Arg(0)))
+	}
 	// A fleet flag that no entry about to run reads would be ignored.
 	if name := firstSet(fs, func(name string) bool {
 		return slices.Contains(fleetFlags, name) &&

@@ -32,16 +32,13 @@ func Sweep(args []string, stdout, stderr io.Writer) int {
 	fsck := fs.Bool("fsck", false,
 		"scan the -checkpoint journal for damage (torn lines, checksum failures, duplicated records), print a report, and exit: 0 clean, 1 damaged")
 	hf := registerHarnessFlags(fs, map[string]string{
-		"parallel":           "",
-		"faults":             "fault-injection spec, e.g. loss=0.01,throttle=10/20ms@12,corecrash=1@250ms:100ms",
-		"audit":              "run every point under the invariant auditor (fails the run on any violation)",
-		"stream":             "",
-		"checkpoint":         "journal completed sweep cells to FILE and resume from it: cells already journaled are not re-run",
-		"cell-retries":       "re-run a failing sweep cell up to N times with exponential backoff before giving up (0 = fail fast)",
-		"cell-retry-backoff": "",
-		"cell-deadline":      "",
-		"quarantine":         "",
-		"mem-budget-mb":      "",
+		"parallel":      "",
+		"faults":        "fault-injection spec, e.g. loss=0.01,throttle=10/20ms@12,corecrash=1@250ms:100ms",
+		"audit":         "run every point under the invariant auditor (fails the run on any violation)",
+		"stream":        "",
+		"checkpoint":    "journal completed sweep cells to FILE and resume from it: cells already journaled are not re-run",
+		"quarantine":    "",
+		"mem-budget-mb": "",
 	})
 	if code, done := parse(fs, args); done {
 		return code

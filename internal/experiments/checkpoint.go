@@ -127,8 +127,8 @@ type JournalFile interface {
 	Truncate(size int64) error
 }
 
-// Journal is an append-only record of completed sweep cells. Lookup and
-// Record are safe for concurrent use by the worker pool.
+// Journal is an append-only record of completed sweep cells. lookup and
+// record are safe for concurrent use by the worker pool.
 type Journal struct {
 	mu   sync.Mutex
 	f    JournalFile
@@ -139,7 +139,7 @@ type Journal struct {
 	// record — the truncation point when a write fails partway.
 	off int64
 	// werr is the sticky write error: once a write or sync fails the
-	// journal is read-only and every later Record returns it.
+	// journal is read-only and every later record returns it.
 	werr error
 	// load is the damage report from open time.
 	load FsckReport
@@ -418,8 +418,8 @@ func (j *Journal) Len() int {
 	return len(j.done)
 }
 
-// Lookup returns the journaled result for a spec hash.
-func (j *Journal) Lookup(hash string) (server.Result, bool) {
+// lookup returns the journaled result for a spec hash.
+func (j *Journal) lookup(hash string) (server.Result, bool) {
 	j.mu.Lock()
 	raw, ok := j.done[hash]
 	j.mu.Unlock()
@@ -433,13 +433,13 @@ func (j *Journal) Lookup(hash string) (server.Result, bool) {
 	return res, true
 }
 
-// Record appends one completed cell and syncs it to disk before
+// record appends one completed cell and syncs it to disk before
 // returning, so a later kill cannot lose it. On a write or sync failure
 // the file is truncated back to the last good record (the tail never
 // holds a half-written line), the journal turns read-only, and this and
-// every later Record return an error wrapping ErrJournalWrite — the
+// every later record return an error wrapping ErrJournalWrite — the
 // sweep itself continues; only durability is lost.
-func (j *Journal) Record(hash string, res server.Result) error {
+func (j *Journal) record(hash string, res server.Result) error {
 	raw, err := json.Marshal(res)
 	if err != nil {
 		return err
@@ -477,9 +477,9 @@ func (j *Journal) Record(hash string, res server.Result) error {
 	return nil
 }
 
-// WriteErr returns the sticky write error that turned the journal
+// writeErr returns the sticky write error that turned the journal
 // read-only, or nil while it is still persisting records.
-func (j *Journal) WriteErr() error {
+func (j *Journal) writeErr() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.werr

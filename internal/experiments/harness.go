@@ -40,9 +40,15 @@ type Harness struct {
 	// Journal, when set, serves completed plain cells without re-running
 	// them and journals every plain cell that completes cleanly.
 	Journal *Journal
-	// CellRetry is the per-cell retry and quarantine policy; the zero
-	// policy fails the run on a cell's first error.
-	CellRetry HarnessRetry
+	// CellRetries re-runs a cell up to that many times while its
+	// attempts overrun RunTimeout or CellFault fails them, the only
+	// failures a re-run can change (0 = none; negative fails the run).
+	CellRetries int
+	// Quarantine keeps the run going past a failed cell: the cell is
+	// marked Quarantined in its CellResult (and rendered explicitly by
+	// nmapsweep) instead of failing the run. A quarantined cell is never
+	// journaled, so a resume runs it again.
+	Quarantine bool
 	// CellFault, when set, is consulted at the start of every cell
 	// attempt: a non-nil return fails that attempt before the cell runs.
 	// Package harnesschaos injects flaky and poison cells through it.

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -94,15 +95,13 @@ func specCells(specs []Spec) []cell {
 // fold h's defaults into the spec, build the server (or the fleet, every
 // node through BuildOn on one engine), attach the cell's observers,
 // guard the run with ctx and h's per-cell wall-clock budget, run it, and
-// merge its audit report into h's tally. permanent reports an
-// assembly/validation failure, which is deterministic, so retrying the
-// identical cell cannot fix it.
-func (h *Harness) runCell(ctx context.Context, c cell) (out CellResult, permanent bool) {
+// merge its audit report into h's tally.
+func (h *Harness) runCell(ctx context.Context, c cell) (out CellResult) {
 	spec := h.withDefaults(c.spec)
 	if spec.Fleet == nil {
 		s, err := Build(spec)
 		if err != nil {
-			return CellResult{Err: err}, true
+			return CellResult{Err: err}
 		}
 		if c.observe != nil {
 			c.observe(s)
@@ -119,7 +118,7 @@ func (h *Harness) runCell(ctx context.Context, c cell) (out CellResult, permanen
 			return BuildOn(node, eng)
 		})
 		if err != nil {
-			return CellResult{Err: err}, true
+			return CellResult{Err: err}
 		}
 		if c.observeFleet != nil {
 			c.observeFleet(cl)
@@ -129,59 +128,45 @@ func (h *Harness) runCell(ctx context.Context, c cell) (out CellResult, permanen
 		h.recordAudit(out.Fleet.Audit)
 	}
 	out.Done = out.Err == nil
-	return out, false
+	return out
 }
 
-// runCellAttempts drives one cell through h.CellRetry: failed attempts
-// are re-run with exponential backoff until the attempt budget, the
-// per-cell deadline, or the sweep context gives out. It returns the
-// last attempt's (possibly partial) result with Attempts set. With the
-// zero policy this is exactly one attempt — the seed behaviour.
+// runCellAttempts runs one cell, re-running it up to h.CellRetries
+// times while an attempt fails in a way a re-run can change: it overran
+// the wall-clock budget, or h.CellFault failed it. A cell is a pure
+// function of its spec, so every other failure (an assembly error, a
+// watchdog abort, an audit violation) would repeat byte for byte and
+// ends the cell at once, as does cancellation. It returns the last
+// attempt's (possibly partial) result with Attempts set.
 func (h *Harness) runCellAttempts(ctx context.Context, c cell) CellResult {
-	pol := h.CellRetry
-	start := time.Now()
 	for attempt := 1; ; attempt++ {
 		var out CellResult
-		permanent := false
+		retriable := false
 		if h.CellFault != nil {
 			if ferr := h.CellFault(c.spec, attempt); ferr != nil {
 				out.Err = fmt.Errorf("experiments: injected harness fault on attempt %d: %w", attempt, ferr)
+				retriable = true
 			}
 		}
 		if out.Err == nil {
-			out, permanent = h.runCell(ctx, c)
+			out = h.runCell(ctx, c)
+			retriable = errors.Is(out.Err, errOverBudget)
 		}
 		out.Attempts = attempt
-		if out.Err == nil || permanent || (ctx != nil && ctx.Err() != nil) {
-			return out
+		if retriable && attempt <= h.CellRetries && (ctx == nil || ctx.Err() == nil) {
+			continue
 		}
-		if attempt > pol.MaxRetries {
-			if pol.MaxRetries > 0 {
-				out.Err = fmt.Errorf("experiments: cell failed after %d attempt(s): %w", attempt, out.Err)
-			}
-			return out
+		if retriable && attempt > 1 {
+			out.Err = fmt.Errorf("experiments: cell failed after %d attempt(s): %w", attempt, out.Err)
 		}
-		delay := pol.Delay(attempt)
-		if pol.Deadline > 0 && time.Since(start)+delay > pol.Deadline {
-			out.Err = fmt.Errorf("experiments: cell deadline %v exhausted after %d attempt(s): %w",
-				pol.Deadline, attempt, out.Err)
-			return out
-		}
-		if delay > 0 {
-			if ctx != nil && ctx.Done() != nil {
-				t := time.NewTimer(delay)
-				select {
-				case <-ctx.Done():
-					t.Stop()
-					return out
-				case <-t.C:
-				}
-			} else {
-				time.Sleep(delay)
-			}
-		}
+		return out
 	}
 }
+
+// errOverBudget is wrapped by the abort of a cell that overran the
+// harness's wall-clock budget: of a cell's own failures, the only one
+// that depends on the host rather than on the spec.
+var errOverBudget = errors.New("wall-clock budget")
 
 // guard attaches the harness guard ticker to a built run's engine: the
 // context and h's per-cell wall-clock budget are checked from inside
@@ -203,7 +188,7 @@ func (h *Harness) guard(ctx context.Context, eng *sim.Engine) {
 			return
 		}
 		if budget > 0 && time.Since(start) > budget {
-			eng.Abort(fmt.Errorf("experiments: run exceeded the %v wall-clock budget at %v", budget, eng.Now()))
+			eng.Abort(fmt.Errorf("experiments: run exceeded the %v %w at %v", budget, errOverBudget, eng.Now()))
 		}
 	})
 }
@@ -220,13 +205,12 @@ type CellResult struct {
 	Err error
 	// Done reports whether the cell ran to completion.
 	Done bool
-	// Attempts counts how many times the cell ran under the HarnessRetry
-	// policy (1 for a first-try success, 0 for a journal-served cell or
-	// one the context cut off before it started).
+	// Attempts counts how many times the cell ran (more than 1 only
+	// after a retried budget overrun or injected fault, 0 for a
+	// journal-served cell or one the context cut off before it started).
 	Attempts int
-	// Quarantined marks a cell that exhausted its retry budget under a
-	// Quarantine policy: the sweep carried on without it, and Err holds
-	// why it kept failing. Quarantined cells are reported, never
+	// Quarantined marks a cell that failed under Harness.Quarantine: the
+	// sweep carried on without it, and Err holds why it failed. Quarantined cells are reported, never
 	// silently skipped, and never journaled — a resume retries them.
 	Quarantined bool
 	// Downgraded marks a cell the memory watermark switched from the
@@ -245,10 +229,9 @@ func (h *Harness) RunSpecs(ctx context.Context, specs []Spec) ([]CellResult, err
 // runCells runs every cell on h's worker pool with checkpointing and
 // self-healing: every cell's outcome is recorded in input order even
 // when some fail, so a failed or canceled run keeps the cells that did
-// finish. An invalid h.CellRetry fails the run before any cell starts.
-// Failed cells are retried under h.CellRetry, and with Quarantine set
-// an exhausted cell is quarantined (reported in its CellResult) instead
-// of sinking the run. Once ctx is canceled no new cell starts
+// finish. A negative h.CellRetries fails the run before any cell starts.
+// With h.Quarantine set a failed cell is quarantined (reported in its
+// CellResult) instead of sinking the run. Once ctx is canceled no new cell starts
 // (in-flight cells abort at their next simulated millisecond). The
 // returned error is the first non-quarantined cell error in input order,
 // ctx.Err() if the run was cut short, or the journal's write error
@@ -256,8 +239,8 @@ func (h *Harness) RunSpecs(ctx context.Context, specs []Spec) ([]CellResult, err
 // persisting — the partial results are returned either way.
 func (h *Harness) runCells(ctx context.Context, cells []cell) ([]CellResult, error) {
 	outs := make([]CellResult, len(cells))
-	if err := h.CellRetry.Validate(); err != nil {
-		return outs, err
+	if h.CellRetries < 0 {
+		return outs, fmt.Errorf("experiments: negative cell retry budget %d", h.CellRetries)
 	}
 	j := h.Journal
 	forEach(h.workers(), len(cells), func(i int) {
@@ -275,7 +258,7 @@ func (h *Harness) runCells(ctx context.Context, cells []cell) ([]CellResult, err
 		var hash string
 		if j != nil && cells[i].journaled() {
 			hash = h.SpecHash(cells[i].spec)
-			if res, ok := j.Lookup(hash); ok {
+			if res, ok := j.lookup(hash); ok {
 				h.recordAudit(res.Audit)
 				outs[i] = CellResult{Result: res, Done: true}
 				return
@@ -286,7 +269,7 @@ func (h *Harness) runCells(ctx context.Context, cells []cell) ([]CellResult, err
 		outs[i] = h.runCellAttempts(ctx, c)
 		outs[i].Downgraded = downgraded
 		if outs[i].Err != nil {
-			if h.CellRetry.Quarantine && (ctx == nil || ctx.Err() == nil) {
+			if h.Quarantine && (ctx == nil || ctx.Err() == nil) {
 				outs[i].Quarantined = true
 			}
 			return
@@ -297,7 +280,7 @@ func (h *Harness) runCells(ctx context.Context, cells []cell) ([]CellResult, err
 			// on its first write error and the run surfaces it once at
 			// the end, so it checkpoints what it can and exits cleanly
 			// instead of failing every remaining cell.
-			j.Record(hash, outs[i].Result)
+			j.record(hash, outs[i].Result)
 		}
 	})
 	if ctx != nil && ctx.Err() != nil {
@@ -309,7 +292,7 @@ func (h *Harness) runCells(ctx context.Context, cells []cell) ([]CellResult, err
 		}
 	}
 	if j != nil {
-		if werr := j.WriteErr(); werr != nil {
+		if werr := j.writeErr(); werr != nil {
 			return outs, werr
 		}
 	}

@@ -20,10 +20,10 @@ type ReactionStats struct {
 	Bursts, Boosted int
 }
 
-// ReactionTimes analyses a TraceFigure: burst starts are detected as a
+// reactionTimes analyses a TraceFigure: burst starts are detected as a
 // non-zero traffic bin following at least quietMs of zero-traffic bins,
 // and the reaction is the distance to the next bin whose P-state is 0.
-func (tf TraceFigure) ReactionTimes(quietMs int) ReactionStats {
+func (tf TraceFigure) reactionTimes(quietMs int) ReactionStats {
 	if quietMs <= 0 {
 		quietMs = 5
 	}

@@ -33,7 +33,7 @@ func syntheticTrace() TraceFigure {
 }
 
 func TestReactionTimesSynthetic(t *testing.T) {
-	rt := syntheticTrace().ReactionTimes(5)
+	rt := syntheticTrace().reactionTimes(5)
 	if rt.Bursts != 2 || rt.Boosted != 2 {
 		t.Fatalf("bursts=%d boosted=%d, want 2/2", rt.Bursts, rt.Boosted)
 	}
@@ -50,7 +50,7 @@ func TestReactionTimesNeverBoosted(t *testing.T) {
 	for i := range tf.PState {
 		tf.PState[i] = 15 // never reaches P0
 	}
-	rt := tf.ReactionTimes(5)
+	rt := tf.reactionTimes(5)
 	if rt.Boosted != 0 || rt.Bursts != 2 {
 		t.Fatalf("bursts=%d boosted=%d", rt.Bursts, rt.Boosted)
 	}
@@ -76,8 +76,8 @@ func TestReactionNMAPFasterThanOndemand(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rtOD := od.ReactionTimes(5)
-	rtNM := nm.ReactionTimes(5)
+	rtOD := od.reactionTimes(5)
+	rtNM := nm.reactionTimes(5)
 	if rtNM.Bursts == 0 || rtOD.Bursts == 0 {
 		t.Fatalf("no bursts detected: nmap=%d ondemand=%d", rtNM.Bursts, rtOD.Bursts)
 	}

@@ -22,7 +22,7 @@ func renderTraceFigures(title string, figs []TraceFigure) string {
 		fmt.Fprintf(&b, "P-state (core 0)  |%s| avg=P%.1f\n", report.Sparkline(f.PState, w), meanOf(f.PState))
 		fmt.Fprintf(&b, "ksoftirqd wakes   |%s| total=%.0f\n", report.Sparkline(f.KsWakes, w), sumOf(f.KsWakes))
 		fmt.Fprintf(&b, "CC6 entries/ms    |%s| total=%.0f\n", report.Sparkline(f.CC6, w), sumOf(f.CC6))
-		rt := f.ReactionTimes(5)
+		rt := f.reactionTimes(5)
 		if rt.Bursts > 0 {
 			fmt.Fprintf(&b, "boost reaction: %d/%d bursts reached P0, mean %.1fms, max %.1fms after burst start\n",
 				rt.Boosted, rt.Bursts, rt.MeanMs, rt.MaxMs)

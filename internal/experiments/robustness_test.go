@@ -111,16 +111,21 @@ func TestRunSpecsCtxCancelMidSweep(t *testing.T) {
 
 // TestRunTimeoutAbortsCell pins the per-cell wall-clock budget: an
 // absurdly small budget must abort the cell with a diagnostic naming
-// the budget, not hang or panic.
+// the budget, not hang or panic. An overrun is the one failure of a
+// cell's own that a re-run can change, so each of CellRetries re-runs
+// happens.
 func TestRunTimeoutAbortsCell(t *testing.T) {
-	h := &Harness{RunTimeout: time.Nanosecond}
-	out, _ := h.runCell(context.Background(), cell{spec: Spec{Policy: "ondemand", Idle: "menu", Cfg: quickCfg()}})
+	h := &Harness{RunTimeout: time.Nanosecond, CellRetries: 2}
+	out := h.runCellAttempts(context.Background(), cell{spec: Spec{Policy: "ondemand", Idle: "menu", Cfg: quickCfg()}})
 	err := out.Err
 	if err == nil {
 		t.Fatal("1ns budget did not abort the cell")
 	}
 	if !strings.Contains(err.Error(), "wall-clock budget") {
 		t.Fatalf("error %v does not name the budget", err)
+	}
+	if out.Attempts != 3 {
+		t.Fatalf("overrunning cell ran %d attempt(s), want 3", out.Attempts)
 	}
 }
 
@@ -182,11 +187,14 @@ func TestProfilingIgnoresRunBudget(t *testing.T) {
 
 // TestWatchdogSurfacesThroughSweep runs a sweep whose one cell trips
 // the engine watchdog: the sweep returns the watchdog error and the
-// cell is marked failed, with no panic anywhere on the path.
+// cell is marked failed, with no panic anywhere on the path. The abort
+// is a pure function of the spec, so a re-run would repeat it: the cell
+// ends on its first attempt, at once, whatever the retry budget.
 func TestWatchdogSurfacesThroughSweep(t *testing.T) {
 	cfg := quickCfg()
 	cfg.MaxEvents = 10_000
-	cells, err := new(Harness).RunSpecs(context.Background(), []Spec{
+	start := time.Now()
+	cells, err := (&Harness{CellRetries: 3}).RunSpecs(context.Background(), []Spec{
 		{Policy: "performance", Idle: "menu", Cfg: cfg},
 	})
 	if !errors.Is(err, sim.ErrWatchdog) {
@@ -194,5 +202,11 @@ func TestWatchdogSurfacesThroughSweep(t *testing.T) {
 	}
 	if cells[0].Done {
 		t.Fatal("watchdog-tripped cell marked done")
+	}
+	if cells[0].Attempts != 1 {
+		t.Fatalf("watchdog cell ran %d attempt(s), want 1", cells[0].Attempts)
+	}
+	if d := time.Since(start); d > 500*time.Millisecond {
+		t.Fatalf("watchdog cell took %v", d)
 	}
 }

@@ -317,6 +317,6 @@ func ncapThreshold(p *workload.Profile) float64 {
 // mid-run — or, with auditing on, an invariant violation — surfaces as
 // an error alongside the partial result collected so far.
 func (h *Harness) Run(spec Spec) (server.Result, error) {
-	out, _ := h.runCell(nil, cell{spec: spec})
+	out := h.runCell(nil, cell{spec: spec})
 	return out.Result, out.Err
 }

@@ -9,7 +9,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"nmapsim/internal/experiments"
 	"nmapsim/internal/server"
@@ -199,7 +198,7 @@ func TestChaosFlakyCellRecovered(t *testing.T) {
 		CellFault: FailingCells(func(s experiments.Spec) bool {
 			return s.Cfg.RPS == target
 		}, 2),
-		CellRetry: experiments.HarnessRetry{MaxRetries: 3, Backoff: time.Millisecond},
+		CellRetries: 3,
 	}
 	cells, err := h.RunSpecs(context.Background(), specs)
 	if err != nil {
@@ -235,7 +234,8 @@ func TestChaosPoisonCellQuarantined(t *testing.T) {
 		CellFault: FailingCells(func(s experiments.Spec) bool {
 			return s.Cfg.RPS == target
 		}, -1),
-		CellRetry: experiments.HarnessRetry{MaxRetries: 1, Quarantine: true},
+		CellRetries: 1,
+		Quarantine:  true,
 	}
 	cells, err := h.RunSpecs(context.Background(), specs)
 	j.Close()
