@@ -1,11 +1,11 @@
 // Example: implementing a custom frequency governor against the
-// library's internal interfaces and racing it against ondemand and NMAP
-// on the bursty memcached workload.
+// library's internal interfaces and racing it against ondemand on the
+// bursty memcached workload.
 //
 // The custom policy is a simple "two-step" governor: P0 whenever the
 // sampled utilisation exceeds 50%, the slowest state otherwise — a
-// caricature that reacts as fast as ondemand but wastes energy at
-// moderate loads and still misses burst fronts.
+// caricature that samples as often as ondemand and so, like it, misses
+// the burst fronts at high load.
 package main
 
 import (

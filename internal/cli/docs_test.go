@@ -14,10 +14,12 @@ import (
 // (testdata/golden/flags-<name>.txt), so a removed or renamed flag cannot
 // live on in the docs. A line ending in `\` continues on the next; a
 // command line ends at a comment, a redirect, a pipe or the end of
-// inline code.
+// inline code. Every `./examples/<name>` the docs name must be a
+// directory of the repository.
 func TestDocsNameRealFlags(t *testing.T) {
 	docs := []string{"README.md", "docs/MODEL.md", "EXPERIMENTS.md", "DESIGN.md", ".claude/skills/verify/SKILL.md"}
 	invocation := regexp.MustCompile(`\./cmd/(\w+)`)
+	example := regexp.MustCompile(`\./examples/(\w+)`)
 	for _, doc := range docs {
 		b, err := os.ReadFile(filepath.Join("..", "..", doc))
 		if err != nil {
@@ -29,6 +31,11 @@ func TestDocsNameRealFlags(t *testing.T) {
 			for strings.HasSuffix(line, `\`) && i+1 < len(lines) {
 				i++
 				line = strings.TrimSuffix(line, `\`) + " " + lines[i]
+			}
+			for _, m := range example.FindAllStringSubmatch(line, -1) {
+				if fi, err := os.Stat(filepath.Join("..", "..", "examples", m[1])); err != nil || !fi.IsDir() {
+					t.Errorf("%s:%d: ./examples/%s is no example directory", doc, at, m[1])
+				}
 			}
 			ms := invocation.FindAllStringSubmatchIndex(line, -1)
 			for k, m := range ms {

@@ -147,11 +147,15 @@ func Sweep(args []string, stdout, stderr io.Writer) int {
 		rps := specs[i].Cfg.RPS
 		if cell.Quarantined {
 			// Quarantined cells are part of the report, never silently
-			// dropped: the row names the cell and why it kept failing.
+			// dropped: the row names the cell and why it failed, and its
+			// attempt count once a retry ran.
 			quarantined++
+			attempts := "-"
+			if cell.Attempts > 1 {
+				attempts = fmt.Sprintf("after %d attempts", cell.Attempts)
+			}
 			t.Row(fmt.Sprintf("%.0fK", rps/1000),
-				"QUARANTINED", fmt.Sprintf("after %d attempt(s)", cell.Attempts),
-				"-", "-", truncateErr(cell.Err))
+				"QUARANTINED", attempts, "-", "-", truncateErr(cell.Err))
 			continue
 		}
 		if cell.Downgraded {
@@ -167,7 +171,7 @@ func Sweep(args []string, stdout, stderr io.Writer) int {
 	}
 	fmt.Fprintln(stdout, t.String())
 	if quarantined > 0 {
-		c.warnf("%d cell(s) quarantined (rows marked QUARANTINED above); a -checkpoint resume will retry them", quarantined)
+		c.warnf("%d cell(s) quarantined (rows marked QUARANTINED above); their failures follow from the spec, so a -checkpoint resume repeats them", quarantined)
 	}
 	if downgraded > 0 {
 		c.warnf("%d cell(s) downgraded to the streaming histogram by -mem-budget-mb (quantiles within ~0.1%%)", downgraded)

@@ -47,7 +47,8 @@ type Harness struct {
 	// Quarantine keeps the run going past a failed cell: the cell is
 	// marked Quarantined in its CellResult (and rendered explicitly by
 	// nmapsweep) instead of failing the run. A quarantined cell is never
-	// journaled, so a resume runs it again.
+	// journaled, so a resume runs it again: a failure that follows from
+	// the spec repeats, and only an overrun or injected fault may pass.
 	Quarantine bool
 	// CellFault, when set, is consulted at the start of every cell
 	// attempt: a non-nil return fails that attempt before the cell runs.

@@ -153,7 +153,7 @@ func (h *Harness) runCellAttempts(ctx context.Context, c cell) CellResult {
 			retriable = errors.Is(out.Err, errOverBudget)
 		}
 		out.Attempts = attempt
-		if retriable && attempt <= h.CellRetries && (ctx == nil || ctx.Err() == nil) {
+		if retriable && attempt <= h.CellRetries && ctx.Err() == nil {
 			continue
 		}
 		if retriable && attempt > 1 {
@@ -177,13 +177,13 @@ var errOverBudget = errors.New("wall-clock budget")
 // produce byte-identical physics.
 func (h *Harness) guard(ctx context.Context, eng *sim.Engine) {
 	budget := h.RunTimeout
-	cancellable := ctx != nil && ctx.Done() != nil
+	cancellable := ctx.Done() != nil
 	if !cancellable && budget <= 0 {
 		return
 	}
 	start := time.Now()
 	eng.Ticker(sim.Millisecond, func() {
-		if ctx != nil && ctx.Err() != nil {
+		if ctx.Err() != nil {
 			eng.Abort(fmt.Errorf("experiments: run canceled at %v: %w", eng.Now(), ctx.Err()))
 			return
 		}
@@ -210,8 +210,10 @@ type CellResult struct {
 	// journal-served cell or one the context cut off before it started).
 	Attempts int
 	// Quarantined marks a cell that failed under Harness.Quarantine: the
-	// sweep carried on without it, and Err holds why it failed. Quarantined cells are reported, never
-	// silently skipped, and never journaled — a resume retries them.
+	// sweep carried on without it, and Err holds why it failed.
+	// Quarantined cells are reported, never silently skipped, and never
+	// journaled: a resume runs them again, and a failure that follows
+	// from the spec repeats.
 	Quarantined bool
 	// Downgraded marks a cell the memory watermark switched from the
 	// exact sample recorder to the bounded streaming histogram before it
@@ -221,7 +223,9 @@ type CellResult struct {
 }
 
 // RunSpecs runs every spec as a plain cell on the worker pool (see
-// runCells).
+// runCells). It is how every caller outside the package runs a cell,
+// the root facade's Scenario.Run and Compare included; ctx must not be
+// nil (context.Background() cancels nothing).
 func (h *Harness) RunSpecs(ctx context.Context, specs []Spec) ([]CellResult, error) {
 	return h.runCells(ctx, specCells(specs))
 }
@@ -244,7 +248,7 @@ func (h *Harness) runCells(ctx context.Context, cells []cell) ([]CellResult, err
 	}
 	j := h.Journal
 	forEach(h.workers(), len(cells), func(i int) {
-		if ctx != nil && ctx.Err() != nil {
+		if ctx.Err() != nil {
 			outs[i].Err = ctx.Err()
 			return
 		}
@@ -269,7 +273,7 @@ func (h *Harness) runCells(ctx context.Context, cells []cell) ([]CellResult, err
 		outs[i] = h.runCellAttempts(ctx, c)
 		outs[i].Downgraded = downgraded
 		if outs[i].Err != nil {
-			if h.Quarantine && (ctx == nil || ctx.Err() == nil) {
+			if h.Quarantine && ctx.Err() == nil {
 				outs[i].Quarantined = true
 			}
 			return
@@ -283,7 +287,7 @@ func (h *Harness) runCells(ctx context.Context, cells []cell) ([]CellResult, err
 			j.record(hash, outs[i].Result)
 		}
 	})
-	if ctx != nil && ctx.Err() != nil {
+	if ctx.Err() != nil {
 		return outs, ctx.Err()
 	}
 	for _, c := range outs {

@@ -109,15 +109,15 @@ func TestRunSpecsCtxCancelMidSweep(t *testing.T) {
 	}
 }
 
-// TestRunTimeoutAbortsCell pins the per-cell wall-clock budget: an
-// absurdly small budget must abort the cell with a diagnostic naming
-// the budget, not hang or panic. An overrun is the one failure of a
-// cell's own that a re-run can change, so each of CellRetries re-runs
-// happens.
+// TestRunTimeoutAbortsCell pins the per-cell wall-clock budget on the
+// one cell path, RunSpecs: an absurdly small budget must abort the cell
+// with a diagnostic naming the budget, not hang or panic. An overrun is
+// the one failure of a cell's own that a re-run can change, so each of
+// CellRetries re-runs happens.
 func TestRunTimeoutAbortsCell(t *testing.T) {
 	h := &Harness{RunTimeout: time.Nanosecond, CellRetries: 2}
-	out := h.runCellAttempts(context.Background(), cell{spec: Spec{Policy: "ondemand", Idle: "menu", Cfg: quickCfg()}})
-	err := out.Err
+	cells, err := h.RunSpecs(context.Background(), []Spec{{Policy: "ondemand", Idle: "menu", Cfg: quickCfg()}})
+	out := cells[0]
 	if err == nil {
 		t.Fatal("1ns budget did not abort the cell")
 	}
@@ -136,7 +136,7 @@ func TestRunTimeoutAbortsCell(t *testing.T) {
 func TestInjectionDefaultsFlowIntoBuild(t *testing.T) {
 	spec := Spec{Policy: "performance", Idle: "menu", Cfg: quickCfg()}
 	h := &Harness{Faults: faults.Config{WireLossProb: 0.05}, Retry: workload.RetryConfig{Timeout: 2 * sim.Millisecond}}
-	res, err := h.Run(spec)
+	res, err := runSpec(h, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestInjectionDefaultsFlowIntoBuild(t *testing.T) {
 	if s, err := Build(spec); err != nil || s.Cfg.Faults.Enabled() || s.Cfg.Retry.Enabled() {
 		t.Fatalf("Build folded in harness conditions: err=%v faults=%+v", err, s.Cfg.Faults)
 	}
-	clean, err := new(Harness).Run(spec)
+	clean, err := runSpec(new(Harness), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +173,7 @@ func TestProfilingIgnoresRunBudget(t *testing.T) {
 	cfg := quickCfg()
 	cfg.Profile = prof
 	h := &Harness{RunTimeout: time.Nanosecond}
-	if _, err := h.Run(Spec{Policy: "nmap", Idle: "menu", Cfg: cfg}); err == nil ||
+	if _, err := runSpec(h, Spec{Policy: "nmap", Idle: "menu", Cfg: cfg}); err == nil ||
 		!strings.Contains(err.Error(), "wall-clock budget") {
 		t.Fatalf("err = %v, want the cell's own budget error", err)
 	}

@@ -13,7 +13,7 @@ import (
 
 func TestRecordRoundTrip(t *testing.T) {
 	spec := quickSpec("nmap")
-	res, err := new(Harness).Run(spec)
+	res, err := runSpec(new(Harness), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func TestRecordRoundTrip(t *testing.T) {
 }
 
 func TestSchedutilPolicyBuilds(t *testing.T) {
-	res, err := new(Harness).Run(quickSpec("schedutil"))
+	res, err := runSpec(new(Harness), quickSpec("schedutil"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestSchedutilPolicyBuilds(t *testing.T) {
 func TestExtensionPoliciesRun(t *testing.T) {
 	for _, pol := range []string{"nmap-online", "nmap-sleep"} {
 		spec := quickSpec(pol)
-		res, err := new(Harness).Run(spec)
+		res, err := runSpec(new(Harness), spec)
 		if err != nil {
 			t.Fatalf("%s: %v", pol, err)
 		}
@@ -102,7 +102,7 @@ func TestFlowsOverrideChangesBalance(t *testing.T) {
 }
 
 func TestPegasusPolicyBuilds(t *testing.T) {
-	res, err := new(Harness).Run(quickSpec("pegasus"))
+	res, err := runSpec(new(Harness), quickSpec("pegasus"))
 	if err != nil {
 		t.Fatal(err)
 	}

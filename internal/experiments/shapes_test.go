@@ -16,7 +16,7 @@ import (
 
 func shapeRun(t *testing.T, prof *workload.Profile, lvl workload.Level, policy string) server.Result {
 	t.Helper()
-	res, err := new(Harness).Run(Spec{
+	res, err := runSpec(new(Harness), Spec{
 		Policy: policy,
 		Idle:   "menu",
 		Cfg: server.Config{
@@ -116,7 +116,7 @@ func TestShapeSleepPoliciesEnergyOrder(t *testing.T) {
 	}
 	prof := workload.Memcached()
 	run := func(idle string) server.Result {
-		res, err := new(Harness).Run(Spec{
+		res, err := runSpec(new(Harness), Spec{
 			Policy: "performance",
 			Idle:   idle,
 			Cfg: server.Config{
@@ -241,7 +241,7 @@ func TestShapeIntelPowersaveWithDisablePegsP0(t *testing.T) {
 	// 100% CC0 residency and always runs at P0 — so it satisfies the
 	// SLO (at performance-level energy).
 	prof := workload.Memcached()
-	res, err := new(Harness).Run(Spec{
+	res, err := runSpec(new(Harness), Spec{
 		Policy: "intel_powersave",
 		Idle:   "disable",
 		Cfg: server.Config{

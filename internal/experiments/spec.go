@@ -312,11 +312,3 @@ func ncapThreshold(p *workload.Profile) float64 {
 	med := p.Burst.PeakRate(p.MediumRPS)
 	return math.Sqrt(lo * med)
 }
-
-// Run runs one spec as a single cell. A watchdog or harness abort
-// mid-run — or, with auditing on, an invariant violation — surfaces as
-// an error alongside the partial result collected so far.
-func (h *Harness) Run(spec Spec) (server.Result, error) {
-	out := h.runCell(nil, cell{spec: spec})
-	return out.Result, out.Err
-}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"testing"
 
 	"nmapsim/internal/core"
@@ -9,6 +10,13 @@ import (
 	"nmapsim/internal/sim"
 	"nmapsim/internal/workload"
 )
+
+// runSpec runs one spec through RunSpecs, the one cell path, and
+// returns its (possibly partial) result and the run's error.
+func runSpec(h *Harness, spec Spec) (server.Result, error) {
+	cells, err := h.RunSpecs(context.Background(), []Spec{spec})
+	return cells[0].Result, err
+}
 
 func quickSpec(policy string) Spec {
 	return Spec{
@@ -64,7 +72,7 @@ func TestNCAPSpecsForceChipWide(t *testing.T) {
 }
 
 func TestRunProducesResults(t *testing.T) {
-	res, err := new(Harness).Run(quickSpec("ondemand"))
+	res, err := runSpec(new(Harness), quickSpec("ondemand"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -181,14 +181,14 @@ func TestFlowsOverrideProfilesTheApplication(t *testing.T) {
 	renamed := workload.Nginx()
 	renamed.Name = "nginx-flows-probe"
 	h := new(Harness)
-	alone, err := h.Run(spec(renamed, 2))
+	alone, err := runSpec(h, spec(renamed, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := h.Run(spec(workload.Nginx(), 0)); err != nil {
+	if _, err := runSpec(h, spec(workload.Nginx(), 0)); err != nil {
 		t.Fatal(err)
 	}
-	after, err := h.Run(spec(workload.Nginx(), 2))
+	after, err := runSpec(h, spec(workload.Nginx(), 2))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,11 +17,15 @@
 // baselines.
 //
 // This root package is the high-level facade: build a Scenario, pick a
-// policy by name, and Run it. The examples/ directory shows typical
-// usage; cmd/nmapsim regenerates every table and figure of the paper.
+// policy by name, and Run it, or Compare several policies at once. Each
+// run is one cell of the experiments harness, the same path every figure
+// takes. The package examples show typical usage; cmd/nmapsim
+// regenerates every table and figure of the paper.
 package nmapsim
 
 import (
+	"cmp"
+	"context"
 	"fmt"
 
 	"nmapsim/internal/core"
@@ -82,87 +86,76 @@ type Result struct {
 }
 
 func (s Scenario) profile() (*workload.Profile, error) {
-	app := s.App
-	if app == "" {
-		app = "memcached"
-	}
-	if p, ok := workload.ProfileByName(app); ok {
+	if p, ok := workload.ProfileByName(cmp.Or(s.App, "memcached")); ok {
 		return p, nil
 	}
 	return nil, fmt.Errorf("nmapsim: unknown app %q", s.App)
 }
 
-func (s Scenario) level() (workload.Level, error) {
-	switch s.Load {
-	case "low":
-		return workload.Low, nil
-	case "medium":
-		return workload.Medium, nil
-	case "", "high":
-		return workload.High, nil
-	}
-	return workload.Low, fmt.Errorf("nmapsim: unknown load %q", s.Load)
-}
+// levels maps Scenario.Load to its workload level ("" is the default).
+var levels = map[string]workload.Level{"low": workload.Low, "medium": workload.Medium, "high": workload.High, "": workload.High}
 
 func (s Scenario) spec() (experiments.Spec, error) {
 	prof, err := s.profile()
 	if err != nil {
 		return experiments.Spec{}, err
 	}
-	lvl, err := s.level()
-	if err != nil {
-		return experiments.Spec{}, err
+	lvl, ok := levels[s.Load]
+	if !ok {
+		return experiments.Spec{}, fmt.Errorf("nmapsim: unknown load %q", s.Load)
 	}
-	pol := s.Policy
-	if pol == "" {
-		pol = "nmap"
-	}
-	idle := s.Idle
-	if idle == "" {
-		idle = "menu"
-	}
-	seed := s.Seed
-	if seed == 0 {
-		seed = 42
-	}
-	cfg := server.Config{
-		Seed:    seed,
-		Profile: prof,
-		Level:   lvl,
-		RPS:     s.RPS,
-	}
+	cfg := server.Config{Seed: cmp.Or(s.Seed, 42), Profile: prof, Level: lvl, RPS: s.RPS}
 	if s.WarmupMs > 0 {
 		cfg.Warmup = sim.Duration(s.WarmupMs) * sim.Millisecond
 	}
 	if s.DurationMs > 0 {
 		cfg.Duration = sim.Duration(s.DurationMs) * sim.Millisecond
 	}
-	return experiments.Spec{Policy: pol, Idle: idle, Cfg: cfg}, nil
+	return experiments.Spec{Policy: cmp.Or(s.Policy, "nmap"), Idle: cmp.Or(s.Idle, "menu"), Cfg: cfg}, nil
 }
 
 // Run executes the scenario and returns its result.
 func (s Scenario) Run() (Result, error) {
-	spec, err := s.spec()
+	out, err := run(s)
 	if err != nil {
 		return Result{}, err
 	}
-	res, err := new(experiments.Harness).Run(spec)
-	if err != nil {
-		return Result{}, err
+	return out[0], nil
+}
+
+// run runs the scenarios as one batch of cells on the default harness's
+// worker pool and returns their results in input order.
+func run(scs ...Scenario) ([]Result, error) {
+	specs := make([]experiments.Spec, len(scs))
+	for i, s := range scs {
+		spec, err := s.spec()
+		if err != nil {
+			return nil, err
+		}
+		specs[i] = spec
 	}
-	return Result{
-		P50:         res.Summary.P50.Millis(),
-		P99:         res.Summary.P99.Millis(),
-		Max:         res.Summary.Max.Millis(),
-		SLOMs:       res.SLO.Millis(),
-		Violated:    res.Violated,
-		FracOverSLO: res.FracOverSLO,
-		EnergyJ:     res.EnergyJ,
-		AvgPowerW:   res.AvgPowerW,
-		Requests:    res.Summary.N,
-		Transitions: res.Transitions,
-		Hist:        res.Hist,
-	}, nil
+	cells, err := new(experiments.Harness).RunSpecs(context.Background(), specs)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]Result, len(cells))
+	for i, c := range cells {
+		res := c.Result
+		out[i] = Result{
+			P50:         res.Summary.P50.Millis(),
+			P99:         res.Summary.P99.Millis(),
+			Max:         res.Summary.Max.Millis(),
+			SLOMs:       res.SLO.Millis(),
+			Violated:    res.Violated,
+			FracOverSLO: res.FracOverSLO,
+			EnergyJ:     res.EnergyJ,
+			AvgPowerW:   res.AvgPowerW,
+			Requests:    res.Summary.N,
+			Transitions: res.Transitions,
+			Hist:        res.Hist,
+		}
+	}
+	return out, nil
 }
 
 // Thresholds carries the NMAP thresholds of §4.2 (re-exported for
@@ -175,33 +168,33 @@ type Thresholds = core.Thresholds
 // committed table, checked bit for bit against the profiling run by the
 // experiments tests; any other seed runs the profiling once per process.
 func ProfileThresholds(app string, seed uint64) (Thresholds, error) {
-	s := Scenario{App: app}
-	prof, err := s.profile()
+	prof, err := Scenario{App: app}.profile()
 	if err != nil {
 		return Thresholds{}, err
 	}
-	if seed == 0 {
-		seed = 1001
-	}
-	return experiments.ProfiledThresholds(prof, seed), nil
+	return experiments.ProfiledThresholds(prof, cmp.Or(seed, 1001)), nil
 }
 
-// Compare runs the same scenario under several policies and returns the
-// results keyed by policy name — the quickest way to reproduce the
-// paper's headline comparison on one configuration.
+// Compare runs the same scenario under several policies, as one batch
+// on the worker pool, and returns the results keyed by policy name — the
+// quickest way to reproduce the paper's headline comparison on one
+// configuration.
 func Compare(s Scenario, policies ...string) (map[string]Result, error) {
 	if len(policies) == 0 {
 		policies = []string{"ondemand", "performance", "nmap"}
 	}
+	scs := make([]Scenario, len(policies))
+	for i, p := range policies {
+		scs[i] = s
+		scs[i].Policy = p
+	}
+	res, err := run(scs...)
+	if err != nil {
+		return nil, err
+	}
 	out := make(map[string]Result, len(policies))
-	for _, p := range policies {
-		sc := s
-		sc.Policy = p
-		r, err := sc.Run()
-		if err != nil {
-			return nil, err
-		}
-		out[p] = r
+	for i, p := range policies {
+		out[p] = res[i]
 	}
 	return out, nil
 }
